@@ -14,6 +14,7 @@ from .net import (
     BatchNormParams,
     BatchNormState,
     CanonicalParams,
+    LayerSpec,
     Model,
     NetSpec,
     WhitenedParams,
@@ -64,32 +65,37 @@ def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (model, meta) from a checkpoint file."""
+    """Rebuild (model, meta) from a checkpoint file. A file that is not a
+    checkpoint, or is truncated or corrupt, raises ConsistencyError."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise ConsistencyError(f"{path} is not a whitenet checkpoint")
-    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
     start = len(MAGIC) + 8
-    header = json.loads(raw[start : start + hlen].decode("utf-8"))
+    if len(raw) < start:
+        raise ConsistencyError(f"{path} is truncated inside its header length")
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    try:
+        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConsistencyError(f"{path} has a corrupt header: {exc}") from None
     offset = start + hlen
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if offset + count * 8 > len(raw):
+            raise ConsistencyError(f"{path} is truncated inside array {entry['name']}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays[entry["name"]] = arr.astype(np.float64)
         offset += count * 8
     if offset != len(raw):
-        raise ConsistencyError("checkpoint has trailing or missing bytes")
+        raise ConsistencyError(f"{path} has trailing bytes after its last array")
 
-    spec = NetSpec.mlp(header["sizes"], hidden="tanh", head="sigmoid")
-    # rebuild exact layer nonlinearities (mlp() filled placeholders)
-    from .net import LayerSpec
-
+    sizes = header["sizes"]
     spec = NetSpec(
         tuple(
-            LayerSpec(l.in_dim, l.out_dim, k)
-            for l, k in zip(spec.layers, header["nonlinearities"])
+            LayerSpec(a, b, k)
+            for a, b, k in zip(sizes, sizes[1:], header["nonlinearities"])
         )
     )
     depth = spec.depth

@@ -244,10 +244,7 @@ def cmd_grid(cfg: dict, out: Path) -> int:
         cell_cfg["name"] = f"{cfg['name']}-cell{i}"
         cell_cfg = validate_config(cell_cfg)
         cell_out = out / f"cell_{i}"
-        try:
-            status, result = _run_one(cell_cfg, cell_out)
-        except ConfigError:
-            raise
+        status, result = _run_one(cell_cfg, cell_out)
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]
         record = {
             "cell": i,

@@ -66,7 +66,6 @@ SCHEMA = {
         "freeze_whitening": (bool, False, None),
         "rescale_decay": (float, False, None),
         "rescale_floor": (float, False, None),
-        "stack_batchnorm": (bool, False, None),
         "anneal": {
             "eval_interval": (int, True, None),
             "patience": (int, False, None),
@@ -255,7 +254,7 @@ PRESETS: dict[str, dict] = {
             "batch_size": 32,
             "reparam_period": 500,
             "stat_samples": 512,
-            "eigen_epsilon": 1e-6,
+            "eigen_epsilon": 1e-2,
             "seed": 3,
             "max_updates": 2000,
             "eval_interval": 200,

@@ -138,9 +138,11 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
     """Seeded draws from N(mean, covariance); targets equal inputs.
 
     ``covariance`` may be a full PSD matrix, a per-dimension variance
-    vector, or a scalar variance. Rows are mean + L z for L = U sqrt(diag)
-    from the covariance eigendecomposition, so the first rows of draws with
-    the same seed agree regardless of n.
+    vector, or a scalar variance. Rows are mean + S z for the principal
+    square root S = E diag(sqrt(lam)) E^T of the covariance. S is unique, so
+    the draws depend only on (covariance, seed), not on the eigenvector signs
+    or the order of tied eigenvalues a LAPACK build returns; and the first
+    rows of draws with the same seed agree regardless of n.
     """
     mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,))
     cov = np.asarray(covariance, dtype=np.float64)
@@ -155,10 +157,10 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
     eig = linalg.sym_eig(cov)
     if eig.eigenvalues.min() < -1e-10 * max(eig.eigenvalues.max(), 1.0):
         raise ValueError("covariance spec is not PSD")
-    scale = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
-    chol_like = eig.eigenvectors * scale
+    e = eig.eigenvectors
+    root = (e * np.sqrt(np.maximum(eig.eigenvalues, 0.0))) @ e.T
     z = np.random.default_rng(seed).standard_normal((n, dim))
-    inputs = mean + z @ chol_like.T
+    inputs = mean + z @ root.T
     return Dataset(inputs, inputs.copy(), name="synthetic-gaussian")
 
 

@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Shapes of operands are inconsistent."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class SingularMatrixError(ValueError):
     """A matrix required to be invertible is numerically singular."""
 

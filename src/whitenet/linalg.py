@@ -1,22 +1,21 @@
 """Dense symmetric linear algebra for whitening.
 
-Everything runs in float64 on row-major numpy arrays. The eigensolver is a
-cyclic Jacobi iteration: deterministic, accurate to ~n*eps, and fast enough
-for the few-hundred-dimensional covariances this package works with.
+Everything runs in float64 on row-major numpy arrays. Eigendecompositions
+come from LAPACK (``np.linalg.eigh``) with a fixed ordering and sign
+convention; whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
     InsufficientSamplesError,
+    NumericError,
     SingularMatrixError,
 )
 
@@ -46,106 +45,27 @@ def _square_float(a, name="matrix") -> np.ndarray:
     return m
 
 
-def _round_robin_rounds(n):
-    """Tournament schedule: n-1 (or n) rounds of disjoint index pairs that
-    together cover every (p, q) pair exactly once per sweep."""
-    m = n if n % 2 == 0 else n + 1
-    idx = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            p, q = idx[i], idx[m - 1 - i]
-            if p < n and q < n:
-                pairs.append((min(p, q), max(p, q)))
-        rounds.append(
-            (np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        )
-        idx = [idx[0], idx[-1]] + idx[1:-1]
-    return rounds
+def sym_eig(a) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix via LAPACK (``np.linalg.eigh``).
 
-
-def sym_eig(a, *, max_sweeps: int = 100, tol: float = 1e-12) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
-
-    One sweep visits every off-diagonal pair once, in round-robin rounds of
-    mutually disjoint pairs so each round is applied as a single vectorized
-    orthogonal update (disjoint-pair rotations commute exactly). The input
-    may be asymmetric up to 1e-9 relative to its largest entry; it is
-    symmetrized as (A + A^T)/2 before iterating. Sweeps stop when the
-    off-diagonal Frobenius norm drops below ``tol`` relative to the matrix
-    norm; exceeding ``max_sweeps`` raises ConvergenceError.
+    The input may be asymmetric up to 1e-9 relative to its largest entry; it
+    is symmetrized as (A + A^T)/2 first. Eigenvalues come back descending
+    (a stable sort, so ties keep LAPACK's order) and each eigenvector's sign
+    is fixed so that its largest-magnitude component is positive.
     """
     s = _square_float(a)
     if not np.isfinite(s).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise NumericError("matrix contains non-finite entries")
     scale = float(np.abs(s).max()) if s.size else 0.0
     if scale > 0.0 and float(np.abs(s - s.T).max()) > 1e-9 * scale:
         raise ValueError("matrix is not symmetric within 1e-9 of its scale")
-    s = (s + s.T) / 2.0
-    n = s.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(s[0].copy(), v)
-
-    norm = math.sqrt(float((s * s).sum()))
-    limit = tol * max(norm, np.finfo(np.float64).tiny)
-    skip = limit / (10.0 * n)
-    rounds = _round_robin_rounds(n)
-
-    def _off2(m):
-        # Sum of squared off-diagonal entries, computed directly so the
-        # result stays meaningful far below the matrix scale.
-        o = m.copy()
-        np.fill_diagonal(o, 0.0)
-        return float((o * o).sum())
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _off2(s) <= limit * limit:
-            converged = True
-            break
-        for pp, qq in rounds:
-            apq = s[pp, qq]
-            active = np.abs(apq) > skip
-            if not active.any():
-                continue
-            p = pp[active]
-            q = qq[active]
-            apq = apq[active]
-            diag = np.diag(s)
-            theta = (diag[q] - diag[p]) / (2.0 * apq)
-            big = np.abs(theta) > 1e150
-            safe = np.clip(theta, -1e150, 1e150)
-            t = np.where(
-                big,
-                0.5 / np.where(big, theta, 1.0),
-                np.sign(safe + (safe == 0)) / (np.abs(safe) + np.sqrt(safe * safe + 1.0)),
-            )
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            sn = t * c
-            cp = s[:, p]
-            cq = s[:, q]
-            s[:, p] = c * cp - sn * cq
-            s[:, q] = sn * cp + c * cq
-            rp = s[p, :]
-            rq = s[q, :]
-            s[p, :] = c[:, None] * rp - sn[:, None] * rq
-            s[q, :] = sn[:, None] * rp + c[:, None] * rq
-            s[p, q] = 0.0
-            s[q, p] = 0.0
-            vp = v[:, p]
-            vq = v[:, q]
-            v[:, p] = c * vp - sn * vq
-            v[:, q] = sn * vp + c * vq
-    if not converged and _off2(s) > limit * limit:
-        raise ConvergenceError(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-        )
-
-    lam = np.diag(s).copy()
+    lam, v = np.linalg.eigh((s + s.T) / 2.0)
     order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(lam[order], v[:, order])
+    lam, v = lam[order], v[:, order]
+    if v.size:
+        lead = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+        v = v * np.where(lead < 0.0, -1.0, 1.0)
+    return EigenDecomposition(lam, v)
 
 
 def estimate_moments(samples) -> MomentEstimate:
@@ -161,7 +81,7 @@ def estimate_moments(samples) -> MomentEstimate:
     if x.ndim != 2:
         raise DimensionError(f"expected a stack of row vectors, got shape {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError("samples contain non-finite entries")
+        raise NumericError("samples contain non-finite entries")
     n = x.shape[0]
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
@@ -172,8 +92,9 @@ def estimate_moments(samples) -> MomentEstimate:
     return MomentEstimate(mean, cov, n)
 
 
-def zca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
-    """ZCA transform diag(lam + eps)^(-1/2) @ U^T from a precomputed spectrum."""
+def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
+    """PCA whitening transform diag(lam + eps)^(-1/2) @ E^T from a precomputed
+    spectrum."""
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     lam = np.asarray(eig.eigenvalues, dtype=np.float64)
@@ -189,14 +110,14 @@ def zca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
     return gains[:, None] * eig.eigenvectors.T
 
 
-def zca_matrix(moments: MomentEstimate, epsilon: float) -> np.ndarray:
+def pca_matrix(moments: MomentEstimate, epsilon: float) -> np.ndarray:
     """Whitening matrix for a covariance estimate.
 
     With ``epsilon=0`` and full-rank covariance, U @ cov @ U^T recovers the
     identity; ``epsilon > 0`` shrinks each eigendirection's gain, bounding
     the largest multiplier at 1/sqrt(epsilon).
     """
-    return zca_from_eig(sym_eig(moments.covariance), epsilon)
+    return pca_from_eig(sym_eig(moments.covariance), epsilon)
 
 
 def condition_number(spectrum, *, floor_ratio: float = 1e-12) -> float:

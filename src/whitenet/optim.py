@@ -71,7 +71,6 @@ class TrainConfig:
     freeze_whitening: bool = False
     rescale_decay: float = 0.9
     rescale_floor: float = 1e-6
-    stack_batchnorm: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -180,7 +179,7 @@ def prong_reparametrize(
         mom = linalg.estimate_moments(h)
         eig = linalg.sym_eig(mom.covariance)
         try:
-            u = linalg.zca_from_eig(eig, epsilon)
+            u = linalg.pca_from_eig(eig, epsilon)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"layer {i} activation covariance is singular with epsilon=0; "
@@ -291,11 +290,6 @@ def train(
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
     if optimizer == "bn" and model.kind != "bn":
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
-    if config.stack_batchnorm:
-        raise ConfigError(
-            "stacked batch normalization inside the whitened parametrization "
-            "is not implemented; compose optimizer 'bn' with prong presets instead"
-        )
 
     arrays = model.parameter_arrays()
     state = OptimizerState.init(

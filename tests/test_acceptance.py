@@ -12,6 +12,7 @@ import pytest
 from whitenet import net
 from whitenet.config import PRESETS, validate_config
 from whitenet.data import Dataset, synthetic_classification, synthetic_images
+from whitenet.errors import DivergenceError
 from whitenet.fisher import factorized_fisher_block
 from whitenet.net import (
     BatchNormParams,
@@ -196,7 +197,7 @@ class TestAcceptance:
             try:
                 result = train(model, ds, cfg, optimizer=optimizer,
                                loss_kind="squared_error", val_data=probe)
-            except Exception:
+            except DivergenceError:
                 return None
             return {r.step: r.eval_loss for r in result.rows if not r.reparam_event}
 

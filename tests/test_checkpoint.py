@@ -55,6 +55,21 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cut", ["header_length", "header", "payload"])
+def test_truncated_file_rejected(tmp_path, cut):
+    # a file cut inside the header length, inside the JSON header, or
+    # 8 bytes short of its payload fails typed, not with a parser error
+    spec = NetSpec.mlp([3, 2])
+    model = Model.canonical(spec, init_fan_in(spec, 6))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, model, seed=6, step=0)
+    blob = path.read_bytes()
+    keep = {"header_length": 10, "header": 20, "payload": len(blob) - 8}[cut]
+    path.write_bytes(blob[:keep])
+    with pytest.raises(ConsistencyError):
+        load_checkpoint(path)
+
+
 def test_truncated_payload_rejected(tmp_path):
     spec = NetSpec.mlp([3, 2])
     model = Model.canonical(spec, init_fan_in(spec, 6))

@@ -155,6 +155,15 @@ class TestTrainCommand:
         assert manifest["status"] == "diverged"
         assert "divergence" in manifest
 
+    def test_cond_preset_prong_ends_below_chance(self, tmp_path):
+        # the preset's whitened run must learn, not saturate: its final
+        # eval BCE sits below that of predicting 1/2 everywhere
+        out = tmp_path / "run"
+        assert main(["train", "--preset", "cond-mlp-desk", "--out", str(out)]) == 0
+        rows = read_metrics(out / "metrics.csv")
+        assert rows[-1].step == PRESETS["cond-mlp-desk"]["train"]["max_updates"]
+        assert rows[-1].eval_loss < np.log(2.0)
+
 
 class TestGridCommand:
     def test_one_by_one_grid_matches_train(self, tmp_path):

@@ -167,9 +167,9 @@ class TestConditioningReport:
         raw = rng.standard_normal((128, 4))
         mu = raw.mean(axis=0)
         cov = (raw - mu).T @ (raw - mu) / raw.shape[0]
-        from whitenet.linalg import MomentEstimate, zca_matrix
+        from whitenet.linalg import MomentEstimate, pca_matrix
 
-        u = zca_matrix(MomentEstimate(mu, cov, raw.shape[0]), 0.0)
+        u = pca_matrix(MomentEstimate(mu, cov, raw.shape[0]), 0.0)
         white = (raw - mu) @ u.T
         factors, _ = factorized_fisher_block(model, white, 0)
         from whitenet.linalg import condition_number, sym_eig

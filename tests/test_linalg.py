@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitenet.errors import (
-    ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
     InsufficientSamplesError,
+    NumericError,
     SingularMatrixError,
 )
 from whitenet.linalg import (
@@ -15,8 +15,8 @@ from whitenet.linalg import (
     condition_number,
     estimate_moments,
     invert_whitening,
+    pca_matrix,
     sym_eig,
-    zca_matrix,
 )
 
 
@@ -64,10 +64,16 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(a)
 
-    def test_sweep_budget_exhaustion(self):
-        a = random_symmetric(20, seed=5)
-        with pytest.raises(ConvergenceError):
-            sym_eig(a, max_sweeps=1)
+    def test_non_finite_rejected(self):
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        with pytest.raises(NumericError):
+            sym_eig(a)
+
+    def test_sign_convention(self):
+        # each eigenvector's largest-magnitude component is positive
+        v = sym_eig(random_symmetric(8, seed=4)).eigenvectors
+        assert np.all(v[np.abs(v).argmax(axis=0), np.arange(8)] > 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10_000))
@@ -122,36 +128,42 @@ class TestEstimateMoments:
         with pytest.raises(DimensionError):
             estimate_moments([np.zeros(2), np.zeros(3)])
 
+    def test_non_finite_rejected(self):
+        x = np.ones((4, 2))
+        x[2, 0] = np.inf
+        with pytest.raises(NumericError):
+            estimate_moments(x)
+
 
 class TestZcaMatrix:
     def test_identity_covariance(self):
         m = estimate_moments(_seeded_samples(400, 4, seed=1))
-        u = zca_matrix(m, epsilon=0.0)
+        u = pca_matrix(m, epsilon=0.0)
         np.testing.assert_allclose(u @ m.covariance @ u.T, np.eye(4), atol=1e-8)
 
     def test_diagonal_epsilon_zero(self):
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = zca_matrix(m, epsilon=0.0)
+        u = pca_matrix(m, epsilon=0.0)
         np.testing.assert_allclose(np.abs(u), np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_diagonal_epsilon_one(self):
         # gains are 1/sqrt(lam + eps): 1/sqrt(5), 1/sqrt(2)
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = zca_matrix(m, epsilon=1.0)
+        u = pca_matrix(m, epsilon=1.0)
         expected = np.diag([1.0 / np.sqrt(5.0), 1.0 / np.sqrt(2.0)])
         np.testing.assert_allclose(np.abs(u), expected, atol=1e-12)
 
     def test_singular_requires_epsilon(self):
         m = _moments_with_cov(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
-            zca_matrix(m, epsilon=0.0)
-        u = zca_matrix(m, epsilon=0.5)
+            pca_matrix(m, epsilon=0.0)
+        u = pca_matrix(m, epsilon=0.5)
         assert np.isfinite(u).all()
 
     def test_whitened_samples_have_unit_moments(self):
         x = _seeded_samples(300, 5, seed=9)
         m = estimate_moments(x)
-        u = zca_matrix(m, epsilon=0.0)
+        u = pca_matrix(m, epsilon=0.0)
         a = (x - m.mean) @ u.T
         assert np.abs(a.mean(axis=0)).max() < 1e-9
         cov = a.T @ a / a.shape[0]
@@ -159,12 +171,12 @@ class TestZcaMatrix:
 
     def test_epsilon_shrinks_whitened_covariance(self):
         # with eps > 0 the whitened covariance is diag(lam/(lam+eps))
-        # already in the standard basis (ZCA rotates into the eigenbasis)
+        # in the eigenbasis, which PCA whitening rotates into
         eps = 0.3
         x = _seeded_samples(500, 4, seed=13)
         m = estimate_moments(x)
         eig = sym_eig(m.covariance)
-        u = zca_matrix(m, epsilon=eps)
+        u = pca_matrix(m, epsilon=eps)
         a = (x - m.mean) @ u.T
         cov = a.T @ a / a.shape[0]
         expected = np.diag(eig.eigenvalues / (eig.eigenvalues + eps))
@@ -209,7 +221,7 @@ class TestInvertWhitening:
     def test_round_trip_on_random_zca(self):
         x = _seeded_samples(200, 6, seed=21)
         m = estimate_moments(x)
-        u = zca_matrix(m, epsilon=1e-3)
+        u = pca_matrix(m, epsilon=1e-3)
         uinv = invert_whitening(u)
         assert np.abs(u @ uinv - np.eye(6)).max() <= 1e-9
 
