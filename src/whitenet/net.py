@@ -39,19 +39,6 @@ LOSS_KINDS = ("squared_error", "binary_cross_entropy", "categorical_cross_entrop
 PROB_CLAMP = 1e-12
 BN_STD_FLOOR = 1e-6
 
-# Count of probability clamps applied inside cross-entropy losses; a cheap
-# diagnostic for saturated outputs. Read with clamp_warning_count().
-_clamp_warnings = 0
-
-
-def clamp_warning_count() -> int:
-    return _clamp_warnings
-
-
-def reset_clamp_warnings() -> None:
-    global _clamp_warnings
-    _clamp_warnings = 0
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -214,13 +201,13 @@ class BackwardTrace:
 
 
 def _activate(kind, z):
+    """h = f(z). Finite z gives finite h for every kind, so the forwards
+    check z and not h."""
     if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # Per element this is 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) for z < 0:
+        # the overflow-free masked form, evaluated without boolean masks, and
+        # bitwise equal to it.
+        return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
     if kind == "tanh":
         return np.tanh(z)
     if kind == "relu":
@@ -236,10 +223,17 @@ def _activate(kind, z):
 
 def _activation_vjp(kind, z, h, upstream):
     """dLoss/dz from dLoss/dh for an elementwise or softmax nonlinearity."""
+    # sigmoid and tanh keep the product order (u*h)*(1-h) and u*(1-h*h), so
+    # the in-place forms round exactly as the plain expressions do
     if kind == "sigmoid":
-        return upstream * h * (1.0 - h)
+        out = upstream * h
+        out *= 1.0 - h
+        return out
     if kind == "tanh":
-        return upstream * (1.0 - h * h)
+        out = h * h
+        np.subtract(1.0, out, out=out)
+        out *= upstream
+        return out
     if kind == "relu":
         return upstream * (z > 0.0)
     if kind == "identity":
@@ -273,7 +267,6 @@ def forward_canonical(params: CanonicalParams, spec: NetSpec, x) -> ForwardTrace
         z = h @ params.weights[i].T + params.biases[i]
         _check_finite(z, i, "pre-activation")
         h = _activate(layer.nonlinearity, z)
-        _check_finite(h, i, "activation")
         zs.append(z)
         hs.append(h)
     return ForwardTrace("canonical", inputs, zs, hs, squeeze=squeeze)
@@ -290,7 +283,6 @@ def forward_whitened(
         z = a @ omega.weights[i].T + omega.biases[i]
         _check_finite(z, i, "pre-activation")
         h = _activate(layer.nonlinearity, z)
-        _check_finite(h, i, "activation")
         whitened.append(a)
         zs.append(z)
         hs.append(h)
@@ -339,7 +331,7 @@ def forward_bn(
         zhat = (z - mean) / std
         y = bn_params.gains[i] * zhat + bn_params.shifts[i]
         h = _activate(layer.nonlinearity, y)
-        _check_finite(h, i, "activation")
+        _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
         zs.append(z)
         hs.append(h)
         stash.append(
@@ -353,10 +345,8 @@ def loss(kind: str, output, target):
 
     The gradient carries the 1/B batch averaging, so downstream backward
     passes sum over the batch without rescaling. Cross-entropy outputs are
-    clamped away from 0/1 at 1e-12; clamps bump a module-level warning
-    counter (see clamp_warning_count).
+    clamped away from 0/1 at 1e-12.
     """
-    global _clamp_warnings
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     o = np.atleast_2d(np.asarray(output, dtype=np.float64))
@@ -371,12 +361,10 @@ def loss(kind: str, output, target):
         grad = r / b
     elif kind == "binary_cross_entropy":
         p = np.clip(o, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        _clamp_warnings += int((p != o).sum())
         value = -float((t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()) / b
         grad = (-t / p + (1.0 - t) / (1.0 - p)) / b
     else:  # categorical_cross_entropy
         p = np.clip(o, PROB_CLAMP, 1.0)
-        _clamp_warnings += int((p != o).sum())
         value = -float((t * np.log(p)).sum()) / b
         grad = -(t / p) / b
     if np.asarray(output).ndim == 1:

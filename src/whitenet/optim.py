@@ -151,6 +151,7 @@ def rmsprop_step(arrays, grads, state: OptimizerState, config: TrainConfig):
 class ReparamInfo:
     spectra: list  # per input slot EigenDecomposition of the centered covariance
     moments: list  # per input slot MomentEstimate
+    outputs: np.ndarray  # network outputs on the statistics sample
     seconds: float = 0.0
 
 
@@ -168,7 +169,8 @@ def prong_reparametrize(
     become the sample means; the whitening matrices come from the
     eigendecomposition of the centered covariances with ``epsilon`` damping.
     The canonical parameters are held fixed across the swap, so the network
-    function is unchanged. Updates ``omega`` and ``phi`` in place.
+    function is unchanged; the sweep's outputs are returned with the spectra.
+    Updates ``omega`` and ``phi`` in place.
     """
     t0 = time.perf_counter()
     theta = net.project_to_canonical(omega, phi)
@@ -195,7 +197,7 @@ def prong_reparametrize(
     for i in range(spec.depth):
         omega.weights[i][:] = fresh.weights[i]
         omega.biases[i][:] = fresh.biases[i]
-    return ReparamInfo(spectra, moments, seconds=time.perf_counter() - t0)
+    return ReparamInfo(spectra, moments, trace.outputs, seconds=time.perf_counter() - t0)
 
 
 def prong_plus_rescale(
@@ -355,11 +357,7 @@ def train(
             if before is not None:
                 result.probe_deltas.append(probe_delta(before))
             result.reparam_steps.append(t)
-            stats_loss, _ = net.loss(
-                loss_kind,
-                model.forward(train_data.inputs[idx]).outputs,
-                train_data.targets[idx],
-            )
+            stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
             emit(t, stats_loss, reparam_event=True)
 
         batch = next_batch(train_data, plan)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitenet import net
+from whitenet.data import Dataset
 from whitenet.errors import ConsistencyError, DimensionError, NumericError
 from whitenet.net import (
     BatchNormParams,
@@ -22,6 +23,7 @@ from whitenet.net import (
     project_to_canonical,
     project_to_whitened,
 )
+from whitenet.optim import TrainConfig, train
 
 
 def seeded_canonical(sizes, seed, hidden="tanh", head="sigmoid"):
@@ -103,6 +105,101 @@ class TestForwardCanonical:
             forward_canonical(params, spec, np.ones(2))
 
 
+def masked_sigmoid(z):
+    """Overflow-free sigmoid by boolean masks: the bitwise reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = np.array([
+    0.0, -0.0, 1e-320, -1e-320, 5e-324, -5e-324, 1.0, -1.0, 36.7, -36.7, 37.5, -37.5,
+    709.8, -709.8, 745.2, -745.2, 800.0, -800.0,
+    np.finfo(float).tiny, -np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max,
+])
+
+
+class TestSigmoidBitIdentity:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64, 200), (3, 5, 11), (200, 64)])
+    def test_matches_masked_reference_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-10, 1e-5, 1e-2, 1.0, 10.0, 40.0, 800.0):
+            z = scale * rng.standard_normal(shape)
+            got = net._activate("sigmoid", z)
+            assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
+        strided = (800.0 * rng.standard_normal((2 * shape[0],) + shape[1:]))[::2]
+        got = net._activate("sigmoid", strided)
+        assert np.array_equal(got.view(np.int64), masked_sigmoid(strided).view(np.int64))
+
+    def test_edge_values_bitwise(self):
+        with np.errstate(over="ignore"):
+            near = np.concatenate([np.nextafter(SIGMOID_EDGES, np.inf),
+                                   np.nextafter(SIGMOID_EDGES, -np.inf)])
+        z = np.concatenate([SIGMOID_EDGES, near[np.isfinite(near)]])
+        got = net._activate("sigmoid", z)
+        assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
+
+    @pytest.mark.parametrize("optimizer", ["momentum", "prong", "prong_plus"])
+    def test_training_bitwise_equal_to_reference(self, optimizer, monkeypatch):
+        spec = NetSpec((
+            net.LayerSpec(6, 8, "sigmoid"),
+            net.LayerSpec(8, 5, "tanh"),
+            net.LayerSpec(5, 2, "sigmoid"),
+        ))
+        rng = np.random.default_rng(20)
+        x = 3.0 * rng.standard_normal((256, 6))
+        targets = masked_sigmoid(x @ rng.standard_normal((6, 2)))
+        data = Dataset(x, targets)
+        cfg = TrainConfig(learning_rate=0.5, momentum=0.9, seed=1, max_updates=60,
+                          eval_interval=10, batch_size=16, reparam_period=20,
+                          stat_samples=64, eigen_epsilon=1e-2)
+
+        def run():
+            theta = init_fan_in(spec, 21)
+            if optimizer == "momentum":
+                model = Model.canonical(spec, theta)
+            else:
+                phi = WhiteningCoeffs.identity(spec)
+                model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+            return train(model, data, cfg, optimizer=optimizer,
+                         loss_kind="binary_cross_entropy")
+
+        shipped = run()
+        activate, vjp = net._activate, net._activation_vjp
+        reference_calls = []
+
+        def reference_activate(kind, z):
+            if kind == "sigmoid":
+                reference_calls.append(z.shape)
+                return masked_sigmoid(z)
+            return activate(kind, z)
+
+        def reference_vjp(kind, z, h, upstream):
+            if kind == "sigmoid":
+                return upstream * h * (1.0 - h)
+            if kind == "tanh":
+                return upstream * (1.0 - h * h)
+            return vjp(kind, z, h, upstream)
+
+        monkeypatch.setattr(net, "_activate", reference_activate)
+        monkeypatch.setattr(net, "_activation_vjp", reference_vjp)
+        reference = run()
+
+        assert reference_calls
+        arrays = list(zip(shipped.model.parameter_arrays(), reference.model.parameter_arrays()))
+        if optimizer != "momentum":
+            arrays += list(zip(shipped.model.phi.transforms, reference.model.phi.transforms))
+        for a, b in arrays:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert [r.step for r in shipped.rows] == [r.step for r in reference.rows]
+        for ra, rb in zip(shipped.rows, reference.rows):
+            assert ra.eval_loss == rb.eval_loss
+            assert ra.train_loss == rb.train_loss
+
+
 class TestForwardWhitened:
     def test_identity_coeffs_match_canonical(self):
         spec, params = seeded_canonical([5, 4, 2], seed=4)
@@ -158,10 +255,14 @@ class TestLoss:
         assert v == pytest.approx(0.5 * (0.04 + 0.16) / 2)
         np.testing.assert_allclose(g, o / 2)
 
-    def test_clamp_counter(self):
-        net.reset_clamp_warnings()
-        loss("binary_cross_entropy", np.array([0.0, 1.0, 0.5]), np.array([1.0, 0.0, 1.0]))
-        assert net.clamp_warning_count() == 2
+    def test_saturated_outputs_clamped(self):
+        o = np.array([0.0, 1.0, 0.5])
+        v, g = loss("binary_cross_entropy", o, np.array([1.0, 0.0, 1.0]))
+        assert v == pytest.approx(-2.0 * math.log(net.PROB_CLAMP) - math.log(0.5), rel=1e-3)
+        assert np.isfinite(g).all()
+        v, g = loss("categorical_cross_entropy", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert v == pytest.approx(-math.log(net.PROB_CLAMP))
+        assert np.isfinite(g).all()
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -426,6 +527,15 @@ class TestBatchNorm:
         rng = np.random.default_rng(43)
         check_model_gradients(model, rng.standard_normal((6, 3)),
                               rng.uniform(0.2, 0.8, (6, 2)), "binary_cross_entropy")
+
+    def test_overflowing_gain_names_layer(self):
+        spec, params = seeded_canonical([3, 4, 2], seed=47, hidden="relu", head="sigmoid")
+        bn = BatchNormParams.init(spec)
+        bn.gains[0][:] = np.finfo(float).max
+        bn.shifts[0][:] = np.finfo(float).max
+        x = np.random.default_rng(48).standard_normal((8, 3))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 0"):
+            forward_bn(params, bn, spec, x)
 
     def test_batch_of_one_rejected(self):
         spec, params = seeded_canonical([3, 2], seed=44)
