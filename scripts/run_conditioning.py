@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Conditioning experiment: sgd / rmsprop / prong on the small tanh
-classifier, with per-layer Fisher condition-number series and the
-before/after middle-layer heatmap dumps.
+classifier, with per-layer Fisher condition-number series and the exact
+middle-layer Fisher block before and after whitening, saved as float64
+``fisher_middle_before.npy`` and ``fisher_middle_after.npy`` (read them with
+``numpy.load``).
 
 Usage: python scripts/run_conditioning.py [--out runs/conditioning] [--seed N]
 """

@@ -4,8 +4,9 @@ Commands:
   train            one training run -> metrics.csv, config.json,
                    manifest.json, checkpoint.bin
   diagnose-fisher  conditioning experiment: sgd / rmsprop / prong runs with
-                   per-layer condition-number series and before/after
-                   middle-layer Fisher heatmaps
+                   per-layer condition-number series and the exact
+                   middle-layer Fisher block before/after whitening as
+                   float64 .npy heatmaps (read them with np.load)
   grid             Cartesian product over the config's "grid" axes
   replay           merge metrics files into plot-ready LOCF tables
 """
@@ -128,10 +129,12 @@ def _write_manifest(out, cfg, *, seed, status, result=None, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _run_one(cfg: dict, out: Path, *, row_callback=None):
+def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
+    """Train one configuration on ``dataset``, the ``(train, val, name)``
+    that ``build_dataset(cfg)`` returns, and write its run directory."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
-    train_ds, val_ds, ds_name = build_dataset(cfg)
+    train_ds, val_ds, ds_name = dataset
     model = build_model(cfg)
     tcfg = build_train_config(cfg)
     loss_kind = cfg["model"].get("loss", "squared_error")
@@ -157,7 +160,7 @@ def _run_one(cfg: dict, out: Path, *, row_callback=None):
 
 
 def cmd_train(cfg: dict, out: Path) -> int:
-    status, result = _run_one(cfg, out)
+    status, result = _run_one(cfg, out, build_dataset(cfg))
     last = result.rows[-1] if result.rows else None
     if last is not None:
         print(
@@ -177,7 +180,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     measured on a fixed probe subset, relative to the initial (pre-whitening)
     values; prong metrics rows also carry the middle-layer ratio."""
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, val_ds, ds_name = build_dataset(cfg)
+    dataset = build_dataset(cfg)  # every run varies only the optimizer
+    train_ds = dataset[0]
     probe = train_ds.inputs[: min(512, train_ds.n)]
     baseline_model = build_model({**cfg, "optimizer": "sgd"})
     kinds = ("factorized",)
@@ -185,9 +189,10 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     baselines = {(r.layer, r.kind): r.cond for r in baseline_rows}
     middle = baseline_model.spec.depth // 2
 
-    # Fig-style heatmaps: exact middle-layer block before/after whitening
+    # Fig-style heatmaps: exact middle-layer block before/after whitening,
+    # stored bit for bit
     before_block = fisher.exact_fisher_block(baseline_model, probe, middle)
-    np.savetxt(out / "fisher_middle_before.csv", before_block.matrix, delimiter=",")
+    np.save(out / "fisher_middle_before.npy", before_block.matrix)
     white = build_model({**cfg, "optimizer": "prong"})
     from .optim import prong_reparametrize
 
@@ -195,7 +200,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
         white.params, white.phi, white.spec, probe, cfg["train"].get("eigen_epsilon", 0.0)
     )
     after_block = fisher.exact_fisher_block(white, probe, middle)
-    np.savetxt(out / "fisher_middle_after.csv", after_block.matrix, delimiter=",")
+    np.save(out / "fisher_middle_after.npy", after_block.matrix)
 
     summary = {}
     for optimizer in ("sgd", "rmsprop", "prong"):
@@ -211,7 +216,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
             mid = [r for r in rows if r.layer == middle][0]
             return {"cond_ratio": mid.cond_ratio}
 
-        status, _ = _run_one(run_cfg, out / optimizer, row_callback=on_row)
+        status, _ = _run_one(run_cfg, out / optimizer, dataset, row_callback=on_row)
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
                   "cond_ratio_to_initial"]
         table = [
@@ -244,7 +249,7 @@ def cmd_grid(cfg: dict, out: Path) -> int:
         cell_cfg["name"] = f"{cfg['name']}-cell{i}"
         cell_cfg = validate_config(cell_cfg)
         cell_out = out / f"cell_{i}"
-        status, result = _run_one(cell_cfg, cell_out)
+        status, result = _run_one(cell_cfg, cell_out, build_dataset(cell_cfg))
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]
         record = {
             "cell": i,

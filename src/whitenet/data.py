@@ -46,12 +46,15 @@ class Dataset:
         return self.inputs.shape[0]
 
     def take(self, indices, split=None):
-        return Dataset(
-            self.inputs[indices],
-            self.targets[indices],
-            name=self.name,
-            split=self.split if split is None else split,
-        )
+        """The rows ``indices`` (a 1-D index array, slice or mask) as a new
+        dataset. A row subset of a validated dataset is 2-D and finite, so
+        it skips the checks of ``__post_init__``."""
+        sub = object.__new__(type(self))
+        sub.inputs = self.inputs[indices]
+        sub.targets = self.targets[indices]
+        sub.name = self.name
+        sub.split = self.split if split is None else split
+        return sub
 
 
 def _read_file(path):

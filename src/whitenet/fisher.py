@@ -8,8 +8,11 @@ over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
 empirical mean. The factorized form assumes delta and s independent and
 keeps only the two covariance factors; its Kronecker product uses the
-row-major vec convention, so F[km, ln] = delta_cov[k, l] * act_cov[m, n].
-Off-block-diagonal (cross-layer) terms are never materialized.
+row-major vec convention, so F[km, ln] = delta_cov[k, l] * act_cov[m, n],
+and is built only when a block's ``matrix`` is read. Off-block-diagonal
+(cross-layer) terms are never materialized. A conditioning report forwards
+its inputs once and backprops each class once (a ``ClassSweep``), and every
+layer's block reads its deltas from that one sweep.
 """
 
 from __future__ import annotations
@@ -34,9 +37,19 @@ class KroneckerFactors:
 class FisherBlock:
     layer_index: int
     kind: str  # "exact" | "factorized"
-    matrix: np.ndarray | None
+    _matrix: np.ndarray | None = field(default=None, repr=False)
     factors: KroneckerFactors | None = None
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """The dense block. A factorized block builds its Kronecker product
+        on first read, and only within the tractability cap (None above)."""
+        if self._matrix is None and self.factors is not None:
+            f = self.factors
+            if f.delta_cov.shape[0] * f.act_cov.shape[0] <= MAX_BLOCK:
+                self._matrix = np.kron(f.delta_cov, f.act_cov)
+        return self._matrix
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum (descending). For factorized blocks this is the sorted
@@ -62,91 +75,110 @@ class FisherBlock:
         return linalg.condition_number(self.eigenvalues(), **kw)
 
 
-def _class_setup(model: net.Model, inputs):
-    """Forward the inputs once and enumerate output classes: returns the
-    trace plus per-class (weight, output-delta) pairs."""
-    trace = model.forward(inputs)
+@dataclass
+class ClassSweep:
+    """One forward pass of the inputs and one full backprop per enumerated
+    output class: what the Fisher blocks of every layer are built from."""
+
+    trace: net.ForwardTrace
+    weights: list  # per class, (B,) predictive probability of the class
+    deltas: list  # per class, the per-layer deltas
+
+
+def class_sweep(model: net.Model, inputs) -> ClassSweep:
+    """Forward the inputs once, enumerate the output classes and backprop
+    each class's output delta through every layer."""
+    trace = model.forward(np.asarray(inputs, dtype=np.float64))
     head = model.spec.layers[-1]
     h = trace.outputs
     if head.nonlinearity == "sigmoid" and model.spec.output_dim == 1:
         p1 = h[:, 0]
-        return trace, [
+        class_pairs = [
             (1.0 - p1, h - 0.0),  # y = 0: delta = h - y
             (p1, h - 1.0),  # y = 1
         ]
-    if head.nonlinearity == "softmax":
+    elif head.nonlinearity == "softmax":
         c = model.spec.output_dim
         if c > 10:
             raise FisherSizeError(f"exact class enumeration capped at 10 classes, got {c}")
-        pairs = []
+        class_pairs = []
         for y in range(c):
             onehot = np.zeros(c)
             onehot[y] = 1.0
-            pairs.append((h[:, y], h - onehot))
-        return trace, pairs
-    raise ValueError(
-        "Fisher blocks need a sigmoid (binary) or softmax (<=10 classes) head, "
-        f"got {head.nonlinearity!r} with {model.spec.output_dim} outputs"
-    )
-
-
-def _layer_deltas_and_signal(model, trace, layer_index, class_pairs):
-    """Per-class deltas at ``layer_index`` plus the layer's input signal."""
+            class_pairs.append((h[:, y], h - onehot))
+    else:
+        raise ValueError(
+            "Fisher blocks need a sigmoid (binary) or softmax (<=10 classes) head, "
+            f"got {head.nonlinearity!r} with {model.spec.output_dim} outputs"
+        )
     phi = model.phi if model.kind == "whitened" else None
-    signal = (
-        trace.whitened_inputs[layer_index]
-        if model.kind == "whitened"
-        else trace.layer_input(layer_index)
+    return ClassSweep(
+        trace,
+        [weight for weight, _ in class_pairs],
+        [
+            net.backpropagate_deltas(trace, model.params, model.spec, delta_last, phi=phi)
+            for _, delta_last in class_pairs
+        ],
     )
-    out = []
-    for weight, delta_last in class_pairs:
-        deltas = net.backpropagate_deltas(trace, model.params, model.spec, delta_last, phi=phi)
-        out.append((weight, deltas[layer_index]))
-    return out, signal
 
 
-def _block_dims(model, layer_index):
+def _layer_signal(model, trace, layer_index):
+    """The layer's input signal: the whitened activation in the whitened
+    parametrization, the previous activation otherwise."""
+    if model.kind == "whitened":
+        return trace.whitened_inputs[layer_index]
+    return trace.layer_input(layer_index)
+
+
+def _exact_size(model, layer_index):
+    """Side of the layer's exact block; FisherSizeError above the cap."""
     layer = model.spec.layers[layer_index]
-    return layer.out_dim, layer.in_dim
-
-
-def exact_fisher_block(model: net.Model, inputs, layer_index: int) -> FisherBlock:
-    """Exact per-layer Fisher block: labels enumerated, inputs averaged."""
-    n_out, n_in = _block_dims(model, layer_index)
-    size = n_out * n_in
+    size = layer.out_dim * layer.in_dim
     if size > MAX_BLOCK:
         raise FisherSizeError(f"exact block would be {size}x{size} (cap {MAX_BLOCK})")
-    trace, class_pairs = _class_setup(model, np.asarray(inputs, dtype=np.float64))
-    per_class, signal = _layer_deltas_and_signal(model, trace, layer_index, class_pairs)
+    return size
+
+
+def exact_fisher_block(model: net.Model, inputs, layer_index: int,
+                       sweep: ClassSweep | None = None) -> FisherBlock:
+    """Exact per-layer Fisher block: labels enumerated, inputs averaged.
+    ``sweep`` is ``class_sweep(model, inputs)`` shared across layers; when
+    given, ``inputs`` is not read."""
+    size = _exact_size(model, layer_index)
+    if sweep is None:
+        sweep = class_sweep(model, inputs)
+    signal = _layer_signal(model, sweep.trace, layer_index)
     b = signal.shape[0]
     f = np.zeros((size, size))
-    for weight, deltas in per_class:
-        g = np.einsum("bi,bj->bij", deltas, signal).reshape(b, size)
+    for weight, deltas in zip(sweep.weights, sweep.deltas):
+        g = np.einsum("bi,bj->bij", deltas[layer_index], signal).reshape(b, size)
         f += (g * weight[:, None]).T @ g
     f /= b
     f = (f + f.T) / 2.0
     return FisherBlock(layer_index, "exact", f)
 
 
-def factorized_fisher_block(model: net.Model, inputs, layer_index: int):
+def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
+                            sweep: ClassSweep | None = None):
     """Kronecker-factorized block under the delta/activation independence
-    assumption: returns (factors, block). The block matrix is materialized
-    only within the tractability cap; eigenvalues are exact either way."""
-    n_out, n_in = _block_dims(model, layer_index)
-    trace, class_pairs = _class_setup(model, np.asarray(inputs, dtype=np.float64))
-    per_class, signal = _layer_deltas_and_signal(model, trace, layer_index, class_pairs)
+    assumption: returns (factors, block). ``sweep`` is as for
+    ``exact_fisher_block``. Eigenvalues come from the factors; the block's
+    ``matrix`` is built only when read."""
+    n_out = model.spec.layers[layer_index].out_dim
+    if sweep is None:
+        sweep = class_sweep(model, inputs)
+    signal = _layer_signal(model, sweep.trace, layer_index)
     b = signal.shape[0]
     delta_cov = np.zeros((n_out, n_out))
-    for weight, deltas in per_class:
-        delta_cov += (deltas * weight[:, None]).T @ deltas
+    for weight, deltas in zip(sweep.weights, sweep.deltas):
+        d = deltas[layer_index]
+        delta_cov += (d * weight[:, None]).T @ d
     delta_cov /= b
     delta_cov = (delta_cov + delta_cov.T) / 2.0
     act_cov = signal.T @ signal / b
     act_cov = (act_cov + act_cov.T) / 2.0
     factors = KroneckerFactors(delta_cov, act_cov)
-    size = n_out * n_in
-    matrix = np.kron(delta_cov, act_cov) if size <= MAX_BLOCK else None
-    return factors, FisherBlock(layer_index, "factorized", matrix, factors)
+    return factors, FisherBlock(layer_index, "factorized", factors=factors)
 
 
 @dataclass
@@ -172,13 +204,18 @@ def conditioning_report(
     when given, each row carries the ratio to it. Degenerate spectra and
     over-cap exact blocks are flagged rather than raised."""
     rows = []
+    sweep = None  # one class sweep serves every layer and kind
     for layer_index in range(model.spec.depth):
         for kind in kinds:
             try:
                 if kind == "exact":
-                    block = exact_fisher_block(model, inputs, layer_index)
+                    _exact_size(model, layer_index)
+                if sweep is None:
+                    sweep = class_sweep(model, inputs)
+                if kind == "exact":
+                    block = exact_fisher_block(model, inputs, layer_index, sweep)
                 else:
-                    _, block = factorized_fisher_block(model, inputs, layer_index)
+                    _, block = factorized_fisher_block(model, inputs, layer_index, sweep)
                 lam = block.eigenvalues()
                 cond = linalg.condition_number(lam)
             except FisherSizeError:

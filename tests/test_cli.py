@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from whitenet import cli, fisher
 from whitenet.cli import main
 from whitenet.config import (
     PRESETS,
@@ -221,7 +222,7 @@ class TestReplayCommand:
 
 
 class TestDiagnoseFisher:
-    def test_diagnose_writes_conditioning_and_heatmaps(self, tmp_path):
+    def test_diagnose_writes_conditioning_and_heatmaps(self, tmp_path, monkeypatch):
         cfg = {
             "name": "diag",
             "dataset": {
@@ -254,17 +255,32 @@ class TestDiagnoseFisher:
         cfg_path = tmp_path / "diag.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "diag"
+        builds = []
+        build_dataset = cli.build_dataset
+
+        def counted_build(c):
+            builds.append(c)
+            return build_dataset(c)
+
+        monkeypatch.setattr(cli, "build_dataset", counted_build)
         assert main(["diagnose-fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(builds) == 1  # the three runs share one dataset
         for opt in ("sgd", "rmsprop", "prong"):
             assert (out / f"conditioning_{opt}.csv").exists()
             rows = read_metrics(out / opt / "metrics.csv")
             if opt != "prong":
                 assert all(not r.reparam_event for r in rows)
-        before = np.loadtxt(out / "fisher_middle_before.csv", delimiter=",")
-        after = np.loadtxt(out / "fisher_middle_after.csv", delimiter=",")
-        # heatmap matrices are symmetric and survive the CSV round trip
-        assert np.abs(before - before.T).max() < 1e-9
-        assert np.abs(after - after.T).max() < 1e-9
+        before = np.load(out / "fisher_middle_before.npy")
+        after = np.load(out / "fisher_middle_after.npy")
+        # the heatmaps are the exact 8x8-layer blocks, stored bit for bit
+        assert before.shape == after.shape == (64, 64)
+        assert np.array_equal(before, before.T)
+        assert np.array_equal(after, after.T)
+        resolved = resolve_config(None, cfg_path)
+        probe = build_dataset(resolved)[0].inputs[:512]
+        baseline = cli.build_model({**resolved, "optimizer": "sgd"})
+        expected = fisher.exact_fisher_block(baseline, probe, 1).matrix
+        assert before.tobytes() == expected.tobytes()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["prong"] < 0.1
 

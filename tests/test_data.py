@@ -197,6 +197,35 @@ class TestBatching:
         assert first != second  # overwhelmingly likely for 32!
 
 
+class TestTake:
+    def test_take_matches_validated_construction(self):
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.standard_normal((12, 4)), rng.standard_normal((12, 2)), name="d", split="s")
+        idx = np.array([5, 0, 11, 5])
+        for split, want in ((None, "s"), ("val", "val")):
+            sub = ds.take(idx, split=split)
+            ref = Dataset(ds.inputs[idx], ds.targets[idx], name="d", split=want)
+            assert type(sub) is Dataset
+            assert np.array_equal(sub.inputs, ref.inputs)
+            assert np.array_equal(sub.targets, ref.targets)
+            assert (sub.name, sub.split) == (ref.name, ref.split)
+            assert sub.inputs.dtype == sub.targets.dtype == np.float64
+            assert sub.inputs.ndim == sub.targets.ndim == 2
+        sub = ds.take(idx)
+        sub.inputs[0, 0] = 99.0  # fancy indexing copies the rows
+        assert ds.inputs[5, 0] != 99.0
+
+    def test_construction_still_validates(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[0.0, np.nan]]), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.zeros((1, 2)), np.array([[np.inf]]))
+        with pytest.raises(DimensionError):
+            Dataset(np.zeros(3), np.zeros((3, 1)))
+        with pytest.raises(DimensionError):
+            Dataset(np.zeros((3, 2)), np.zeros((2, 1)))
+
+
 class TestSplit:
     def test_split_sizes_and_disjoint(self):
         ds = synthetic_gaussian(100, 2, 0.0, np.eye(2), seed=1)

@@ -6,6 +6,7 @@ from whitenet.data import synthetic_classification
 from whitenet.errors import FisherSizeError
 from whitenet.fisher import (
     ConditioningRow,
+    class_sweep,
     conditioning_report,
     exact_fisher_block,
     factorized_fisher_block,
@@ -18,6 +19,7 @@ from whitenet.net import (
     init_fan_in,
     project_to_whitened,
 )
+from whitenet.linalg import condition_number
 from whitenet.optim import TrainConfig, prong_reparametrize
 
 
@@ -155,6 +157,82 @@ class TestFactorizedBlock:
         assert np.abs(block.matrix - expected).max() < 1e-6 * max(
             np.abs(factors.delta_cov).max(), 1e-12
         )
+
+
+def whitened_model(sizes, seed, stats):
+    spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
+    theta = init_fan_in(spec, seed)
+    phi = WhiteningCoeffs.identity(spec)
+    model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+    prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=1e-3)
+    return model
+
+
+class TestSharedSweep:
+    """conditioning_report shares one class sweep across layers; every row
+    must equal the row rebuilt from a standalone block."""
+
+    X = np.random.default_rng(40).standard_normal((48, 6))
+
+    @pytest.mark.parametrize("make", [
+        lambda x: canonical_model([6, 5, 4, 1], seed=41),
+        lambda x: whitened_model([6, 5, 4, 1], 42, x),
+        lambda x: canonical_model([6, 5, 4, 3], seed=43, head="softmax"),
+    ], ids=["canonical-sigmoid", "whitened", "softmax-3"])
+    def test_report_rows_equal_standalone_blocks(self, make):
+        model = make(self.X)
+        rows = conditioning_report(model, self.X, kinds=("factorized", "exact"))
+        assert [(r.layer, r.kind) for r in rows] == [
+            (i, k) for i in range(3) for k in ("factorized", "exact")
+        ]
+        for r in rows:
+            if r.kind == "factorized":
+                _, block = factorized_fisher_block(model, self.X, r.layer)
+            else:
+                block = exact_fisher_block(model, self.X, r.layer)
+            lam = block.eigenvalues()
+            expected = ConditioningRow(r.layer, r.kind, float(lam.max()), float(lam.min()),
+                                       condition_number(lam))
+            assert r == expected
+
+    def test_shared_sweep_blocks_equal_standalone(self):
+        model = canonical_model([6, 5, 4, 3], seed=44, head="softmax")
+        sweep = class_sweep(model, self.X)
+        for layer in range(3):
+            shared_factors, _ = factorized_fisher_block(model, None, layer, sweep)
+            factors, _ = factorized_fisher_block(model, self.X, layer)
+            assert np.array_equal(shared_factors.delta_cov, factors.delta_cov)
+            assert np.array_equal(shared_factors.act_cov, factors.act_cov)
+            shared = exact_fisher_block(model, None, layer, sweep).matrix
+            assert np.array_equal(shared, exact_fisher_block(model, self.X, layer).matrix)
+
+    def test_over_ten_classes_too_large_on_every_layer(self):
+        model = canonical_model([6, 5, 11], seed=45, head="softmax")
+        rows = conditioning_report(model, self.X, kinds=("factorized", "exact"))
+        assert len(rows) == 4
+        assert all(r.flag == "too_large" and np.isnan(r.cond) for r in rows)
+
+    def test_unsupported_head_raises(self):
+        model = canonical_model([6, 5, 2], seed=46, head="relu")
+        with pytest.raises(ValueError, match="relu"):
+            conditioning_report(model, self.X)
+        with pytest.raises(ValueError, match="relu"):
+            factorized_fisher_block(model, self.X, 0)
+
+    def test_factorized_matrix_is_kron_of_factors(self):
+        model = canonical_model([6, 5, 1], seed=47)
+        factors, block = factorized_fisher_block(model, self.X, 0)
+        assert np.array_equal(block.matrix, np.kron(factors.delta_cov, factors.act_cov))
+        assert block.matrix is block.matrix  # built once, on first read
+
+    def test_factorized_matrix_absent_above_cap(self):
+        model = canonical_model([60, 40, 1], seed=48)
+        x = np.random.default_rng(49).standard_normal((16, 60))
+        _, block = factorized_fisher_block(model, x, 0)  # 40*60 > MAX_BLOCK
+        assert block.matrix is None
+        with pytest.raises(FisherSizeError):
+            block.spectrum()
+        assert block.eigenvalues().shape == (2400,)
 
 
 class TestConditioningReport:
