@@ -11,6 +11,7 @@ from whitenet.fisher import (
     exact_fisher_block,
     factorized_fisher_block,
 )
+from whitenet.linalg import condition_number
 from whitenet.net import (
     CanonicalParams,
     Model,
@@ -19,7 +20,6 @@ from whitenet.net import (
     init_fan_in,
     project_to_whitened,
 )
-from whitenet.linalg import condition_number
 from whitenet.optim import TrainConfig, prong_reparametrize
 
 
