@@ -4,24 +4,17 @@ arrays in declaration order. Round trips are bit-exact."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .net import (
-    BatchNormParams,
-    BatchNormState,
-    CanonicalParams,
-    LayerSpec,
-    Model,
-    NetSpec,
-    WhitenedParams,
-    WhiteningCoeffs,
-)
+from .net import BN_DECAY, LayerSpec, Model, NetSpec, Params, WhiteningCoeffs
 
 MAGIC = b"WNETCKP1"
+HEADER_KEYS = ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")
 
 
 def _named_arrays(model: Model):
@@ -29,11 +22,11 @@ def _named_arrays(model: Model):
     for i, (w, b) in enumerate(zip(model.params.weights, model.params.biases)):
         arrays.append((f"weight_{i}", w))
         arrays.append((f"bias_{i}", b))
-    if model.kind == "whitened":
+    if model.phi is not None:
         for i, (u, c) in enumerate(zip(model.phi.transforms, model.phi.centers)):
             arrays.append((f"transform_{i}", u))
             arrays.append((f"center_{i}", c))
-    if model.kind == "bn":
+    if model.bn_params is not None:
         for i in range(model.spec.depth):
             arrays.append((f"gain_{i}", model.bn_params.gains[i]))
             arrays.append((f"shift_{i}", model.bn_params.shifts[i]))
@@ -50,7 +43,7 @@ def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
         "kind": model.kind,
         "sizes": model.spec.sizes,
         "nonlinearities": [l.nonlinearity for l in model.spec.layers],
-        "bn_decay": model.bn_decay,
+        "bn_decay": BN_DECAY,
         "seed": int(seed),
         "step": int(step),
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
@@ -64,9 +57,36 @@ def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _spec(path, header):
+    sizes, kinds = header["sizes"], header["nonlinearities"]
+    if not (isinstance(sizes, list) and isinstance(kinds, list)
+            and len(kinds) == len(sizes) - 1 and all(type(n) is int for n in sizes)):
+        raise ConsistencyError(f"{path} has malformed sizes or nonlinearities")
+    try:
+        return NetSpec(tuple(LayerSpec(a, b, k) for a, b, k in zip(sizes, sizes[1:], kinds)))
+    except ValueError as exc:
+        raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
+
+
+def _blank_model(kind, spec):
+    """A model of ``kind`` whose arrays have the shapes a checkpoint must hold."""
+    params = Params(
+        [np.zeros((layer.out_dim, layer.in_dim)) for layer in spec.layers],
+        [np.zeros(layer.out_dim) for layer in spec.layers],
+    )
+    if kind == "canonical":
+        return Model(spec, params)
+    if kind == "whitened":
+        return Model(spec, params, phi=WhiteningCoeffs.identity(spec))
+    if kind == "bn":
+        return Model.batch_norm(spec, params)
+    raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
+
+
 def load_checkpoint(path):
     """Rebuild (model, meta) from a checkpoint file. A file that is not a
-    checkpoint, or is truncated or corrupt, raises ConsistencyError."""
+    checkpoint, or is truncated, corrupt or inconsistent with the network
+    its header describes, raises ConsistencyError."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise ConsistencyError(f"{path} is not a whitenet checkpoint")
@@ -78,55 +98,34 @@ def load_checkpoint(path):
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ConsistencyError(f"{path} has a corrupt header: {exc}") from None
+    if (not isinstance(header, dict) or any(k not in header for k in HEADER_KEYS)
+            or not isinstance(header["arrays"], list)):
+        raise ConsistencyError(f"{path} header is not an object with keys {HEADER_KEYS}")
     offset = start + hlen
     arrays = {}
     for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise ConsistencyError(f"{path} has a malformed array entry {entry!r}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if offset + count * 8 > len(raw):
             raise ConsistencyError(f"{path} is truncated inside array {entry['name']}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        arrays[entry["name"]] = arr.reshape(shape)
         offset += count * 8
     if offset != len(raw):
         raise ConsistencyError(f"{path} has trailing bytes after its last array")
 
-    sizes = header["sizes"]
-    spec = NetSpec(
-        tuple(
-            LayerSpec(a, b, k)
-            for a, b, k in zip(sizes, sizes[1:], header["nonlinearities"])
-        )
-    )
-    depth = spec.depth
-    weights = [arrays[f"weight_{i}"] for i in range(depth)]
-    biases = [arrays[f"bias_{i}"] for i in range(depth)]
-    kind = header["kind"]
-    if kind == "canonical":
-        model = Model.canonical(spec, CanonicalParams(weights, biases))
-    elif kind == "whitened":
-        phi = WhiteningCoeffs(
-            [arrays[f"transform_{i}"] for i in range(depth)],
-            [arrays[f"center_{i}"] for i in range(depth)],
-        )
-        model = Model.whitened(spec, WhitenedParams(weights, biases), phi)
-    elif kind == "bn":
-        bn_params = BatchNormParams(
-            [arrays[f"gain_{i}"] for i in range(depth)],
-            [arrays[f"shift_{i}"] for i in range(depth)],
-        )
-        bn_state = BatchNormState(
-            [arrays[f"running_mean_{i}"] for i in range(depth)],
-            [arrays[f"running_var_{i}"] for i in range(depth)],
-        )
-        model = Model.batch_norm(
-            spec,
-            CanonicalParams(weights, biases),
-            bn_params,
-            bn_state,
-            decay=header.get("bn_decay", 0.9),
-        )
-    else:
-        raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
+    model = _blank_model(header["kind"], _spec(path, header))
+    for name, target in _named_arrays(model):
+        if name not in arrays:
+            raise ConsistencyError(f"{path} lacks array {name}")
+        if arrays[name].shape != target.shape:
+            raise ConsistencyError(
+                f"{path} stores {name} as {arrays[name].shape}, the network needs {target.shape}"
+            )
+        target[...] = arrays[name]
     meta = {"seed": header["seed"], "step": header["step"]}
     return model, meta

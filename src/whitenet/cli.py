@@ -106,10 +106,10 @@ def build_model(cfg: dict) -> net.Model:
     optimizer = cfg["optimizer"]
     if optimizer in ("prong", "prong_plus"):
         phi = net.WhiteningCoeffs.identity(spec)
-        return net.Model.whitened(spec, net.project_to_whitened(theta, phi), phi)
+        return net.Model(spec, net.project_to_whitened(theta, phi), phi=phi)
     if optimizer == "bn":
         return net.Model.batch_norm(spec, theta)
-    return net.Model.canonical(spec, theta)
+    return net.Model(spec, theta)
 
 
 def _write_manifest(out, cfg, *, seed, status, result=None, extra=None):

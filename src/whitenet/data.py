@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, IdxFormatError
+from .errors import DimensionError, IdxFormatError, NumericError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -39,7 +39,7 @@ class Dataset:
                 f"{self.targets.shape[0]} targets"
             )
         if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
-            raise ValueError("dataset contains non-finite values")
+            raise NumericError("dataset contains non-finite values")
 
     @property
     def n(self):

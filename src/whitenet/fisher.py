@@ -2,8 +2,9 @@
 
 A layer's Fisher block is E[vec(delta s^T) vec(delta s^T)^T], where delta
 is the loss gradient at the layer's pre-activation, s is the layer's input
-signal (previous activation in the canonical parametrization, the whitened
-activation in the whitened one), and vec flattens by rows. The expectation
+signal as the forward trace's ``signals`` holds it (previous activation in
+the canonical parametrization, the whitened activation in the whitened
+one), and vec flattens by rows. The expectation
 over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
 empirical mean. The factorized form assumes delta and s independent and
@@ -111,23 +112,14 @@ def class_sweep(model: net.Model, inputs) -> ClassSweep:
             "Fisher blocks need a sigmoid (binary) or softmax (<=10 classes) head, "
             f"got {head.nonlinearity!r} with {model.spec.output_dim} outputs"
         )
-    phi = model.phi if model.kind == "whitened" else None
     return ClassSweep(
         trace,
         [weight for weight, _ in class_pairs],
         [
-            net.backpropagate_deltas(trace, model.params, model.spec, delta_last, phi=phi)
+            net.backpropagate_deltas(trace, model.params, model.spec, delta_last)
             for _, delta_last in class_pairs
         ],
     )
-
-
-def _layer_signal(model, trace, layer_index):
-    """The layer's input signal: the whitened activation in the whitened
-    parametrization, the previous activation otherwise."""
-    if model.kind == "whitened":
-        return trace.whitened_inputs[layer_index]
-    return trace.layer_input(layer_index)
 
 
 def _exact_size(model, layer_index):
@@ -147,7 +139,7 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
     size = _exact_size(model, layer_index)
     if sweep is None:
         sweep = class_sweep(model, inputs)
-    signal = _layer_signal(model, sweep.trace, layer_index)
+    signal = sweep.trace.signals[layer_index]
     b = signal.shape[0]
     f = np.zeros((size, size))
     for weight, deltas in zip(sweep.weights, sweep.deltas):
@@ -167,7 +159,7 @@ def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
     n_out = model.spec.layers[layer_index].out_dim
     if sweep is None:
         sweep = class_sweep(model, inputs)
-    signal = _layer_signal(model, sweep.trace, layer_index)
+    signal = sweep.trace.signals[layer_index]
     b = signal.shape[0]
     delta_cov = np.zeros((n_out, n_out))
     for weight, deltas in zip(sweep.weights, sweep.deltas):

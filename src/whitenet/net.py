@@ -1,9 +1,13 @@
 """Feedforward network engine.
 
-Supports two parametrizations of the same function family:
+One forward/backward pair evaluates the whitened parametrization
 
-* canonical:  h_i = f_i(W_i h_{i-1} + b_i)
-* whitened:   h_i = f_i(V_i a_{i-1} + d_i),  a_{i-1} = U_{i-1}(h_{i-1} - c_{i-1})
+    h_i = f_i(V_i a_{i-1} + d_i),  a_{i-1} = U_{i-1}(h_{i-1} - c_{i-1})
+
+and the canonical one, h_i = f_i(W_i h_{i-1} + b_i), is the same run with
+no whitening coefficients (``phi=None``): the U/c step is skipped, which is
+the whitened net at U = I, c = 0. Batch normalization has its own
+forward/backward pair beside it.
 
 The whitening coefficients (U, c) are indexed by the *input slot* they
 transform: slot i holds the pair applied to the input of layer i (slot 0
@@ -21,7 +25,7 @@ the batch (the 1/B factor enters through the loss gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +42,7 @@ LOSS_KINDS = ("squared_error", "binary_cross_entropy", "categorical_cross_entrop
 
 PROB_CLAMP = 1e-12
 BN_STD_FLOOR = 1e-6
+BN_DECAY = 0.9  # running-average decay of the batch-norm statistics
 
 
 @dataclass(frozen=True)
@@ -98,21 +103,14 @@ class NetSpec:
 
 
 @dataclass
-class CanonicalParams:
-    weights: list  # W_i, (out_dim, in_dim)
-    biases: list  # b_i, (out_dim,)
+class Params:
+    """Layer weights and biases: (W, b) canonical, (V, d) whitened."""
+
+    weights: list  # (out_dim, in_dim)
+    biases: list  # (out_dim,)
 
     def copy(self):
-        return CanonicalParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-
-@dataclass
-class WhitenedParams:
-    weights: list  # V_i, (out_dim, in_dim)
-    biases: list  # d_i, (out_dim,)
-
-    def copy(self):
-        return WhitenedParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Params([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -175,13 +173,12 @@ class BatchNormState:
 
 @dataclass
 class ForwardTrace:
-    mode: str  # "canonical" | "whitened"
     inputs: np.ndarray  # (B, N_0)
     pre_activations: list  # z_i, (B, N_i)
     activations: list  # h_i, (B, N_i)
-    whitened_inputs: list | None = None  # a_i per input slot (whitened mode)
+    signals: list  # what layer i multiplies: a_i when whitened, else h_{i-1}
+    phi: WhiteningCoeffs | None = None  # the coefficients the forward used
     bn: list | None = None  # per-layer BN stash dicts (BN mode)
-    squeeze: bool = False  # original input was a single vector
 
     @property
     def outputs(self):
@@ -246,12 +243,11 @@ def _activation_vjp(kind, z, h, upstream):
 
 def _as_batch(x, dim, what="input"):
     arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
+    if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionError(f"{what} must have {dim} features, got shape {np.shape(x)}")
-    return arr, squeeze
+    return arr
 
 
 def _check_finite(z, i, what):
@@ -259,45 +255,30 @@ def _check_finite(z, i, what):
         raise NumericError(f"non-finite {what} at layer {i}")
 
 
-def forward_canonical(params: CanonicalParams, spec: NetSpec, x) -> ForwardTrace:
-    h, squeeze = _as_batch(x, spec.input_dim)
+def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x) -> ForwardTrace:
+    """Forward pass; ``phi=None`` is the canonical net, with no U/c step."""
+    h = _as_batch(x, spec.input_dim)
     inputs = h
-    zs, hs = [], []
+    zs, hs, signals = [], [], []
     for i, layer in enumerate(spec.layers):
-        z = h @ params.weights[i].T + params.biases[i]
+        s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
+        z = s @ omega.weights[i].T + omega.biases[i]
         _check_finite(z, i, "pre-activation")
         h = _activate(layer.nonlinearity, z)
+        signals.append(s)
         zs.append(z)
         hs.append(h)
-    return ForwardTrace("canonical", inputs, zs, hs, squeeze=squeeze)
-
-
-def forward_whitened(
-    omega: WhitenedParams, phi: WhiteningCoeffs, spec: NetSpec, x
-) -> ForwardTrace:
-    h, squeeze = _as_batch(x, spec.input_dim)
-    inputs = h
-    zs, hs, whitened = [], [], []
-    for i, layer in enumerate(spec.layers):
-        a = (h - phi.centers[i]) @ phi.transforms[i].T
-        z = a @ omega.weights[i].T + omega.biases[i]
-        _check_finite(z, i, "pre-activation")
-        h = _activate(layer.nonlinearity, z)
-        whitened.append(a)
-        zs.append(z)
-        hs.append(h)
-    return ForwardTrace("whitened", inputs, zs, hs, whitened_inputs=whitened, squeeze=squeeze)
+    return ForwardTrace(inputs, zs, hs, signals, phi)
 
 
 def forward_bn(
-    params: CanonicalParams,
+    params: Params,
     bn_params: BatchNormParams,
     spec: NetSpec,
     x,
     state: BatchNormState | None = None,
     *,
     training: bool = True,
-    decay: float = 0.9,
 ) -> ForwardTrace:
     """Canonical forward with each pre-activation batch-standardized, then
     affinely transformed by the learned gain/shift before the nonlinearity.
@@ -306,20 +287,21 @@ def forward_bn(
     averages updated in place when given); at inference the running
     averages are used instead.
     """
-    h, squeeze = _as_batch(x, spec.input_dim)
+    h = _as_batch(x, spec.input_dim)
     if training and h.shape[0] < 2:
         raise InsufficientBatchError("batch normalization needs batch_size >= 2")
     inputs = h
-    zs, hs, stash = [], [], []
+    zs, hs, signals, stash = [], [], [], []
     for i, layer in enumerate(spec.layers):
+        signals.append(h)
         z = h @ params.weights[i].T + params.biases[i]
         _check_finite(z, i, "pre-activation")
         if training:
             mean = z.mean(axis=0)
             var = z.var(axis=0)
             if state is not None:
-                state.running_mean[i] = decay * state.running_mean[i] + (1 - decay) * mean
-                state.running_var[i] = decay * state.running_var[i] + (1 - decay) * var
+                state.running_mean[i] = BN_DECAY * state.running_mean[i] + (1 - BN_DECAY) * mean
+                state.running_var[i] = BN_DECAY * state.running_var[i] + (1 - BN_DECAY) * var
         else:
             if state is None:
                 raise ConsistencyError("inference-mode BN forward needs running state")
@@ -337,7 +319,7 @@ def forward_bn(
         stash.append(
             {"zhat": zhat, "std": std, "floored": floored, "y": y, "training": training}
         )
-    return ForwardTrace("canonical", inputs, zs, hs, bn=stash, squeeze=squeeze)
+    return ForwardTrace(inputs, zs, hs, signals, bn=stash)
 
 
 def loss(kind: str, output, target):
@@ -372,13 +354,14 @@ def loss(kind: str, output, target):
     return value, grad
 
 
-def _propagate_deltas(trace, weights, spec, delta_last, phi=None):
+def _propagate_deltas(trace, weights, spec, delta_last):
     """Backpropagate dLoss/dz from the last layer to all layers.
 
-    ``weights`` is the list of layer weight matrices (W or V); for the
-    whitened parametrization ``phi`` supplies the U factor crossed when
-    stepping from a layer's whitened input back to the previous activation.
+    ``weights`` is the list of layer weight matrices (W or V); a whitened
+    trace's U factor is crossed when stepping from a layer's whitened input
+    back to the previous activation.
     """
+    phi = trace.phi
     deltas = [None] * spec.depth
     deltas[-1] = delta_last
     for i in range(spec.depth - 1, 0, -1):
@@ -394,55 +377,35 @@ def _propagate_deltas(trace, weights, spec, delta_last, phi=None):
 
 def output_delta(trace, spec, loss_grad):
     """dLoss/dz at the final layer from dLoss/dh_L."""
-    g, _ = _as_batch(loss_grad, spec.output_dim, "loss gradient")
+    g = _as_batch(loss_grad, spec.output_dim, "loss gradient")
     if g.shape[0] != trace.outputs.shape[0]:
         raise ConsistencyError("loss gradient batch size does not match trace")
     last = spec.layers[-1]
     return _activation_vjp(last.nonlinearity, trace.pre_activations[-1], trace.outputs, g)
 
 
-def backpropagate_deltas(trace, params, spec, delta_last, phi=None):
+def backpropagate_deltas(trace, params, spec, delta_last):
     """Deltas for every layer given dLoss/dz at the output layer.
 
     Exposed for Fisher computations, which enumerate output distributions
     and therefore construct the final delta analytically.
     """
-    if trace.mode == "whitened" and phi is None:
-        raise ConsistencyError("whitened trace needs whitening coefficients")
-    return _propagate_deltas(trace, params.weights, spec, delta_last, phi=phi)
+    return _propagate_deltas(trace, params.weights, spec, delta_last)
 
 
-def backward_canonical(
-    trace: ForwardTrace, params: CanonicalParams, spec: NetSpec, loss_grad
-) -> BackwardTrace:
-    if trace.mode != "canonical" or trace.bn is not None:
-        raise ConsistencyError("trace was not produced by forward_canonical")
-    deltas = _propagate_deltas(trace, params.weights, spec, output_delta(trace, spec, loss_grad))
-    wg = [deltas[i].T @ trace.layer_input(i) for i in range(spec.depth)]
-    bg = [deltas[i].sum(axis=0) for i in range(spec.depth)]
-    return BackwardTrace(deltas, wg, bg)
-
-
-def backward_whitened(
-    trace: ForwardTrace,
-    omega: WhitenedParams,
-    phi: WhiteningCoeffs,
-    spec: NetSpec,
-    loss_grad,
-) -> BackwardTrace:
-    if trace.mode != "whitened" or trace.whitened_inputs is None:
-        raise ConsistencyError("trace was not produced by forward_whitened")
-    deltas = _propagate_deltas(
-        trace, omega.weights, spec, output_delta(trace, spec, loss_grad), phi=phi
-    )
-    wg = [deltas[i].T @ trace.whitened_inputs[i] for i in range(spec.depth)]
+def backward_whitened(trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad) -> BackwardTrace:
+    """Gradients of a ``forward_whitened`` trace, canonical or whitened."""
+    if trace.bn is not None:
+        raise ConsistencyError("trace was produced by forward_bn; use backward_bn")
+    deltas = _propagate_deltas(trace, omega.weights, spec, output_delta(trace, spec, loss_grad))
+    wg = [deltas[i].T @ trace.signals[i] for i in range(spec.depth)]
     bg = [deltas[i].sum(axis=0) for i in range(spec.depth)]
     return BackwardTrace(deltas, wg, bg)
 
 
 def backward_bn(
     trace: ForwardTrace,
-    params: CanonicalParams,
+    params: Params,
     bn_params: BatchNormParams,
     spec: NetSpec,
     loss_grad,
@@ -456,7 +419,7 @@ def backward_bn(
     """
     if trace.bn is None:
         raise ConsistencyError("trace was not produced by forward_bn")
-    g, _ = _as_batch(loss_grad, spec.output_dim, "loss gradient")
+    g = _as_batch(loss_grad, spec.output_dim, "loss gradient")
     deltas_z = [None] * spec.depth
     wg = [None] * spec.depth
     bg = [None] * spec.depth
@@ -479,14 +442,14 @@ def backward_bn(
         else:
             dz = u / stash["std"]
         deltas_z[i] = dz
-        wg[i] = dz.T @ trace.layer_input(i)
+        wg[i] = dz.T @ trace.signals[i]
         bg[i] = dz.sum(axis=0)
         if i > 0:
             upstream = dz @ params.weights[i]
     return BackwardTrace(deltas_z, wg, bg, gain_grads=gg, shift_grads=sg)
 
 
-def project_to_canonical(omega: WhitenedParams, phi: WhiteningCoeffs) -> CanonicalParams:
+def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
     """Fold the whitening coefficients into canonical weights.
 
     Function-preserving: W = V U and b = d - W c, so that
@@ -497,20 +460,20 @@ def project_to_canonical(omega: WhitenedParams, phi: WhiteningCoeffs) -> Canonic
         w = v @ u
         weights.append(w)
         biases.append(d - w @ c)
-    return CanonicalParams(weights, biases)
+    return Params(weights, biases)
 
 
-def project_to_whitened(theta: CanonicalParams, phi: WhiteningCoeffs) -> WhitenedParams:
+def project_to_whitened(theta: Params, phi: WhiteningCoeffs) -> Params:
     """Exact inverse of project_to_canonical for the same coefficients."""
     weights, biases = [], []
     for w, b, u, c in zip(theta.weights, theta.biases, phi.transforms, phi.centers):
         v = w @ linalg.invert_whitening(u)
         weights.append(v)
         biases.append(b + w @ c)
-    return WhitenedParams(weights, biases)
+    return Params(weights, biases)
 
 
-def init_fan_in(spec: NetSpec, seed: int) -> CanonicalParams:
+def init_fan_in(spec: NetSpec, seed: int) -> Params:
     """Uniform +-1/sqrt(fan_in) weights, zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -518,82 +481,59 @@ def init_fan_in(spec: NetSpec, seed: int) -> CanonicalParams:
         bound = 1.0 / np.sqrt(layer.in_dim)
         weights.append(rng.uniform(-bound, bound, size=(layer.out_dim, layer.in_dim)))
         biases.append(np.zeros(layer.out_dim))
-    return CanonicalParams(weights, biases)
+    return Params(weights, biases)
 
 
 @dataclass
 class Model:
     """A network snapshot: spec plus one concrete parametrization.
 
-    ``kind`` is one of "canonical", "whitened", "bn". Whitened models carry
-    their coefficients; BN models carry gain/shift parameters and running
-    statistics. Forward/backward dispatch to the matching routines and the
+    A whitened model carries its coefficients ``phi``; a BN model carries
+    gain/shift parameters and running statistics; a model with neither is
+    canonical. Forward/backward dispatch to the matching routines and the
     parameter/gradient lists line up index for index, which is what the
     optimizers operate on.
     """
 
     spec: NetSpec
-    kind: str
-    params: CanonicalParams | WhitenedParams
+    params: Params
     phi: WhiteningCoeffs | None = None
     bn_params: BatchNormParams | None = None
     bn_state: BatchNormState | None = None
-    bn_decay: float = 0.9
+
+    @property
+    def kind(self):
+        """One of "canonical", "whitened", "bn", derived from the fields."""
+        if self.bn_params is not None:
+            return "bn"
+        return "canonical" if self.phi is None else "whitened"
 
     @classmethod
-    def canonical(cls, spec, params):
-        return cls(spec, "canonical", params)
-
-    @classmethod
-    def whitened(cls, spec, omega, phi):
-        return cls(spec, "whitened", omega, phi=phi)
-
-    @classmethod
-    def batch_norm(cls, spec, params, bn_params=None, bn_state=None, decay=0.9):
+    def batch_norm(cls, spec, params, bn_params=None, bn_state=None):
         return cls(
             spec,
-            "bn",
             params,
             bn_params=bn_params or BatchNormParams.init(spec),
             bn_state=bn_state or BatchNormState.init(spec),
-            bn_decay=decay,
         )
 
     def forward(self, x, training=False) -> ForwardTrace:
-        if self.kind == "canonical":
-            return forward_canonical(self.params, self.spec, x)
-        if self.kind == "whitened":
-            return forward_whitened(self.params, self.phi, self.spec, x)
-        if self.kind == "bn":
+        if self.bn_params is not None:
             return forward_bn(
-                self.params,
-                self.bn_params,
-                self.spec,
-                x,
-                state=self.bn_state,
-                training=training,
-                decay=self.bn_decay,
+                self.params, self.bn_params, self.spec, x, state=self.bn_state, training=training
             )
-        raise ConsistencyError(f"unknown model kind {self.kind!r}")
+        return forward_whitened(self.params, self.phi, self.spec, x)
 
     def backward(self, trace, loss_grad) -> BackwardTrace:
-        if self.kind == "canonical":
-            return backward_canonical(trace, self.params, self.spec, loss_grad)
-        if self.kind == "whitened":
-            return backward_whitened(trace, self.params, self.phi, self.spec, loss_grad)
-        if self.kind == "bn":
+        if self.bn_params is not None:
             return backward_bn(trace, self.params, self.bn_params, self.spec, loss_grad)
-        raise ConsistencyError(f"unknown model kind {self.kind!r}")
-
-    def outputs(self, x, training=False):
-        out = self.forward(x, training=training).outputs
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return backward_whitened(trace, self.params, self.spec, loss_grad)
 
     def parameter_arrays(self) -> list:
         arrays = []
         for w, b in zip(self.params.weights, self.params.biases):
             arrays.extend((w, b))
-        if self.kind == "bn":
+        if self.bn_params is not None:
             for g, s in zip(self.bn_params.gains, self.bn_params.shifts):
                 arrays.extend((g, s))
         return arrays
@@ -602,7 +542,7 @@ class Model:
         arrays = []
         for w, b in zip(bt.weight_grads, bt.bias_grads):
             arrays.extend((w, b))
-        if self.kind == "bn":
+        if self.bn_params is not None:
             for g, s in zip(bt.gain_grads, bt.shift_grads):
                 arrays.extend((g, s))
         return arrays
@@ -610,10 +550,8 @@ class Model:
     def copy(self):
         return Model(
             self.spec,
-            self.kind,
             self.params.copy(),
             phi=self.phi.copy() if self.phi else None,
             bn_params=self.bn_params.copy() if self.bn_params else None,
             bn_state=self.bn_state.copy() if self.bn_state else None,
-            bn_decay=self.bn_decay,
         )

@@ -156,7 +156,7 @@ class ReparamInfo:
 
 
 def prong_reparametrize(
-    omega: net.WhitenedParams,
+    omega: net.Params,
     phi: net.WhiteningCoeffs,
     spec: net.NetSpec,
     stats_inputs,
@@ -201,7 +201,7 @@ def prong_reparametrize(
 
 
 def prong_plus_rescale(
-    omega: net.WhitenedParams,
+    omega: net.Params,
     phi: net.WhiteningCoeffs,
     trace: net.ForwardTrace,
     state: OptimizerState,
@@ -210,11 +210,11 @@ def prong_plus_rescale(
     """Diagonal rescale of each whitening matrix by the running std of its
     whitened activations, with the consuming weight columns (and their
     velocity buffers) rescaled to preserve the feed-forward computation."""
-    if trace.whitened_inputs is None:
+    if trace.phi is None:
         raise ConsistencyError("rescale needs a whitened-mode forward trace")
     decay = config.rescale_decay
     for i in range(len(phi.transforms)):
-        batch_std = trace.whitened_inputs[i].std(axis=0)
+        batch_std = trace.signals[i].std(axis=0)
         ema = state.unit_std[i]
         ema *= decay
         ema += (1.0 - decay) * batch_std
@@ -288,9 +288,9 @@ def train(
     if optimizer == "sgd" and config.momentum != 0.0:
         raise ConfigError("optimizer 'sgd' requires momentum 0; use 'momentum'")
     whitened = optimizer in ("prong", "prong_plus")
-    if whitened and model.kind != "whitened":
+    if whitened and model.phi is None:
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
-    if optimizer == "bn" and model.kind != "bn":
+    if optimizer == "bn" and model.bn_params is None:
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
 
     arrays = model.parameter_arrays()

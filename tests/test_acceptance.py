@@ -41,7 +41,7 @@ def whitened_from_seed(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
-    return Model.whitened(spec, project_to_whitened(theta, phi), phi), theta
+    return Model(spec, project_to_whitened(theta, phi), phi=phi), theta
 
 
 class TestAcceptance:
@@ -54,12 +54,12 @@ class TestAcceptance:
         spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 3)
 
-        canonical = Model.canonical(spec, theta.copy())
+        canonical = Model(spec, theta.copy())
         _, before_block = factorized_fisher_block(canonical, ds.inputs, 1)
         before = before_block.condition_number()
 
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         _, after_block = factorized_fisher_block(whitened, ds.inputs, 1)
@@ -99,10 +99,10 @@ class TestAcceptance:
         sgd_step(model.parameter_arrays(), model.gradient_arrays(bt), state, cfg)
         theta1 = project_to_canonical(model.params, model.phi)
 
-        ctrace = net.forward_canonical(theta0, model.spec, x)
+        ctrace = net.forward_whitened(theta0, None, model.spec, x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, y)
-        cbt = net.backward_canonical(ctrace, theta0, model.spec, cgrad)
-        strace = net.forward_canonical(theta0, model.spec, stats)
+        cbt = net.backward_whitened(ctrace, theta0, model.spec, cgrad)
+        strace = net.forward_whitened(theta0, None, model.spec, stats)
 
         worst = 0.0
         for i in range(model.spec.depth):
@@ -143,7 +143,7 @@ class TestAcceptance:
         model, _ = whitened_from_seed([12, 10, 6, 2], seed=42)
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         trace = model.forward(stats)
-        for a in trace.whitened_inputs:
+        for a in trace.signals:
             worst_mean = max(worst_mean, float(np.abs(a.mean(axis=0)).max()))
             cov = a.T @ a / a.shape[0]
             worst_cov = max(worst_cov, float(np.abs(cov - np.eye(cov.shape[0])).max()))
@@ -153,7 +153,7 @@ class TestAcceptance:
         info = prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
         trace2 = model2.forward(stats)
         worst_eps = 0.0
-        for a, eig in zip(trace2.whitened_inputs, info.spectra):
+        for a, eig in zip(trace2.signals, info.spectra):
             lam = np.maximum(eig.eigenvalues, 0.0)
             expected = np.diag(lam / (lam + eps))
             cov = a.T @ a / a.shape[0]
@@ -180,9 +180,9 @@ class TestAcceptance:
             theta = init_fan_in(spec, preset["train"]["seed"])
             if optimizer == "prong":
                 phi = WhiteningCoeffs.identity(spec)
-                model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+                model = Model(spec, project_to_whitened(theta, phi), phi=phi)
             else:
-                model = Model.canonical(spec, theta)
+                model = Model(spec, theta)
             cfg = TrainConfig(
                 learning_rate=lr,
                 momentum=0.9,
@@ -236,7 +236,7 @@ class TestAcceptance:
                           freeze_whitening=True)
 
         spec = NetSpec.mlp(sizes)
-        canonical = Model.canonical(spec, init_fan_in(spec, 63))
+        canonical = Model(spec, init_fan_in(spec, 63))
         r1 = train(canonical, ds, cfg, optimizer="momentum",
                    loss_kind="binary_cross_entropy")
         frozen, _ = whitened_from_seed(sizes, seed=63)
@@ -280,10 +280,10 @@ class TestAcceptance:
                 spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
                 theta = init_fan_in(spec, seed)
                 if kind == "canonical":
-                    model = Model.canonical(spec, theta)
+                    model = Model(spec, theta)
                 elif kind == "whitened":
                     phi = seeded_phi(spec, seed + 1)
-                    model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+                    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
                 else:
                     model = Model.batch_norm(spec, theta)
                 x = rng.standard_normal((6, sizes[0]))
@@ -308,7 +308,7 @@ class TestAcceptance:
         """Exact label-enumerated Fisher block vs a 1e4-draw Monte-Carlo
         label-sampling estimate: relative Frobenius gap < 2%."""
         spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
-        model = Model.canonical(spec, init_fan_in(spec, 81))
+        model = Model(spec, init_fan_in(spec, 81))
         ds = synthetic_classification(500, 100, seed=82, spectrum_decay=1.0)
         x = ds.inputs
         layer = 1

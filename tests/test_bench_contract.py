@@ -1,0 +1,93 @@
+"""The benchmark's child process (perfbench/child.py) traces whitenet
+functions by name and calls some of them itself. These tests load that file
+as it is and check that the names, argument orders and span layout it relies
+on still hold, so a rename cannot silently zero a span or break its
+function-preservation probe."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from whitenet import fisher, net, optim
+from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+@pytest.fixture(scope="module")
+def child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def whitened_model(seed=3):
+    spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
+    phi = WhiteningCoeffs.identity(spec)
+    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)
+    stats = np.random.default_rng(seed).standard_normal((80, 6))
+    optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
+    return model, stats
+
+
+def test_every_span_has_a_member(child):
+    for span, members in child.SPANS.items():
+        present = [
+            f"{m}.{a}" for m, a in members
+            if callable(getattr(importlib.import_module(f"whitenet.{m}"), a, None))
+        ]
+        assert present, f"span {span} has no member left in whitenet"
+
+
+def test_reparametrize_leads_with_the_probe_arguments():
+    names = list(inspect.signature(optim.prong_reparametrize).parameters)[:4]
+    assert names == ["omega", "phi", "spec", "stats_inputs"]
+
+
+def test_probe_forward_runs_on_whitened_model(child):
+    model, stats = whitened_model()
+    tracer = child.Tracer()
+    tracer.forward_whitened = net.forward_whitened  # the binding install() takes
+    args = (model.params, model.phi, model.spec, stats, 1e-2)  # a prong_reparametrize call
+    outputs = tracer._probe_outputs(args)
+    expected = model.forward(stats[: child.PROBE_ROWS]).outputs
+    assert np.array_equal(outputs, expected)
+
+
+@pytest.mark.parametrize("span", ["net.forward", "net.backward"])
+def test_span_members_do_not_nest(child, span, monkeypatch):
+    # the tracer sums its members' total times, so a member that calls
+    # another would count the inner call twice
+    members = [a for m, a in child.SPANS[span] if callable(getattr(net, a, None))]
+    calls = dict.fromkeys(members, 0)
+    depth = [0]
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            depth[0] += 1
+            try:
+                assert depth[0] == 1, f"{name} runs inside another {span} member"
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in members:
+        monkeypatch.setattr(net, name, wrap(name, getattr(net, name)))
+
+    whitened, x = whitened_model()
+    spec = whitened.spec
+    y = np.eye(2)[np.random.default_rng(5).integers(0, 2, size=x.shape[0])]
+    for model in (whitened, Model(spec, init_fan_in(spec, 6)),
+                  Model.batch_norm(spec, init_fan_in(spec, 7))):
+        trace = model.forward(x, training=True)
+        _, grad = net.loss("categorical_cross_entropy", trace.outputs, y)
+        model.backward(trace, grad)
+    fisher.class_sweep(whitened, x)
+    assert all(calls.values()), calls

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_t
 
 def test_canonical_round_trip_bit_exact(tmp_path):
     spec = NetSpec.mlp([5, 4, 3], hidden="relu", head="softmax")
-    model = Model.canonical(spec, init_fan_in(spec, 9))
+    model = Model(spec, init_fan_in(spec, 9))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=9, step=123)
     back, meta = load_checkpoint(path)
@@ -26,7 +29,7 @@ def test_whitened_round_trip_bit_exact(tmp_path):
     theta = init_fan_in(spec, 1)
     phi = WhiteningCoeffs.identity(spec)
     phi.transforms[0] += np.random.default_rng(2).standard_normal((4, 4)) * 0.1
-    model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=1, step=7)
     back, _ = load_checkpoint(path)
@@ -60,7 +63,7 @@ def test_truncated_file_rejected(tmp_path, cut):
     # a file cut inside the header length, inside the JSON header, or
     # 8 bytes short of its payload fails typed, not with a parser error
     spec = NetSpec.mlp([3, 2])
-    model = Model.canonical(spec, init_fan_in(spec, 6))
+    model = Model(spec, init_fan_in(spec, 6))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=6, step=0)
     blob = path.read_bytes()
@@ -72,10 +75,66 @@ def test_truncated_file_rejected(tmp_path, cut):
 
 def test_truncated_payload_rejected(tmp_path):
     spec = NetSpec.mlp([3, 2])
-    model = Model.canonical(spec, init_fan_in(spec, 6))
+    model = Model(spec, init_fan_in(spec, 6))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=6, step=0)
     blob = path.read_bytes()
     path.write_bytes(blob + b"\x00" * 8)
+    with pytest.raises(ConsistencyError):
+        load_checkpoint(path)
+
+
+def _drop(key):
+    def edit(header):
+        del header[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+    return edit
+
+
+def _set_entry(field, value):
+    def edit(header):
+        if value is None:
+            del header["arrays"][0][field]
+        else:
+            header["arrays"][0][field] = value
+    return edit
+
+
+MALFORMED = {
+    "not_an_object": lambda header: [header],
+    **{f"missing_{key}": _drop(key)
+       for key in ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")},
+    "arrays_not_a_list": _set("arrays", {"weight_0": [2, 3]}),
+    "entry_without_name": _set_entry("name", None),
+    "entry_without_shape": _set_entry("shape", None),
+    "renamed_array": _set_entry("name", "weights_0"),
+    "kind_without_its_arrays": _set("kind", "bn"),
+    "unknown_kind": _set("kind", "sparse"),
+    "zero_size": _set("sizes", [3, 0]),
+    "non_integer_size": _set("sizes", [3, "2"]),
+    "unknown_nonlinearity": _set("nonlinearities", ["swish"]),
+    "nonlinearity_count": _set("sizes", [3, 2, 2]),
+    "transposed_weight": _set_entry("shape", [3, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_header_rejected(tmp_path, case):
+    # each edit keeps the payload parseable, so only the header's own
+    # checks and its agreement with the network it describes can catch it
+    spec = NetSpec.mlp([3, 2])
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Model(spec, init_fan_in(spec, 8)), seed=8, step=0)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    edited = MALFORMED[case](header)
+    text = json.dumps(header if edited is None else edited).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
     with pytest.raises(ConsistencyError):
         load_checkpoint(path)

@@ -15,7 +15,7 @@ from whitenet.data import (
     synthetic_gaussian,
     synthetic_images,
 )
-from whitenet.errors import DimensionError, IdxFormatError
+from whitenet.errors import DimensionError, IdxFormatError, NumericError
 
 
 def write_idx_pair(tmp_path, images, labels, *, gz=False, images_magic=0x803, labels_magic=0x801):
@@ -216,9 +216,9 @@ class TestTake:
         assert ds.inputs[5, 0] != 99.0
 
     def test_construction_still_validates(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             Dataset(np.array([[0.0, np.nan]]), np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             Dataset(np.zeros((1, 2)), np.array([[np.inf]]))
         with pytest.raises(DimensionError):
             Dataset(np.zeros(3), np.zeros((3, 1)))

@@ -13,9 +13,9 @@ from whitenet.fisher import (
 )
 from whitenet.linalg import condition_number
 from whitenet.net import (
-    CanonicalParams,
     Model,
     NetSpec,
+    Params,
     WhiteningCoeffs,
     init_fan_in,
     project_to_whitened,
@@ -25,7 +25,7 @@ from whitenet.optim import TrainConfig, prong_reparametrize
 
 def canonical_model(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
-    return Model.canonical(spec, init_fan_in(spec, seed))
+    return Model(spec, init_fan_in(spec, seed))
 
 
 class TestExactBlock:
@@ -39,8 +39,8 @@ class TestExactBlock:
         # delta is (h - y) with y ~ Bernoulli(0.5), so E[delta^2] = 0.25 and
         # F = 0.25 * vec(x) vec(x)^T
         spec = NetSpec.mlp([3, 1], head="sigmoid")
-        params = CanonicalParams([np.zeros((1, 3))], [np.zeros(1)])
-        model = Model.canonical(spec, params)
+        params = Params([np.zeros((1, 3))], [np.zeros(1)])
+        model = Model(spec, params)
         x = np.array([[0.5, -1.0, 2.0]])
         block = exact_fisher_block(model, x, 0)
         expected = 0.25 * np.outer(x[0], x[0])
@@ -129,8 +129,8 @@ class TestFactorizedBlock:
         # with a single input and a linear head the independence assumption
         # holds degenerately, so the factorization is exact
         spec = NetSpec.mlp([3, 1], head="sigmoid")
-        params = CanonicalParams([np.array([[0.2, -0.4, 0.1]])], [np.zeros(1)])
-        model = Model.canonical(spec, params)
+        params = Params([np.array([[0.2, -0.4, 0.1]])], [np.zeros(1)])
+        model = Model(spec, params)
         x = np.array([[1.0, 2.0, -0.5]])
         exact = exact_fisher_block(model, x, 0).matrix
         _, fact = factorized_fisher_block(model, x, 0)
@@ -148,7 +148,7 @@ class TestFactorizedBlock:
         spec = NetSpec.mlp([6, 4, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 14)
         phi = WhiteningCoeffs.identity(spec)
-        model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+        model = Model(spec, project_to_whitened(theta, phi), phi=phi)
         stats = np.random.default_rng(15).standard_normal((200, 6))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         factors, block = factorized_fisher_block(model, stats, 1)
@@ -163,7 +163,7 @@ def whitened_model(sizes, seed, stats):
     spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
-    model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
     prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=1e-3)
     return model
 
@@ -240,7 +240,7 @@ class TestConditioningReport:
         # a linear layer fed exactly-white synthetic data has an activation
         # factor with condition number 1
         spec = NetSpec.mlp([4, 1], head="sigmoid")
-        model = Model.canonical(spec, init_fan_in(spec, 16))
+        model = Model(spec, init_fan_in(spec, 16))
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((128, 4))
         mu = raw.mean(axis=0)
@@ -278,10 +278,10 @@ class TestConditioningReport:
         ds = synthetic_classification(300, 16, seed=30, spectrum_decay=1.5)
         spec = NetSpec.mlp([16, 8, 8, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 31)
-        canonical = Model.canonical(spec, theta.copy())
+        canonical = Model(spec, theta.copy())
         before = exact_fisher_block(canonical, ds.inputs, 1).condition_number()
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         after = exact_fisher_block(whitened, ds.inputs, 1).condition_number()
@@ -306,7 +306,7 @@ class TestConditioningReport:
             _, block = factorized_fisher_block(model, probe, 1)
             return block.condition_number()
 
-        canonical = Model.canonical(spec, theta.copy())
+        canonical = Model(spec, theta.copy())
         initial = middle_cond(canonical)
 
         cfg = TrainConfig(learning_rate=0.05, seed=24, max_updates=400,
@@ -319,7 +319,7 @@ class TestConditioningReport:
         assert all(0.5 < r < 2.0 for r in sgd_series)
 
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
         pcfg = TrainConfig(learning_rate=0.05, seed=24, max_updates=400,
                            eval_interval=400, batch_size=32, reparam_period=500,
                            stat_samples=512, eigen_epsilon=1e-3)

@@ -11,12 +11,11 @@ from whitenet.errors import ConsistencyError, DimensionError, NumericError
 from whitenet.net import (
     BatchNormParams,
     BatchNormState,
-    CanonicalParams,
     Model,
     NetSpec,
+    Params,
     WhiteningCoeffs,
     forward_bn,
-    forward_canonical,
     forward_whitened,
     init_fan_in,
     loss,
@@ -67,14 +66,14 @@ def naive_forward(params, spec, x):
 class TestForwardCanonical:
     def test_identity_layer(self):
         spec = NetSpec.mlp([2, 2], head="identity")
-        params = CanonicalParams([np.eye(2)], [np.zeros(2)])
-        trace = forward_canonical(params, spec, np.array([1.0, 2.0]))
+        params = Params([np.eye(2)], [np.zeros(2)])
+        trace = forward_whitened(params, None, spec, np.array([1.0, 2.0]))
         np.testing.assert_allclose(trace.outputs[0], [1.0, 2.0])
 
     def test_zero_weight_sigmoid(self):
         spec = NetSpec.mlp([3, 4], head="sigmoid")
-        params = CanonicalParams([np.zeros((4, 3))], [np.zeros(4)])
-        trace = forward_canonical(params, spec, np.array([5.0, -2.0, 0.1]))
+        params = Params([np.zeros((4, 3))], [np.zeros(4)])
+        trace = forward_whitened(params, None, spec, np.array([5.0, -2.0, 0.1]))
         np.testing.assert_allclose(trace.outputs[0], 0.5 * np.ones(4))
 
     def test_matches_naive_loop_oracle(self):
@@ -82,27 +81,27 @@ class TestForwardCanonical:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = rng.standard_normal(4)
-            got = forward_canonical(params, spec, x).outputs[0]
+            got = forward_whitened(params, None, spec, x).outputs[0]
             np.testing.assert_allclose(got, naive_forward(params, spec, x), atol=1e-12)
 
     def test_softmax_sums_to_one(self):
         spec, params = seeded_canonical([5, 4, 3], seed=3, head="softmax")
-        trace = forward_canonical(params, spec, np.random.default_rng(0).standard_normal((7, 5)))
+        trace = forward_whitened(params, None, spec, np.random.default_rng(0).standard_normal((7, 5)))
         np.testing.assert_allclose(trace.outputs.sum(axis=1), np.ones(7), atol=1e-12)
 
     def test_dimension_error(self):
         spec, params = seeded_canonical([4, 2], seed=1)
         with pytest.raises(DimensionError):
-            forward_canonical(params, spec, np.zeros(3))
+            forward_whitened(params, None, spec, np.zeros(3))
 
     def test_numeric_error_names_layer(self):
         spec = NetSpec.mlp([2, 2, 2], hidden="identity", head="identity")
-        params = CanonicalParams(
+        params = Params(
             [np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])],
             [np.zeros(2), np.zeros(2)],
         )
         with pytest.raises(NumericError, match="layer 1"):
-            forward_canonical(params, spec, np.ones(2))
+            forward_whitened(params, None, spec, np.ones(2))
 
 
 def masked_sigmoid(z):
@@ -160,10 +159,10 @@ class TestSigmoidBitIdentity:
         def run():
             theta = init_fan_in(spec, 21)
             if optimizer == "momentum":
-                model = Model.canonical(spec, theta)
+                model = Model(spec, theta)
             else:
                 phi = WhiteningCoeffs.identity(spec)
-                model = Model.whitened(spec, project_to_whitened(theta, phi), phi)
+                model = Model(spec, project_to_whitened(theta, phi), phi=phi)
             return train(model, data, cfg, optimizer=optimizer,
                          loss_kind="binary_cross_entropy")
 
@@ -202,22 +201,29 @@ class TestSigmoidBitIdentity:
 
 class TestForwardWhitened:
     def test_identity_coeffs_match_canonical(self):
+        # phi=None skips the U/c step; identity coefficients apply it, and
+        # both give bitwise-equal activations and gradients
         spec, params = seeded_canonical([5, 4, 2], seed=4)
         phi = WhiteningCoeffs.identity(spec)
-        omega = net.WhitenedParams(params.weights, params.biases)
-        x = np.random.default_rng(1).standard_normal((6, 5))
-        a = forward_canonical(params, spec, x)
-        b = forward_whitened(omega, phi, spec, x)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((6, 5))
+        y = rng.uniform(0.1, 0.9, (6, 2))
+        a = forward_whitened(params, None, spec, x)
+        b = forward_whitened(params, phi, spec, x)
         for ha, hb in zip(a.activations, b.activations):
             assert np.array_equal(ha, hb)
+        _, g = loss("binary_cross_entropy", a.outputs, y)
+        bta = net.backward_whitened(a, params, spec, g)
+        btb = net.backward_whitened(b, params, spec, g)
+        for ga, gb in zip(bta.weight_grads + bta.bias_grads, btb.weight_grads + btb.bias_grads):
+            assert np.array_equal(ga, gb)
 
     def test_centering_zeroes_batch_mean(self):
         spec, params = seeded_canonical([4, 3], seed=5)
         x = np.random.default_rng(2).standard_normal((32, 4))
         phi = WhiteningCoeffs([np.eye(4)], [x.mean(axis=0)])
-        omega = net.WhitenedParams(params.weights, params.biases)
-        trace = forward_whitened(omega, phi, spec, x)
-        assert np.abs(trace.whitened_inputs[0].mean(axis=0)).max() < 1e-9
+        trace = forward_whitened(params, phi, spec, x)
+        assert np.abs(trace.signals[0].mean(axis=0)).max() < 1e-9
 
     def test_round_trip_outputs_equal(self):
         spec, params = seeded_canonical([4, 5, 3], seed=6)
@@ -225,8 +231,8 @@ class TestForwardWhitened:
         omega = project_to_whitened(params, phi)
         back = project_to_canonical(omega, phi)
         x = np.random.default_rng(3).standard_normal((20, 4))
-        o1 = forward_canonical(params, spec, x).outputs
-        o2 = forward_canonical(back, spec, x).outputs
+        o1 = forward_whitened(params, None, spec, x).outputs
+        o2 = forward_whitened(back, None, spec, x).outputs
         assert np.abs(o1 - o2).max() < 1e-10
 
 
@@ -318,11 +324,11 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
 class TestBackward:
     def test_identity_net_zero_gradient_at_target(self):
         spec = NetSpec.mlp([3, 3], head="identity")
-        params = CanonicalParams([np.eye(3)], [np.zeros(3)])
+        params = Params([np.eye(3)], [np.zeros(3)])
         x = np.array([0.3, -0.2, 0.9])
-        trace = forward_canonical(params, spec, x)
+        trace = forward_whitened(params, None, spec, x)
         _, g = loss("squared_error", trace.outputs, x[None, :])
-        bt = net.backward_canonical(trace, params, spec, g)
+        bt = net.backward_whitened(trace, params, spec, g)
         for arr in bt.weight_grads + bt.bias_grads:
             np.testing.assert_allclose(arr, 0.0, atol=1e-15)
 
@@ -331,23 +337,23 @@ class TestBackward:
         spec, params = seeded_canonical([4, 1], seed=9, head="sigmoid")
         x = np.random.default_rng(5).standard_normal((6, 4))
         y = np.random.default_rng(6).integers(0, 2, size=(6, 1)).astype(float)
-        trace = forward_canonical(params, spec, x)
+        trace = forward_whitened(params, None, spec, x)
         _, g = loss("binary_cross_entropy", trace.outputs, y)
-        bt = net.backward_canonical(trace, params, spec, g)
+        bt = net.backward_whitened(trace, params, spec, g)
         np.testing.assert_allclose(bt.deltas[-1], (trace.outputs - y) / 6.0, atol=1e-12)
 
     def test_softmax_cross_entropy_delta(self):
         spec, params = seeded_canonical([5, 4], seed=10, head="softmax")
         x = np.random.default_rng(7).standard_normal((8, 5))
         y = np.eye(4)[np.random.default_rng(8).integers(0, 4, size=8)]
-        trace = forward_canonical(params, spec, x)
+        trace = forward_whitened(params, None, spec, x)
         _, g = loss("categorical_cross_entropy", trace.outputs, y)
-        bt = net.backward_canonical(trace, params, spec, g)
+        bt = net.backward_whitened(trace, params, spec, g)
         np.testing.assert_allclose(bt.deltas[-1], (trace.outputs - y) / 8.0, atol=1e-12)
 
     def test_finite_differences_canonical(self):
         spec, params = seeded_canonical([4, 5, 3], seed=12, hidden="tanh", head="sigmoid")
-        model = Model.canonical(spec, params)
+        model = Model(spec, params)
         rng = np.random.default_rng(13)
         check_model_gradients(model, rng.standard_normal((5, 4)), rng.uniform(0.1, 0.9, (5, 3)),
                               "binary_cross_entropy")
@@ -355,14 +361,14 @@ class TestBackward:
     def test_finite_differences_whitened(self):
         spec, params = seeded_canonical([3, 4, 2], seed=14, hidden="sigmoid", head="identity")
         phi = seeded_phi(spec, seed=15)
-        model = Model.whitened(spec, project_to_whitened(params, phi), phi)
+        model = Model(spec, project_to_whitened(params, phi), phi=phi)
         rng = np.random.default_rng(16)
         check_model_gradients(model, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
                               "squared_error")
 
     def test_finite_differences_relu(self):
         spec, params = seeded_canonical([4, 6, 2], seed=17, hidden="relu", head="softmax")
-        model = Model.canonical(spec, params)
+        model = Model(spec, params)
         rng = np.random.default_rng(18)
         x = rng.standard_normal((5, 4)) + 0.1  # keep pre-activations off the kink
         y = np.eye(2)[rng.integers(0, 2, size=5)]
@@ -370,11 +376,9 @@ class TestBackward:
 
     def test_mismatched_trace_rejected(self):
         spec, params = seeded_canonical([3, 2], seed=19)
-        phi = WhiteningCoeffs.identity(spec)
-        omega = net.WhitenedParams(params.weights, params.biases)
-        trace = forward_whitened(omega, phi, spec, np.zeros(3))
-        with pytest.raises(ConsistencyError):
-            net.backward_canonical(trace, params, spec, np.zeros(2))
+        trace = forward_bn(params, BatchNormParams.init(spec), spec, np.zeros((4, 3)))
+        with pytest.raises(ConsistencyError, match="forward_bn"):
+            net.backward_whitened(trace, params, spec, np.zeros((4, 2)))
 
 
 class TestProjections:
@@ -388,7 +392,7 @@ class TestProjections:
     def test_hand_expanded_example(self):
         # V=I, U=diag(2), c=(1,1), d=0:  W = diag(2), b = -W c = (-2,-2)
         spec = NetSpec.mlp([2, 2], head="identity")
-        omega = net.WhitenedParams([np.eye(2)], [np.zeros(2)])
+        omega = Params([np.eye(2)], [np.zeros(2)])
         phi = WhiteningCoeffs([np.diag([2.0, 2.0])], [np.ones(2)])
         theta = project_to_canonical(omega, phi)
         np.testing.assert_allclose(theta.weights[0], np.diag([2.0, 2.0]))
@@ -423,7 +427,7 @@ class TestProjections:
         theta = project_to_canonical(omega, phi)
         x = np.random.default_rng(29).standard_normal((100, 5))
         ow = forward_whitened(omega, phi, spec, x).outputs
-        oc = forward_canonical(theta, spec, x).outputs
+        oc = forward_whitened(theta, None, spec, x).outputs
         assert np.abs(ow - oc).max() < 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -447,11 +451,11 @@ class TestProjections:
         x = np.random.default_rng(32).standard_normal((10, 4))
         y = np.random.default_rng(33).uniform(0.1, 0.9, (10, 2))
         tw = forward_whitened(omega, phi, spec, x)
-        tc = forward_canonical(theta, spec, x)
+        tc = forward_whitened(theta, None, spec, x)
         _, gw = loss("binary_cross_entropy", tc.outputs, y)
         _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        btc = net.backward_canonical(tc, theta, spec, gw)
-        btw = net.backward_whitened(tw, omega, phi, spec, gv)
+        btc = net.backward_whitened(tc, theta, spec, gw)
+        btw = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
             expected = btc.weight_grads[i] @ phi.transforms[i].T
             assert np.abs(btw.weight_grads[i] - expected).max() < 1e-10
@@ -465,11 +469,11 @@ class TestProjections:
         x = np.random.default_rng(36).standard_normal((10, 4))
         y = np.random.default_rng(37).uniform(0.1, 0.9, (10, 2))
         tw = forward_whitened(omega, phi, spec, x)
-        tc = forward_canonical(theta, spec, x)
+        tc = forward_whitened(theta, None, spec, x)
         _, gw = loss("binary_cross_entropy", tc.outputs, y)
         _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        btc = net.backward_canonical(tc, theta, spec, gw)
-        btw = net.backward_whitened(tw, omega, phi, spec, gv)
+        btc = net.backward_whitened(tc, theta, spec, gw)
+        btw = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
             delta_bar = btc.deltas[i].sum(axis=0)
             corrected = btc.weight_grads[i] - np.outer(delta_bar, phi.centers[i])
@@ -503,7 +507,7 @@ class TestInitFanIn:
 class TestBatchNorm:
     def test_constant_batch_outputs_shift(self):
         spec = NetSpec.mlp([3, 2], head="identity")
-        params = CanonicalParams([np.ones((2, 3))], [np.zeros(2)])
+        params = Params([np.ones((2, 3))], [np.zeros(2)])
         bn = BatchNormParams.init(spec)
         bn.shifts[0][:] = [0.25, -0.5]
         x = np.tile([1.0, 2.0, 3.0], (4, 1))
@@ -514,7 +518,7 @@ class TestBatchNorm:
     def test_gain_std_shift_mean_reproduces_raw(self):
         spec, params = seeded_canonical([4, 3], seed=40, head="identity")
         x = np.random.default_rng(41).standard_normal((16, 4))
-        z = forward_canonical(params, spec, x).pre_activations[0]
+        z = forward_whitened(params, None, spec, x).pre_activations[0]
         bn = BatchNormParams.init(spec)
         bn.gains[0][:] = np.maximum(z.std(axis=0), net.BN_STD_FLOOR)
         bn.shifts[0][:] = z.mean(axis=0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ def whitened_model(sizes, seed, hidden="tanh", head="sigmoid"):
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
     omega = project_to_whitened(theta, phi)
-    return Model.whitened(spec, omega, phi)
+    return Model(spec, omega, phi=phi)
 
 
 class TestReparametrize:
@@ -170,7 +172,7 @@ class TestReparametrize:
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         trace = model.forward(stats)
         for i in range(model.spec.depth):
-            a = trace.whitened_inputs[i]
+            a = trace.signals[i]
             assert np.abs(a.mean(axis=0)).max() < 1e-8
             cov = a.T @ a / a.shape[0]
             assert np.abs(cov - np.eye(cov.shape[0])).max() < 1e-6
@@ -182,7 +184,7 @@ class TestReparametrize:
         info = prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=eps)
         trace = model.forward(stats)
         for i in range(model.spec.depth):
-            a = trace.whitened_inputs[i]
+            a = trace.signals[i]
             lam = info.spectra[i].eigenvalues
             expected = np.diag(lam / (lam + eps))
             cov = a.T @ a / a.shape[0]
@@ -196,7 +198,7 @@ class TestReparametrize:
         # second call from already-whitened statistics: still white, function kept
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         trace = model.forward(stats)
-        a = trace.whitened_inputs[0]
+        a = trace.signals[0]
         assert np.abs(a.T @ a / a.shape[0] - np.eye(4)).max() < 1e-6
         assert np.abs(model.forward(stats).outputs - probe).max() < 1e-9
 
@@ -246,9 +248,8 @@ class TestProngPlusRescale:
         trace = model.forward(x)
         weights_before = [w.copy() for w in model.params.weights]
         # build a trace whose whitened activations have exactly unit std
-        unit = [a / a.std(axis=0) for a in trace.whitened_inputs]
-        fake = net.ForwardTrace("whitened", x, trace.pre_activations, trace.activations,
-                                whitened_inputs=unit)
+        unit = [a / a.std(axis=0) for a in trace.signals]
+        fake = replace(trace, signals=unit)
         prong_plus_rescale(model.params, model.phi, fake, state, cfg)
         for w, before in zip(model.params.weights, weights_before):
             np.testing.assert_allclose(w, before, rtol=1e-12)
@@ -260,13 +261,12 @@ class TestProngPlusRescale:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((128, 5))
         trace = model.forward(x)
-        scaled = [a.copy() for a in trace.whitened_inputs]
+        scaled = [a.copy() for a in trace.signals]
         scaled[0] = scaled[0] / scaled[0].std(axis=0)
         scaled[0][:, 2] *= 2.0  # unit 2 now has std exactly 2
         for i in range(1, len(scaled)):
             scaled[i] = scaled[i] / scaled[i].std(axis=0)
-        fake = net.ForwardTrace("whitened", x, trace.pre_activations, trace.activations,
-                                whitened_inputs=scaled)
+        fake = replace(trace, signals=scaled)
         probe_before = model.forward(x).outputs
         prong_plus_rescale(model.params, model.phi, fake, state, cfg)
         np.testing.assert_allclose(model.phi.transforms[0][2], u_before[2] / 2.0, rtol=1e-12)
@@ -289,7 +289,7 @@ class TestProngPlusRescale:
         # after warmup the running per-unit std of whitened activations stays
         # near 1, so its square (the variance) stays within [0.5, 2]
         probe = model.forward(ds.inputs[:256])
-        for a in probe.whitened_inputs:
+        for a in probe.signals:
             var = a.var(axis=0)
             assert np.all(var > 0.4) and np.all(var < 2.5)
 
@@ -308,7 +308,7 @@ class TestTrainLoop:
         cfg = make_config(learning_rate=0.05, momentum=0.9, max_updates=120,
                           eval_interval=40, batch_size=16, freeze_whitening=True)
 
-        canonical = Model.canonical(NetSpec.mlp(spec_sizes), init_fan_in(NetSpec.mlp(spec_sizes), 5))
+        canonical = Model(NetSpec.mlp(spec_sizes), init_fan_in(NetSpec.mlp(spec_sizes), 5))
         r1 = train(canonical, ds, cfg, optimizer="momentum", loss_kind="binary_cross_entropy")
 
         frozen = whitened_model(spec_sizes, seed=5)
@@ -336,7 +336,7 @@ class TestTrainLoop:
     def test_sgd_run_has_no_reparam_rows(self):
         ds = self._dataset()
         spec = NetSpec.mlp([6, 4, 2])
-        model = Model.canonical(spec, init_fan_in(spec, 7))
+        model = Model(spec, init_fan_in(spec, 7))
         cfg = make_config(learning_rate=0.05, max_updates=40, eval_interval=10)
         result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
         assert all(not r.reparam_event for r in result.rows)
@@ -374,7 +374,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_record(self):
         ds = self._dataset(seed=11)
         spec = NetSpec.mlp([6, 4, 1], head="identity")
-        model = Model.canonical(spec, init_fan_in(spec, 12))
+        model = Model(spec, init_fan_in(spec, 12))
         dsq = Dataset(ds.inputs, ds.inputs[:, :1] * 1e3)
         cfg = make_config(learning_rate=1e6, max_updates=100, eval_interval=10)
         with pytest.raises(DivergenceError) as exc:
@@ -384,7 +384,7 @@ class TestTrainLoop:
     def test_anneal_reduces_rate_on_plateau(self):
         ds = self._dataset(seed=13)
         spec = NetSpec.mlp([6, 4, 2])
-        model = Model.canonical(spec, init_fan_in(spec, 14))
+        model = Model(spec, init_fan_in(spec, 14))
         policy = AnnealPolicy(eval_interval=5, patience=2, min_relative_improvement=0.5)
         cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=10, anneal=policy)
         result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
@@ -403,7 +403,7 @@ class TestTrainLoop:
     def test_sgd_rejects_nonzero_momentum(self):
         ds = self._dataset()
         spec = NetSpec.mlp([6, 4, 2])
-        model = Model.canonical(spec, init_fan_in(spec, 17))
+        model = Model(spec, init_fan_in(spec, 17))
         cfg = make_config(momentum=0.9)
         with pytest.raises(ConfigError):
             train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
@@ -442,11 +442,11 @@ class TestNaturalGradientEquivalence:
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         # canonical gradients on the same batch (deltas per layer)
-        ctrace = net.forward_canonical(theta_before, model.spec, batch_x)
+        ctrace = net.forward_whitened(theta_before, None, model.spec, batch_x)
         _, cgrad = net.loss("categorical_cross_entropy", ctrace.outputs, batch_y)
-        cbt = net.backward_canonical(ctrace, theta_before, model.spec, cgrad)
+        cbt = net.backward_whitened(ctrace, theta_before, model.spec, cgrad)
 
-        stats_trace = net.forward_canonical(theta_before, model.spec, stats)
+        stats_trace = net.forward_whitened(theta_before, None, model.spec, stats)
         for i in range(model.spec.depth):
             h = stats_trace.layer_input(i)
             aug = np.hstack([h, np.ones((h.shape[0], 1))])
@@ -480,7 +480,7 @@ class TestNaturalGradientEquivalence:
             n = layer.in_dim
             phi.transforms[i] = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         omega = project_to_whitened(theta, phi)
-        model = Model.whitened(spec, omega, phi)
+        model = Model(spec, omega, phi=phi)
         alpha = 0.05
 
         batch_x = rng.standard_normal((16, 6))
@@ -493,9 +493,9 @@ class TestNaturalGradientEquivalence:
         sgd_step(model.parameter_arrays(), model.gradient_arrays(bt), state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
-        ctrace = net.forward_canonical(theta, spec, batch_x)
+        ctrace = net.forward_whitened(theta, None, spec, batch_x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, batch_y)
-        cbt = net.backward_canonical(ctrace, theta, spec, cgrad)
+        cbt = net.backward_whitened(ctrace, theta, spec, cgrad)
         for i in range(spec.depth):
             u = phi.transforms[i]
             expected = -alpha * cbt.weight_grads[i] @ (u.T @ u)
