@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, net
-from .errors import DegenerateSpectrumError, FisherSizeError
+from .errors import ConsistencyError, DegenerateSpectrumError, FisherSizeError
 
 MAX_BLOCK = 2000
 
@@ -88,7 +88,12 @@ class ClassSweep:
 
 def class_sweep(model: net.Model, inputs) -> ClassSweep:
     """Forward the inputs once, enumerate the output classes and backprop
-    each class's output delta through every layer."""
+    each class's output delta through every layer.
+
+    Batch-norm models are refused with ConsistencyError: the deltas come from
+    ``net.backpropagate_deltas``, which has no gain/std factor."""
+    if model.bn_params is not None:
+        raise ConsistencyError("Fisher blocks are not defined for batch-norm models")
     trace = model.forward(np.asarray(inputs, dtype=np.float64))
     head = model.spec.layers[-1]
     h = trace.outputs

@@ -25,7 +25,8 @@ the batch (the 1/B factor enters through the loss gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,9 +148,6 @@ class BatchNormParams:
             [np.zeros(layer.out_dim) for layer in spec.layers],
         )
 
-    def copy(self):
-        return BatchNormParams([g.copy() for g in self.gains], [s.copy() for s in self.shifts])
-
 
 @dataclass
 class BatchNormState:
@@ -190,11 +188,46 @@ class ForwardTrace:
 
 @dataclass
 class BackwardTrace:
+    vector: np.ndarray  # the flat gradient, laid out as Model.vector
     deltas: list  # dLoss/dz_i, (B, N_i)
-    weight_grads: list
+    weight_grads: list  # this and the lists below are views of ``vector``
     bias_grads: list
     gain_grads: list | None = None  # BN mode only
     shift_grads: list | None = None
+
+
+@dataclass
+class FlatParams:
+    """One flat float64 vector and its per-layer views (``flat_layout``)."""
+
+    vector: np.ndarray
+    weights: list
+    biases: list
+    gains: list  # empty without batch norm
+    shifts: list
+
+
+def flat_layout(spec: NetSpec, vector=None, *, bn=False) -> FlatParams:
+    """Views of one flat float64 vector, allocated when none is given.
+
+    The layout is w0, b0, w1, b1, ... and then, with ``bn``, g0, s0, g1,
+    s1, ...; weights are row-major (out_dim, in_dim).
+    """
+    shapes = [s for l in spec.layers for s in ((l.out_dim, l.in_dim), (l.out_dim,))]
+    if bn:
+        shapes += [(l.out_dim,) for l in spec.layers for _ in "gs"]
+    sizes = [math.prod(s) for s in shapes]
+    if vector is None:
+        vector = np.empty(sum(sizes))
+    elif vector.shape != (sum(sizes),) or vector.dtype != np.float64:
+        raise DimensionError(f"flat vector must be float64 ({sum(sizes)},), got "
+                             f"{vector.dtype} {vector.shape}")
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(vector[start : start + size].reshape(shape))
+        start += size
+    d = 2 * spec.depth
+    return FlatParams(vector, views[0:d:2], views[1:d:2], views[d::2], views[d + 1 :: 2])
 
 
 def _activate(kind, z):
@@ -342,11 +375,14 @@ def loss(kind: str, output, target):
             value = 0.5 * float((r * r).sum()) / b
         grad = r / b
     elif kind == "binary_cross_entropy":
-        p = np.clip(o, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        value = -float((t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()) / b
-        grad = (-t / p + (1.0 - t) / (1.0 - p)) / b
+        # minimum(maximum()) is np.clip bit for bit, NaN included, at less
+        # call overhead
+        p = np.minimum(np.maximum(o, PROB_CLAMP), 1.0 - PROB_CLAMP)
+        q = 1.0 - t
+        value = -float((t * np.log(p) + q * np.log1p(-p)).sum()) / b
+        grad = (-t / p + q / (1.0 - p)) / b
     else:  # categorical_cross_entropy
-        p = np.clip(o, PROB_CLAMP, 1.0)
+        p = np.minimum(np.maximum(o, PROB_CLAMP), 1.0)
         value = -float((t * np.log(p)).sum()) / b
         grad = -(t / p) / b
     if np.asarray(output).ndim == 1:
@@ -393,14 +429,19 @@ def backpropagate_deltas(trace, params, spec, delta_last):
     return _propagate_deltas(trace, params.weights, spec, delta_last)
 
 
-def backward_whitened(trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad) -> BackwardTrace:
-    """Gradients of a ``forward_whitened`` trace, canonical or whitened."""
+def backward_whitened(
+    trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad, out=None
+) -> BackwardTrace:
+    """Gradients of a ``forward_whitened`` trace, canonical or whitened,
+    written into ``out``, a ``flat_layout(spec)`` (a new one when None)."""
     if trace.bn is not None:
         raise ConsistencyError("trace was produced by forward_bn; use backward_bn")
     deltas = _propagate_deltas(trace, omega.weights, spec, output_delta(trace, spec, loss_grad))
-    wg = [deltas[i].T @ trace.signals[i] for i in range(spec.depth)]
-    bg = [deltas[i].sum(axis=0) for i in range(spec.depth)]
-    return BackwardTrace(deltas, wg, bg)
+    out = flat_layout(spec) if out is None else out
+    for delta, signal, w, b in zip(deltas, trace.signals, out.weights, out.biases):
+        np.matmul(delta.T, signal, out=w)
+        np.add.reduce(delta, axis=0, out=b)
+    return BackwardTrace(out.vector, deltas, out.weights, out.biases)
 
 
 def backward_bn(
@@ -409,8 +450,10 @@ def backward_bn(
     bn_params: BatchNormParams,
     spec: NetSpec,
     loss_grad,
+    out=None,
 ) -> BackwardTrace:
-    """Backward pass through batch normalization.
+    """Backward pass through batch normalization, into ``out``, a
+    ``flat_layout(spec, bn=True)`` (a new one when None).
 
     Gradients flow through the batch statistics: for a standardized column
     zhat with gradient u = dL/dzhat, the raw pre-activation gradient is
@@ -420,18 +463,16 @@ def backward_bn(
     if trace.bn is None:
         raise ConsistencyError("trace was not produced by forward_bn")
     g = _as_batch(loss_grad, spec.output_dim, "loss gradient")
+    out = flat_layout(spec, bn=True) if out is None else out
+    wg, bg, gg, sg = out.weights, out.biases, out.gains, out.shifts
     deltas_z = [None] * spec.depth
-    wg = [None] * spec.depth
-    bg = [None] * spec.depth
-    gg = [None] * spec.depth
-    sg = [None] * spec.depth
     upstream = g
     for i in range(spec.depth - 1, -1, -1):
         stash = trace.bn[i]
         layer = spec.layers[i]
         dy = _activation_vjp(layer.nonlinearity, stash["y"], trace.activations[i], upstream)
-        gg[i] = (dy * stash["zhat"]).sum(axis=0)
-        sg[i] = dy.sum(axis=0)
+        np.add.reduce(dy * stash["zhat"], axis=0, out=gg[i])
+        np.add.reduce(dy, axis=0, out=sg[i])
         u = dy * bn_params.gains[i]
         if stash["training"]:
             coupled = (
@@ -442,11 +483,11 @@ def backward_bn(
         else:
             dz = u / stash["std"]
         deltas_z[i] = dz
-        wg[i] = dz.T @ trace.signals[i]
-        bg[i] = dz.sum(axis=0)
+        np.matmul(dz.T, trace.signals[i], out=wg[i])
+        np.add.reduce(dz, axis=0, out=bg[i])
         if i > 0:
             upstream = dz @ params.weights[i]
-    return BackwardTrace(deltas_z, wg, bg, gain_grads=gg, shift_grads=sg)
+    return BackwardTrace(out.vector, deltas_z, wg, bg, gain_grads=gg, shift_grads=sg)
 
 
 def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
@@ -490,9 +531,11 @@ class Model:
 
     A whitened model carries its coefficients ``phi``; a BN model carries
     gain/shift parameters and running statistics; a model with neither is
-    canonical. Forward/backward dispatch to the matching routines and the
-    parameter/gradient lists line up index for index, which is what the
-    optimizers operate on.
+    canonical. The model owns one flat parameter vector, ``vector``, in
+    ``flat_layout`` order: the arrays given at construction are copied into
+    it, and ``params`` (and ``bn_params``) hold views of it, so the
+    optimizers step the whole vector at once. Code that changes a parameter
+    writes into its view in place and never rebinds it.
     """
 
     spec: NetSpec
@@ -500,6 +543,21 @@ class Model:
     phi: WhiteningCoeffs | None = None
     bn_params: BatchNormParams | None = None
     bn_state: BatchNormState | None = None
+    vector: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bn = self.bn_params
+        flat = self.layout()
+        given = self.params.weights + self.params.biases + (bn.gains + bn.shifts if bn else [])
+        views = flat.weights + flat.biases + flat.gains + flat.shifts
+        if [np.shape(a) for a in given] != [v.shape for v in views]:
+            raise DimensionError(f"parameter shapes {[np.shape(a) for a in given]} do not "
+                                 f"match the network's {[v.shape for v in views]}")
+        for view, array in zip(views, given):
+            view[...] = array
+        self.vector, self.params = flat.vector, Params(flat.weights, flat.biases)
+        if bn is not None:
+            self.bn_params = BatchNormParams(flat.gains, flat.shifts)
 
     @property
     def kind(self):
@@ -524,34 +582,23 @@ class Model:
             )
         return forward_whitened(self.params, self.phi, self.spec, x)
 
-    def backward(self, trace, loss_grad) -> BackwardTrace:
-        if self.bn_params is not None:
-            return backward_bn(trace, self.params, self.bn_params, self.spec, loss_grad)
-        return backward_whitened(trace, self.params, self.spec, loss_grad)
+    def layout(self, vector=None) -> FlatParams:
+        """Views of ``vector`` (a new one when None) laid out as ``self.vector``."""
+        return flat_layout(self.spec, vector, bn=self.bn_params is not None)
 
-    def parameter_arrays(self) -> list:
-        arrays = []
-        for w, b in zip(self.params.weights, self.params.biases):
-            arrays.extend((w, b))
+    def backward(self, trace, loss_grad, out=None) -> BackwardTrace:
+        """Gradients, written into ``out`` (a ``layout()``) when given, else
+        into a new flat vector laid out as ``vector``."""
         if self.bn_params is not None:
-            for g, s in zip(self.bn_params.gains, self.bn_params.shifts):
-                arrays.extend((g, s))
-        return arrays
-
-    def gradient_arrays(self, bt: BackwardTrace) -> list:
-        arrays = []
-        for w, b in zip(bt.weight_grads, bt.bias_grads):
-            arrays.extend((w, b))
-        if self.bn_params is not None:
-            for g, s in zip(bt.gain_grads, bt.shift_grads):
-                arrays.extend((g, s))
-        return arrays
+            return backward_bn(trace, self.params, self.bn_params, self.spec, loss_grad, out)
+        return backward_whitened(trace, self.params, self.spec, loss_grad, out)
 
     def copy(self):
+        """An independent model: its own vector, coefficients and BN state."""
         return Model(
             self.spec,
-            self.params.copy(),
+            self.params,
             phi=self.phi.copy() if self.phi else None,
-            bn_params=self.bn_params.copy() if self.bn_params else None,
+            bn_params=self.bn_params,
             bn_state=self.bn_state.copy() if self.bn_state else None,
         )

@@ -93,57 +93,58 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    """Step count, learning rate and the optimizer's buffers. ``velocity``
+    and ``mean_square`` are flat vectors laid out as ``Model.vector``."""
+
     alpha: float
+    velocity: np.ndarray
     step: int = 0
-    velocities: list | None = None
-    mean_squares: list | None = None
+    mean_square: np.ndarray | None = None
     unit_std: list | None = None  # running std of whitened activations (plus variant)
 
     @classmethod
-    def init(cls, arrays, config: TrainConfig, *, rmsprop=False, spec=None):
-        state = cls(alpha=config.learning_rate)
-        state.velocities = [np.zeros_like(a) for a in arrays]
+    def init(cls, vector, config: TrainConfig, *, rmsprop=False, spec=None):
+        state = cls(alpha=config.learning_rate, velocity=np.zeros_like(vector))
         if rmsprop:
-            state.mean_squares = [np.zeros_like(a) for a in arrays]
+            state.mean_square = np.zeros_like(vector)
         if spec is not None:
             state.unit_std = [np.ones(layer.in_dim) for layer in spec.layers]
         return state
 
     def reset_momentum(self):
-        for v in self.velocities:
-            v[:] = 0.0
+        self.velocity.fill(0.0)
 
 
-def _check_finite_grads(grads):
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient; step refused")
+def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
+    """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0).
 
-
-def sgd_step(arrays, grads, state: OptimizerState, config: TrainConfig):
-    """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0)."""
-    _check_finite_grads(grads)
+    ``vector`` and ``grad`` are flat; the step is refused, with nothing
+    changed, when ``grad`` holds a non-finite entry."""
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient; step refused")
     m = config.momentum
-    for p, g, v in zip(arrays, grads, state.velocities):
-        if m != 0.0:
-            v *= m
-            v += g
-            p -= state.alpha * v
-        else:
-            p -= state.alpha * g
+    if m != 0.0:
+        v = state.velocity
+        v *= m
+        v += grad
+        vector -= state.alpha * v
+    else:
+        vector -= state.alpha * grad
     state.step += 1
 
 
-def rmsprop_step(arrays, grads, state: OptimizerState, config: TrainConfig):
+def rmsprop_step(vector, grad, state: OptimizerState, config: TrainConfig):
     """s <- rho s + (1-rho) g^2; p <- p - alpha g / (sqrt(s) + damping).
 
-    The damping bounds the per-coordinate multiplier at alpha/damping."""
-    _check_finite_grads(grads)
+    The damping bounds the per-coordinate multiplier at alpha/damping.
+    Flat vectors and the finiteness check as for ``sgd_step``."""
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient; step refused")
     rho = config.rmsprop_decay
-    for p, g, s in zip(arrays, grads, state.mean_squares):
-        s *= rho
-        s += (1.0 - rho) * g * g
-        p -= state.alpha * g / (np.sqrt(s) + config.rmsprop_damping)
+    s = state.mean_square
+    s *= rho
+    s += (1.0 - rho) * grad * grad
+    vector -= state.alpha * grad / (np.sqrt(s) + config.rmsprop_damping)
     state.step += 1
 
 
@@ -192,8 +193,8 @@ def prong_reparametrize(
         spectra.append(eig)
         moments.append(mom)
     fresh = net.project_to_whitened(theta, phi)
-    # copy into the existing arrays: optimizer buffers and parameter lists
-    # alias them, and shapes are unchanged by a reparametrization
+    # copy into the existing arrays: they are views of the model's flat
+    # vector, and shapes are unchanged by a reparametrization
     for i in range(spec.depth):
         omega.weights[i][:] = fresh.weights[i]
         omega.biases[i][:] = fresh.biases[i]
@@ -201,17 +202,18 @@ def prong_reparametrize(
 
 
 def prong_plus_rescale(
-    omega: net.Params,
-    phi: net.WhiteningCoeffs,
+    model: net.Model,
     trace: net.ForwardTrace,
     state: OptimizerState,
     config: TrainConfig,
 ):
     """Diagonal rescale of each whitening matrix by the running std of its
     whitened activations, with the consuming weight columns (and their
-    velocity buffers) rescaled to preserve the feed-forward computation."""
+    velocity) rescaled to preserve the feed-forward computation."""
     if trace.phi is None:
         raise ConsistencyError("rescale needs a whitened-mode forward trace")
+    phi = model.phi
+    velocities = model.layout(state.velocity).weights
     decay = config.rescale_decay
     for i in range(len(phi.transforms)):
         batch_std = trace.signals[i].std(axis=0)
@@ -220,9 +222,8 @@ def prong_plus_rescale(
         ema += (1.0 - decay) * batch_std
         d = np.maximum(ema, config.rescale_floor)
         phi.transforms[i] /= d[:, None]
-        omega.weights[i] *= d[None, :]
-        if state.velocities is not None:
-            state.velocities[2 * i] *= d[None, :]
+        model.params.weights[i] *= d[None, :]
+        velocities[i] *= d[None, :]
         state.unit_std[i] = ema / d
 
 
@@ -293,14 +294,14 @@ def train(
     if optimizer == "bn" and model.bn_params is None:
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
 
-    arrays = model.parameter_arrays()
     state = OptimizerState.init(
-        arrays,
+        model.vector,
         config,
         rmsprop=optimizer == "rmsprop",
         spec=model.spec if whitened else None,
     )
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step
+    gradient = model.layout()  # every step's backward writes here
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)
     stats_rng = np.random.default_rng([config.seed, 104729])
 
@@ -387,12 +388,12 @@ def train(
             raise error
         loss_sum += value
         loss_count += 1
-        bt = model.backward(trace, grad)
-        step_fn(arrays, model.gradient_arrays(bt), state, config)
+        model.backward(trace, grad, out=gradient)
+        step_fn(model.vector, gradient.vector, state, config)
 
         if optimizer == "prong_plus":
             before = model.forward(probe_inputs).outputs if probe_inputs is not None else None
-            prong_plus_rescale(model.params, model.phi, trace, state, config)
+            prong_plus_rescale(model, trace, state, config)
             if before is not None:
                 result.probe_deltas.append(probe_delta(before))
 

@@ -95,8 +95,8 @@ class TestAcceptance:
         bt = model.backward(trace, grad)
         cfg = TrainConfig(learning_rate=alpha, momentum=0.0, seed=0, max_updates=1,
                           stat_samples=48)
-        state = OptimizerState.init(model.parameter_arrays(), cfg)
-        sgd_step(model.parameter_arrays(), model.gradient_arrays(bt), state, cfg)
+        state = OptimizerState.init(model.vector, cfg)
+        sgd_step(model.vector, bt.vector, state, cfg)
         theta1 = project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta0, None, model.spec, x)

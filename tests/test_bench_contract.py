@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from whitenet import fisher, net, optim
+from whitenet.data import Dataset
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -91,3 +92,38 @@ def test_span_members_do_not_nest(child, span, monkeypatch):
         model.backward(trace, grad)
     fisher.class_sweep(whitened, x)
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("optimizer, step_name", [
+    ("sgd", "sgd_step"), ("momentum", "sgd_step"), ("bn", "sgd_step"),
+    ("prong", "sgd_step"), ("prong_plus", "sgd_step"), ("rmsprop", "rmsprop_step"),
+])
+def test_train_steps_through_the_traced_names(child, optimizer, step_name, monkeypatch):
+    # the optim.step span wraps these module attributes, so train() must call
+    # them through the module on every update, whatever the optimizer
+    assert ("optim", step_name) in child.SPANS["optim.step"]
+    calls = []
+    original = getattr(optim, step_name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optim, step_name, counting)
+    spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
+    theta = init_fan_in(spec, 8)
+    if optimizer in ("prong", "prong_plus"):
+        phi = WhiteningCoeffs.identity(spec)
+        model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+    elif optimizer == "bn":
+        model = Model.batch_norm(spec, theta)
+    else:
+        model = Model(spec, theta)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((64, 6))
+    data = Dataset(x, np.eye(2)[rng.integers(0, 2, size=64)])
+    momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
+    cfg = optim.TrainConfig(learning_rate=0.05, momentum=momentum, batch_size=8, max_updates=12,
+                            eval_interval=6, reparam_period=5, stat_samples=32)
+    optim.train(model, data, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
+    assert len(calls) == 12

@@ -3,7 +3,7 @@ import pytest
 
 from whitenet import net
 from whitenet.data import synthetic_classification
-from whitenet.errors import FisherSizeError
+from whitenet.errors import ConsistencyError, FisherSizeError
 from whitenet.fisher import (
     ConditioningRow,
     class_sweep,
@@ -218,6 +218,47 @@ class TestSharedSweep:
             conditioning_report(model, self.X)
         with pytest.raises(ValueError, match="relu"):
             factorized_fisher_block(model, self.X, 0)
+
+    def test_sweep_deltas_are_log_likelihood_gradients(self):
+        # per class y, sum_b delta_b s_b^T is the gradient of sum_b -log p(y|x_b)
+        # w.r.t. each layer's weights: checked by central finite differences
+        model = canonical_model([4, 3, 1], seed=50)
+        x = np.random.default_rng(51).standard_normal((6, 4))
+        sweep = class_sweep(model, x)
+
+        def neg_log_p(y):
+            p1 = model.forward(x).outputs[:, 0]
+            return -float(np.log(p1 if y == 1 else 1.0 - p1).sum())
+
+        for y, deltas in enumerate(sweep.deltas):
+            for i, w in enumerate(model.params.weights):
+                numeric = np.zeros_like(w)
+                for idx in np.ndindex(w.shape):
+                    orig = w[idx]
+                    w[idx] = orig + 1e-6
+                    plus = neg_log_p(y)
+                    w[idx] = orig - 1e-6
+                    minus = neg_log_p(y)
+                    w[idx] = orig
+                    numeric[idx] = (plus - minus) / 2e-6
+                analytic = deltas[i].T @ sweep.trace.signals[i]
+                np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_batch_norm_model_refused(self):
+        # the sweep's backprop has no BN gain/std factor, so its gradients
+        # would be off by that factor
+        spec = NetSpec.mlp([4, 3, 1], hidden="tanh", head="sigmoid")
+        model = Model.batch_norm(spec, init_fan_in(spec, 52))
+        model.bn_params.gains[0][:] = 3.0
+        x = np.random.default_rng(53).standard_normal((8, 4))
+        with pytest.raises(ConsistencyError, match="batch-norm"):
+            class_sweep(model, x)
+        with pytest.raises(ConsistencyError, match="batch-norm"):
+            conditioning_report(model, x, kinds=("factorized", "exact"))
+        with pytest.raises(ConsistencyError, match="batch-norm"):
+            exact_fisher_block(model, x, 1)
+        with pytest.raises(ConsistencyError, match="batch-norm"):
+            factorized_fisher_block(model, x, 1)
 
     def test_factorized_matrix_is_kron_of_factors(self):
         model = canonical_model([6, 5, 1], seed=47)

@@ -1,0 +1,122 @@
+"""A model's weights, biases and BN gains/shifts are views of its one flat
+parameter vector, in the order w0, b0, w1, b1, ..., g0, s0, g1, s1, ...,
+and stay so through every operation that changes them in place."""
+
+import numpy as np
+import pytest
+
+from whitenet import net
+from whitenet.checkpoint import load_checkpoint, save_checkpoint
+from whitenet.errors import DimensionError
+from whitenet.net import Model, NetSpec, Params, WhiteningCoeffs, init_fan_in, project_to_whitened
+from whitenet.optim import OptimizerState, TrainConfig, prong_plus_rescale, prong_reparametrize
+
+SPEC = NetSpec.mlp([5, 4, 3], hidden="tanh", head="softmax")
+
+
+def layout_order(model):
+    arrays = [a for pair in zip(model.params.weights, model.params.biases) for a in pair]
+    if model.bn_params is not None:
+        arrays += [a for pair in zip(model.bn_params.gains, model.bn_params.shifts) for a in pair]
+    return arrays
+
+
+def assert_views_of_vector(model):
+    """Every parameter array is a view of ``model.vector`` at its layout offset,
+    and together they tile the vector."""
+    start = 0
+    for a in layout_order(model):
+        assert a.base is model.vector
+        assert a.ctypes.data == model.vector.ctypes.data + 8 * start
+        start += a.size
+    assert start == model.vector.size
+
+
+def whitened(seed=0):
+    phi = WhiteningCoeffs.identity(SPEC)
+    return Model(SPEC, project_to_whitened(init_fan_in(SPEC, seed), phi), phi=phi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Model(SPEC, init_fan_in(SPEC, 1)),
+    lambda: whitened(2),
+    lambda: Model.batch_norm(SPEC, init_fan_in(SPEC, 3)),
+], ids=["canonical", "whitened", "bn"])
+def test_construction_copies_into_views(make):
+    model = make()
+    assert_views_of_vector(model)
+    assert np.array_equal(model.vector, np.concatenate([a.ravel() for a in layout_order(model)]))
+
+
+def test_construction_leaves_the_given_arrays_alone():
+    params = init_fan_in(SPEC, 4)
+    before = params.weights[0].copy()
+    model = Model(SPEC, params)
+    model.vector[:] = 0.0
+    assert np.array_equal(params.weights[0], before)
+
+
+def test_mismatched_shapes_rejected():
+    params = init_fan_in(SPEC, 5)
+    with pytest.raises(DimensionError):
+        Model(SPEC, Params([params.weights[0].T, params.weights[1]], params.biases))
+    with pytest.raises(DimensionError):
+        Model(SPEC, Params(params.weights[:1], params.biases[:1]))
+    with pytest.raises(DimensionError):
+        net.flat_layout(SPEC, np.zeros(3))
+
+
+def test_copy_owns_an_independent_vector():
+    model = Model.batch_norm(SPEC, init_fan_in(SPEC, 6))
+    twin = model.copy()
+    assert_views_of_vector(twin)
+    assert not np.shares_memory(twin.vector, model.vector)
+    assert np.array_equal(twin.vector, model.vector)
+    twin.vector += 1.0
+    twin.bn_state.running_mean[0][:] = 5.0
+    assert not np.array_equal(twin.vector, model.vector)
+    assert not np.array_equal(twin.bn_state.running_mean[0], model.bn_state.running_mean[0])
+
+
+def test_views_survive_reparametrization_and_rescale():
+    model = whitened(7)
+    x = np.random.default_rng(8).standard_normal((64, 5))
+    prong_reparametrize(model.params, model.phi, model.spec, x, 1e-2)
+    assert_views_of_vector(model)
+    cfg = TrainConfig(learning_rate=0.1, momentum=0.9)
+    state = OptimizerState.init(model.vector, cfg, spec=model.spec)
+    state.velocity[:] = 1.0
+    prong_plus_rescale(model, model.forward(x), state, cfg)
+    assert_views_of_vector(model)
+    # the rescale reaches the weight columns' velocity, and nothing else
+    velocity = model.layout(state.velocity)
+    assert not np.all(velocity.weights[0] == 1.0)
+    assert all(np.all(b == 1.0) for b in velocity.biases)
+
+
+def test_checkpoint_load_fills_views(tmp_path):
+    model = Model.batch_norm(SPEC, init_fan_in(SPEC, 9))
+    model.bn_params.gains[1][:] = 2.5
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, model, seed=9, step=0)
+    back, _ = load_checkpoint(path)
+    assert_views_of_vector(back)
+    assert np.array_equal(back.vector, model.vector)
+
+
+@pytest.mark.parametrize("bn", [False, True])
+def test_backward_writes_into_the_given_layout(bn):
+    params = init_fan_in(SPEC, 10)
+    model = Model.batch_norm(SPEC, params) if bn else Model(SPEC, params)
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((8, 5)), np.eye(3)[rng.integers(0, 3, size=8)]
+    trace = model.forward(x, training=True)
+    _, grad = net.loss("categorical_cross_entropy", trace.outputs, y)
+    fresh = model.backward(trace, grad)
+    out = model.layout()
+    out.vector[:] = np.nan
+    bt = model.backward(trace, grad, out=out)
+    assert bt.vector is out.vector
+    assert np.array_equal(bt.vector, fresh.vector)
+    for w, g in zip(bt.weight_grads, out.weights):
+        assert w is g

@@ -188,7 +188,7 @@ class TestSigmoidBitIdentity:
         reference = run()
 
         assert reference_calls
-        arrays = list(zip(shipped.model.parameter_arrays(), reference.model.parameter_arrays()))
+        arrays = [(shipped.model.vector, reference.model.vector)]
         if optimizer != "momentum":
             arrays += list(zip(shipped.model.phi.transforms, reference.model.phi.transforms))
         for a, b in arrays:
@@ -270,6 +270,46 @@ class TestLoss:
         assert v == pytest.approx(-math.log(net.PROB_CLAMP))
         assert np.isfinite(g).all()
 
+    @staticmethod
+    def clip_form_loss(kind, output, target):
+        """``net.loss`` as it was written with np.clip and 1 - t twice."""
+        o = np.atleast_2d(np.asarray(output, dtype=np.float64))
+        t = np.atleast_2d(np.asarray(target, dtype=np.float64))
+        b = o.shape[0]
+        if kind == "squared_error":
+            r = o - t
+            with np.errstate(over="ignore"):
+                value = 0.5 * float((r * r).sum()) / b
+            grad = r / b
+        elif kind == "binary_cross_entropy":
+            p = np.clip(o, net.PROB_CLAMP, 1.0 - net.PROB_CLAMP)
+            value = -float((t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()) / b
+            grad = (-t / p + (1.0 - t) / (1.0 - p)) / b
+        else:
+            p = np.clip(o, net.PROB_CLAMP, 1.0)
+            value = -float((t * np.log(p)).sum()) / b
+            grad = -(t / p) / b
+        if np.asarray(output).ndim == 1:
+            grad = grad[0]
+        return value, grad
+
+    @pytest.mark.parametrize("kind", net.LOSS_KINDS)
+    def test_matches_clip_form_bitwise(self, kind):
+        rng = np.random.default_rng(12)
+        o = rng.uniform(0.0, 1.0, size=(5, 4))
+        o[0] = [0.0, 1.0, np.nan, 1e-13]
+        o[1, :2] = [1.0 - 1e-13, -0.0]
+        t = rng.uniform(0.0, 1.0, size=(5, 4))
+        t[2, 0] = 1.0
+        for out, tgt in ((o, t), (o[0], t[0]), (o[1:], t[1:]), (o[3], t[3])):
+            with np.errstate(invalid="ignore"):
+                value, grad = loss(kind, out, tgt)
+                ref_value, ref_grad = self.clip_form_loss(kind, out, tgt)
+            assert np.array_equal(np.float64(value).view(np.int64),
+                                  np.float64(ref_value).view(np.int64))
+            assert grad.shape == ref_grad.shape
+            assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(11)
         o = rng.uniform(0.01, 0.99, size=(8, 4))
@@ -316,8 +356,8 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
     trace = model.forward(x, training=True)
     _, g = loss(kind, trace.outputs, targets)
     bt = model.backward(trace, g)
-    analytic = model.gradient_arrays(bt)
-    numeric = finite_difference_grads(eval_loss, model.parameter_arrays())
+    analytic = [bt.vector]
+    numeric = finite_difference_grads(eval_loss, [model.vector])
     assert relative_errors(analytic, numeric) < tol
 
 

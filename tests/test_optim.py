@@ -32,68 +32,68 @@ def make_config(**kw):
     return TrainConfig(**base)
 
 
-def fresh_state(arrays, config, **kw):
-    return OptimizerState.init(arrays, config, **kw)
+def fresh_state(vector, config, **kw):
+    return OptimizerState.init(vector, config, **kw)
 
 
 class TestSgdStep:
     def test_zero_gradient_noop(self):
         cfg = make_config()
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         st = fresh_state(p, cfg)
-        sgd_step(p, [np.zeros(2)], st, cfg)
-        np.testing.assert_allclose(p[0], [1.0, -2.0])
+        sgd_step(p, np.zeros(2), st, cfg)
+        np.testing.assert_allclose(p, [1.0, -2.0])
 
     def test_single_step(self):
         cfg = make_config(learning_rate=0.1)
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         st = fresh_state(p, cfg)
-        sgd_step(p, [np.array([1.0])], st, cfg)
-        np.testing.assert_allclose(p[0], [0.9])
+        sgd_step(p, np.array([1.0]), st, cfg)
+        np.testing.assert_allclose(p, [0.9])
 
     def test_quadratic_contraction(self):
         # gradient of p^2/2 is p: 50 steps at alpha=0.1 contract by 0.9^50
         cfg = make_config(learning_rate=0.1)
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         st = fresh_state(p, cfg)
         for _ in range(50):
-            sgd_step(p, [p[0].copy()], st, cfg)
-        np.testing.assert_allclose(p[0], [0.9**50], rtol=1e-12)
+            sgd_step(p, p.copy(), st, cfg)
+        np.testing.assert_allclose(p, [0.9**50], rtol=1e-12)
 
     def test_momentum_accumulates(self):
         cfg = make_config(learning_rate=1.0, momentum=0.5)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         st = fresh_state(p, cfg)
-        sgd_step(p, [np.array([1.0])], st, cfg)  # v=1, p=-1
-        sgd_step(p, [np.array([1.0])], st, cfg)  # v=1.5, p=-2.5
-        np.testing.assert_allclose(p[0], [-2.5])
+        sgd_step(p, np.array([1.0]), st, cfg)  # v=1, p=-1
+        sgd_step(p, np.array([1.0]), st, cfg)  # v=1.5, p=-2.5
+        np.testing.assert_allclose(p, [-2.5])
 
     def test_nonfinite_gradient_refused(self):
         cfg = make_config()
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         st = fresh_state(p, cfg)
         with pytest.raises(NumericError):
-            sgd_step(p, [np.array([np.nan])], st, cfg)
-        np.testing.assert_allclose(p[0], [1.0])  # untouched
+            sgd_step(p, np.array([np.nan]), st, cfg)
+        np.testing.assert_allclose(p, [1.0])  # untouched
 
 
 class TestRmspropStep:
     def test_zero_gradient_noop(self):
         cfg = make_config()
-        p = [np.ones(3)]
+        p = np.ones(3)
         st = fresh_state(p, cfg, rmsprop=True)
-        rmsprop_step(p, [np.zeros(3)], st, cfg)
-        np.testing.assert_allclose(p[0], np.ones(3))
+        rmsprop_step(p, np.zeros(3), st, cfg)
+        np.testing.assert_allclose(p, np.ones(3))
 
     def test_constant_gradient_fixed_point(self):
         # s converges to g^2 = 1, so the step approaches alpha/(1 + damping)
         cfg = make_config(learning_rate=0.01, rmsprop_decay=0.9, rmsprop_damping=0.1)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         st = fresh_state(p, cfg, rmsprop=True)
         for _ in range(400):
-            before = p[0].copy()
-            rmsprop_step(p, [np.array([1.0])], st, cfg)
-        step = before - p[0]
+            before = p.copy()
+            rmsprop_step(p, np.array([1.0]), st, cfg)
+        step = before - p
         np.testing.assert_allclose(step, 0.01 / (1.0 + 0.1), rtol=1e-3)
 
     def test_scale_invariance_once_warm(self):
@@ -101,13 +101,13 @@ class TestRmspropStep:
             cfg = make_config(learning_rate=0.01, rmsprop_decay=0.99, rmsprop_damping=1e-8)
             rng = np.random.default_rng(0)
             g = rng.standard_normal(5)
-            p = [np.zeros(5)]
+            p = np.zeros(5)
             st = fresh_state(p, cfg, rmsprop=True)
             for _ in range(2000):  # warm up s on the same gradient
-                rmsprop_step(p, [g * scale], st, cfg)
-            before = p[0].copy()
-            rmsprop_step(p, [g * scale], st, cfg)
-            d = p[0] - before
+                rmsprop_step(p, g * scale, st, cfg)
+            before = p.copy()
+            rmsprop_step(p, g * scale, st, cfg)
+            d = p - before
             return d / np.linalg.norm(d)
 
         d1 = first_direction(1.0)
@@ -238,7 +238,7 @@ class TestProngPlusRescale:
     def _setup(self, seed=0):
         model = whitened_model([5, 4, 2], seed=seed)
         cfg = make_config(rescale_decay=0.0)  # track the batch std directly
-        state = OptimizerState.init(model.parameter_arrays(), cfg, spec=model.spec)
+        state = OptimizerState.init(model.vector, cfg, spec=model.spec)
         return model, cfg, state
 
     def test_unit_stds_noop(self):
@@ -250,7 +250,7 @@ class TestProngPlusRescale:
         # build a trace whose whitened activations have exactly unit std
         unit = [a / a.std(axis=0) for a in trace.signals]
         fake = replace(trace, signals=unit)
-        prong_plus_rescale(model.params, model.phi, fake, state, cfg)
+        prong_plus_rescale(model, fake, state, cfg)
         for w, before in zip(model.params.weights, weights_before):
             np.testing.assert_allclose(w, before, rtol=1e-12)
 
@@ -268,7 +268,7 @@ class TestProngPlusRescale:
             scaled[i] = scaled[i] / scaled[i].std(axis=0)
         fake = replace(trace, signals=scaled)
         probe_before = model.forward(x).outputs
-        prong_plus_rescale(model.params, model.phi, fake, state, cfg)
+        prong_plus_rescale(model, fake, state, cfg)
         np.testing.assert_allclose(model.phi.transforms[0][2], u_before[2] / 2.0, rtol=1e-12)
         np.testing.assert_allclose(model.params.weights[0][:, 2], v_before[:, 2] * 2.0,
                                    rtol=1e-12)
@@ -437,8 +437,8 @@ class TestNaturalGradientEquivalence:
         bt = model.backward(trace, grad)
 
         cfg = make_config(learning_rate=alpha, momentum=0.0)
-        state = OptimizerState.init(model.parameter_arrays(), cfg)
-        sgd_step(model.parameter_arrays(), model.gradient_arrays(bt), state, cfg)
+        state = OptimizerState.init(model.vector, cfg)
+        sgd_step(model.vector, bt.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         # canonical gradients on the same batch (deltas per layer)
@@ -489,8 +489,8 @@ class TestNaturalGradientEquivalence:
         _, grad = net.loss("binary_cross_entropy", trace.outputs, batch_y)
         bt = model.backward(trace, grad)
         cfg = make_config(learning_rate=alpha)
-        state = OptimizerState.init(model.parameter_arrays(), cfg)
-        sgd_step(model.parameter_arrays(), model.gradient_arrays(bt), state, cfg)
+        state = OptimizerState.init(model.vector, cfg)
+        sgd_step(model.vector, bt.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta, None, spec, batch_x)
@@ -501,3 +501,127 @@ class TestNaturalGradientEquivalence:
             expected = -alpha * cbt.weight_grads[i] @ (u.T @ u)
             dw = theta_after.weights[i] - theta.weights[i]
             assert np.abs(dw - expected).max() < 1e-10
+
+
+def list_reference_train(model, data, config, optimizer, loss_kind):
+    """The training loop with the per-array list update that preceded the
+    flat parameter vector: parameters, gradients and optimizer buffers are
+    lists [w0, b0, w1, b1, ..., g0, s0, ...], each stepped on its own, and
+    gradients are computed per layer as fresh arrays. Returns the rows as
+    (step, train_loss, eval_loss, learning_rate, reparam_event), the
+    velocities and the mean squares. Updates ``model`` in place."""
+    from whitenet.data import BatchPlan, next_batch
+
+    whitened = optimizer in ("prong", "prong_plus")
+    bn = model.bn_params is not None
+    arrays = [a for pair in zip(model.params.weights, model.params.biases) for a in pair]
+    if bn:
+        arrays += [a for pair in zip(model.bn_params.gains, model.bn_params.shifts) for a in pair]
+    velocities = [np.zeros_like(a) for a in arrays]
+    mean_squares = [np.zeros_like(a) for a in arrays]
+    unit_std = [np.ones(layer.in_dim) for layer in model.spec.layers]
+    plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)
+    stats_rng = np.random.default_rng([config.seed, 104729])
+    alpha, rows, loss_sum, loss_count = config.learning_rate, [], 0.0, 0
+
+    def eval_loss():
+        trace = model.forward(data.inputs, training=False)
+        return net.loss(loss_kind, trace.outputs, data.targets)[0]
+
+    for t in range(config.max_updates):
+        if whitened and t % config.reparam_period == 0:
+            idx = stats_rng.choice(data.n, size=min(config.stat_samples, data.n), replace=False)
+            info = prong_reparametrize(model.params, model.phi, model.spec, data.inputs[idx],
+                                       config.eigen_epsilon)
+            for v in velocities:
+                v[:] = 0.0
+            unit_std = [np.ones_like(s) for s in unit_std]
+            stats_loss, _ = net.loss(loss_kind, info.outputs, data.targets[idx])
+            if rows and rows[-1][0] == t:  # an interval row for this step exists
+                rows[-1] = rows[-1][:4] + (True,)
+            else:
+                rows.append((t, stats_loss, eval_loss(), alpha, True))
+        batch = next_batch(data, plan)
+        trace = model.forward(batch.inputs, training=True)
+        value, grad = net.loss(loss_kind, trace.outputs, batch.targets)
+        loss_sum += value
+        loss_count += 1
+        bt = model.backward(trace, grad)
+        grads = []
+        for i in range(model.spec.depth):
+            grads += [bt.deltas[i].T @ trace.signals[i], bt.deltas[i].sum(axis=0)]
+        if bn:
+            grads += [g.copy() for pair in zip(bt.gain_grads, bt.shift_grads) for g in pair]
+        for g in grads:
+            assert np.isfinite(g).all()
+        if optimizer == "rmsprop":
+            rho = config.rmsprop_decay
+            for p, g, s in zip(arrays, grads, mean_squares):
+                s *= rho
+                s += (1.0 - rho) * g * g
+                p -= alpha * g / (np.sqrt(s) + config.rmsprop_damping)
+        else:
+            m = config.momentum
+            for p, g, v in zip(arrays, grads, velocities):
+                if m != 0.0:
+                    v *= m
+                    v += g
+                    p -= alpha * v
+                else:
+                    p -= alpha * g
+        if optimizer == "prong_plus":
+            for i in range(model.spec.depth):
+                ema = unit_std[i]
+                ema *= config.rescale_decay
+                ema += (1.0 - config.rescale_decay) * trace.signals[i].std(axis=0)
+                d = np.maximum(ema, config.rescale_floor)
+                model.phi.transforms[i] /= d[:, None]
+                model.params.weights[i] *= d[None, :]
+                velocities[2 * i] *= d[None, :]
+                unit_std[i] = ema / d
+        done = t + 1
+        if done % config.eval_interval == 0:
+            rows.append((done, loss_sum / loss_count, eval_loss(), alpha, False))
+            loss_sum, loss_count = 0.0, 0
+    return rows, velocities, mean_squares
+
+
+class TestFlatUpdateOracle:
+    """train() on the flat vector against the per-array list update."""
+
+    @pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
+    def test_bitwise_equal_to_list_update(self, optimizer):
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal((128, 6)) @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.3])
+        ds = Dataset(x, np.eye(3)[rng.integers(0, 3, size=128)])
+        spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh", head="softmax")
+        if optimizer in ("prong", "prong_plus"):
+            model = whitened_model([6, 5, 4, 3], seed=61, head="softmax")
+        elif optimizer == "bn":
+            model = Model.batch_norm(spec, init_fan_in(spec, 61))
+        else:
+            model = Model(spec, init_fan_in(spec, 61))
+        momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
+        cfg = make_config(learning_rate=0.05, momentum=momentum, max_updates=50,
+                          eval_interval=10, reparam_period=20, stat_samples=64,
+                          eigen_epsilon=1e-2, rescale_decay=0.5)
+        reference = model.copy()
+        result = train(model, ds, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
+        rows, velocities, mean_squares = list_reference_train(
+            reference, ds, cfg, optimizer, "categorical_cross_entropy")
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        assert np.array_equal(bits(model.vector), bits(reference.vector))
+        flat_velocity = np.concatenate([v.ravel() for v in velocities])
+        assert np.array_equal(bits(result.state.velocity), bits(flat_velocity))
+        if optimizer == "rmsprop":
+            flat_ms = np.concatenate([s.ravel() for s in mean_squares])
+            assert np.array_equal(bits(result.state.mean_square), bits(flat_ms))
+        if model.phi is not None:
+            for a, b in zip(model.phi.transforms, reference.phi.transforms):
+                assert np.array_equal(bits(a), bits(b))
+        assert [(r.step, r.train_loss, r.eval_loss, r.learning_rate, r.reparam_event)
+                for r in result.rows] == rows
+        assert result.state.step == 50
