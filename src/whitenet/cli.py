@@ -32,7 +32,13 @@ from .config import (
     set_dotted,
     validate_config,
 )
-from .errors import ConfigError, DivergenceError, SingularMatrixError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    IdxFormatError,
+    MetricsParseError,
+    SingularMatrixError,
+)
 from .metrics import read_metrics, replay, write_metrics, write_table
 from .optim import train as run_train
 
@@ -50,12 +56,8 @@ def build_dataset(cfg: dict):
     if kind in ("mnist", "mnist10x10"):
         images, labels = d.get("images"), d.get("labels")
         if images and labels and Path(images).exists() and Path(labels).exists():
-            ds = data_mod.load_idx(images, labels)
-            if kind == "mnist10x10":
-                ds = data_mod.downsample(ds)
-            if autoencode:
-                ds = data_mod.Dataset(ds.inputs, ds.inputs.copy(), name=ds.name)
-            elif d.get("n_classes", 10) == 2:
+            ds = data_mod.load_idx(images, labels, side=10 if kind == "mnist10x10" else 28)
+            if not autoencode and d.get("n_classes", 10) == 2:
                 # binary heads: digits 5-9 vs 0-4
                 digit = ds.targets.argmax(axis=1)
                 ds = data_mod.Dataset(
@@ -91,8 +93,8 @@ def build_dataset(cfg: dict):
             spectrum_decay=d.get("spectrum_decay", 1.0),
             n_classes=d.get("n_classes", 2),
         )
-    if autoencode and not np.array_equal(ds.targets, ds.inputs):
-        ds = data_mod.Dataset(ds.inputs, ds.inputs.copy(), name=ds.name)
+    if autoencode and ds.targets is not ds.inputs:
+        ds = data_mod.Dataset(ds.inputs, ds.inputs, name=ds.name)
     val_size = d.get("val_size", 0)
     train_ds, val_ds = data_mod.split_train_val(ds, min(val_size, ds.n - 1), seed)
     return train_ds, val_ds, ds.name
@@ -190,17 +192,16 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     middle = baseline_model.spec.depth // 2
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
-    # stored bit for bit
-    before_block = fisher.exact_fisher_block(baseline_model, probe, middle)
-    np.save(out / "fisher_middle_before.npy", before_block.matrix)
+    # stored bit for bit; no name keeps a block alive after its save
+    np.save(out / "fisher_middle_before.npy",
+            fisher.exact_fisher_block(baseline_model, probe, middle).matrix)
     white = build_model({**cfg, "optimizer": "prong"})
     from .optim import prong_reparametrize
 
     prong_reparametrize(
         white.params, white.phi, white.spec, probe, cfg["train"].get("eigen_epsilon", 0.0)
     )
-    after_block = fisher.exact_fisher_block(white, probe, middle)
-    np.save(out / "fisher_middle_after.npy", after_block.matrix)
+    np.save(out / "fisher_middle_after.npy", fisher.exact_fisher_block(white, probe, middle).matrix)
 
     summary = {}
     for optimizer in ("sgd", "rmsprop", "prong"):
@@ -327,6 +328,12 @@ def main(argv=None) -> int:
         raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except IdxFormatError as exc:
+        print(f"IDX format error: {exc}", file=sys.stderr)
+        return 2
+    except MetricsParseError as exc:
+        print(f"metrics error: {exc}", file=sys.stderr)
         return 2
     except SingularMatrixError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

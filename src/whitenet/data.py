@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,18 +20,24 @@ from .errors import DimensionError, IdxFormatError, NumericError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+DOWNSAMPLE_BLOCK = 512  # rows per float64 conversion in load_idx(side=10)
 
 
 @dataclass
 class Dataset:
+    """Rows of inputs and targets. An autoencoder's targets are its inputs
+    array itself (``targets is inputs``): one array, never a copy. Nothing
+    writes into a dataset's arrays."""
+
     inputs: np.ndarray  # (n, features)
-    targets: np.ndarray  # (n, target_dim); equals inputs for autoencoding
+    targets: np.ndarray  # (n, target_dim); the inputs array for autoencoding
     name: str = ""
     split: str = ""
 
     def __post_init__(self):
+        shared = self.targets is self.inputs
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
+        self.targets = self.inputs if shared else np.asarray(self.targets, dtype=np.float64)
         if self.inputs.ndim != 2 or self.targets.ndim != 2:
             raise DimensionError("inputs and targets must be 2-D row stacks")
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -38,7 +45,8 @@ class Dataset:
                 f"row count mismatch: {self.inputs.shape[0]} inputs vs "
                 f"{self.targets.shape[0]} targets"
             )
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
+        if not (np.isfinite(self.inputs).all()
+                and (shared or np.isfinite(self.targets).all())):
             raise NumericError("dataset contains non-finite values")
 
     @property
@@ -47,11 +55,12 @@ class Dataset:
 
     def take(self, indices, split=None):
         """The rows ``indices`` (a 1-D index array, slice or mask) as a new
-        dataset. A row subset of a validated dataset is 2-D and finite, so
-        it skips the checks of ``__post_init__``."""
+        dataset, with shared targets kept shared. A row subset of a
+        validated dataset is 2-D and finite, so it skips the checks of
+        ``__post_init__``."""
         sub = object.__new__(type(self))
         sub.inputs = self.inputs[indices]
-        sub.targets = self.targets[indices]
+        sub.targets = sub.inputs if self.targets is self.inputs else self.targets[indices]
         sub.name = self.name
         sub.split = self.split if split is None else split
         return sub
@@ -62,8 +71,11 @@ def _read_file(path):
         head = fh.read(2)
         fh.seek(0)
         if head == b"\x1f\x8b":
-            with gzip.open(fh) as gz:
-                return gz.read()
+            try:
+                with gzip.open(fh) as gz:
+                    return gz.read()
+            except (OSError, EOFError, zlib.error) as exc:
+                raise IdxFormatError(f"corrupt gzip stream: {exc}", 0) from None
         return fh.read()
 
 
@@ -73,13 +85,18 @@ def _read_be_u32(buf, offset, what):
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def load_idx(images_path, labels_path, *, classes: int = 10) -> Dataset:
+def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> Dataset:
     """Parse an IDX image/label file pair into a dataset.
 
-    Pixels are scaled to [0, 1]; labels become one-hot rows. Malformed
-    headers, truncated payloads, and image/label count mismatches raise
-    IdxFormatError with the failing byte offset.
+    Pixels are scaled to [0, 1]; labels become one-hot rows. ``side=28``
+    keeps the images at the file's own resolution. ``side=10`` needs 28x28
+    images and returns them through ``downsample``, converted to float64
+    ``DOWNSAMPLE_BLOCK`` rows at a time, so the full-resolution float array
+    never exists. Malformed headers, truncated payloads, and image/label
+    count mismatches raise IdxFormatError with the failing byte offset.
     """
+    if side not in (10, 28):
+        raise DimensionError(f"load_idx side must be 10 or 28, got {side}")
     img = _read_file(images_path)
     magic = _read_be_u32(img, 0, "images magic")
     if magic != IMAGES_MAGIC:
@@ -94,7 +111,17 @@ def load_idx(images_path, labels_path, *, classes: int = 10) -> Dataset:
             min(len(img), 16 + payload),
         )
     pixels = np.frombuffer(img, dtype=np.uint8, count=payload, offset=16)
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    pixels = pixels.reshape(count, rows * cols)
+    if side == 28:
+        inputs = pixels.astype(np.float64) / 255.0
+    else:
+        if rows * cols != 784:
+            raise IdxFormatError(f"side=10 needs 28x28 images, file has {rows}x{cols}", 8)
+        inputs = np.empty((count, 100))
+        for start in range(0, count, DOWNSAMPLE_BLOCK):
+            block = pixels[start : start + DOWNSAMPLE_BLOCK].astype(np.float64)
+            block /= 255.0
+            inputs[start : start + DOWNSAMPLE_BLOCK] = downsample(block)
 
     lab = _read_file(labels_path)
     magic = _read_be_u32(lab, 0, "labels magic")
@@ -113,32 +140,22 @@ def load_idx(images_path, labels_path, *, classes: int = 10) -> Dataset:
         raise IdxFormatError(f"label {labels.max()} out of range for {classes} classes", 8)
     targets = np.zeros((count, classes))
     targets[np.arange(count), labels] = 1.0
-    return Dataset(inputs, targets, name="idx")
+    return Dataset(inputs, targets, name="idx" if side == 28 else "idx-10x10")
 
 
-def downsample(dataset: Dataset) -> Dataset:
-    """28x28 rows -> 10x10: crop the 4-pixel border to 20x20, then 2x2
-    average-pool. Linear, contractive, and the identity on constants."""
-    if dataset.inputs.shape[1] != 784:
-        raise DimensionError(
-            f"downsample expects 784-dim image rows, got {dataset.inputs.shape[1]}"
-        )
-    imgs = dataset.inputs.reshape(-1, 28, 28)[:, 4:24, 4:24]
-    pooled = imgs.reshape(-1, 10, 2, 10, 2).mean(axis=(2, 4))
-    return replace(
-        dataset,
-        inputs=pooled.reshape(-1, 100),
-        targets=(
-            pooled.reshape(-1, 100)
-            if dataset.targets.shape == dataset.inputs.shape
-            else dataset.targets
-        ),
-        name=dataset.name + "-10x10" if dataset.name else "10x10",
-    )
+def downsample(images) -> np.ndarray:
+    """(n, 784) rows of 28x28 images -> (n, 100) rows of 10x10: crop the
+    4-pixel border to 20x20, then 2x2 average-pool. Linear, contractive,
+    and the identity on constants."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 2 or images.shape[1] != 784:
+        raise DimensionError(f"downsample expects (n, 784) image rows, got {images.shape}")
+    crop = images.reshape(-1, 28, 28)[:, 4:24, 4:24]
+    return crop.reshape(-1, 10, 2, 10, 2).mean(axis=(2, 4)).reshape(-1, 100)
 
 
 def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
-    """Seeded draws from N(mean, covariance); targets equal inputs.
+    """Seeded draws from N(mean, covariance); the targets are the inputs.
 
     ``covariance`` may be a full PSD matrix, a per-dimension variance
     vector, or a scalar variance. Rows are mean + S z for the principal
@@ -164,7 +181,7 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
     root = (e * np.sqrt(np.maximum(eig.eigenvalues, 0.0))) @ e.T
     z = np.random.default_rng(seed).standard_normal((n, dim))
     inputs = mean + z @ root.T
-    return Dataset(inputs, inputs.copy(), name="synthetic-gaussian")
+    return Dataset(inputs, inputs, name="synthetic-gaussian")
 
 
 def synthetic_images(
@@ -179,7 +196,7 @@ def synthetic_images(
     covariance is strongly ill-conditioned, which makes reconstruction a
     conditioning-limited problem: first-order methods fit the dominant
     directions quickly and crawl on the tail, the regime where whitening
-    the representation pays off. Targets equal inputs (autoencoding).
+    the representation pays off. The targets are the inputs (autoencoding).
     """
     dim = side * side
     rng = np.random.default_rng(seed)
@@ -195,7 +212,7 @@ def synthetic_images(
     coeff = rng.standard_normal((n, latent_dim))
     fields = coeff @ (basis * scales).T + noise * rng.standard_normal((n, dim))
     inputs = 1.0 / (1.0 + np.exp(-fields))
-    return Dataset(inputs, inputs.copy(), name=f"synthetic-images-{side}x{side}")
+    return Dataset(inputs, inputs, name=f"synthetic-images-{side}x{side}")
 
 
 def synthetic_classification(n, dim, seed, *, spectrum_decay=2.0, n_classes=2) -> Dataset:

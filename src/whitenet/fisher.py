@@ -139,6 +139,11 @@ def _exact_size(model, layer_index):
 def exact_fisher_block(model: net.Model, inputs, layer_index: int,
                        sweep: ClassSweep | None = None) -> FisherBlock:
     """Exact per-layer Fisher block: labels enumerated, inputs averaged.
+
+    F = sum_c G_c^T G_c / B, where row b of G_c is sqrt(w_cb) vec(delta_cb
+    s_b^T) and w_cb is the predictive probability of class c. The G_c are
+    stacked into one (C B, size) matrix G, so F is one product G^T G, which
+    numpy runs as SYRK: exactly symmetric, with no accumulator beside it.
     ``sweep`` is ``class_sweep(model, inputs)`` shared across layers; when
     given, ``inputs`` is not read."""
     size = _exact_size(model, layer_index)
@@ -146,12 +151,13 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
         sweep = class_sweep(model, inputs)
     signal = sweep.trace.signals[layer_index]
     b = signal.shape[0]
-    f = np.zeros((size, size))
-    for weight, deltas in zip(sweep.weights, sweep.deltas):
-        g = np.einsum("bi,bj->bij", deltas[layer_index], signal).reshape(b, size)
-        f += (g * weight[:, None]).T @ g
+    g = np.empty((len(sweep.weights), b, size))
+    for g_c, weight, deltas in zip(g, sweep.weights, sweep.deltas):
+        scaled = deltas[layer_index] * np.sqrt(weight)[:, None]
+        np.einsum("bi,bj->bij", scaled, signal, out=g_c.reshape(b, -1, signal.shape[1]))
+    g = g.reshape(-1, size)
+    f = g.T @ g
     f /= b
-    f = (f + f.T) / 2.0
     return FisherBlock(layer_index, "exact", f)
 
 

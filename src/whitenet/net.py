@@ -288,16 +288,22 @@ def _check_finite(z, i, what):
         raise NumericError(f"non-finite {what} at layer {i}")
 
 
+def _layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
+    """Layer i of the whitened forward: (s, z, h_i) from h_{i-1}. The one
+    place its arithmetic lives, for ``forward_whitened`` and ``Model.predict``."""
+    s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
+    z = s @ omega.weights[i].T + omega.biases[i]
+    _check_finite(z, i, "pre-activation")
+    return s, z, _activate(spec.layers[i].nonlinearity, z)
+
+
 def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x) -> ForwardTrace:
     """Forward pass; ``phi=None`` is the canonical net, with no U/c step."""
     h = _as_batch(x, spec.input_dim)
     inputs = h
     zs, hs, signals = [], [], []
-    for i, layer in enumerate(spec.layers):
-        s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
-        z = s @ omega.weights[i].T + omega.biases[i]
-        _check_finite(z, i, "pre-activation")
-        h = _activate(layer.nonlinearity, z)
+    for i in range(spec.depth):
+        s, z, h = _layer_forward(omega, phi, spec, i, h)
         signals.append(s)
         zs.append(z)
         hs.append(h)
@@ -581,6 +587,17 @@ class Model:
                 self.params, self.bn_params, self.spec, x, state=self.bn_state, training=training
             )
         return forward_whitened(self.params, self.phi, self.spec, x)
+
+    def predict(self, x) -> np.ndarray:
+        """The outputs of ``forward(x)`` (inference mode for BN), bit for bit,
+        without the trace: each layer's s, z and h are dropped once the next
+        layer has them."""
+        if self.bn_params is not None:
+            return self.forward(x).outputs
+        h = _as_batch(x, self.spec.input_dim)
+        for i in range(self.spec.depth):
+            h = _layer_forward(self.params, self.phi, self.spec, i, h)[2]
+        return h
 
     def layout(self, vector=None) -> FlatParams:
         """Views of ``vector`` (a new one when None) laid out as ``self.vector``."""

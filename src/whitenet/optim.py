@@ -256,8 +256,7 @@ class TrainResult:
 
 
 def _eval_loss(model, dataset, loss_kind):
-    trace = model.forward(dataset.inputs, training=False)
-    value, _ = net.loss(loss_kind, trace.outputs, dataset.targets)
+    value, _ = net.loss(loss_kind, model.predict(dataset.inputs), dataset.targets)
     return value
 
 
@@ -293,6 +292,13 @@ def train(
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
     if optimizer == "bn" and model.bn_params is None:
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
+    if optimizer == "bn" and (config.batch_size == 1 or train_data.n % config.batch_size == 1):
+        # BatchPlan's last batch of an epoch holds n % batch_size rows, and
+        # batch statistics need two
+        raise ConfigError(
+            f"optimizer 'bn' needs batches of at least 2 rows; n={train_data.n} training rows "
+            f"with batch_size={config.batch_size} leave a one-row batch"
+        )
 
     state = OptimizerState.init(
         model.vector,
@@ -339,12 +345,12 @@ def train(
         )
 
     def probe_delta(before):
-        after = model.forward(probe_inputs).outputs
+        after = model.predict(probe_inputs)
         return float(np.abs(after - before).max())
 
     for t in range(config.max_updates):
         if whitened and not config.freeze_whitening and t % config.reparam_period == 0:
-            before = model.forward(probe_inputs).outputs if probe_inputs is not None else None
+            before = model.predict(probe_inputs) if probe_inputs is not None else None
             take = min(config.stat_samples, train_data.n)
             idx = stats_rng.choice(train_data.n, size=take, replace=False)
             info = prong_reparametrize(
@@ -392,7 +398,7 @@ def train(
         step_fn(model.vector, gradient.vector, state, config)
 
         if optimizer == "prong_plus":
-            before = model.forward(probe_inputs).outputs if probe_inputs is not None else None
+            before = model.predict(probe_inputs) if probe_inputs is not None else None
             prong_plus_rescale(model, trace, state, config)
             if before is not None:
                 result.probe_deltas.append(probe_delta(before))

@@ -7,12 +7,14 @@ function-preservation probe."""
 import importlib
 import importlib.util
 import inspect
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from whitenet import fisher, net, optim
+from whitenet import cli, data, fisher, net, optim
+from whitenet.config import validate_config
 from whitenet.data import Dataset
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 
@@ -127,3 +129,38 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
                             eval_interval=6, reparam_period=5, stat_samples=32)
     optim.train(model, data, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
     assert len(calls) == 12
+
+
+def test_mnist10x10_loads_through_the_traced_data_names(child, tmp_path, monkeypatch):
+    # the data.load_idx and data.downsample spans wrap these module
+    # attributes, and data.idx_bytes sizes the files named by load_idx's
+    # first two positional arguments
+    assert ("data", "load_idx") in child.SPANS["data.load_idx"]
+    assert ("data", "downsample") in child.SPANS["data.downsample"]
+    assert child.UNITS["data.load_idx"] is child._file_bytes
+    n = 24
+    pixels = np.random.default_rng(10).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + pixels.tobytes())
+    lp.write_bytes(struct.pack(">II", 0x801, n) + bytes(n))
+    calls = {"load_idx": [], "downsample": []}
+    for name in calls:
+        original = getattr(data, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(data, name, counting)
+    cfg = validate_config({
+        "name": "contract",
+        "dataset": {"kind": "mnist10x10", "images": str(ip), "labels": str(lp),
+                    "val_size": 4, "autoencode": True},
+        "model": {"sizes": [100, 8, 100]},
+        "optimizer": "momentum",
+        "train": {"learning_rate": 0.01},
+    })
+    cli.build_dataset(cfg)
+    assert [args[:2] for args in calls["load_idx"]] == [(str(ip), str(lp))]
+    assert calls["downsample"]
+    assert child._file_bytes(calls["load_idx"][0], None) == ip.stat().st_size + lp.stat().st_size

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -289,3 +290,68 @@ class TestDiagnoseFisher:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--preset", "nope", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+def write_idx_files(tmp_path, count=40, seed=0):
+    """A 28x28 IDX image/label pair of random pixels."""
+    rng = np.random.default_rng(seed)
+    imgs = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x803, count, 28, 28) + imgs.tobytes())
+    lp.write_bytes(struct.pack(">II", 0x801, count) + rng.integers(0, 10, size=count, dtype=np.uint8).tobytes())
+    return ip, lp
+
+
+def idx_config(tmp_path, ip, lp):
+    cfg, path = small_train_config(tmp_path, max_updates=4, eval_interval=2)
+    cfg["dataset"] = {"kind": "mnist10x10", "images": str(ip), "labels": str(lp),
+                      "seed": 2, "val_size": 8, "autoencode": True}
+    cfg["model"]["sizes"] = [100, 16, 100]
+    path.write_text(json.dumps(cfg))
+    return cfg, path
+
+
+class TestTypedErrors:
+    """Typed boundary errors end the command with one line on stderr and
+    exit code 2, never a traceback."""
+
+    def one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("n, batch_size, rows", [(257, 32, 193), (256, 1, 192)])
+    def test_bn_one_row_batch_refused(self, tmp_path, capsys, n, batch_size, rows):
+        cfg, cfg_path = small_train_config(tmp_path, batch_size=batch_size, momentum=0.0)
+        cfg["optimizer"] = "bn"
+        cfg["dataset"]["n"] = n
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert f"n={rows}" in err and f"batch_size={batch_size}" in err
+
+    def test_garbage_idx_file(self, tmp_path, capsys):
+        ip, lp = write_idx_files(tmp_path)
+        ip.write_bytes(np.random.default_rng(1).bytes(300))
+        _, cfg_path = idx_config(tmp_path, ip, lp)
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "byte offset" in self.one_line(capsys, "IDX format error: ")
+
+    def test_bad_metrics_csv_in_replay(self, tmp_path, capsys):
+        bad = tmp_path / "metrics.csv"
+        bad.write_text("step,loss\n1,2\n")
+        code = main(["replay", str(bad), "--out", str(tmp_path / "replay")])
+        assert code == 2
+        assert "line 1" in self.one_line(capsys, "metrics error: ")
+
+
+def test_idx_autoencoder_targets_are_the_inputs(tmp_path):
+    ip, lp = write_idx_files(tmp_path)
+    cfg, _ = idx_config(tmp_path, ip, lp)
+    train, val, name = cli.build_dataset(validate_config(cfg))
+    assert name == "idx-10x10"
+    assert (train.n, val.n) == (32, 8)
+    for part in (train, val):
+        assert part.targets is part.inputs and part.inputs.shape[1] == 100

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from whitenet import data
 from whitenet.data import (
     BatchPlan,
     Dataset,
@@ -74,22 +75,58 @@ class TestLoadIdx:
         assert exc.value.offset == 4
 
 
+    def test_corrupt_gzip_is_a_format_error(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0], gz=True)
+        blob = ip.read_bytes()
+        ip.write_bytes(blob[:12])  # cut inside the deflate stream
+        with pytest.raises(IdxFormatError, match="gzip") as exc:
+            load_idx(ip, lp)
+        assert exc.value.offset == 0
+
+
+class TestLoadIdxSide10:
+    @pytest.mark.parametrize("count, block", [(20, 7), (1, 7), (14, 7), (600, None), (0, 7)])
+    def test_bitwise_equal_to_downsampling_the_full_load(self, tmp_path, monkeypatch,
+                                                         count, block):
+        if block is not None:  # row blocks that do not divide the count
+            monkeypatch.setattr(data, "DOWNSAMPLE_BLOCK", block)
+        rng = np.random.default_rng(count)
+        imgs = rng.integers(0, 256, size=(count, 28, 28)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=count).tolist()
+        ip, lp = write_idx_pair(tmp_path, imgs, labels)
+        full = load_idx(ip, lp)
+        small = load_idx(ip, lp, side=10)
+        assert small.inputs.shape == (count, 100)
+        assert np.array_equal(small.inputs.view(np.int64),
+                              downsample(full.inputs).view(np.int64))
+        assert np.array_equal(small.targets, full.targets)
+        assert (full.name, small.name) == ("idx", "idx-10x10")
+
+    def test_needs_28x28_images(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 4, 4), dtype=np.uint8), [0, 1])
+        with pytest.raises(IdxFormatError, match="28x28") as exc:
+            load_idx(ip, lp, side=10)
+        assert exc.value.offset == 8
+
+    def test_other_sides_refused(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), [0])
+        with pytest.raises(DimensionError):
+            load_idx(ip, lp, side=14)
+
+
 class TestDownsample:
-    def _image_dataset(self, img):
-        flat = np.asarray(img, dtype=np.float64).reshape(1, 784)
-        return Dataset(flat, flat.copy())
+    def _image_rows(self, img):
+        return np.asarray(img, dtype=np.float64).reshape(1, 784)
 
     def test_constant_image_preserved(self):
-        ds = self._image_dataset(np.ones((28, 28)))
-        out = downsample(ds)
-        assert out.inputs.shape == (1, 100)
-        np.testing.assert_allclose(out.inputs, 1.0)
+        out = downsample(self._image_rows(np.ones((28, 28))))
+        assert out.shape == (1, 100)
+        np.testing.assert_allclose(out, 1.0)
 
     def test_single_lit_pixel_pools_to_quarter(self):
         img = np.zeros((28, 28))
         img[10, 11] = 1.0  # inside the crop
-        out = downsample(self._image_dataset(img))
-        grid = out.inputs.reshape(10, 10)
+        grid = downsample(self._image_rows(img)).reshape(10, 10)
         # cropped coords (6, 7) -> pooled cell (3, 3)
         assert grid[3, 3] == pytest.approx(0.25)
         assert grid.sum() == pytest.approx(0.25)
@@ -100,21 +137,18 @@ class TestDownsample:
         img[:, :4] = 1.0
         img[24:, :] = 1.0
         img[:, 24:] = 1.0
-        out = downsample(self._image_dataset(img))
-        np.testing.assert_allclose(out.inputs, 0.0)
+        np.testing.assert_allclose(downsample(self._image_rows(img)), 0.0)
 
     def test_contractive(self):
         rng = np.random.default_rng(1)
         flat = rng.uniform(0, 1, size=(5, 784))
-        ds = Dataset(flat, flat.copy())
-        out = downsample(ds)
-        assert out.inputs.max() <= flat.max() + 1e-12
-        assert out.inputs.min() >= flat.min() - 1e-12
+        out = downsample(flat)
+        assert out.max() <= flat.max() + 1e-12
+        assert out.min() >= flat.min() - 1e-12
 
     def test_wrong_dim(self):
-        ds = Dataset(np.zeros((1, 100)), np.zeros((1, 100)))
         with pytest.raises(DimensionError):
-            downsample(ds)
+            downsample(np.zeros((1, 100)))
 
 
 class TestSyntheticGaussian:
@@ -224,6 +258,30 @@ class TestTake:
             Dataset(np.zeros(3), np.zeros((3, 1)))
         with pytest.raises(DimensionError):
             Dataset(np.zeros((3, 2)), np.zeros((2, 1)))
+
+
+class TestSharedTargets:
+    def test_autoencoder_generators_share_one_array(self):
+        for ds in (synthetic_images(20, 4, seed=1),
+                   synthetic_gaussian(20, 3, 0.0, np.eye(3), seed=2)):
+            assert ds.targets is ds.inputs
+
+    def test_take_and_split_keep_the_sharing(self):
+        ds = synthetic_images(40, 4, seed=3)
+        sub = ds.take(np.array([3, 1, 3]))
+        assert sub.targets is sub.inputs
+        assert np.array_equal(sub.inputs, ds.inputs[[3, 1, 3]])
+        train, val = split_train_val(ds, 10, seed=4)
+        for part in (train, val):
+            assert part.targets is part.inputs
+
+    def test_construction_keeps_and_checks_a_shared_array(self):
+        x = [[0.0, 1.0], [2.0, 3.0]]
+        ds = Dataset(x, x)  # converted once, still one array
+        assert ds.targets is ds.inputs and ds.inputs.dtype == np.float64
+        bad = np.array([[0.0, np.nan]])
+        with pytest.raises(NumericError, match="non-finite"):
+            Dataset(bad, bad)
 
 
 class TestSplit:
