@@ -34,7 +34,9 @@ from .config import (
 )
 from .errors import (
     ConfigError,
+    ConsistencyError,
     DivergenceError,
+    FisherSizeError,
     IdxFormatError,
     MetricsParseError,
     SingularMatrixError,
@@ -154,6 +156,10 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
     except DivergenceError as exc:
         status = "diverged"
         result = exc.result
+    except ConfigError as exc:
+        _write_manifest(out, cfg, seed=tcfg.seed, status="refused",
+                        extra={"dataset": ds_name, "error": str(exc)})
+        raise
     write_metrics(out / "metrics.csv", result.rows)
     save_checkpoint(out / "checkpoint.bin", model, seed=tcfg.seed, step=tcfg.max_updates)
     _write_manifest(out, cfg, seed=tcfg.seed, status=status, result=result,
@@ -181,15 +187,20 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     Every run starts from the same seeded model. Condition numbers are
     measured on a fixed probe subset, relative to the initial (pre-whitening)
     values; prong metrics rows also carry the middle-layer ratio."""
+    baseline_model = build_model({**cfg, "optimizer": "sgd"})
+    middle = baseline_model.spec.depth // 2
+    try:  # refused before any work: the head, and the middle heatmap's size
+        fisher.check_enumerable(baseline_model)
+        fisher.exact_block_size(baseline_model, middle)
+    except (ConsistencyError, FisherSizeError) as exc:
+        raise ConfigError(f"diagnose-fisher cannot use this model: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)  # every run varies only the optimizer
     train_ds = dataset[0]
     probe = train_ds.inputs[: min(512, train_ds.n)]
-    baseline_model = build_model({**cfg, "optimizer": "sgd"})
     kinds = ("factorized",)
     baseline_rows = fisher.conditioning_report(baseline_model, probe, kinds=kinds)
     baselines = {(r.layer, r.kind): r.cond for r in baseline_rows}
-    middle = baseline_model.spec.depth // 2
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
     # stored bit for bit; no name keeps a block alive after its save

@@ -26,6 +26,7 @@ from . import linalg, net
 from .errors import ConsistencyError, DegenerateSpectrumError, FisherSizeError
 
 MAX_BLOCK = 2000
+TILE_COLUMNS = 128  # width of the G column blocks an exact block is built from
 
 
 @dataclass
@@ -86,37 +87,44 @@ class ClassSweep:
     deltas: list  # per class, the per-layer deltas
 
 
-def class_sweep(model: net.Model, inputs) -> ClassSweep:
-    """Forward the inputs once, enumerate the output classes and backprop
-    each class's output delta through every layer.
-
-    Batch-norm models are refused with ConsistencyError: the deltas come from
-    ``net.backpropagate_deltas``, which has no gain/std factor."""
+def check_enumerable(model: net.Model):
+    """Refuse a model whose Fisher blocks cannot be built here: a batch-norm
+    model (the deltas come from ``net.backpropagate_deltas``, which has no
+    gain/std factor) or a head whose classes cannot be enumerated raises
+    ConsistencyError; a softmax head of more than 10 classes raises
+    FisherSizeError."""
     if model.bn_params is not None:
         raise ConsistencyError("Fisher blocks are not defined for batch-norm models")
+    head, c = model.spec.layers[-1].nonlinearity, model.spec.output_dim
+    if head == "softmax" and c > 10:
+        raise FisherSizeError(f"exact class enumeration capped at 10 classes, got {c}")
+    if not (head == "softmax" or (head == "sigmoid" and c == 1)):
+        raise ConsistencyError(
+            "Fisher blocks need a sigmoid (binary) or softmax (<=10 classes) head, "
+            f"got {head!r} with {c} outputs"
+        )
+
+
+def class_sweep(model: net.Model, inputs) -> ClassSweep:
+    """Forward the inputs once, enumerate the output classes and backprop
+    each class's output delta through every layer. Models that
+    ``check_enumerable`` refuses are refused first."""
+    check_enumerable(model)
     trace = model.forward(np.asarray(inputs, dtype=np.float64))
-    head = model.spec.layers[-1]
     h = trace.outputs
-    if head.nonlinearity == "sigmoid" and model.spec.output_dim == 1:
+    if model.spec.layers[-1].nonlinearity == "sigmoid":
         p1 = h[:, 0]
         class_pairs = [
             (1.0 - p1, h - 0.0),  # y = 0: delta = h - y
             (p1, h - 1.0),  # y = 1
         ]
-    elif head.nonlinearity == "softmax":
+    else:  # softmax
         c = model.spec.output_dim
-        if c > 10:
-            raise FisherSizeError(f"exact class enumeration capped at 10 classes, got {c}")
         class_pairs = []
         for y in range(c):
             onehot = np.zeros(c)
             onehot[y] = 1.0
             class_pairs.append((h[:, y], h - onehot))
-    else:
-        raise ValueError(
-            "Fisher blocks need a sigmoid (binary) or softmax (<=10 classes) head, "
-            f"got {head.nonlinearity!r} with {model.spec.output_dim} outputs"
-        )
     return ClassSweep(
         trace,
         [weight for weight, _ in class_pairs],
@@ -127,7 +135,7 @@ def class_sweep(model: net.Model, inputs) -> ClassSweep:
     )
 
 
-def _exact_size(model, layer_index):
+def exact_block_size(model, layer_index):
     """Side of the layer's exact block; FisherSizeError above the cap."""
     layer = model.spec.layers[layer_index]
     size = layer.out_dim * layer.in_dim
@@ -140,23 +148,46 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
                        sweep: ClassSweep | None = None) -> FisherBlock:
     """Exact per-layer Fisher block: labels enumerated, inputs averaged.
 
-    F = sum_c G_c^T G_c / B, where row b of G_c is sqrt(w_cb) vec(delta_cb
-    s_b^T) and w_cb is the predictive probability of class c. The G_c are
-    stacked into one (C B, size) matrix G, so F is one product G^T G, which
-    numpy runs as SYRK: exactly symmetric, with no accumulator beside it.
-    ``sweep`` is ``class_sweep(model, inputs)`` shared across layers; when
-    given, ``inputs`` is not read."""
-    size = _exact_size(model, layer_index)
+    F = G^T G / B, where G stacks the rows sqrt(w_cb) vec(delta_cb s_b^T)
+    of every class c and example b, and w_cb is the predictive probability
+    of class c. G is never built whole: the block G_a of its columns for
+    output units [k0, k1) is sqrt(w_c) delta_c[:, k0:k1] (x) s, about
+    ``TILE_COLUMNS`` wide, and is built when a tile needs it. Each diagonal
+    tile is the same-buffer product G_a^T G_a, which numpy runs as SYRK;
+    each off-diagonal tile G_a^T G_c goes into F[a, c] and its transpose
+    into F[c, a], so F is exactly symmetric. ``sweep`` is
+    ``class_sweep(model, inputs)`` shared across layers; when given,
+    ``inputs`` is not read."""
+    size = exact_block_size(model, layer_index)
     if sweep is None:
         sweep = class_sweep(model, inputs)
     signal = sweep.trace.signals[layer_index]
-    b = signal.shape[0]
-    g = np.empty((len(sweep.weights), b, size))
-    for g_c, weight, deltas in zip(g, sweep.weights, sweep.deltas):
-        scaled = deltas[layer_index] * np.sqrt(weight)[:, None]
-        np.einsum("bi,bj->bij", scaled, signal, out=g_c.reshape(b, -1, signal.shape[1]))
-    g = g.reshape(-1, size)
-    f = g.T @ g
+    b, n_in = signal.shape
+    n_out = size // n_in
+    scaled = [deltas[layer_index] * np.sqrt(weight)[:, None]
+              for weight, deltas in zip(sweep.weights, sweep.deltas)]
+    units = max(1, TILE_COLUMNS // n_in)
+    starts = range(0, n_out, units)
+    buffers = np.empty((2, len(scaled) * b * units * n_in))  # for G_a and G_c
+
+    def columns(k0, buffer):
+        """G's columns for output units [k0, k0 + units), written into
+        ``buffer``, and their slice of F."""
+        width = (min(k0 + units, n_out) - k0) * n_in
+        g = buffer[: len(scaled) * b * width].reshape(len(scaled), b, width)
+        for g_c, d in zip(g, scaled):
+            np.einsum("bi,bj->bij", d[:, k0 : k0 + units], signal,
+                      out=g_c.reshape(b, -1, n_in))
+        return g.reshape(-1, width), slice(k0 * n_in, k0 * n_in + width)
+
+    f = np.empty((size, size))
+    for n, k0 in enumerate(starts):
+        g_a, rows = columns(k0, buffers[0])
+        f[rows, rows] = g_a.T @ g_a
+        for k in starts[n + 1 :]:
+            g_c, cols = columns(k, buffers[1])
+            f[rows, cols] = g_a.T @ g_c
+            f[cols, rows] = f[rows, cols].T
     f /= b
     return FisherBlock(layer_index, "exact", f)
 
@@ -212,7 +243,7 @@ def conditioning_report(
         for kind in kinds:
             try:
                 if kind == "exact":
-                    _exact_size(model, layer_index)
+                    exact_block_size(model, layer_index)
                 if sweep is None:
                     sweep = class_sweep(model, inputs)
                 if kind == "exact":

@@ -236,8 +236,16 @@ def _activate(kind, z):
     if kind == "sigmoid":
         # Per element this is 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) for z < 0:
         # the overflow-free masked form, evaluated without boolean masks, and
-        # bitwise equal to it.
-        return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+        # bitwise equal to it. exp(min(z, 0)) / (1 + exp(-|z|)), in place on
+        # its two temporaries
+        num = np.minimum(z, 0.0)
+        np.exp(num, out=num)
+        den = np.abs(z)
+        np.negative(den, out=den)
+        np.exp(den, out=den)
+        den += 1.0
+        num /= den
+        return num
     if kind == "tanh":
         return np.tanh(z)
     if kind == "relu":
@@ -274,7 +282,8 @@ def _activation_vjp(kind, z, h, upstream):
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
-def _as_batch(x, dim, what="input"):
+def as_batch(x, dim, what="input"):
+    """``x``, one row or a stack of rows, as a float64 (B, dim) batch."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -288,9 +297,10 @@ def _check_finite(z, i, what):
         raise NumericError(f"non-finite {what} at layer {i}")
 
 
-def _layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
-    """Layer i of the whitened forward: (s, z, h_i) from h_{i-1}. The one
-    place its arithmetic lives, for ``forward_whitened`` and ``Model.predict``."""
+def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
+    """Layer i of the whitened forward: (s, z, h_i) from h_{i-1}, a float64
+    batch. The one place its arithmetic lives, for ``forward_whitened``,
+    ``Model.predict`` and the layer-by-layer reparametrization."""
     s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
     z = s @ omega.weights[i].T + omega.biases[i]
     _check_finite(z, i, "pre-activation")
@@ -299,11 +309,11 @@ def _layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i,
 
 def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x) -> ForwardTrace:
     """Forward pass; ``phi=None`` is the canonical net, with no U/c step."""
-    h = _as_batch(x, spec.input_dim)
+    h = as_batch(x, spec.input_dim)
     inputs = h
     zs, hs, signals = [], [], []
     for i in range(spec.depth):
-        s, z, h = _layer_forward(omega, phi, spec, i, h)
+        s, z, h = layer_forward(omega, phi, spec, i, h)
         signals.append(s)
         zs.append(z)
         hs.append(h)
@@ -326,7 +336,7 @@ def forward_bn(
     averages updated in place when given); at inference the running
     averages are used instead.
     """
-    h = _as_batch(x, spec.input_dim)
+    h = as_batch(x, spec.input_dim)
     if training and h.shape[0] < 2:
         raise InsufficientBatchError("batch normalization needs batch_size >= 2")
     inputs = h
@@ -419,7 +429,7 @@ def _propagate_deltas(trace, weights, spec, delta_last):
 
 def output_delta(trace, spec, loss_grad):
     """dLoss/dz at the final layer from dLoss/dh_L."""
-    g = _as_batch(loss_grad, spec.output_dim, "loss gradient")
+    g = as_batch(loss_grad, spec.output_dim, "loss gradient")
     if g.shape[0] != trace.outputs.shape[0]:
         raise ConsistencyError("loss gradient batch size does not match trace")
     last = spec.layers[-1]
@@ -468,7 +478,7 @@ def backward_bn(
     """
     if trace.bn is None:
         raise ConsistencyError("trace was not produced by forward_bn")
-    g = _as_batch(loss_grad, spec.output_dim, "loss gradient")
+    g = as_batch(loss_grad, spec.output_dim, "loss gradient")
     out = flat_layout(spec, bn=True) if out is None else out
     wg, bg, gg, sg = out.weights, out.biases, out.gains, out.shifts
     deltas_z = [None] * spec.depth
@@ -496,28 +506,40 @@ def backward_bn(
     return BackwardTrace(out.vector, deltas_z, wg, bg, gain_grads=gg, shift_grads=sg)
 
 
+def project_layer(weight, bias, old=None, new=None):
+    """One layer's (weight, bias) moved from the input coefficients ``old``
+    to ``new``, each a (U, c) pair or None for the canonical U = I, c = 0.
+    Function-preserving:
+
+        W = V U_old,  b = d - W c_old        (to canonical)
+        V = W U_new^-1,  d = b + W c_new     (to whitened)
+    """
+    if old is not None:
+        u, c = old
+        weight = weight @ u
+        bias = bias - weight @ c
+    if new is not None:
+        u, c = new
+        weight, bias = weight @ linalg.invert_whitening(u), bias + weight @ c
+    return weight, bias
+
+
 def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
     """Fold the whitening coefficients into canonical weights.
 
     Function-preserving: W = V U and b = d - W c, so that
     W h + b = V U (h - c) + d for every input.
     """
-    weights, biases = [], []
-    for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers):
-        w = v @ u
-        weights.append(w)
-        biases.append(d - w @ c)
-    return Params(weights, biases)
+    layers = [project_layer(v, d, old=(u, c))
+              for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers)]
+    return Params([w for w, _ in layers], [b for _, b in layers])
 
 
 def project_to_whitened(theta: Params, phi: WhiteningCoeffs) -> Params:
     """Exact inverse of project_to_canonical for the same coefficients."""
-    weights, biases = [], []
-    for w, b, u, c in zip(theta.weights, theta.biases, phi.transforms, phi.centers):
-        v = w @ linalg.invert_whitening(u)
-        weights.append(v)
-        biases.append(b + w @ c)
-    return Params(weights, biases)
+    layers = [project_layer(w, b, new=(u, c))
+              for w, b, u, c in zip(theta.weights, theta.biases, phi.transforms, phi.centers)]
+    return Params([v for v, _ in layers], [d for _, d in layers])
 
 
 def init_fan_in(spec: NetSpec, seed: int) -> Params:
@@ -594,9 +616,9 @@ class Model:
         layer has them."""
         if self.bn_params is not None:
             return self.forward(x).outputs
-        h = _as_batch(x, self.spec.input_dim)
+        h = as_batch(x, self.spec.input_dim)
         for i in range(self.spec.depth):
-            h = _layer_forward(self.params, self.phi, self.spec, i, h)[2]
+            h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
         return h
 
     def layout(self, vector=None) -> FlatParams:

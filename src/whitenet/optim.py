@@ -2,11 +2,11 @@
 
 The whitened trainer follows one amortized loop: every ``reparam_period``
 updates (including update 0, which makes the first reparametrization act as
-an initialization scheme) the canonical parameters are recovered, fresh
-per-layer activation statistics are estimated from ``stat_samples`` points,
-the whitening coefficients are rebuilt from the centered covariance
-eigendecomposition with ``eigen_epsilon`` damping, and the model is
-projected back - all without changing the network function. Plain
+an initialization scheme) one pass over the layers estimates each layer's
+input statistics from ``stat_samples`` points, rebuilds its whitening
+coefficients from the centered covariance eigendecomposition with
+``eigen_epsilon`` damping, and re-projects its parameters so that the
+canonical ones, and the network function, are unchanged. Plain
 momentum-SGD runs on the whitened parameters in between; momentum buffers
 are reset at each reparametrization by default (disable for ablation).
 
@@ -165,20 +165,19 @@ def prong_reparametrize(
 ) -> ReparamInfo:
     """Re-estimate whitening coefficients and re-project the parameters.
 
-    One forward sweep of ``stats_inputs`` under the old parametrization
-    supplies every layer's activation statistics. The centering vectors
-    become the sample means; the whitening matrices come from the
-    eigendecomposition of the centered covariances with ``epsilon`` damping.
-    The canonical parameters are held fixed across the swap, so the network
-    function is unchanged; the sweep's outputs are returned with the spectra.
-    Updates ``omega`` and ``phi`` in place.
+    One pass over the layers: layer i's input statistics (the sample mean
+    and the eigendecomposition of the centered covariance, damped by
+    ``epsilon``) give its new centering vector and whitening matrix; the
+    layer is forwarded under its old coefficients, which yields the next
+    layer's input; then its weights and bias are re-projected so that the
+    canonical parameters, and thus the network function, are unchanged.
+    The last layer's outputs are returned with the spectra. Updates
+    ``omega`` and ``phi`` in place; no layer but the current one is copied.
     """
     t0 = time.perf_counter()
-    theta = net.project_to_canonical(omega, phi)
-    trace = net.forward_whitened(omega, phi, spec, stats_inputs)
+    h = net.as_batch(stats_inputs, spec.input_dim)
     spectra, moments = [], []
     for i in range(spec.depth):
-        h = trace.layer_input(i)
         mom = linalg.estimate_moments(h)
         eig = linalg.sym_eig(mom.covariance)
         try:
@@ -188,17 +187,18 @@ def prong_reparametrize(
                 f"layer {i} activation covariance is singular with epsilon=0; "
                 "set eigen_epsilon > 0"
             ) from exc
+        h = net.layer_forward(omega, phi, spec, i, h)[2]
+        v, d = net.project_layer(omega.weights[i], omega.biases[i],
+                                 old=(phi.transforms[i], phi.centers[i]), new=(u, mom.mean))
+        # written into the existing arrays: they are views of the model's
+        # flat vector
+        omega.weights[i][:] = v
+        omega.biases[i][:] = d
         phi.transforms[i] = u
         phi.centers[i] = mom.mean.copy()
         spectra.append(eig)
         moments.append(mom)
-    fresh = net.project_to_whitened(theta, phi)
-    # copy into the existing arrays: they are views of the model's flat
-    # vector, and shapes are unchanged by a reparametrization
-    for i in range(spec.depth):
-        omega.weights[i][:] = fresh.weights[i]
-        omega.biases[i][:] = fresh.biases[i]
-    return ReparamInfo(spectra, moments, trace.outputs, seconds=time.perf_counter() - t0)
+    return ReparamInfo(spectra, moments, h, seconds=time.perf_counter() - t0)
 
 
 def prong_plus_rescale(
@@ -292,6 +292,15 @@ def train(
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
     if optimizer == "bn" and model.bn_params is None:
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
+    for data in (train_data, val_data):
+        if data is None:
+            continue
+        if data.inputs.shape[1] != model.spec.input_dim:
+            raise ConfigError(f"dataset input width {data.inputs.shape[1]} does not match "
+                              f"the model's input width {model.spec.input_dim}")
+        if data.targets.shape[1] != model.spec.output_dim:
+            raise ConfigError(f"dataset target width {data.targets.shape[1]} does not match "
+                              f"the model's output width {model.spec.output_dim}")
     if optimizer == "bn" and (config.batch_size == 1 or train_data.n % config.batch_size == 1):
         # BatchPlan's last batch of an epoch holds n % batch_size rows, and
         # batch statistics need two
@@ -365,6 +374,7 @@ def train(
                 result.probe_deltas.append(probe_delta(before))
             result.reparam_steps.append(t)
             stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
+            del info  # not kept alive through the next reparametrization
             emit(t, stats_loss, reparam_event=True)
 
         batch = next_batch(train_data, plan)

@@ -7,7 +7,9 @@ function-preservation probe."""
 import importlib
 import importlib.util
 import inspect
+import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,3 +166,46 @@ def test_mnist10x10_loads_through_the_traced_data_names(child, tmp_path, monkeyp
     assert [args[:2] for args in calls["load_idx"]] == [(str(ip), str(lp))]
     assert calls["downsample"]
     assert child._file_bytes(calls["load_idx"][0], None) == ip.stat().st_size + lp.stat().st_size
+
+
+# the spans perfbench/run.py's ae-desk-prong workload expects --trace 1 to
+# record calls in
+AE_DESK_PRONG_EXPECT = ["linalg.eig", "linalg.moments", "linalg.invert", "optim.reparam",
+                        "net.project"]
+
+
+def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):
+    # a span whose members are never called reads 0 and fails the traced
+    # run's coverage check; members are rebound wherever whitenet binds
+    # them, as the tracer does
+    calls = {}
+    for span in AE_DESK_PRONG_EXPECT:
+        for module_name, attr in child.SPANS[span]:
+            original = getattr(importlib.import_module(f"whitenet.{module_name}"), attr, None)
+            if not callable(original):
+                continue
+            calls[span, attr] = 0
+
+            def counting(*args, _key=(span, attr), _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "whitenet" or name.startswith("whitenet."):
+                    for binding, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, binding, counting)
+    cfg = {
+        "name": "contract-prong",
+        "dataset": {"kind": "synthetic_images", "n": 96, "side": 6, "val_size": 16,
+                    "autoencode": True},
+        "model": {"sizes": [36, 8, 36], "hidden": "sigmoid", "head": "sigmoid"},
+        "optimizer": "prong",
+        "train": {"learning_rate": 0.01, "momentum": 0.9, "batch_size": 16, "max_updates": 12,
+                  "eval_interval": 6, "reparam_period": 5, "stat_samples": 32},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    for span in AE_DESK_PRONG_EXPECT:
+        assert sum(n for (s, _), n in calls.items() if s == span), (span, calls)

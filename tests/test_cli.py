@@ -330,6 +330,59 @@ class TestTypedErrors:
         assert code == 2
         err = self.one_line(capsys, "config error: ")
         assert f"n={rows}" in err and f"batch_size={batch_size}" in err
+        self.assert_refused(tmp_path / "run", err)
+
+    def assert_refused(self, run_dir, err):
+        """The run directory says the run was refused, and why."""
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "manifest.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "refused"
+        assert err == f"config error: {manifest['error']}\n"
+
+    def test_input_width_mismatch_refused_before_training(self, tmp_path, capsys):
+        # 4x4 images against the paper autoencoder's 784-wide input
+        rng = np.random.default_rng(3)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, 40, 4, 4)
+                       + rng.integers(0, 256, size=640, dtype=np.uint8).tobytes())
+        lp.write_bytes(struct.pack(">II", 0x801, 40) + bytes(40))
+        cfg_path = tmp_path / "idx.json"
+        cfg_path.write_text(json.dumps({"dataset": {"images": str(ip), "labels": str(lp)}}))
+        code = main(["train", "--preset", "ae-mnist-paper", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert "input width 16" in err and "784" in err
+        self.assert_refused(tmp_path / "run", err)
+
+    def test_target_width_mismatch_refused(self, tmp_path, capsys):
+        # a 4-class dataset against a 3-output head
+        cfg, cfg_path = small_train_config(tmp_path, max_updates=4, eval_interval=2)
+        cfg["dataset"] = {"kind": "synthetic_classification", "n": 64, "dim": 36,
+                          "n_classes": 4, "val_size": 8}
+        cfg["model"].update(sizes=[36, 8, 3], head="softmax", loss="categorical_cross_entropy")
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert "target width 4" in err and "output width 3" in err
+        self.assert_refused(tmp_path / "run", err)
+
+    @pytest.mark.parametrize("model, words", [
+        ({"head": "relu", "loss": "squared_error"}, "'relu'"),
+        ({"sizes": [100, 64, 64, 1]}, "4096x4096"),
+    ])
+    def test_diagnose_fisher_refuses_unsupported_model_up_front(self, tmp_path, capsys, monkeypatch,
+                                                                 model, words):
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": model}))
+        out = tmp_path / "diag"
+        code = main(["diagnose-fisher", "--preset", "cond-mlp-desk", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert words in self.one_line(capsys, "config error: diagnose-fisher cannot use")
+        assert not out.exists()
 
     def test_garbage_idx_file(self, tmp_path, capsys):
         ip, lp = write_idx_files(tmp_path)

@@ -214,9 +214,9 @@ class TestSharedSweep:
 
     def test_unsupported_head_raises(self):
         model = canonical_model([6, 5, 2], seed=46, head="relu")
-        with pytest.raises(ValueError, match="relu"):
+        with pytest.raises(ConsistencyError, match="relu"):
             conditioning_report(model, self.X)
-        with pytest.raises(ValueError, match="relu"):
+        with pytest.raises(ConsistencyError, match="relu"):
             factorized_fisher_block(model, self.X, 0)
 
     def test_sweep_deltas_are_log_likelihood_gradients(self):

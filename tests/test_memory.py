@@ -2,8 +2,10 @@
 
 Evaluation goes through ``Model.predict``, which keeps no forward trace;
 ``load_idx(side=10)`` converts and downsamples the pixels a block of rows at
-a time; the exact Fisher block is one Gram product per class. The memory
-figures are tracemalloc peaks, which count numpy's data buffers."""
+a time; the exact Fisher block is written tile by tile from column blocks of
+G; the reparametrization walks the layers once and copies none but the
+current one. The memory figures are tracemalloc peaks, which count numpy's
+data buffers."""
 
 import struct
 import tracemalloc
@@ -11,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whitenet import fisher, net, optim
+from whitenet import fisher, linalg, net, optim
 from whitenet.data import Dataset, load_idx
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 
@@ -98,7 +100,23 @@ def old_exact_block(sweep, layer_index):
     return (f + f.T) / 2.0
 
 
-@pytest.mark.parametrize("head, sizes", [("sigmoid", [16, 8, 8, 1]), ("softmax", [10, 6, 5, 4])])
+def one_product_block(sweep, layer_index):
+    """The exact block as one product of the whole stacked G: G^T G / B."""
+    signal = sweep.trace.signals[layer_index]
+    b = signal.shape[0]
+    g = np.concatenate([
+        np.einsum("bi,bj->bij", deltas[layer_index] * np.sqrt(weight)[:, None], signal)
+        .reshape(b, -1)
+        for weight, deltas in zip(sweep.weights, sweep.deltas)
+    ])
+    return g.T @ g / b
+
+
+# the last two nets span several column blocks of G, the last one partial
+@pytest.mark.parametrize("head, sizes", [
+    ("sigmoid", [16, 8, 8, 1]), ("softmax", [10, 6, 5, 4]),
+    ("sigmoid", [30, 20, 24, 1]), ("softmax", [20, 30, 17, 4]),
+])
 def test_exact_block_matches_old_formula_and_is_symmetric(head, sizes):
     spec = NetSpec.mlp(sizes, hidden="tanh", head=head)
     x = np.random.default_rng(6).standard_normal((300, sizes[0]))
@@ -106,9 +124,9 @@ def test_exact_block_matches_old_formula_and_is_symmetric(head, sizes):
         sweep = fisher.class_sweep(model, x)
         for layer in range(spec.depth):
             f = fisher.exact_fisher_block(model, x, layer, sweep).matrix
-            old = old_exact_block(sweep, layer)
             assert np.array_equal(f, f.T)
-            assert np.abs(f - old).max() <= 1e-12 * np.abs(old).max()
+            for reference in (old_exact_block(sweep, layer), one_product_block(sweep, layer)):
+                assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
@@ -121,3 +139,76 @@ def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
     size = 32 * 32
     peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
     assert peak < 1.05 * 8 * (size * size + 2 * 512 * size), peak
+
+
+def test_exact_block_peaks_below_one_and_a_half_blocks():
+    # G is never whole: beside the block only two column blocks of it live
+    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    model = Model(spec, init_fan_in(spec, 8))
+    x = np.random.default_rng(9).standard_normal((512, 100))
+    sweep = fisher.class_sweep(model, x)
+    block_bytes = 8 * (32 * 32) ** 2
+    peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
+    assert peak < 1.5 * block_bytes, peak / block_bytes
+
+
+def identity_model(spec, seed):
+    phi = WhiteningCoeffs.identity(spec)
+    return Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)
+
+
+def test_reparametrize_peaks_below_5_mb_at_desk_width():
+    # no statistics trace and no whole-model canonical or re-projected copy
+    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    model = identity_model(spec, 1)
+    stats = np.random.default_rng(10).uniform(0.0, 1.0, size=(100, 100))
+    peak = traced_peak(optim.prong_reparametrize, model.params, model.phi, spec, stats, 1e-2)
+    assert peak < 5e6, peak
+
+
+def old_reparametrize(omega, phi, spec, stats, epsilon):
+    """The three-pass sequence the reparametrization replaces: project the
+    whole model to canonical, forward the statistics through the old
+    parametrization, rebuild every slot's coefficients, project back."""
+    thetas = []
+    for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers):
+        w = v @ u
+        thetas.append((w, d - w @ c))
+    trace = net.forward_whitened(omega, phi, spec, stats)
+    new_phi = WhiteningCoeffs([], [])
+    spectra = []
+    for i in range(spec.depth):
+        mom = linalg.estimate_moments(trace.layer_input(i))
+        eig = linalg.sym_eig(mom.covariance)
+        new_phi.transforms.append(linalg.pca_from_eig(eig, epsilon))
+        new_phi.centers.append(mom.mean.copy())
+        spectra.append(eig)
+    fresh = net.Params([], [])
+    for (w, b), u, c in zip(thetas, new_phi.transforms, new_phi.centers):
+        fresh.weights.append(w @ linalg.invert_whitening(u))
+        fresh.biases.append(b + w @ c)
+    return fresh, new_phi, spectra, trace.outputs
+
+
+def bits(arrays):
+    return [np.asarray(a).view(np.int64) for a in arrays]
+
+
+@pytest.mark.parametrize("start", ["identity", "whitened"])
+def test_reparametrize_is_the_old_sequence_bit_for_bit(start):
+    spec = NetSpec.mlp([12, 10, 6, 10, 12], hidden="sigmoid", head="sigmoid")
+    rng = np.random.default_rng(11)
+    stats = rng.uniform(0.0, 1.0, size=(60, 12))
+    model = identity_model(spec, 12)
+    if start == "whitened":
+        optim.prong_reparametrize(model.params, model.phi, spec, rng.uniform(size=(60, 12)), 1e-2)
+    fresh, phi, spectra, outputs = old_reparametrize(model.params, model.phi, spec, stats, 1e-2)
+    info = optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
+    for got, expected in [
+        (model.params.weights + model.params.biases, fresh.weights + fresh.biases),
+        (model.phi.transforms + model.phi.centers, phi.transforms + phi.centers),
+        ([e.eigenvalues for e in info.spectra], [e.eigenvalues for e in spectra]),
+        ([info.outputs], [outputs]),
+    ]:
+        for a, b in zip(bits(got), bits(expected), strict=True):
+            assert np.array_equal(a, b)
