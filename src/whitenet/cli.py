@@ -250,6 +250,9 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     if not axes:
         raise ConfigError("grid command needs a non-empty 'grid' section")
     keys = sorted(axes)
+    bad = [k for k in keys if not isinstance(axes[k], list) or not axes[k]]
+    if bad:  # refused before any cell runs
+        raise ConfigError("grid axes must be non-empty lists of values", bad)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     best = None

@@ -4,7 +4,9 @@ below before any compute. Unknown keys are rejected by name.
 SCHEMA maps each section to {key: (type, required, allowed-or-None)}.
 Nested sections are dicts of the same shape. The same document drives
 ``train``, ``diagnose-fisher`` and ``grid``; the optional top-level
-``grid`` section maps dotted config paths to value lists.
+``grid`` section maps dotted config paths to value lists. Values the schema's
+types admit but no run can use (an empty layer, a softmax hidden layer, a
+dataset of no rows) are refused by ``_value_errors``.
 """
 
 from __future__ import annotations
@@ -109,6 +111,25 @@ def _validate_section(section, schema, path, bad, missing):
             bad.append(here)
 
 
+DATASET_MINIMA = {"n": 1, "side": 1, "dim": 1, "val_size": 0}
+
+
+def _value_errors(cfg: dict) -> dict:
+    """Config key -> the rule its value breaks, for a config whose keys and
+    types have passed the schema."""
+    errors = {}
+    model = cfg["model"]
+    sizes = model["sizes"]
+    if len(sizes) < 2 or not all(type(size) is int and size >= 1 for size in sizes):
+        errors["model.sizes"] = "a list of at least two integers >= 1"
+    if model.get("hidden") == "softmax":
+        errors["model.hidden"] = "softmax is only a head"
+    for key, minimum in DATASET_MINIMA.items():
+        if cfg["dataset"].get(key, minimum) < minimum:
+            errors[f"dataset.{key}"] = f"an integer >= {minimum}"
+    return errors
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict against SCHEMA; returns a deep copy with
     ints promoted to floats where the schema says float."""
@@ -121,6 +142,9 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("invalid config keys", bad)
     if missing:
         raise ConfigError("missing required config keys", missing)
+    errors = _value_errors(cfg)
+    if errors:
+        raise ConfigError("invalid config values", errors)
     return cfg
 
 

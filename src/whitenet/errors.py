@@ -50,19 +50,23 @@ class IdxFormatError(ValueError):
 
 
 class MetricsParseError(ValueError):
-    """A metrics CSV file is malformed; ``line`` is the 1-based line number."""
+    """A metrics CSV file is malformed or cannot be read; ``line`` is the
+    1-based line number, None when no line was read."""
 
-    def __init__(self, message, line):
-        super().__init__(f"{message} (line {line})")
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
 
 
 class ConfigError(ValueError):
-    """An experiment configuration failed schema validation."""
+    """An experiment configuration failed schema validation. ``keys`` names
+    the offending config keys; a dict maps each key to the rule it broke."""
 
     def __init__(self, message, keys=()):
-        keys = tuple(keys)
-        if keys:
-            message = f"{message}: {', '.join(keys)}"
+        rules = keys if isinstance(keys, dict) else dict.fromkeys(keys)
+        if rules:
+            message = f"{message}: " + ", ".join(
+                key if rule is None else f"{key} ({rule})" for key, rule in rules.items()
+            )
         super().__init__(message)
-        self.keys = keys
+        self.keys = tuple(rules)

@@ -7,10 +7,13 @@ the canonical parametrization, the whitened activation in the whitened
 one), and vec flattens by rows. The expectation
 over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
-empirical mean. The factorized form assumes delta and s independent and
-keeps only the two covariance factors; its Kronecker product uses the
-row-major vec convention, so F[km, ln] = delta_cov[k, l] * act_cov[m, n],
-and is built only when a block's ``matrix`` is read. Off-block-diagonal
+empirical mean. Both forms read a layer's per-example output Fisher as
+weighted delta rows (``fisher_rows``): one row per class, or a single row
+for a two-class head, whose two class deltas are collinear. The factorized
+form assumes delta and s independent and keeps only the two covariance
+factors; its Kronecker product uses the row-major vec convention, so
+F[km, ln] = delta_cov[k, l] * act_cov[m, n], and is built only when a
+block's ``matrix`` is read. Off-block-diagonal
 (cross-layer) terms are never materialized. A conditioning report forwards
 its inputs once and backprops each class once (a ``ClassSweep``), and every
 layer's block reads its deltas from that one sweep.
@@ -54,16 +57,17 @@ class FisherBlock:
         return self._matrix
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum (descending). For factorized blocks this is the sorted
-        outer product of the factor spectra, which is exact and does not
-        require materializing the Kronecker product."""
+        """Spectrum (descending), computed without eigenvectors. For
+        factorized blocks this is the sorted outer product of the factor
+        spectra, which is exact and does not require materializing the
+        Kronecker product."""
         if self._eigenvalues is None:
             if self.kind == "factorized":
-                ld = linalg.sym_eig(self.factors.delta_cov).eigenvalues
-                la = linalg.sym_eig(self.factors.act_cov).eigenvalues
+                ld = linalg.sym_eigvals(self.factors.delta_cov)
+                la = linalg.sym_eigvals(self.factors.act_cov)
                 self._eigenvalues = np.sort(np.outer(ld, la).ravel())[::-1]
             else:
-                self._eigenvalues = linalg.sym_eig(self.matrix).eigenvalues
+                self._eigenvalues = linalg.sym_eigvals(self.matrix)
         return self._eigenvalues
 
     def spectrum(self) -> linalg.EigenDecomposition:
@@ -135,6 +139,23 @@ def class_sweep(model: net.Model, inputs) -> ClassSweep:
     )
 
 
+def fisher_rows(sweep: ClassSweep, layer_index: int) -> list:
+    """(weight, delta) pairs of the layer whose weighted outer products sum
+    to each example's output Fisher, sum_c w_c delta_c delta_c^T.
+
+    A head with three or more classes gives one pair per class. A two-class
+    head (a sigmoid, or a 2-way softmax) gives one pair: its class deltas
+    are delta_0 = w_1 j and delta_1 = -w_0 j at every layer, so with
+    w_0 + w_1 = 1 the sum is w_0 w_1 j j^T, j = delta_0 - delta_1. The
+    deltas have opposite signs, so the difference does not cancel."""
+    pairs = [(weight, deltas[layer_index])
+             for weight, deltas in zip(sweep.weights, sweep.deltas)]
+    if len(pairs) == 2:
+        (w0, d0), (w1, d1) = pairs
+        return [(w0 * w1, d0 - d1)]
+    return pairs
+
+
 def exact_block_size(model, layer_index):
     """Side of the layer's exact block; FisherSizeError above the cap."""
     layer = model.spec.layers[layer_index]
@@ -148,10 +169,10 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
                        sweep: ClassSweep | None = None) -> FisherBlock:
     """Exact per-layer Fisher block: labels enumerated, inputs averaged.
 
-    F = G^T G / B, where G stacks the rows sqrt(w_cb) vec(delta_cb s_b^T)
-    of every class c and example b, and w_cb is the predictive probability
-    of class c. G is never built whole: the block G_a of its columns for
-    output units [k0, k1) is sqrt(w_c) delta_c[:, k0:k1] (x) s, about
+    F = G^T G / B, where G stacks the rows sqrt(w_rb) vec(delta_rb s_b^T)
+    of every pair r of ``fisher_rows`` and example b: B rows for a two-class
+    head, C B for C classes. G is never built whole: the block G_a of its
+    columns for output units [k0, k1) is sqrt(w_r) delta_r[:, k0:k1] (x) s, about
     ``TILE_COLUMNS`` wide, and is built when a tile needs it. Each diagonal
     tile is the same-buffer product G_a^T G_a, which numpy runs as SYRK;
     each off-diagonal tile G_a^T G_c goes into F[a, c] and its transpose
@@ -164,8 +185,8 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
     signal = sweep.trace.signals[layer_index]
     b, n_in = signal.shape
     n_out = size // n_in
-    scaled = [deltas[layer_index] * np.sqrt(weight)[:, None]
-              for weight, deltas in zip(sweep.weights, sweep.deltas)]
+    scaled = [delta * np.sqrt(weight)[:, None]
+              for weight, delta in fisher_rows(sweep, layer_index)]
     units = max(1, TILE_COLUMNS // n_in)
     starts = range(0, n_out, units)
     buffers = np.empty((2, len(scaled) * b * units * n_in))  # for G_a and G_c
@@ -204,9 +225,8 @@ def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
     signal = sweep.trace.signals[layer_index]
     b = signal.shape[0]
     delta_cov = np.zeros((n_out, n_out))
-    for weight, deltas in zip(sweep.weights, sweep.deltas):
-        d = deltas[layer_index]
-        delta_cov += (d * weight[:, None]).T @ d
+    for weight, delta in fisher_rows(sweep, layer_index):
+        delta_cov += (delta * weight[:, None]).T @ delta
     delta_cov /= b
     delta_cov = (delta_cov + delta_cov.T) / 2.0
     act_cov = signal.T @ signal / b

@@ -2,7 +2,8 @@
 
 Everything runs in float64 on row-major numpy arrays. Eigendecompositions
 come from LAPACK (``np.linalg.eigh``) with a fixed ordering and sign
-convention; whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T.
+convention, and spectra that need no eigenvectors from ``np.linalg.eigvalsh``;
+whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T.
 """
 
 from __future__ import annotations
@@ -45,6 +46,18 @@ def _square_float(a, name="matrix") -> np.ndarray:
     return m
 
 
+def _symmetrized(a) -> np.ndarray:
+    """(A + A^T)/2 of a square, finite matrix that is symmetric up to 1e-9
+    relative to its largest entry."""
+    s = _square_float(a)
+    if not np.isfinite(s).all():
+        raise NumericError("matrix contains non-finite entries")
+    scale = float(np.abs(s).max()) if s.size else 0.0
+    if scale > 0.0 and float(np.abs(s - s.T).max()) > 1e-9 * scale:
+        raise ValueError("matrix is not symmetric within 1e-9 of its scale")
+    return (s + s.T) / 2.0
+
+
 def sym_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix via LAPACK (``np.linalg.eigh``).
 
@@ -53,19 +66,20 @@ def sym_eig(a) -> EigenDecomposition:
     (a stable sort, so ties keep LAPACK's order) and each eigenvector's sign
     is fixed so that its largest-magnitude component is positive.
     """
-    s = _square_float(a)
-    if not np.isfinite(s).all():
-        raise NumericError("matrix contains non-finite entries")
-    scale = float(np.abs(s).max()) if s.size else 0.0
-    if scale > 0.0 and float(np.abs(s - s.T).max()) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric within 1e-9 of its scale")
-    lam, v = np.linalg.eigh((s + s.T) / 2.0)
+    lam, v = np.linalg.eigh(_symmetrized(a))
     order = np.argsort(-lam, kind="stable")
     lam, v = lam[order], v[:, order]
     if v.size:
         lead = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
         v = v * np.where(lead < 0.0, -1.0, 1.0)
     return EigenDecomposition(lam, v)
+
+
+def sym_eigvals(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, via LAPACK
+    (``np.linalg.eigvalsh``): no eigenvectors are computed. The input is
+    checked and symmetrized as for ``sym_eig``."""
+    return np.linalg.eigvalsh(_symmetrized(a))[::-1]
 
 
 def estimate_moments(samples) -> MomentEstimate:

@@ -53,35 +53,45 @@ def write_metrics(path, rows):
 
 
 def read_metrics(path):
+    """Rows of a metrics CSV; a malformed, missing or unreadable file raises
+    MetricsParseError."""
+    try:
+        with open(path, newline="") as fh:
+            return _parse_metrics(csv.reader(fh))
+    except OSError as exc:
+        raise MetricsParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise MetricsParseError(f"{path} is not a text file") from None
+
+
+def _parse_metrics(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MetricsParseError("empty metrics file", 1) from None
+    if tuple(header) != COLUMNS:
+        raise MetricsParseError(f"unexpected header {header}", 1)
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    last_step = None
+    for lineno, rec in enumerate(reader, start=2):
+        if len(rec) != len(COLUMNS):
+            raise MetricsParseError(f"expected {len(COLUMNS)} fields, got {len(rec)}", lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MetricsParseError("empty metrics file", 1) from None
-        if tuple(header) != COLUMNS:
-            raise MetricsParseError(f"unexpected header {header}", 1)
-        last_step = None
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(COLUMNS):
-                raise MetricsParseError(f"expected {len(COLUMNS)} fields, got {len(rec)}", lineno)
-            try:
-                row = MetricsRow(
-                    step=int(rec[0]),
-                    wallclock_seconds=float(rec[1]),
-                    train_loss=float(rec[2]),
-                    eval_loss=float(rec[3]),
-                    learning_rate=float(rec[4]),
-                    cond_ratio=float(rec[5]) if rec[5] != "" else None,
-                    reparam_event=bool(int(rec[6])),
-                )
-            except ValueError as exc:
-                raise MetricsParseError(f"bad field: {exc}", lineno) from None
-            if last_step is not None and row.step <= last_step:
-                raise MetricsParseError("steps are not strictly increasing", lineno)
-            last_step = row.step
-            rows.append(row)
+            row = MetricsRow(
+                step=int(rec[0]),
+                wallclock_seconds=float(rec[1]),
+                train_loss=float(rec[2]),
+                eval_loss=float(rec[3]),
+                learning_rate=float(rec[4]),
+                cond_ratio=float(rec[5]) if rec[5] != "" else None,
+                reparam_event=bool(int(rec[6])),
+            )
+        except ValueError as exc:
+            raise MetricsParseError(f"bad field: {exc}", lineno) from None
+        if last_step is not None and row.step <= last_step:
+            raise MetricsParseError("steps are not strictly increasing", lineno)
+        last_step = row.step
+        rows.append(row)
     return rows
 
 

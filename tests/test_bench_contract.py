@@ -168,19 +168,22 @@ def test_mnist10x10_loads_through_the_traced_data_names(child, tmp_path, monkeyp
     assert child._file_bytes(calls["load_idx"][0], None) == ip.stat().st_size + lp.stat().st_size
 
 
-# the spans perfbench/run.py's ae-desk-prong workload expects --trace 1 to
-# record calls in
+# the spans perfbench/run.py's workloads expect --trace 1 to record calls in;
+# a name that is not a span is one function, as run.py reads it
 AE_DESK_PRONG_EXPECT = ["linalg.eig", "linalg.moments", "linalg.invert", "optim.reparam",
                         "net.project"]
+COND_FISHER_EXPECT = ["fisher.report", "fisher.factorized", "fisher.exact", "linalg.eig",
+                      "optim.reparam", "optim.rmsprop_step"]
 
 
-def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):
-    # a span whose members are never called reads 0 and fails the traced
-    # run's coverage check; members are rebound wherever whitenet binds
-    # them, as the tracer does
+def count_span_calls(child, spans, monkeypatch):
+    """Counts calls of every member of ``spans``, rebinding each member
+    wherever whitenet binds it, as the tracer does; returns
+    {(span, attr): calls}, filled in as the program runs."""
     calls = {}
-    for span in AE_DESK_PRONG_EXPECT:
-        for module_name, attr in child.SPANS[span]:
+    for span in spans:
+        members = child.SPANS.get(span, [tuple(span.split("."))])
+        for module_name, attr in members:
             original = getattr(importlib.import_module(f"whitenet.{module_name}"), attr, None)
             if not callable(original):
                 continue
@@ -195,6 +198,18 @@ def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):
                     for binding, value in list(vars(module).items()):
                         if value is original:
                             monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
+def assert_every_span_called(calls, spans):
+    for span in spans:
+        assert sum(n for (s, _), n in calls.items() if s == span), (span, calls)
+
+
+def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):
+    # a span whose members are never called reads 0 and fails the traced
+    # run's coverage check
+    calls = count_span_calls(child, AE_DESK_PRONG_EXPECT, monkeypatch)
     cfg = {
         "name": "contract-prong",
         "dataset": {"kind": "synthetic_images", "n": 96, "side": 6, "val_size": 16,
@@ -207,5 +222,27 @@ def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
-    for span in AE_DESK_PRONG_EXPECT:
-        assert sum(n for (s, _), n in calls.items() if s == span), (span, calls)
+    assert_every_span_called(calls, AE_DESK_PRONG_EXPECT)
+
+
+def test_diagnose_fisher_calls_every_expected_span(child, tmp_path, monkeypatch):
+    # conditioning reports take their spectra without eigenvectors, outside
+    # linalg.eig: the span must still be fed by the prong run's
+    # reparametrizations
+    calls = count_span_calls(child, COND_FISHER_EXPECT, monkeypatch)
+    cfg = {
+        "name": "contract-fisher",
+        "dataset": {"kind": "synthetic_classification", "n": 160, "dim": 12, "n_classes": 2,
+                    "seed": 3, "val_size": 32},
+        "model": {"sizes": [12, 6, 6, 1], "hidden": "tanh", "head": "sigmoid",
+                  "loss": "binary_cross_entropy"},
+        "optimizer": "prong",
+        "train": {"learning_rate": 0.05, "batch_size": 16, "max_updates": 12,
+                  "eval_interval": 6, "reparam_period": 5, "stat_samples": 64,
+                  "eigen_epsilon": 1e-2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "diag"
+    assert cli.main(["diagnose-fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert_every_span_called(calls, COND_FISHER_EXPECT)

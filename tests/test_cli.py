@@ -392,6 +392,48 @@ class TestTypedErrors:
         assert code == 2
         assert "byte offset" in self.one_line(capsys, "IDX format error: ")
 
+    @pytest.mark.parametrize("section, values, key", [
+        ("model", {"sizes": [100, 0, 100]}, "model.sizes"),
+        ("model", {"sizes": [100]}, "model.sizes"),
+        ("model", {"sizes": [100, "a", 100]}, "model.sizes"),
+        ("model", {"sizes": [100, 50.5, 100]}, "model.sizes"),
+        ("model", {"sizes": [100, True, 100]}, "model.sizes"),
+        ("model", {"hidden": "softmax"}, "model.hidden"),
+        ("dataset", {"n": 0}, "dataset.n"),
+        ("dataset", {"val_size": -5}, "dataset.val_size"),
+        ("dataset", {"side": 0}, "dataset.side"),
+        ("dataset", {"kind": "synthetic_gaussian", "dim": 0}, "dataset.dim"),
+    ])
+    def test_bad_config_value_refused_by_name(self, tmp_path, capsys, monkeypatch,
+                                              section, values, key):
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg[section].update(values)
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert key in self.one_line(capsys, "config error: invalid config values: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", [0.1, [], "0.1"])
+    def test_grid_axis_must_be_a_non_empty_list(self, tmp_path, capsys, monkeypatch, axis):
+        monkeypatch.setattr(cli, "_run_one", None)  # no cell runs
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg["grid"] = {"train.eigen_epsilon": [1e-2, 1e-3], "train.learning_rate": axis}
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "grid")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: grid axes must be non-empty lists")
+        assert "train.learning_rate" in err and "train.eigen_epsilon" not in err
+        assert not (tmp_path / "grid").exists()
+
+    def test_missing_metrics_csv_in_replay(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere" / "metrics.csv"
+        code = main(["replay", str(missing), "--out", str(tmp_path / "replay")])
+        assert code == 2
+        assert str(missing) in self.one_line(capsys, "metrics error: cannot read ")
+
     def test_bad_metrics_csv_in_replay(self, tmp_path, capsys):
         bad = tmp_path / "metrics.csv"
         bad.write_text("step,loss\n1,2\n")

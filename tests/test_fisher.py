@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whitenet import net
+from whitenet import fisher, net
 from whitenet.data import synthetic_classification
 from whitenet.errors import ConsistencyError, FisherSizeError
 from whitenet.fisher import (
@@ -10,6 +10,7 @@ from whitenet.fisher import (
     conditioning_report,
     exact_fisher_block,
     factorized_fisher_block,
+    fisher_rows,
 )
 from whitenet.linalg import condition_number
 from whitenet.net import (
@@ -274,6 +275,86 @@ class TestSharedSweep:
         with pytest.raises(FisherSizeError):
             block.spectrum()
         assert block.eigenvalues().shape == (2400,)
+
+
+def enumerated_pairs(sweep, layer):
+    """One (weight, delta) pair per enumerated class."""
+    return [(w, d[layer]) for w, d in zip(sweep.weights, sweep.deltas)]
+
+
+def enumerated_exact(sweep, layer):
+    """The exact block as one product of G stacked over every class:
+    G^T G / B with rows sqrt(w_c) vec(delta_c s^T)."""
+    signal = sweep.trace.signals[layer]
+    b = signal.shape[0]
+    g = np.concatenate([
+        np.einsum("bi,bj->bij", d * np.sqrt(w)[:, None], signal).reshape(b, -1)
+        for w, d in enumerated_pairs(sweep, layer)
+    ])
+    return g.T @ g / b
+
+
+def enumerated_factor(sweep, layer):
+    """The delta factor summed over every class: sum_c (delta_c w_c)^T delta_c / B,
+    accumulated and symmetrized as the factorized block does."""
+    b = sweep.trace.signals[layer].shape[0]
+    f = sum((d * w[:, None]).T @ d for w, d in enumerated_pairs(sweep, layer)) / b
+    return (f + f.T) / 2.0
+
+
+def classifier(sizes, head, seed, stats=None):
+    """A canonical model, or with ``stats`` a whitened one reparametrized on them."""
+    spec = NetSpec.mlp(sizes, hidden="tanh", head=head)
+    theta = init_fan_in(spec, seed)
+    if stats is None:
+        return Model(spec, theta)
+    phi = WhiteningCoeffs.identity(spec)
+    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+    prong_reparametrize(model.params, model.phi, spec, stats, epsilon=1e-3)
+    return model
+
+
+class TestFisherRows:
+    """A two-class head gives one Fisher row per example; more classes keep
+    one row per class. The middle layer (30 inputs, 17 units) spans five
+    column blocks of G, the last holding one unit."""
+
+    X = np.random.default_rng(60).standard_normal((300, 20))
+
+    @pytest.mark.parametrize("whitened", [False, True], ids=["canonical", "whitened"])
+    @pytest.mark.parametrize("head, sizes", [
+        ("sigmoid", [20, 30, 17, 1]), ("softmax", [20, 30, 17, 2]),
+    ])
+    def test_two_class_blocks_match_enumerated_classes(self, head, sizes, whitened):
+        model = classifier(sizes, head, 61, self.X if whitened else None)
+        sweep = class_sweep(model, self.X)
+        for layer in range(model.spec.depth):
+            assert len(fisher_rows(sweep, layer)) == 1
+            f = exact_fisher_block(model, None, layer, sweep).matrix
+            reference = enumerated_exact(sweep, layer)
+            assert np.array_equal(f, f.T)
+            assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
+            factors, block = factorized_fisher_block(model, None, layer, sweep)
+            reference = enumerated_factor(sweep, layer)
+            assert np.array_equal(factors.delta_cov, factors.delta_cov.T)
+            assert np.abs(factors.delta_cov - reference).max() <= 1e-12 * np.abs(reference).max()
+            assert np.array_equal(block.matrix, block.matrix.T)
+
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_multiclass_blocks_are_enumerated_bit_for_bit(self, classes, monkeypatch):
+        for model in (classifier([20, 30, 17, classes], "softmax", 62),
+                      classifier([20, 30, 17, classes], "softmax", 62, self.X)):
+            sweep = class_sweep(model, self.X)
+            exact = []
+            for layer in range(model.spec.depth):
+                assert len(fisher_rows(sweep, layer)) == classes
+                factors, _ = factorized_fisher_block(model, None, layer, sweep)
+                assert np.array_equal(factors.delta_cov, enumerated_factor(sweep, layer))
+                exact.append(exact_fisher_block(model, None, layer, sweep).matrix)
+            with monkeypatch.context() as m:
+                m.setattr(fisher, "fisher_rows", enumerated_pairs)
+                for layer, f in enumerate(exact):
+                    assert np.array_equal(exact_fisher_block(model, None, layer, sweep).matrix, f)
 
 
 class TestConditioningReport:

@@ -17,6 +17,7 @@ from whitenet.linalg import (
     invert_whitening,
     pca_matrix,
     sym_eig,
+    sym_eigvals,
 )
 
 
@@ -84,6 +85,34 @@ class TestSymEig:
         assert orth <= 1e-10
         rec = e.eigenvectors @ np.diag(e.eigenvalues) @ e.eigenvectors.T
         assert np.abs(rec - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
+
+
+class TestSymEigvals:
+    @pytest.mark.parametrize("rank", [12, 5, 1])
+    def test_matches_sym_eig_eigenvalues(self, rank):
+        # full rank, and rank-deficient PSD Gram matrices whose trailing
+        # eigenvalues are rounding noise around zero
+        if rank == 12:
+            a = random_symmetric(12, seed=21)
+        else:
+            g = np.random.default_rng(22).standard_normal((rank, 12))
+            a = g.T @ g
+        lam = sym_eigvals(a)
+        expected = sym_eig(a).eigenvalues
+        assert lam.shape == expected.shape
+        assert np.all(np.diff(lam) <= 0)
+        assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("a, error", [
+        (np.ones((2, 3)), DimensionError),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
+        (np.diag([1.0, np.nan, 1.0]), NumericError),
+        (np.diag([1.0, np.inf]), NumericError),
+    ])
+    def test_refuses_what_sym_eig_refuses(self, a, error):
+        for fn in (sym_eig, sym_eigvals):
+            with pytest.raises(error):
+                fn(a)
 
 
 class TestEstimateMoments:

@@ -152,6 +152,18 @@ def test_exact_block_peaks_below_one_and_a_half_blocks():
     assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
+def test_binary_exact_block_peaks_below_1_2_blocks():
+    # a sigmoid head's column blocks hold one row per example, not one per
+    # class, so they are half as tall
+    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    model = Model(spec, init_fan_in(spec, 8))
+    x = np.random.default_rng(9).standard_normal((512, 100))
+    sweep = fisher.class_sweep(model, x)
+    block_bytes = 8 * (32 * 32) ** 2
+    peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
+    assert peak < 1.2 * block_bytes, peak / block_bytes
+
+
 def identity_model(spec, seed):
     phi = WhiteningCoeffs.identity(spec)
     return Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)

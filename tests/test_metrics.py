@@ -58,6 +58,17 @@ class TestParseErrors:
         with pytest.raises(MetricsParseError):
             read_metrics(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-text"])
+    def test_unreadable_file(self, tmp_path, kind):
+        path = tmp_path / "metrics.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-text":
+            path.write_bytes(b"\xff\xfe\x00step")
+        with pytest.raises(MetricsParseError, match="metrics.csv") as exc:
+            read_metrics(path)
+        assert exc.value.line is None
+
 
 class TestReplay:
     def test_single_run_unchanged(self):
