@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError
-from .net import BN_DECAY, LayerSpec, Model, NetSpec, Params, WhiteningCoeffs
+from .net import BN_DECAY, LayerSpec, Model, NetSpec, WhiteningCoeffs, flat_layout
 
 MAGIC = b"WNETCKP1"
 HEADER_KEYS = ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")
@@ -26,10 +26,10 @@ def _named_arrays(model: Model):
         for i, (u, c) in enumerate(zip(model.phi.transforms, model.phi.centers)):
             arrays.append((f"transform_{i}", u))
             arrays.append((f"center_{i}", c))
-    if model.bn_params is not None:
+    if model.params.gains:
         for i in range(model.spec.depth):
-            arrays.append((f"gain_{i}", model.bn_params.gains[i]))
-            arrays.append((f"shift_{i}", model.bn_params.shifts[i]))
+            arrays.append((f"gain_{i}", model.params.gains[i]))
+            arrays.append((f"shift_{i}", model.params.shifts[i]))
             arrays.append((f"running_mean_{i}", model.bn_state.running_mean[i]))
             arrays.append((f"running_var_{i}", model.bn_state.running_var[i]))
     return arrays
@@ -70,17 +70,11 @@ def _spec(path, header):
 
 def _blank_model(kind, spec):
     """A model of ``kind`` whose arrays have the shapes a checkpoint must hold."""
-    params = Params(
-        [np.zeros((layer.out_dim, layer.in_dim)) for layer in spec.layers],
-        [np.zeros(layer.out_dim) for layer in spec.layers],
-    )
-    if kind == "canonical":
-        return Model(spec, params)
-    if kind == "whitened":
-        return Model(spec, params, phi=WhiteningCoeffs.identity(spec))
-    if kind == "bn":
-        return Model.batch_norm(spec, params)
-    raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
+    if kind not in ("canonical", "whitened", "bn"):
+        raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
+    params = flat_layout(spec, bn=kind == "bn")
+    phi = WhiteningCoeffs.identity(spec) if kind == "whitened" else None
+    return Model(spec, params, phi=phi)
 
 
 def load_checkpoint(path):

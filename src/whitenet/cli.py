@@ -181,6 +181,14 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return 0 if status == "completed" else 2
 
 
+def best_middle_ratio(rows, middle):
+    """The smallest cond ratio of the middle layer's rows, skipping rows
+    without a ratio and floored ones; None when no row is left."""
+    ratios = [r.cond_ratio for r in rows
+              if r.layer == middle and r.cond_ratio is not None and r.flag != "floored"]
+    return min(ratios) if ratios else None
+
+
 def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     """Conditioning experiment across sgd, rmsprop and prong.
 
@@ -230,17 +238,15 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
 
         status, _ = _run_one(run_cfg, out / optimizer, dataset, row_callback=on_row)
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
-                  "cond_ratio_to_initial"]
+                  "cond_ratio_to_initial", "flag"]
         table = [
-            [step, r.layer, r.kind, r.lambda_max, r.lambda_min, r.cond, r.cond_ratio]
+            [step, r.layer, r.kind, r.lambda_max, r.lambda_min, r.cond, r.cond_ratio, r.flag]
             for step, r in series
         ]
         write_table(out / f"conditioning_{optimizer}.csv", header, table)
-        mid_ratios = [r.cond_ratio for step, r in series
-                      if r.layer == middle and r.cond_ratio is not None]
-        summary[optimizer] = min(mid_ratios) if mid_ratios else None
+        best = summary[optimizer] = best_middle_ratio([r for _, r in series], middle)
         print(f"{optimizer}: best middle-layer cond ratio "
-              f"{summary[optimizer]:.3e}" if summary[optimizer] is not None else optimizer)
+              + ("none (no unfloored row)" if best is None else f"{best:.3e}"))
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return 0
 

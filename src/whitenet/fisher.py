@@ -97,7 +97,7 @@ def check_enumerable(model: net.Model):
     gain/std factor) or a head whose classes cannot be enumerated raises
     ConsistencyError; a softmax head of more than 10 classes raises
     FisherSizeError."""
-    if model.bn_params is not None:
+    if model.params.gains:
         raise ConsistencyError("Fisher blocks are not defined for batch-norm models")
     head, c = model.spec.layers[-1].nonlinearity, model.spec.output_dim
     if head == "softmax" and c > 10:
@@ -243,7 +243,7 @@ class ConditioningRow:
     lambda_min: float
     cond: float
     cond_ratio: float | None = None
-    flag: str = ""
+    flag: str = ""  # "floored", "too_large", "degenerate" or empty
 
 
 def conditioning_report(
@@ -256,7 +256,9 @@ def conditioning_report(
 
     ``baselines`` maps (layer, kind) to the pre-whitening condition number;
     when given, each row carries the ratio to it. Degenerate spectra and
-    over-cap exact blocks are flagged rather than raised."""
+    over-cap exact blocks are flagged rather than raised, and so is a row
+    whose lambda_min sits at ``linalg.COND_FLOOR`` times lambda_max
+    ("floored"): its cond is the floor, not a measured conditioning."""
     rows = []
     sweep = None  # one class sweep serves every layer and kind
     for layer_index in range(model.spec.depth):
@@ -281,9 +283,7 @@ def conditioning_report(
             ratio = None
             if baselines is not None and (layer_index, kind) in baselines:
                 ratio = cond / baselines[(layer_index, kind)]
-            rows.append(
-                ConditioningRow(
-                    layer_index, kind, float(lam.max()), float(lam.min()), cond, ratio
-                )
-            )
+            lmax, lmin = float(lam.max()), float(lam.min())
+            flag = "floored" if lmin <= linalg.COND_FLOOR * lmax else ""
+            rows.append(ConditioningRow(layer_index, kind, lmax, lmin, cond, ratio, flag))
     return rows

@@ -21,6 +21,9 @@ from .errors import (
 )
 
 
+COND_FLOOR = 1e-12  # condition_number's floor on lambda_min / lambda_max
+
+
 @dataclass
 class EigenDecomposition:
     """Spectrum of a symmetric matrix: eigenvalues descending, eigenvectors
@@ -124,17 +127,7 @@ def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
     return gains[:, None] * eig.eigenvectors.T
 
 
-def pca_matrix(moments: MomentEstimate, epsilon: float) -> np.ndarray:
-    """Whitening matrix for a covariance estimate.
-
-    With ``epsilon=0`` and full-rank covariance, U @ cov @ U^T recovers the
-    identity; ``epsilon > 0`` shrinks each eigendirection's gain, bounding
-    the largest multiplier at 1/sqrt(epsilon).
-    """
-    return pca_from_eig(sym_eig(moments.covariance), epsilon)
-
-
-def condition_number(spectrum, *, floor_ratio: float = 1e-12) -> float:
+def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
     """lambda_max / lambda_min with the minimum floored at floor_ratio*lambda_max.
 
     Accepts an EigenDecomposition or a bare eigenvalue array.

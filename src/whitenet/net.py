@@ -26,7 +26,7 @@ the batch (the 1/B factor enters through the loss gradient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,13 +105,29 @@ class NetSpec:
 
 @dataclass
 class Params:
-    """Layer weights and biases: (W, b) canonical, (V, d) whitened."""
+    """Layer parameters in one flat float64 ``vector``: per-layer views
+    ``weights`` (out_dim, in_dim) and ``biases`` (out_dim,), (W, b) canonical
+    and (V, d) whitened, and with batch norm the per-unit ``gains`` and
+    ``shifts`` (empty lists otherwise). The layout is w0, b0, w1, b1, ...
+    and then g0, s0, g1, s1, ...; weights are row-major. Code that changes
+    a parameter writes into its view in place and never rebinds it."""
 
-    weights: list  # (out_dim, in_dim)
-    biases: list  # (out_dim,)
+    vector: np.ndarray
+    weights: list
+    biases: list
+    gains: list
+    shifts: list
+
+    @classmethod
+    def of(cls, weights, biases, gains=(), shifts=()):
+        """A new vector holding copies of the given per-layer arrays."""
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        arrays += [a for pair in zip(gains, shifts) for a in pair]
+        vector = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        return _cut(vector, [np.shape(a) for a in arrays], len(weights))
 
     def copy(self):
-        return Params([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Params.of(self.weights, self.biases, self.gains, self.shifts)
 
 
 @dataclass
@@ -131,21 +147,6 @@ class WhiteningCoeffs:
     def copy(self):
         return WhiteningCoeffs(
             [u.copy() for u in self.transforms], [c.copy() for c in self.centers]
-        )
-
-
-@dataclass
-class BatchNormParams:
-    """Learned per-unit gain and shift applied to standardized pre-activations."""
-
-    gains: list
-    shifts: list
-
-    @classmethod
-    def init(cls, spec: NetSpec):
-        return cls(
-            [np.ones(layer.out_dim) for layer in spec.layers],
-            [np.zeros(layer.out_dim) for layer in spec.layers],
         )
 
 
@@ -182,52 +183,38 @@ class ForwardTrace:
     def outputs(self):
         return self.activations[-1]
 
-    def layer_input(self, i):
-        return self.inputs if i == 0 else self.activations[i - 1]
-
 
 @dataclass
 class BackwardTrace:
-    vector: np.ndarray  # the flat gradient, laid out as Model.vector
+    grads: Params  # laid out as the model's parameters
     deltas: list  # dLoss/dz_i, (B, N_i)
-    weight_grads: list  # this and the lists below are views of ``vector``
-    bias_grads: list
-    gain_grads: list | None = None  # BN mode only
-    shift_grads: list | None = None
 
 
-@dataclass
-class FlatParams:
-    """One flat float64 vector and its per-layer views (``flat_layout``)."""
+def _cut(vector, shapes, depth) -> Params:
+    """``Params`` of views of ``vector``, cut in ``shapes`` order: the
+    ``depth`` (weight, bias) pairs, then the (gain, shift) pairs."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start : start + size].reshape(shape))
+        start += size
+    d = 2 * depth
+    return Params(vector, views[0:d:2], views[1:d:2], views[d::2], views[d + 1 :: 2])
 
-    vector: np.ndarray
-    weights: list
-    biases: list
-    gains: list  # empty without batch norm
-    shifts: list
 
-
-def flat_layout(spec: NetSpec, vector=None, *, bn=False) -> FlatParams:
-    """Views of one flat float64 vector, allocated when none is given.
-
-    The layout is w0, b0, w1, b1, ... and then, with ``bn``, g0, s0, g1,
-    s1, ...; weights are row-major (out_dim, in_dim).
-    """
+def flat_layout(spec: NetSpec, vector=None, *, bn=False) -> Params:
+    """The network's ``Params`` over ``vector``, a new one when None; with
+    ``bn`` the layout carries gains and shifts."""
     shapes = [s for l in spec.layers for s in ((l.out_dim, l.in_dim), (l.out_dim,))]
     if bn:
         shapes += [(l.out_dim,) for l in spec.layers for _ in "gs"]
-    sizes = [math.prod(s) for s in shapes]
+    size = sum(math.prod(s) for s in shapes)
     if vector is None:
-        vector = np.empty(sum(sizes))
-    elif vector.shape != (sum(sizes),) or vector.dtype != np.float64:
-        raise DimensionError(f"flat vector must be float64 ({sum(sizes)},), got "
+        vector = np.empty(size)
+    elif vector.shape != (size,) or vector.dtype != np.float64:
+        raise DimensionError(f"flat vector must be float64 ({size},), got "
                              f"{vector.dtype} {vector.shape}")
-    views, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(vector[start : start + size].reshape(shape))
-        start += size
-    d = 2 * spec.depth
-    return FlatParams(vector, views[0:d:2], views[1:d:2], views[d::2], views[d + 1 :: 2])
+    return _cut(vector, shapes, spec.depth)
 
 
 def _activate(kind, z):
@@ -322,7 +309,6 @@ def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, 
 
 def forward_bn(
     params: Params,
-    bn_params: BatchNormParams,
     spec: NetSpec,
     x,
     state: BatchNormState | None = None,
@@ -330,7 +316,8 @@ def forward_bn(
     training: bool = True,
 ) -> ForwardTrace:
     """Canonical forward with each pre-activation batch-standardized, then
-    affinely transformed by the learned gain/shift before the nonlinearity.
+    affinely transformed by the learned ``params.gains``/``params.shifts``
+    before the nonlinearity.
 
     In training mode the batch mean/std are used (and ``state`` running
     averages updated in place when given); at inference the running
@@ -360,7 +347,7 @@ def forward_bn(
         floored = std < BN_STD_FLOOR
         std = np.maximum(std, BN_STD_FLOOR)
         zhat = (z - mean) / std
-        y = bn_params.gains[i] * zhat + bn_params.shifts[i]
+        y = params.gains[i] * zhat + params.shifts[i]
         h = _activate(layer.nonlinearity, y)
         _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
         zs.append(z)
@@ -457,13 +444,12 @@ def backward_whitened(
     for delta, signal, w, b in zip(deltas, trace.signals, out.weights, out.biases):
         np.matmul(delta.T, signal, out=w)
         np.add.reduce(delta, axis=0, out=b)
-    return BackwardTrace(out.vector, deltas, out.weights, out.biases)
+    return BackwardTrace(out, deltas)
 
 
 def backward_bn(
     trace: ForwardTrace,
     params: Params,
-    bn_params: BatchNormParams,
     spec: NetSpec,
     loss_grad,
     out=None,
@@ -489,7 +475,7 @@ def backward_bn(
         dy = _activation_vjp(layer.nonlinearity, stash["y"], trace.activations[i], upstream)
         np.add.reduce(dy * stash["zhat"], axis=0, out=gg[i])
         np.add.reduce(dy, axis=0, out=sg[i])
-        u = dy * bn_params.gains[i]
+        u = dy * params.gains[i]
         if stash["training"]:
             coupled = (
                 u - u.mean(axis=0) - stash["zhat"] * (u * stash["zhat"]).mean(axis=0)
@@ -503,7 +489,7 @@ def backward_bn(
         np.add.reduce(dz, axis=0, out=bg[i])
         if i > 0:
             upstream = dz @ params.weights[i]
-    return BackwardTrace(out.vector, deltas_z, wg, bg, gain_grads=gg, shift_grads=sg)
+    return BackwardTrace(out, deltas_z)
 
 
 def project_layer(weight, bias, old=None, new=None):
@@ -532,104 +518,95 @@ def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
     """
     layers = [project_layer(v, d, old=(u, c))
               for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers)]
-    return Params([w for w, _ in layers], [b for _, b in layers])
+    return Params.of([w for w, _ in layers], [b for _, b in layers])
 
 
 def project_to_whitened(theta: Params, phi: WhiteningCoeffs) -> Params:
     """Exact inverse of project_to_canonical for the same coefficients."""
     layers = [project_layer(w, b, new=(u, c))
               for w, b, u, c in zip(theta.weights, theta.biases, phi.transforms, phi.centers)]
-    return Params([v for v, _ in layers], [d for _, d in layers])
+    return Params.of([v for v, _ in layers], [d for _, d in layers])
 
 
 def init_fan_in(spec: NetSpec, seed: int) -> Params:
     """Uniform +-1/sqrt(fan_in) weights, zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for layer in spec.layers:
+    params = flat_layout(spec)
+    for layer, w, b in zip(spec.layers, params.weights, params.biases):
         bound = 1.0 / np.sqrt(layer.in_dim)
-        weights.append(rng.uniform(-bound, bound, size=(layer.out_dim, layer.in_dim)))
-        biases.append(np.zeros(layer.out_dim))
-    return Params(weights, biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = 0.0
+    return params
 
 
 @dataclass
 class Model:
     """A network snapshot: spec plus one concrete parametrization.
 
-    A whitened model carries its coefficients ``phi``; a BN model carries
-    gain/shift parameters and running statistics; a model with neither is
-    canonical. The model owns one flat parameter vector, ``vector``, in
-    ``flat_layout`` order: the arrays given at construction are copied into
-    it, and ``params`` (and ``bn_params``) hold views of it, so the
-    optimizers step the whole vector at once. Code that changes a parameter
-    writes into its view in place and never rebinds it.
+    A whitened model carries its coefficients ``phi``; a BN model has
+    gains and shifts in its ``params`` and carries running statistics; a
+    model with neither is canonical. The model owns its parameter vector:
+    construction checks the given ``params`` against the spec and copies
+    their vector, and the optimizers step ``params.vector`` as one array.
     """
 
     spec: NetSpec
     params: Params
     phi: WhiteningCoeffs | None = None
-    bn_params: BatchNormParams | None = None
     bn_state: BatchNormState | None = None
-    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        bn = self.bn_params
-        flat = self.layout()
-        given = self.params.weights + self.params.biases + (bn.gains + bn.shifts if bn else [])
+        given = self.params
+        flat = flat_layout(self.spec, bn=bool(given.gains))
+        arrays = given.weights + given.biases + given.gains + given.shifts
         views = flat.weights + flat.biases + flat.gains + flat.shifts
-        if [np.shape(a) for a in given] != [v.shape for v in views]:
-            raise DimensionError(f"parameter shapes {[np.shape(a) for a in given]} do not "
+        if [np.shape(a) for a in arrays] != [v.shape for v in views]:
+            raise DimensionError(f"parameter shapes {[np.shape(a) for a in arrays]} do not "
                                  f"match the network's {[v.shape for v in views]}")
-        for view, array in zip(views, given):
-            view[...] = array
-        self.vector, self.params = flat.vector, Params(flat.weights, flat.biases)
-        if bn is not None:
-            self.bn_params = BatchNormParams(flat.gains, flat.shifts)
+        flat.vector[...] = given.vector
+        self.params = flat
+        if flat.gains and self.bn_state is None:
+            self.bn_state = BatchNormState.init(self.spec)
 
     @property
     def kind(self):
         """One of "canonical", "whitened", "bn", derived from the fields."""
-        if self.bn_params is not None:
+        if self.params.gains:
             return "bn"
         return "canonical" if self.phi is None else "whitened"
 
     @classmethod
-    def batch_norm(cls, spec, params, bn_params=None, bn_state=None):
-        return cls(
-            spec,
-            params,
-            bn_params=bn_params or BatchNormParams.init(spec),
-            bn_state=bn_state or BatchNormState.init(spec),
-        )
+    def batch_norm(cls, spec, params):
+        """A BN model from (W, b), with gains 1 and shifts 0."""
+        ones = [np.ones(layer.out_dim) for layer in spec.layers]
+        zeros = [np.zeros(layer.out_dim) for layer in spec.layers]
+        return cls(spec, Params.of(params.weights, params.biases, ones, zeros))
 
     def forward(self, x, training=False) -> ForwardTrace:
-        if self.bn_params is not None:
-            return forward_bn(
-                self.params, self.bn_params, self.spec, x, state=self.bn_state, training=training
-            )
+        if self.params.gains:
+            return forward_bn(self.params, self.spec, x, state=self.bn_state, training=training)
         return forward_whitened(self.params, self.phi, self.spec, x)
 
     def predict(self, x) -> np.ndarray:
         """The outputs of ``forward(x)`` (inference mode for BN), bit for bit,
         without the trace: each layer's s, z and h are dropped once the next
         layer has them."""
-        if self.bn_params is not None:
+        if self.params.gains:
             return self.forward(x).outputs
         h = as_batch(x, self.spec.input_dim)
         for i in range(self.spec.depth):
             h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
         return h
 
-    def layout(self, vector=None) -> FlatParams:
-        """Views of ``vector`` (a new one when None) laid out as ``self.vector``."""
-        return flat_layout(self.spec, vector, bn=self.bn_params is not None)
+    def layout(self, vector=None) -> Params:
+        """Views of ``vector`` (a new one when None) laid out as ``params``."""
+        return flat_layout(self.spec, vector, bn=bool(self.params.gains))
 
     def backward(self, trace, loss_grad, out=None) -> BackwardTrace:
         """Gradients, written into ``out`` (a ``layout()``) when given, else
-        into a new flat vector laid out as ``vector``."""
-        if self.bn_params is not None:
-            return backward_bn(trace, self.params, self.bn_params, self.spec, loss_grad, out)
+        into a new one."""
+        if self.params.gains:
+            return backward_bn(trace, self.params, self.spec, loss_grad, out)
         return backward_whitened(trace, self.params, self.spec, loss_grad, out)
 
     def copy(self):
@@ -638,6 +615,5 @@ class Model:
             self.spec,
             self.params,
             phi=self.phi.copy() if self.phi else None,
-            bn_params=self.bn_params,
             bn_state=self.bn_state.copy() if self.bn_state else None,
         )

@@ -94,7 +94,7 @@ class TrainConfig:
 @dataclass
 class OptimizerState:
     """Step count, learning rate and the optimizer's buffers. ``velocity``
-    and ``mean_square`` are flat vectors laid out as ``Model.vector``."""
+    and ``mean_square`` are flat vectors laid out as ``Model.params.vector``."""
 
     alpha: float
     velocity: np.ndarray
@@ -150,8 +150,7 @@ def rmsprop_step(vector, grad, state: OptimizerState, config: TrainConfig):
 
 @dataclass
 class ReparamInfo:
-    spectra: list  # per input slot EigenDecomposition of the centered covariance
-    moments: list  # per input slot MomentEstimate
+    eigenvalues: list  # per input slot, the centered covariance's, descending
     outputs: np.ndarray  # network outputs on the statistics sample
     seconds: float = 0.0
 
@@ -171,12 +170,13 @@ def prong_reparametrize(
     layer is forwarded under its old coefficients, which yields the next
     layer's input; then its weights and bias are re-projected so that the
     canonical parameters, and thus the network function, are unchanged.
-    The last layer's outputs are returned with the spectra. Updates
+    The last layer's outputs are returned with each slot's eigenvalues;
+    no covariance or eigenvector matrix outlives its layer. Updates
     ``omega`` and ``phi`` in place; no layer but the current one is copied.
     """
     t0 = time.perf_counter()
     h = net.as_batch(stats_inputs, spec.input_dim)
-    spectra, moments = [], []
+    eigenvalues = []
     for i in range(spec.depth):
         mom = linalg.estimate_moments(h)
         eig = linalg.sym_eig(mom.covariance)
@@ -196,9 +196,8 @@ def prong_reparametrize(
         omega.biases[i][:] = d
         phi.transforms[i] = u
         phi.centers[i] = mom.mean.copy()
-        spectra.append(eig)
-        moments.append(mom)
-    return ReparamInfo(spectra, moments, h, seconds=time.perf_counter() - t0)
+        eigenvalues.append(eig.eigenvalues)
+    return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
 
 def prong_plus_rescale(
@@ -290,7 +289,7 @@ def train(
     whitened = optimizer in ("prong", "prong_plus")
     if whitened and model.phi is None:
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
-    if optimizer == "bn" and model.bn_params is None:
+    if optimizer == "bn" and not model.params.gains:
         raise ConfigError("optimizer 'bn' needs a batch-norm model")
     for data in (train_data, val_data):
         if data is None:
@@ -310,7 +309,7 @@ def train(
         )
 
     state = OptimizerState.init(
-        model.vector,
+        model.params.vector,
         config,
         rmsprop=optimizer == "rmsprop",
         spec=model.spec if whitened else None,
@@ -405,7 +404,7 @@ def train(
         loss_sum += value
         loss_count += 1
         model.backward(trace, grad, out=gradient)
-        step_fn(model.vector, gradient.vector, state, config)
+        step_fn(model.params.vector, gradient.vector, state, config)
 
         if optimizer == "prong_plus":
             before = model.predict(probe_inputs) if probe_inputs is not None else None

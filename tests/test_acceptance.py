@@ -15,7 +15,6 @@ from whitenet.data import Dataset, synthetic_classification, synthetic_images
 from whitenet.errors import DivergenceError
 from whitenet.fisher import factorized_fisher_block
 from whitenet.net import (
-    BatchNormParams,
     Model,
     NetSpec,
     WhiteningCoeffs,
@@ -95,8 +94,8 @@ class TestAcceptance:
         bt = model.backward(trace, grad)
         cfg = TrainConfig(learning_rate=alpha, momentum=0.0, seed=0, max_updates=1,
                           stat_samples=48)
-        state = OptimizerState.init(model.vector, cfg)
-        sgd_step(model.vector, bt.vector, state, cfg)
+        state = OptimizerState.init(model.params.vector, cfg)
+        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
         theta1 = project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta0, None, model.spec, x)
@@ -106,10 +105,10 @@ class TestAcceptance:
 
         worst = 0.0
         for i in range(model.spec.depth):
-            h = strace.layer_input(i)
+            h = ([strace.inputs] + strace.activations)[i]
             mu = h.mean(axis=0)
             sigma = (h - mu).T @ (h - mu) / h.shape[0]
-            centered = cbt.weight_grads[i] - np.outer(cbt.deltas[i].sum(axis=0), mu)
+            centered = cbt.grads.weights[i] - np.outer(cbt.deltas[i].sum(axis=0), mu)
             oracle_dw = -alpha * centered @ np.linalg.inv(sigma)
             dw = theta1.weights[i] - theta0.weights[i]
             worst = max(worst, float(np.abs(dw - oracle_dw).max()))
@@ -153,8 +152,8 @@ class TestAcceptance:
         info = prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
         trace2 = model2.forward(stats)
         worst_eps = 0.0
-        for a, eig in zip(trace2.signals, info.spectra):
-            lam = np.maximum(eig.eigenvalues, 0.0)
+        for a, eigenvalues in zip(trace2.signals, info.eigenvalues):
+            lam = np.maximum(eigenvalues, 0.0)
             expected = np.diag(lam / (lam + eps))
             cov = a.T @ a / a.shape[0]
             worst_eps = max(worst_eps, float(np.abs(cov - expected).max()))
@@ -322,7 +321,7 @@ class TestAcceptance:
         p1 = trace.outputs[:, 0]
         freq1 = rng.binomial(draws, p1) / draws
         mc = np.zeros_like(exact)
-        signal = trace.layer_input(layer)
+        signal = ([trace.inputs] + trace.activations)[layer]
         b = x.shape[0]
         size = exact.shape[0]
         for y, freq in ((0.0, 1.0 - freq1), (1.0, freq1)):

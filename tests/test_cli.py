@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 
@@ -284,6 +285,19 @@ class TestDiagnoseFisher:
         assert before.tobytes() == expected.tobytes()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["prong"] < 0.1
+        with open(out / "conditioning_prong.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert list(table[0])[-1] == "flag"
+        middle = [r for r in table if r["layer"] == "1" and r["flag"] != "floored"]
+        assert summary["prong"] == min(float(r["cond_ratio_to_initial"]) for r in middle)
+
+    def test_best_middle_ratio_skips_floored_rows(self):
+        def row(layer, ratio, flag=""):
+            return fisher.ConditioningRow(layer, "factorized", 1.0, 1e-3, 1e3, ratio, flag)
+
+        rows = [row(1, 0.5), row(1, 1e-3, "floored"), row(0, 1e-4), row(1, None), row(1, 0.2)]
+        assert cli.best_middle_ratio(rows, 1) == 0.2
+        assert cli.best_middle_ratio([row(1, 1e-3, "floored"), row(0, 0.5)], 1) is None
 
     def test_unknown_preset_rejected(self, tmp_path):
         # argparse validates the preset name against the published list

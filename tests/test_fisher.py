@@ -40,7 +40,7 @@ class TestExactBlock:
         # delta is (h - y) with y ~ Bernoulli(0.5), so E[delta^2] = 0.25 and
         # F = 0.25 * vec(x) vec(x)^T
         spec = NetSpec.mlp([3, 1], head="sigmoid")
-        params = Params([np.zeros((1, 3))], [np.zeros(1)])
+        params = Params.of([np.zeros((1, 3))], [np.zeros(1)])
         model = Model(spec, params)
         x = np.array([[0.5, -1.0, 2.0]])
         block = exact_fisher_block(model, x, 0)
@@ -79,7 +79,7 @@ class TestExactBlock:
             delta_last = trace.outputs - y
             deltas = net.backpropagate_deltas(trace, model.params, model.spec, delta_last)
             per_class.append((freq, deltas[layer]))
-        signal = trace.layer_input(layer)
+        signal = ([trace.inputs] + trace.activations)[layer]
         b = x.shape[0]
         size = exact.shape[0]
         mc = np.zeros_like(exact)
@@ -130,7 +130,7 @@ class TestFactorizedBlock:
         # with a single input and a linear head the independence assumption
         # holds degenerately, so the factorization is exact
         spec = NetSpec.mlp([3, 1], head="sigmoid")
-        params = Params([np.array([[0.2, -0.4, 0.1]])], [np.zeros(1)])
+        params = Params.of([np.array([[0.2, -0.4, 0.1]])], [np.zeros(1)])
         model = Model(spec, params)
         x = np.array([[1.0, 2.0, -0.5]])
         exact = exact_fisher_block(model, x, 0).matrix
@@ -192,8 +192,10 @@ class TestSharedSweep:
             else:
                 block = exact_fisher_block(model, self.X, r.layer)
             lam = block.eigenvalues()
+            # the softmax-3 exact blocks are rank-deficient: lambda_min sits at the floor
+            flag = "floored" if lam.min() <= 1e-12 * lam.max() else ""
             expected = ConditioningRow(r.layer, r.kind, float(lam.max()), float(lam.min()),
-                                       condition_number(lam))
+                                       condition_number(lam), flag=flag)
             assert r == expected
 
     def test_shared_sweep_blocks_equal_standalone(self):
@@ -250,7 +252,7 @@ class TestSharedSweep:
         # would be off by that factor
         spec = NetSpec.mlp([4, 3, 1], hidden="tanh", head="sigmoid")
         model = Model.batch_norm(spec, init_fan_in(spec, 52))
-        model.bn_params.gains[0][:] = 3.0
+        model.params.gains[0][:] = 3.0
         x = np.random.default_rng(53).standard_normal((8, 4))
         with pytest.raises(ConsistencyError, match="batch-norm"):
             class_sweep(model, x)
@@ -367,9 +369,9 @@ class TestConditioningReport:
         raw = rng.standard_normal((128, 4))
         mu = raw.mean(axis=0)
         cov = (raw - mu).T @ (raw - mu) / raw.shape[0]
-        from whitenet.linalg import MomentEstimate, pca_matrix
+        from whitenet.linalg import pca_from_eig, sym_eig
 
-        u = pca_matrix(MomentEstimate(mu, cov, raw.shape[0]), 0.0)
+        u = pca_from_eig(sym_eig(cov), 0.0)
         white = (raw - mu) @ u.T
         factors, _ = factorized_fisher_block(model, white, 0)
         from whitenet.linalg import condition_number, sym_eig
@@ -392,7 +394,22 @@ class TestConditioningReport:
         x = np.random.default_rng(21).standard_normal((16, 60))
         rows = conditioning_report(model, x, kinds=("exact",))
         assert rows[0].flag == "too_large"
-        assert rows[1].flag == ""  # 40x1 block fits
+        # the 40x1 block fits; 16 rows leave it rank-deficient, so it is floored
+        assert rows[1].flag == "floored"
+
+    def test_rank_deficient_blocks_flagged_floored(self):
+        # 3 rows give layer 0 a 5x5 activation factor and a 20x20 exact block
+        # of rank <= 3: lambda_min is rounding noise, and cond is the floor
+        model = canonical_model([5, 4, 1], seed=25)
+        few = np.random.default_rng(26).standard_normal((3, 5))
+        for r in conditioning_report(model, few, kinds=("factorized", "exact")):
+            if r.layer == 0:
+                assert r.flag == "floored"
+                assert r.lambda_min <= 1e-12 * r.lambda_max
+                assert r.cond == pytest.approx(1e12)
+        many = np.random.default_rng(27).standard_normal((64, 5))
+        rows = conditioning_report(model, many, kinds=("factorized", "exact"))
+        assert [r.flag for r in rows if r.layer == 0] == ["", ""]
 
     def test_exact_block_condition_number_drops_after_whitening(self):
         # same story on the exact (non-factorized) middle-layer block, at a

@@ -15,21 +15,20 @@ SPEC = NetSpec.mlp([5, 4, 3], hidden="tanh", head="softmax")
 
 
 def layout_order(model):
-    arrays = [a for pair in zip(model.params.weights, model.params.biases) for a in pair]
-    if model.bn_params is not None:
-        arrays += [a for pair in zip(model.bn_params.gains, model.bn_params.shifts) for a in pair]
-    return arrays
+    params = model.params
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    return arrays + [a for pair in zip(params.gains, params.shifts) for a in pair]
 
 
 def assert_views_of_vector(model):
-    """Every parameter array is a view of ``model.vector`` at its layout offset,
+    """Every parameter array is a view of ``model.params.vector`` at its layout offset,
     and together they tile the vector."""
     start = 0
     for a in layout_order(model):
-        assert a.base is model.vector
-        assert a.ctypes.data == model.vector.ctypes.data + 8 * start
+        assert a.base is model.params.vector
+        assert a.ctypes.data == model.params.vector.ctypes.data + 8 * start
         start += a.size
-    assert start == model.vector.size
+    assert start == model.params.vector.size
 
 
 def whitened(seed=0):
@@ -45,23 +44,23 @@ def whitened(seed=0):
 def test_construction_copies_into_views(make):
     model = make()
     assert_views_of_vector(model)
-    assert np.array_equal(model.vector, np.concatenate([a.ravel() for a in layout_order(model)]))
+    assert np.array_equal(model.params.vector, np.concatenate([a.ravel() for a in layout_order(model)]))
 
 
 def test_construction_leaves_the_given_arrays_alone():
     params = init_fan_in(SPEC, 4)
     before = params.weights[0].copy()
     model = Model(SPEC, params)
-    model.vector[:] = 0.0
+    model.params.vector[:] = 0.0
     assert np.array_equal(params.weights[0], before)
 
 
 def test_mismatched_shapes_rejected():
     params = init_fan_in(SPEC, 5)
     with pytest.raises(DimensionError):
-        Model(SPEC, Params([params.weights[0].T, params.weights[1]], params.biases))
+        Model(SPEC, Params.of([params.weights[0].T, params.weights[1]], params.biases))
     with pytest.raises(DimensionError):
-        Model(SPEC, Params(params.weights[:1], params.biases[:1]))
+        Model(SPEC, Params.of(params.weights[:1], params.biases[:1]))
     with pytest.raises(DimensionError):
         net.flat_layout(SPEC, np.zeros(3))
 
@@ -70,11 +69,11 @@ def test_copy_owns_an_independent_vector():
     model = Model.batch_norm(SPEC, init_fan_in(SPEC, 6))
     twin = model.copy()
     assert_views_of_vector(twin)
-    assert not np.shares_memory(twin.vector, model.vector)
-    assert np.array_equal(twin.vector, model.vector)
-    twin.vector += 1.0
+    assert not np.shares_memory(twin.params.vector, model.params.vector)
+    assert np.array_equal(twin.params.vector, model.params.vector)
+    twin.params.vector += 1.0
     twin.bn_state.running_mean[0][:] = 5.0
-    assert not np.array_equal(twin.vector, model.vector)
+    assert not np.array_equal(twin.params.vector, model.params.vector)
     assert not np.array_equal(twin.bn_state.running_mean[0], model.bn_state.running_mean[0])
 
 
@@ -84,7 +83,7 @@ def test_views_survive_reparametrization_and_rescale():
     prong_reparametrize(model.params, model.phi, model.spec, x, 1e-2)
     assert_views_of_vector(model)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9)
-    state = OptimizerState.init(model.vector, cfg, spec=model.spec)
+    state = OptimizerState.init(model.params.vector, cfg, spec=model.spec)
     state.velocity[:] = 1.0
     prong_plus_rescale(model, model.forward(x), state, cfg)
     assert_views_of_vector(model)
@@ -96,12 +95,12 @@ def test_views_survive_reparametrization_and_rescale():
 
 def test_checkpoint_load_fills_views(tmp_path):
     model = Model.batch_norm(SPEC, init_fan_in(SPEC, 9))
-    model.bn_params.gains[1][:] = 2.5
+    model.params.gains[1][:] = 2.5
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=9, step=0)
     back, _ = load_checkpoint(path)
     assert_views_of_vector(back)
-    assert np.array_equal(back.vector, model.vector)
+    assert np.array_equal(back.params.vector, model.params.vector)
 
 
 @pytest.mark.parametrize("bn", [False, True])
@@ -116,7 +115,5 @@ def test_backward_writes_into_the_given_layout(bn):
     out = model.layout()
     out.vector[:] = np.nan
     bt = model.backward(trace, grad, out=out)
-    assert bt.vector is out.vector
-    assert np.array_equal(bt.vector, fresh.vector)
-    for w, g in zip(bt.weight_grads, out.weights):
-        assert w is g
+    assert bt.grads is out
+    assert np.array_equal(out.vector, fresh.grads.vector)

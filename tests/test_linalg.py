@@ -15,7 +15,7 @@ from whitenet.linalg import (
     condition_number,
     estimate_moments,
     invert_whitening,
-    pca_matrix,
+    pca_from_eig,
     sym_eig,
     sym_eigvals,
 )
@@ -167,32 +167,32 @@ class TestEstimateMoments:
 class TestZcaMatrix:
     def test_identity_covariance(self):
         m = estimate_moments(_seeded_samples(400, 4, seed=1))
-        u = pca_matrix(m, epsilon=0.0)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
         np.testing.assert_allclose(u @ m.covariance @ u.T, np.eye(4), atol=1e-8)
 
     def test_diagonal_epsilon_zero(self):
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = pca_matrix(m, epsilon=0.0)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
         np.testing.assert_allclose(np.abs(u), np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_diagonal_epsilon_one(self):
         # gains are 1/sqrt(lam + eps): 1/sqrt(5), 1/sqrt(2)
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = pca_matrix(m, epsilon=1.0)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=1.0)
         expected = np.diag([1.0 / np.sqrt(5.0), 1.0 / np.sqrt(2.0)])
         np.testing.assert_allclose(np.abs(u), expected, atol=1e-12)
 
     def test_singular_requires_epsilon(self):
         m = _moments_with_cov(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
-            pca_matrix(m, epsilon=0.0)
-        u = pca_matrix(m, epsilon=0.5)
+            pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.5)
         assert np.isfinite(u).all()
 
     def test_whitened_samples_have_unit_moments(self):
         x = _seeded_samples(300, 5, seed=9)
         m = estimate_moments(x)
-        u = pca_matrix(m, epsilon=0.0)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
         a = (x - m.mean) @ u.T
         assert np.abs(a.mean(axis=0)).max() < 1e-9
         cov = a.T @ a / a.shape[0]
@@ -205,7 +205,7 @@ class TestZcaMatrix:
         x = _seeded_samples(500, 4, seed=13)
         m = estimate_moments(x)
         eig = sym_eig(m.covariance)
-        u = pca_matrix(m, epsilon=eps)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=eps)
         a = (x - m.mean) @ u.T
         cov = a.T @ a / a.shape[0]
         expected = np.diag(eig.eigenvalues / (eig.eigenvalues + eps))
@@ -250,7 +250,7 @@ class TestInvertWhitening:
     def test_round_trip_on_random_zca(self):
         x = _seeded_samples(200, 6, seed=21)
         m = estimate_moments(x)
-        u = pca_matrix(m, epsilon=1e-3)
+        u = pca_from_eig(sym_eig(m.covariance), epsilon=1e-3)
         uinv = invert_whitening(u)
         assert np.abs(u @ uinv - np.eye(6)).max() <= 1e-9
 

@@ -1,0 +1,57 @@
+"""scripts/line_count.py counts the lines that hold code: no blank line,
+comment-only line or docstring."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "line_count.py"
+
+FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a trailing comment keeps its line
+
+
+class Box:
+    """Class docstring."""
+
+    size = 2
+
+
+def f(x):
+    """Function docstring.
+
+    With a blank line inside.
+    """
+    text = """a string that is not a docstring
+    counts on every line"""
+    return (x +
+            len(text))
+
+
+def g(): "one-line body docstring"; return os.sep
+'''
+# import, class, size, def f, text x2, return x2, def g: 9 lines
+
+
+@pytest.fixture(scope="module")
+def line_count():
+    spec = importlib.util.spec_from_file_location("line_count", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_code_lines_only(line_count):
+    assert line_count.code_lines(FIXTURE) == 9
+
+
+def test_prints_each_module_and_the_total(line_count, tmp_path, capsys):
+    (tmp_path / "a.py").write_text(FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n\ny = 2\n")
+    assert line_count.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "     9 a.py", "     2 b.py", "    11 total", ""]

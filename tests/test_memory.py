@@ -190,16 +190,16 @@ def old_reparametrize(omega, phi, spec, stats, epsilon):
     new_phi = WhiteningCoeffs([], [])
     spectra = []
     for i in range(spec.depth):
-        mom = linalg.estimate_moments(trace.layer_input(i))
+        mom = linalg.estimate_moments(([trace.inputs] + trace.activations)[i])
         eig = linalg.sym_eig(mom.covariance)
         new_phi.transforms.append(linalg.pca_from_eig(eig, epsilon))
         new_phi.centers.append(mom.mean.copy())
         spectra.append(eig)
-    fresh = net.Params([], [])
+    weights, biases = [], []
     for (w, b), u, c in zip(thetas, new_phi.transforms, new_phi.centers):
-        fresh.weights.append(w @ linalg.invert_whitening(u))
-        fresh.biases.append(b + w @ c)
-    return fresh, new_phi, spectra, trace.outputs
+        weights.append(w @ linalg.invert_whitening(u))
+        biases.append(b + w @ c)
+    return net.Params.of(weights, biases), new_phi, spectra, trace.outputs
 
 
 def bits(arrays):
@@ -219,8 +219,31 @@ def test_reparametrize_is_the_old_sequence_bit_for_bit(start):
     for got, expected in [
         (model.params.weights + model.params.biases, fresh.weights + fresh.biases),
         (model.phi.transforms + model.phi.centers, phi.transforms + phi.centers),
-        ([e.eigenvalues for e in info.spectra], [e.eigenvalues for e in spectra]),
+        (info.eigenvalues, [e.eigenvalues for e in spectra]),
         ([info.outputs], [outputs]),
     ]:
         for a, b in zip(bits(got), bits(expected), strict=True):
             assert np.array_equal(a, b)
+
+
+def float_count(value):
+    """Floats held by the arrays inside ``value``, through lists, tuples and
+    object attributes."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (list, tuple)):
+        return sum(float_count(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return float_count(list(vars(value).values()))
+    return 0
+
+
+def test_reparam_info_holds_no_square_matrices():
+    # per-slot eigenvalues and the outputs: O(sum d) floats, where
+    # covariances or eigenvectors would be O(sum d^2)
+    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    model = identity_model(spec, 13)
+    stats = np.random.default_rng(14).uniform(0.0, 1.0, size=(100, 100))
+    info = optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
+    widths = sum(layer.in_dim for layer in spec.layers)
+    assert float_count(info) == widths + info.outputs.size

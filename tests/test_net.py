@@ -9,7 +9,6 @@ from whitenet import net
 from whitenet.data import Dataset
 from whitenet.errors import ConsistencyError, DimensionError, NumericError
 from whitenet.net import (
-    BatchNormParams,
     BatchNormState,
     Model,
     NetSpec,
@@ -66,13 +65,13 @@ def naive_forward(params, spec, x):
 class TestForwardCanonical:
     def test_identity_layer(self):
         spec = NetSpec.mlp([2, 2], head="identity")
-        params = Params([np.eye(2)], [np.zeros(2)])
+        params = Params.of([np.eye(2)], [np.zeros(2)])
         trace = forward_whitened(params, None, spec, np.array([1.0, 2.0]))
         np.testing.assert_allclose(trace.outputs[0], [1.0, 2.0])
 
     def test_zero_weight_sigmoid(self):
         spec = NetSpec.mlp([3, 4], head="sigmoid")
-        params = Params([np.zeros((4, 3))], [np.zeros(4)])
+        params = Params.of([np.zeros((4, 3))], [np.zeros(4)])
         trace = forward_whitened(params, None, spec, np.array([5.0, -2.0, 0.1]))
         np.testing.assert_allclose(trace.outputs[0], 0.5 * np.ones(4))
 
@@ -96,7 +95,7 @@ class TestForwardCanonical:
 
     def test_numeric_error_names_layer(self):
         spec = NetSpec.mlp([2, 2, 2], hidden="identity", head="identity")
-        params = Params(
+        params = Params.of(
             [np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])],
             [np.zeros(2), np.zeros(2)],
         )
@@ -188,7 +187,7 @@ class TestSigmoidBitIdentity:
         reference = run()
 
         assert reference_calls
-        arrays = [(shipped.model.vector, reference.model.vector)]
+        arrays = [(shipped.model.params.vector, reference.model.params.vector)]
         if optimizer != "momentum":
             arrays += list(zip(shipped.model.phi.transforms, reference.model.phi.transforms))
         for a, b in arrays:
@@ -215,7 +214,7 @@ class TestForwardWhitened:
         _, g = loss("binary_cross_entropy", a.outputs, y)
         bta = net.backward_whitened(a, params, spec, g)
         btb = net.backward_whitened(b, params, spec, g)
-        for ga, gb in zip(bta.weight_grads + bta.bias_grads, btb.weight_grads + btb.bias_grads):
+        for ga, gb in zip(bta.grads.weights + bta.grads.biases, btb.grads.weights + btb.grads.biases):
             assert np.array_equal(ga, gb)
 
     def test_centering_zeroes_batch_mean(self):
@@ -356,20 +355,20 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
     trace = model.forward(x, training=True)
     _, g = loss(kind, trace.outputs, targets)
     bt = model.backward(trace, g)
-    analytic = [bt.vector]
-    numeric = finite_difference_grads(eval_loss, [model.vector])
+    analytic = [bt.grads.vector]
+    numeric = finite_difference_grads(eval_loss, [model.params.vector])
     assert relative_errors(analytic, numeric) < tol
 
 
 class TestBackward:
     def test_identity_net_zero_gradient_at_target(self):
         spec = NetSpec.mlp([3, 3], head="identity")
-        params = Params([np.eye(3)], [np.zeros(3)])
+        params = Params.of([np.eye(3)], [np.zeros(3)])
         x = np.array([0.3, -0.2, 0.9])
         trace = forward_whitened(params, None, spec, x)
         _, g = loss("squared_error", trace.outputs, x[None, :])
         bt = net.backward_whitened(trace, params, spec, g)
-        for arr in bt.weight_grads + bt.bias_grads:
+        for arr in bt.grads.weights + bt.grads.biases:
             np.testing.assert_allclose(arr, 0.0, atol=1e-15)
 
     def test_sigmoid_cross_entropy_delta(self):
@@ -416,7 +415,8 @@ class TestBackward:
 
     def test_mismatched_trace_rejected(self):
         spec, params = seeded_canonical([3, 2], seed=19)
-        trace = forward_bn(params, BatchNormParams.init(spec), spec, np.zeros((4, 3)))
+        bn = Model.batch_norm(spec, params).params
+        trace = forward_bn(bn, spec, np.zeros((4, 3)))
         with pytest.raises(ConsistencyError, match="forward_bn"):
             net.backward_whitened(trace, params, spec, np.zeros((4, 2)))
 
@@ -432,7 +432,7 @@ class TestProjections:
     def test_hand_expanded_example(self):
         # V=I, U=diag(2), c=(1,1), d=0:  W = diag(2), b = -W c = (-2,-2)
         spec = NetSpec.mlp([2, 2], head="identity")
-        omega = Params([np.eye(2)], [np.zeros(2)])
+        omega = Params.of([np.eye(2)], [np.zeros(2)])
         phi = WhiteningCoeffs([np.diag([2.0, 2.0])], [np.ones(2)])
         theta = project_to_canonical(omega, phi)
         np.testing.assert_allclose(theta.weights[0], np.diag([2.0, 2.0]))
@@ -497,8 +497,8 @@ class TestProjections:
         btc = net.backward_whitened(tc, theta, spec, gw)
         btw = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
-            expected = btc.weight_grads[i] @ phi.transforms[i].T
-            assert np.abs(btw.weight_grads[i] - expected).max() < 1e-10
+            expected = btc.grads.weights[i] @ phi.transforms[i].T
+            assert np.abs(btw.grads.weights[i] - expected).max() < 1e-10
 
     def test_gradient_duality_general_centering(self):
         # with centering, the bias couples in: G_V = (G_W - delta_bar c^T) U^T
@@ -516,9 +516,9 @@ class TestProjections:
         btw = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
             delta_bar = btc.deltas[i].sum(axis=0)
-            corrected = btc.weight_grads[i] - np.outer(delta_bar, phi.centers[i])
+            corrected = btc.grads.weights[i] - np.outer(delta_bar, phi.centers[i])
             expected = corrected @ phi.transforms[i].T
-            assert np.abs(btw.weight_grads[i] - expected).max() < 1e-10
+            assert np.abs(btw.grads.weights[i] - expected).max() < 1e-10
 
 
 class TestInitFanIn:
@@ -547,11 +547,11 @@ class TestInitFanIn:
 class TestBatchNorm:
     def test_constant_batch_outputs_shift(self):
         spec = NetSpec.mlp([3, 2], head="identity")
-        params = Params([np.ones((2, 3))], [np.zeros(2)])
-        bn = BatchNormParams.init(spec)
+        params = Params.of([np.ones((2, 3))], [np.zeros(2)])
+        bn = Model.batch_norm(spec, params).params
         bn.shifts[0][:] = [0.25, -0.5]
         x = np.tile([1.0, 2.0, 3.0], (4, 1))
-        trace = forward_bn(params, bn, spec, x)
+        trace = forward_bn(bn, spec, x)
         np.testing.assert_allclose(trace.bn[0]["zhat"], 0.0, atol=1e-12)
         np.testing.assert_allclose(trace.outputs, np.tile([0.25, -0.5], (4, 1)))
 
@@ -559,10 +559,10 @@ class TestBatchNorm:
         spec, params = seeded_canonical([4, 3], seed=40, head="identity")
         x = np.random.default_rng(41).standard_normal((16, 4))
         z = forward_whitened(params, None, spec, x).pre_activations[0]
-        bn = BatchNormParams.init(spec)
+        bn = Model.batch_norm(spec, params).params
         bn.gains[0][:] = np.maximum(z.std(axis=0), net.BN_STD_FLOOR)
         bn.shifts[0][:] = z.mean(axis=0)
-        trace = forward_bn(params, bn, spec, x)
+        trace = forward_bn(bn, spec, x)
         assert np.abs(trace.outputs - z).max() < 1e-9
 
     def test_finite_differences_through_bn(self):
@@ -574,27 +574,27 @@ class TestBatchNorm:
 
     def test_overflowing_gain_names_layer(self):
         spec, params = seeded_canonical([3, 4, 2], seed=47, hidden="relu", head="sigmoid")
-        bn = BatchNormParams.init(spec)
+        bn = Model.batch_norm(spec, params).params
         bn.gains[0][:] = np.finfo(float).max
         bn.shifts[0][:] = np.finfo(float).max
         x = np.random.default_rng(48).standard_normal((8, 3))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 0"):
-            forward_bn(params, bn, spec, x)
+            forward_bn(bn, spec, x)
 
     def test_batch_of_one_rejected(self):
         spec, params = seeded_canonical([3, 2], seed=44)
         with pytest.raises(net.InsufficientBatchError):
-            forward_bn(params, BatchNormParams.init(spec), spec, np.zeros((1, 3)))
+            forward_bn(Model.batch_norm(spec, params).params, spec, np.zeros((1, 3)))
 
     def test_inference_uses_running_averages(self):
         spec, params = seeded_canonical([3, 2], seed=45)
-        bn = BatchNormParams.init(spec)
+        bn = Model.batch_norm(spec, params).params
         state = BatchNormState.init(spec)
         rng = np.random.default_rng(46)
         for _ in range(50):
-            forward_bn(params, bn, spec, rng.standard_normal((32, 3)), state=state)
+            forward_bn(bn, spec, rng.standard_normal((32, 3)), state=state)
         x = rng.standard_normal((8, 3))
-        out1 = forward_bn(params, bn, spec, x, state=state, training=False).outputs
-        out2 = forward_bn(params, bn, spec, x[:4], state=state, training=False).outputs
+        out1 = forward_bn(bn, spec, x, state=state, training=False).outputs
+        out2 = forward_bn(bn, spec, x[:4], state=state, training=False).outputs
         # inference output per example independent of the rest of the batch
         np.testing.assert_allclose(out1[:4], out2)

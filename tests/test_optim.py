@@ -185,7 +185,7 @@ class TestReparametrize:
         trace = model.forward(stats)
         for i in range(model.spec.depth):
             a = trace.signals[i]
-            lam = info.spectra[i].eigenvalues
+            lam = info.eigenvalues[i]
             expected = np.diag(lam / (lam + eps))
             cov = a.T @ a / a.shape[0]
             assert np.abs(cov - expected).max() < 1e-6
@@ -207,11 +207,12 @@ class TestReparametrize:
         # whitening initialization scheme: U from the data covariance
         model = whitened_model([5, 3], seed=9)
         stats = np.random.default_rng(10).standard_normal((200, 5))
-        info = prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        mom = info.moments[0]
-        np.testing.assert_allclose(mom.mean, stats.mean(axis=0), atol=1e-12)
+        prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
+        mean = stats.mean(axis=0)
+        np.testing.assert_allclose(model.phi.centers[0], mean, atol=1e-12)
+        cov = (stats - mean).T @ (stats - mean) / stats.shape[0]
         u = model.phi.transforms[0]
-        np.testing.assert_allclose(u @ mom.covariance @ u.T, np.eye(5), atol=1e-8)
+        np.testing.assert_allclose(u @ cov @ u.T, np.eye(5), atol=1e-8)
 
     def test_singular_statistics_demand_epsilon(self):
         model = whitened_model([4, 2], seed=11)
@@ -228,7 +229,7 @@ class TestReparametrize:
         for eps in (0.0, 0.1, 1.0):
             m = model.copy()
             info = prong_reparametrize(m.params, m.phi, m.spec, stats, epsilon=eps)
-            lam = info.spectra[0].eigenvalues
+            lam = info.eigenvalues[0]
             multipliers.append(1.0 / (lam + eps))
         for weaker, stronger in zip(multipliers[1:], multipliers[:-1]):
             assert np.all(weaker <= stronger + 1e-15)
@@ -238,7 +239,7 @@ class TestProngPlusRescale:
     def _setup(self, seed=0):
         model = whitened_model([5, 4, 2], seed=seed)
         cfg = make_config(rescale_decay=0.0)  # track the batch std directly
-        state = OptimizerState.init(model.vector, cfg, spec=model.spec)
+        state = OptimizerState.init(model.params.vector, cfg, spec=model.spec)
         return model, cfg, state
 
     def test_unit_stds_noop(self):
@@ -437,8 +438,8 @@ class TestNaturalGradientEquivalence:
         bt = model.backward(trace, grad)
 
         cfg = make_config(learning_rate=alpha, momentum=0.0)
-        state = OptimizerState.init(model.vector, cfg)
-        sgd_step(model.vector, bt.vector, state, cfg)
+        state = OptimizerState.init(model.params.vector, cfg)
+        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         # canonical gradients on the same batch (deltas per layer)
@@ -448,10 +449,10 @@ class TestNaturalGradientEquivalence:
 
         stats_trace = net.forward_whitened(theta_before, None, model.spec, stats)
         for i in range(model.spec.depth):
-            h = stats_trace.layer_input(i)
+            h = ([stats_trace.inputs] + stats_trace.activations)[i]
             aug = np.hstack([h, np.ones((h.shape[0], 1))])
             moment = aug.T @ aug / aug.shape[0]
-            g_aug = np.hstack([cbt.weight_grads[i], cbt.bias_grads[i][:, None]])
+            g_aug = np.hstack([cbt.grads.weights[i], cbt.grads.biases[i][:, None]])
             delta_aug = -alpha * g_aug @ np.linalg.inv(moment)
 
             dw = theta_after.weights[i] - theta_before.weights[i]
@@ -463,7 +464,7 @@ class TestNaturalGradientEquivalence:
             mu = h.mean(axis=0)
             sigma = (h - mu).T @ (h - mu) / h.shape[0]
             delta_bar = cbt.deltas[i].sum(axis=0)
-            centered_g = cbt.weight_grads[i] - np.outer(delta_bar, mu)
+            centered_g = cbt.grads.weights[i] - np.outer(delta_bar, mu)
             dw_centered = -alpha * centered_g @ np.linalg.inv(sigma)
             assert np.abs(dw - dw_centered).max() < 1e-8
 
@@ -489,8 +490,8 @@ class TestNaturalGradientEquivalence:
         _, grad = net.loss("binary_cross_entropy", trace.outputs, batch_y)
         bt = model.backward(trace, grad)
         cfg = make_config(learning_rate=alpha)
-        state = OptimizerState.init(model.vector, cfg)
-        sgd_step(model.vector, bt.vector, state, cfg)
+        state = OptimizerState.init(model.params.vector, cfg)
+        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta, None, spec, batch_x)
@@ -498,7 +499,7 @@ class TestNaturalGradientEquivalence:
         cbt = net.backward_whitened(ctrace, theta, spec, cgrad)
         for i in range(spec.depth):
             u = phi.transforms[i]
-            expected = -alpha * cbt.weight_grads[i] @ (u.T @ u)
+            expected = -alpha * cbt.grads.weights[i] @ (u.T @ u)
             dw = theta_after.weights[i] - theta.weights[i]
             assert np.abs(dw - expected).max() < 1e-10
 
@@ -513,10 +514,10 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
     from whitenet.data import BatchPlan, next_batch
 
     whitened = optimizer in ("prong", "prong_plus")
-    bn = model.bn_params is not None
+    bn = bool(model.params.gains)
     arrays = [a for pair in zip(model.params.weights, model.params.biases) for a in pair]
     if bn:
-        arrays += [a for pair in zip(model.bn_params.gains, model.bn_params.shifts) for a in pair]
+        arrays += [a for pair in zip(model.params.gains, model.params.shifts) for a in pair]
     velocities = [np.zeros_like(a) for a in arrays]
     mean_squares = [np.zeros_like(a) for a in arrays]
     unit_std = [np.ones(layer.in_dim) for layer in model.spec.layers]
@@ -551,7 +552,7 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
         for i in range(model.spec.depth):
             grads += [bt.deltas[i].T @ trace.signals[i], bt.deltas[i].sum(axis=0)]
         if bn:
-            grads += [g.copy() for pair in zip(bt.gain_grads, bt.shift_grads) for g in pair]
+            grads += [g.copy() for pair in zip(bt.grads.gains, bt.grads.shifts) for g in pair]
         for g in grads:
             assert np.isfinite(g).all()
         if optimizer == "rmsprop":
@@ -613,7 +614,7 @@ class TestFlatUpdateOracle:
         def bits(a):
             return np.ascontiguousarray(a).view(np.int64)
 
-        assert np.array_equal(bits(model.vector), bits(reference.vector))
+        assert np.array_equal(bits(model.params.vector), bits(reference.params.vector))
         flat_velocity = np.concatenate([v.ravel() for v in velocities])
         assert np.array_equal(bits(result.state.velocity), bits(flat_velocity))
         if optimizer == "rmsprop":
