@@ -6,7 +6,9 @@ Commands:
   diagnose-fisher  conditioning experiment: sgd / rmsprop / prong runs with
                    per-layer condition-number series and the exact
                    middle-layer Fisher block before/after whitening as
-                   float64 .npy heatmaps (read them with np.load)
+                   float64 .npy heatmaps (read them with np.load); each is
+                   streamed to disk a row of tiles at a time, and the dense
+                   block is never held
   grid             Cartesian product over the config's "grid" axes
   replay           merge metrics files into plot-ready LOCF tables
 """
@@ -194,7 +196,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
 
     Every run starts from the same seeded model. Condition numbers are
     measured on a fixed probe subset, relative to the initial (pre-whitening)
-    values; prong metrics rows also carry the middle-layer ratio."""
+    values. Every run's metrics rows carry the middle-layer ratio, left
+    empty where that row is floored."""
     baseline_model = build_model({**cfg, "optimizer": "sgd"})
     middle = baseline_model.spec.depth // 2
     try:  # refused before any work: the head, and the middle heatmap's size
@@ -211,16 +214,16 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     baselines = {(r.layer, r.kind): r.cond for r in baseline_rows}
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
-    # stored bit for bit; no name keeps a block alive after its save
-    np.save(out / "fisher_middle_before.npy",
-            fisher.exact_fisher_block(baseline_model, probe, middle).matrix)
+    # stored bit for bit and streamed to disk a row of tiles at a time
+    fisher.exact_fisher_block(baseline_model, probe, middle).save(
+        out / "fisher_middle_before.npy")
     white = build_model({**cfg, "optimizer": "prong"})
     from .optim import prong_reparametrize
 
     prong_reparametrize(
         white.params, white.phi, white.spec, probe, cfg["train"].get("eigen_epsilon", 0.0)
     )
-    np.save(out / "fisher_middle_after.npy", fisher.exact_fisher_block(white, probe, middle).matrix)
+    fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
 
     summary = {}
     for optimizer in ("sgd", "rmsprop", "prong"):
@@ -234,7 +237,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
             for r in rows:
                 _series.append((step, r))
             mid = [r for r in rows if r.layer == middle][0]
-            return {"cond_ratio": mid.cond_ratio}
+            # a floored ratio is the floor's, not a measurement: left empty
+            return {"cond_ratio": None if mid.flag == "floored" else mid.cond_ratio}
 
         status, _ = _run_one(run_cfg, out / optimizer, dataset, row_callback=on_row)
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",

@@ -75,7 +75,6 @@ SCHEMA = {
             "divisor": (float, False, None),
         },
     },
-    "out_dir": (str, False, None),
     "long_running": (bool, False, None),
     "grid": (dict, False, None),
 }

@@ -12,8 +12,9 @@ weighted delta rows (``fisher_rows``): one row per class, or a single row
 for a two-class head, whose two class deltas are collinear. The factorized
 form assumes delta and s independent and keeps only the two covariance
 factors; its Kronecker product uses the row-major vec convention, so
-F[km, ln] = delta_cov[k, l] * act_cov[m, n], and is built only when a
-block's ``matrix`` is read. Off-block-diagonal
+F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Either form builds its dense
+block only when its ``matrix`` is read; an exact block's ``save`` streams
+it to disk without building it. Off-block-diagonal
 (cross-layer) terms are never materialized. A conditioning report forwards
 its inputs once and backprops each class once (a ``ClassSweep``), and every
 layer's block reads its deltas from that one sweep.
@@ -39,21 +40,110 @@ class KroneckerFactors:
 
 
 @dataclass
+class StackedG:
+    """What an exact block is built from: F = G^T G / B, where G stacks the
+    rows sqrt(w_rb) vec(delta_rb s_b^T) of every pair r of ``fisher_rows``
+    and example b, B rows for a two-class head and C B for C classes.
+
+    G is never built whole: its column block for output units [k0, k1) is
+    sqrt(w_r) delta_r[:, k0:k1] (x) s, about ``TILE_COLUMNS`` wide, built
+    when a tile needs it. F is written one row of tiles at a time. The
+    diagonal tile is the same-buffer product G_a^T G_a, which numpy runs as
+    SYRK; a tile right of it is G_a^T G_c, and a tile left of it is the
+    transpose of the product G_c^T G_a that an earlier row computed, so F is
+    exactly symmetric."""
+
+    scaled: list  # per pair r, sqrt(w_r) * delta_r, (B, N_i)
+    signal: np.ndarray  # (B, N_{i-1})
+
+    @property
+    def size(self):
+        return self.scaled[0].shape[1] * self.signal.shape[1]
+
+    def _blocks(self):
+        """F's index ranges of G's column blocks."""
+        n_in, n_out = self.signal.shape[1], self.scaled[0].shape[1]
+        units = max(1, TILE_COLUMNS // n_in)
+        return [slice(k0 * n_in, min(k0 + units, n_out) * n_in)
+                for k0 in range(0, n_out, units)]
+
+    def _columns(self, cols, buffer):
+        """G's columns ``cols``, one of ``_blocks()``, written into ``buffer``."""
+        b, n_in = self.signal.shape
+        width = cols.stop - cols.start
+        g = buffer[: len(self.scaled) * b * width].reshape(len(self.scaled), b, width)
+        for g_c, d in zip(g, self.scaled):
+            np.einsum("bi,bj->bij", d[:, cols.start // n_in : cols.stop // n_in], self.signal,
+                      out=g_c.reshape(b, -1, n_in))
+        return g.reshape(-1, width)
+
+    def _tile_rows(self, row_of, recompute):
+        """Write each row of tiles of F into ``row_of(rows)``, a
+        (len(rows), size) array, and yield (rows, that array). The tiles from
+        the diagonal rightwards are divided by B. With ``recompute`` the
+        tiles left of the diagonal are rebuilt, with the operands in the
+        order of the earlier row, and divided too; without it they are left
+        to the caller."""
+        blocks = self._blocks()
+        b = self.signal.shape[0]
+        width = blocks[0].stop - blocks[0].start
+        buffers = np.empty((2, len(self.scaled) * b * width))  # for G_a and G_c
+        for j, rows in enumerate(blocks):
+            out = row_of(rows)
+            g_a = self._columns(rows, buffers[0])
+            out[:, rows] = g_a.T @ g_a
+            for cols in blocks[j + 1 :]:
+                out[:, cols] = g_a.T @ self._columns(cols, buffers[1])
+            if recompute:
+                for cols in blocks[:j]:
+                    out[:, cols] = (self._columns(cols, buffers[1]).T @ g_a).T
+                out /= b
+            else:
+                out[:, rows.start :] /= b
+            yield rows, out
+
+    def matrix(self) -> np.ndarray:
+        """The dense block, built in place: a tile left of the diagonal is
+        copied from its transpose above it."""
+        f = np.empty((self.size, self.size))
+        for rows, _ in self._tile_rows(lambda rows: f[rows], recompute=False):
+            f[rows, : rows.start] = f[: rows.start, rows].T
+        return f
+
+    def save(self, path):
+        """Write to ``path`` the bytes ``np.save`` writes for
+        ``self.matrix()``, holding one row of tiles instead of the block."""
+        blocks = self._blocks()
+        row = np.empty((blocks[0].stop - blocks[0].start, self.size))
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (self.size, self.size)})
+            for _, out in self._tile_rows(lambda rows: row[: rows.stop - rows.start],
+                                          recompute=True):
+                out.tofile(fh)
+
+
+@dataclass
 class FisherBlock:
     layer_index: int
     kind: str  # "exact" | "factorized"
     _matrix: np.ndarray | None = field(default=None, repr=False)
     factors: KroneckerFactors | None = None
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    stacked: StackedG | None = field(default=None, repr=False)  # of an exact block
 
     @property
     def matrix(self) -> np.ndarray | None:
-        """The dense block. A factorized block builds its Kronecker product
-        on first read, and only within the tractability cap (None above)."""
-        if self._matrix is None and self.factors is not None:
-            f = self.factors
-            if f.delta_cov.shape[0] * f.act_cov.shape[0] <= MAX_BLOCK:
-                self._matrix = np.kron(f.delta_cov, f.act_cov)
+        """The dense block, built on first read. An exact block builds it
+        from ``stacked``; a factorized block builds its Kronecker product,
+        and only within the tractability cap (None above)."""
+        if self._matrix is None:
+            if self.stacked is not None:
+                self._matrix = self.stacked.matrix()
+            elif self.factors is not None:
+                f = self.factors
+                if f.delta_cov.shape[0] * f.act_cov.shape[0] <= MAX_BLOCK:
+                    self._matrix = np.kron(f.delta_cov, f.act_cov)
         return self._matrix
 
     def eigenvalues(self) -> np.ndarray:
@@ -79,6 +169,14 @@ class FisherBlock:
 
     def condition_number(self, **kw) -> float:
         return linalg.condition_number(self.eigenvalues(), **kw)
+
+    def save(self, path):
+        """Write an exact block to ``path`` byte for byte as
+        ``np.save(path, self.matrix)`` would, one row of tiles at a time,
+        without building ``matrix``."""
+        if self.stacked is None:
+            raise ConsistencyError("only an exact block is saved tile by tile")
+        self.stacked.save(path)
 
 
 @dataclass
@@ -169,48 +267,18 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
                        sweep: ClassSweep | None = None) -> FisherBlock:
     """Exact per-layer Fisher block: labels enumerated, inputs averaged.
 
-    F = G^T G / B, where G stacks the rows sqrt(w_rb) vec(delta_rb s_b^T)
-    of every pair r of ``fisher_rows`` and example b: B rows for a two-class
-    head, C B for C classes. G is never built whole: the block G_a of its
-    columns for output units [k0, k1) is sqrt(w_r) delta_r[:, k0:k1] (x) s, about
-    ``TILE_COLUMNS`` wide, and is built when a tile needs it. Each diagonal
-    tile is the same-buffer product G_a^T G_a, which numpy runs as SYRK;
-    each off-diagonal tile G_a^T G_c goes into F[a, c] and its transpose
-    into F[c, a], so F is exactly symmetric. ``sweep`` is
-    ``class_sweep(model, inputs)`` shared across layers; when given,
+    F = G^T G / B (see ``StackedG``). The block keeps G's factors, the
+    weighted deltas and the layer's signal; its dense ``matrix`` is built
+    when first read, and ``save`` writes it without building it. ``sweep``
+    is ``class_sweep(model, inputs)`` shared across layers; when given,
     ``inputs`` is not read."""
-    size = exact_block_size(model, layer_index)
+    exact_block_size(model, layer_index)
     if sweep is None:
         sweep = class_sweep(model, inputs)
-    signal = sweep.trace.signals[layer_index]
-    b, n_in = signal.shape
-    n_out = size // n_in
     scaled = [delta * np.sqrt(weight)[:, None]
               for weight, delta in fisher_rows(sweep, layer_index)]
-    units = max(1, TILE_COLUMNS // n_in)
-    starts = range(0, n_out, units)
-    buffers = np.empty((2, len(scaled) * b * units * n_in))  # for G_a and G_c
-
-    def columns(k0, buffer):
-        """G's columns for output units [k0, k0 + units), written into
-        ``buffer``, and their slice of F."""
-        width = (min(k0 + units, n_out) - k0) * n_in
-        g = buffer[: len(scaled) * b * width].reshape(len(scaled), b, width)
-        for g_c, d in zip(g, scaled):
-            np.einsum("bi,bj->bij", d[:, k0 : k0 + units], signal,
-                      out=g_c.reshape(b, -1, n_in))
-        return g.reshape(-1, width), slice(k0 * n_in, k0 * n_in + width)
-
-    f = np.empty((size, size))
-    for n, k0 in enumerate(starts):
-        g_a, rows = columns(k0, buffers[0])
-        f[rows, rows] = g_a.T @ g_a
-        for k in starts[n + 1 :]:
-            g_c, cols = columns(k, buffers[1])
-            f[rows, cols] = g_a.T @ g_c
-            f[cols, rows] = f[rows, cols].T
-    f /= b
-    return FisherBlock(layer_index, "exact", f)
+    stacked = StackedG(scaled, sweep.trace.signals[layer_index])
+    return FisherBlock(layer_index, "exact", stacked=stacked)
 
 
 def factorized_fisher_block(model: net.Model, inputs, layer_index: int,

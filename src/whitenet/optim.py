@@ -10,9 +10,10 @@ canonical ones, and the network function, are unchanged. Plain
 momentum-SGD runs on the whitened parameters in between; momentum buffers
 are reset at each reparametrization by default (disable for ablation).
 
-The "plus" variant additionally rescales each whitening matrix row by the
-running standard deviation of the corresponding whitened activation after
-every update, compensating the consuming weight columns so the forward
+The "plus" variant additionally divides each whitening matrix row after
+every update by ``max(decay + (1 - decay) * sigma, floor)``, sigma being the
+batch standard deviation of the corresponding whitened activation, and
+multiplies the consuming weight columns by the same factor, so the forward
 computation is preserved.
 """
 
@@ -100,15 +101,12 @@ class OptimizerState:
     velocity: np.ndarray
     step: int = 0
     mean_square: np.ndarray | None = None
-    unit_std: list | None = None  # running std of whitened activations (plus variant)
 
     @classmethod
-    def init(cls, vector, config: TrainConfig, *, rmsprop=False, spec=None):
+    def init(cls, vector, config: TrainConfig, *, rmsprop=False):
         state = cls(alpha=config.learning_rate, velocity=np.zeros_like(vector))
         if rmsprop:
             state.mean_square = np.zeros_like(vector)
-        if spec is not None:
-            state.unit_std = [np.ones(layer.in_dim) for layer in spec.layers]
         return state
 
     def reset_momentum(self):
@@ -206,24 +204,24 @@ def prong_plus_rescale(
     state: OptimizerState,
     config: TrainConfig,
 ):
-    """Diagonal rescale of each whitening matrix by the running std of its
-    whitened activations, with the consuming weight columns (and their
-    velocity) rescaled to preserve the feed-forward computation."""
+    """Diagonal rescale of each whitening matrix: row k is divided by
+    d_k = max(decay + (1 - decay) * sigma_k, floor), sigma_k the batch std of
+    whitened unit k in ``trace``, and the consuming weight columns (and
+    their velocity) are multiplied by d_k to preserve the feed-forward
+    computation. There is no running average: d depends on this batch
+    alone, so a unit whose std stays below 1 has its row grown by up to
+    1/decay per update."""
     if trace.phi is None:
         raise ConsistencyError("rescale needs a whitened-mode forward trace")
     phi = model.phi
     velocities = model.layout(state.velocity).weights
     decay = config.rescale_decay
     for i in range(len(phi.transforms)):
-        batch_std = trace.signals[i].std(axis=0)
-        ema = state.unit_std[i]
-        ema *= decay
-        ema += (1.0 - decay) * batch_std
-        d = np.maximum(ema, config.rescale_floor)
+        d = decay + (1.0 - decay) * trace.signals[i].std(axis=0)
+        np.maximum(d, config.rescale_floor, out=d)
         phi.transforms[i] /= d[:, None]
         model.params.weights[i] *= d[None, :]
         velocities[i] *= d[None, :]
-        state.unit_std[i] = ema / d
 
 
 def waterfall_anneal(history, policy: AnnealPolicy, alpha: float) -> float:
@@ -308,12 +306,7 @@ def train(
             f"with batch_size={config.batch_size} leave a one-row batch"
         )
 
-    state = OptimizerState.init(
-        model.params.vector,
-        config,
-        rmsprop=optimizer == "rmsprop",
-        spec=model.spec if whitened else None,
-    )
+    state = OptimizerState.init(model.params.vector, config, rmsprop=optimizer == "rmsprop")
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step
     gradient = model.layout()  # every step's backward writes here
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)
@@ -367,8 +360,6 @@ def train(
             reparam_seconds += info.seconds
             if config.reset_momentum_on_reparam:
                 state.reset_momentum()
-            if state.unit_std is not None:
-                state.unit_std = [np.ones_like(s) for s in state.unit_std]
             if before is not None:
                 result.probe_deltas.append(probe_delta(before))
             result.reparam_steps.append(t)

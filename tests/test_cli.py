@@ -290,6 +290,20 @@ class TestDiagnoseFisher:
         assert list(table[0])[-1] == "flag"
         middle = [r for r in table if r["layer"] == "1" and r["flag"] != "floored"]
         assert summary["prong"] == min(float(r["cond_ratio_to_initial"]) for r in middle)
+        # each metrics row carries its middle row's ratio, left empty where
+        # that row is floored (prong's rows at steps 100 and 200 here)
+        floored = 0
+        for opt in ("sgd", "rmsprop", "prong"):
+            with open(out / f"conditioning_{opt}.csv", newline="") as fh:
+                by_step = {int(r["step"]): r for r in csv.DictReader(fh) if r["layer"] == "1"}
+            for row in read_metrics(out / opt / "metrics.csv"):
+                mid = by_step[row.step]
+                if mid["flag"] == "floored":
+                    floored += 1
+                    assert row.cond_ratio is None
+                else:
+                    assert row.cond_ratio == float(mid["cond_ratio_to_initial"])
+        assert floored
 
     def test_best_middle_ratio_skips_floored_rows(self):
         def row(layer, ratio, flag=""):
@@ -429,6 +443,18 @@ class TestTypedErrors:
         assert code == 2
         assert key in self.one_line(capsys, "config error: invalid config values: ")
         assert not out.exists()
+
+    def test_out_dir_key_refused_by_name(self, tmp_path, capsys, monkeypatch):
+        # --out names the run directory; a config key for it would be ignored
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg["out_dir"] = str(tmp_path / "elsewhere")
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "out_dir" in self.one_line(capsys, "config error: invalid config keys")
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
 
     @pytest.mark.parametrize("axis", [0.1, [], "0.1"])
     def test_grid_axis_must_be_a_non_empty_list(self, tmp_path, capsys, monkeypatch, axis):

@@ -359,6 +359,37 @@ class TestFisherRows:
                     assert np.array_equal(exact_fisher_block(model, None, layer, sweep).matrix, f)
 
 
+class TestSavedBlock:
+    """An exact block's ``save`` streams the .npy one row of tiles at a
+    time; the file is byte for byte ``np.save(path, block.matrix)``."""
+
+    X = np.random.default_rng(70).standard_normal((512, 100))
+
+    # the cond-mlp-desk net, canonical and whitened, a 3-class head on it,
+    # and a middle layer whose last column block is one unit wide
+    @pytest.mark.parametrize("sizes, head, whitened", [
+        ([100, 32, 32, 1], "sigmoid", False),
+        ([100, 32, 32, 1], "sigmoid", True),
+        ([100, 32, 32, 3], "softmax", False),
+        ([100, 30, 17, 1], "sigmoid", True),
+    ], ids=["canonical", "whitened", "softmax3", "partial-tile"])
+    def test_saved_bytes_are_np_save_of_the_matrix(self, tmp_path, sizes, head, whitened):
+        model = classifier(sizes, head, 71, self.X[:256] if whitened else None)
+        streamed, dense = tmp_path / "streamed.npy", tmp_path / "dense.npy"
+        exact_fisher_block(model, self.X, 1).save(streamed)
+        np.save(dense, exact_fisher_block(model, self.X, 1).matrix)
+        assert streamed.read_bytes() == dense.read_bytes()
+        f = np.load(streamed)
+        assert f.shape == (sizes[1] * sizes[2],) * 2
+        assert np.array_equal(f, f.T)
+
+    def test_factorized_block_is_not_streamed(self, tmp_path):
+        _, block = factorized_fisher_block(canonical_model([6, 5, 1], seed=72), self.X[:, :6], 0)
+        with pytest.raises(ConsistencyError, match="exact"):
+            block.save(tmp_path / "f.npy")
+        assert not (tmp_path / "f.npy").exists()
+
+
 class TestConditioningReport:
     def test_identity_covariance_unit_act_condition(self):
         # a linear layer fed exactly-white synthetic data has an activation

@@ -83,7 +83,7 @@ def test_views_survive_reparametrization_and_rescale():
     prong_reparametrize(model.params, model.phi, model.spec, x, 1e-2)
     assert_views_of_vector(model)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9)
-    state = OptimizerState.init(model.params.vector, cfg, spec=model.spec)
+    state = OptimizerState.init(model.params.vector, cfg)
     state.velocity[:] = 1.0
     prong_plus_rescale(model, model.forward(x), state, cfg)
     assert_views_of_vector(model)

@@ -3,7 +3,8 @@
 Evaluation goes through ``Model.predict``, which keeps no forward trace;
 ``load_idx(side=10)`` converts and downsamples the pixels a block of rows at
 a time; the exact Fisher block is written tile by tile from column blocks of
-G; the reparametrization walks the layers once and copies none but the
+G, into the dense matrix when it is read or a row of tiles at a time to
+disk; the reparametrization walks the layers once and copies none but the
 current one. The memory figures are tracemalloc peaks, which count numpy's
 data buffers."""
 
@@ -71,9 +72,12 @@ def test_predict_is_forward_outputs_bit_for_bit(kind):
     spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh" if kind == "softmax" else kind, head=kind)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((40, 6))
+    x_bits = x.copy()
     for model in (Model(spec, init_fan_in(spec, 3)), whitened(spec, 3, x)):
         expected = model.forward(x).outputs
         assert np.array_equal(model.predict(x).view(np.int64), expected.view(np.int64))
+        # predict works in place on its own arrays, never on the caller's
+        assert np.array_equal(x.view(np.int64), x_bits.view(np.int64))
     assert model.predict(x[0]).shape == (1, 3)  # one row, as forward takes it
 
 
@@ -129,6 +133,11 @@ def test_exact_block_matches_old_formula_and_is_symmetric(head, sizes):
                 assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+def dense_exact_block(*args):
+    """The exact block with its dense matrix built, as the traced figure."""
+    return fisher.exact_fisher_block(*args).matrix
+
+
 def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
     # one (C B, size) G and the size x size block: no accumulator beside a
     # per-class product, no weighted copy of G, no (F + F^T) / 2 pass
@@ -137,7 +146,7 @@ def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
     size = 32 * 32
-    peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
+    peak = traced_peak(dense_exact_block, model, x, 1, sweep)
     assert peak < 1.05 * 8 * (size * size + 2 * 512 * size), peak
 
 
@@ -148,7 +157,7 @@ def test_exact_block_peaks_below_one_and_a_half_blocks():
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
     block_bytes = 8 * (32 * 32) ** 2
-    peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
+    peak = traced_peak(dense_exact_block, model, x, 1, sweep)
     assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
@@ -160,8 +169,24 @@ def test_binary_exact_block_peaks_below_1_2_blocks():
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
     block_bytes = 8 * (32 * 32) ** 2
-    peak = traced_peak(fisher.exact_fisher_block, model, x, 1, sweep)
+    peak = traced_peak(dense_exact_block, model, x, 1, sweep)
     assert peak < 1.2 * block_bytes, peak / block_bytes
+
+
+def test_saved_exact_block_peaks_below_half_a_block(tmp_path):
+    # the streamed .npy holds one row of tiles and two column blocks of G,
+    # never the block
+    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    model = Model(spec, init_fan_in(spec, 8))
+    x = np.random.default_rng(9).standard_normal((512, 100))
+    sweep = fisher.class_sweep(model, x)
+    block_bytes = 8 * (32 * 32) ** 2
+
+    def save():
+        fisher.exact_fisher_block(model, x, 1, sweep).save(tmp_path / "block.npy")
+
+    peak = traced_peak(save)
+    assert peak < 0.5 * block_bytes, peak / block_bytes
 
 
 def identity_model(spec, seed):

@@ -169,11 +169,14 @@ class TestSigmoidBitIdentity:
         activate, vjp = net._activate, net._activation_vjp
         reference_calls = []
 
-        def reference_activate(kind, z):
+        def reference_activate(kind, z, out=None):
             if kind == "sigmoid":
                 reference_calls.append(z.shape)
-                return masked_sigmoid(z)
-            return activate(kind, z)
+                if out is None:
+                    return masked_sigmoid(z)
+                out[...] = masked_sigmoid(z)
+                return out
+            return activate(kind, z, out=out)
 
         def reference_vjp(kind, z, h, upstream):
             if kind == "sigmoid":

@@ -239,7 +239,7 @@ class TestProngPlusRescale:
     def _setup(self, seed=0):
         model = whitened_model([5, 4, 2], seed=seed)
         cfg = make_config(rescale_decay=0.0)  # track the batch std directly
-        state = OptimizerState.init(model.params.vector, cfg, spec=model.spec)
+        state = OptimizerState.init(model.params.vector, cfg)
         return model, cfg, state
 
     def test_unit_stds_noop(self):
