@@ -126,6 +126,16 @@ def _value_errors(cfg: dict) -> dict:
     for key, minimum in DATASET_MINIMA.items():
         if cfg["dataset"].get(key, minimum) < minimum:
             errors[f"dataset.{key}"] = f"an integer >= {minimum}"
+    # prong_plus divides by max(decay + (1 - decay) * std, floor): these keep
+    # that factor positive and, for a nonzero decay, at least the floor
+    decay = cfg["train"].get("rescale_decay", TrainConfig.rescale_decay)
+    floor = cfg["train"].get("rescale_floor", TrainConfig.rescale_floor)
+    if not floor > 0.0:
+        errors["train.rescale_floor"] = "a float > 0"
+    if not 0.0 <= decay <= 1.0:
+        errors["train.rescale_decay"] = "a float in [0, 1]"
+    elif 0.0 < decay < floor:
+        errors["train.rescale_decay"] = f"0 or a float >= train.rescale_floor ({floor})"
     return errors
 
 

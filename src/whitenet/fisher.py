@@ -49,9 +49,9 @@ class StackedG:
     sqrt(w_r) delta_r[:, k0:k1] (x) s, about ``TILE_COLUMNS`` wide, built
     when a tile needs it. F is written one row of tiles at a time. The
     diagonal tile is the same-buffer product G_a^T G_a, which numpy runs as
-    SYRK; a tile right of it is G_a^T G_c, and a tile left of it is the
-    transpose of the product G_c^T G_a that an earlier row computed, so F is
-    exactly symmetric."""
+    SYRK; a tile right of it is G_a^T G_c, and a tile left of it is
+    rebuilt as (G_c^T G_a)^T, the operands in the order of the earlier row
+    that wrote its transpose, so F is exactly symmetric."""
 
     scaled: list  # per pair r, sqrt(w_r) * delta_r, (B, N_i)
     signal: np.ndarray  # (B, N_{i-1})
@@ -77,13 +77,9 @@ class StackedG:
                       out=g_c.reshape(b, -1, n_in))
         return g.reshape(-1, width)
 
-    def _tile_rows(self, row_of, recompute):
+    def _tile_rows(self, row_of):
         """Write each row of tiles of F into ``row_of(rows)``, a
-        (len(rows), size) array, and yield (rows, that array). The tiles from
-        the diagonal rightwards are divided by B. With ``recompute`` the
-        tiles left of the diagonal are rebuilt, with the operands in the
-        order of the earlier row, and divided too; without it they are left
-        to the caller."""
+        (len(rows), size) array, and yield that array."""
         blocks = self._blocks()
         b = self.signal.shape[0]
         width = blocks[0].stop - blocks[0].start
@@ -94,20 +90,16 @@ class StackedG:
             out[:, rows] = g_a.T @ g_a
             for cols in blocks[j + 1 :]:
                 out[:, cols] = g_a.T @ self._columns(cols, buffers[1])
-            if recompute:
-                for cols in blocks[:j]:
-                    out[:, cols] = (self._columns(cols, buffers[1]).T @ g_a).T
-                out /= b
-            else:
-                out[:, rows.start :] /= b
-            yield rows, out
+            for cols in blocks[:j]:
+                out[:, cols] = (self._columns(cols, buffers[1]).T @ g_a).T
+            out /= b
+            yield out
 
     def matrix(self) -> np.ndarray:
-        """The dense block, built in place: a tile left of the diagonal is
-        copied from its transpose above it."""
+        """The dense block, each row of tiles written in place."""
         f = np.empty((self.size, self.size))
-        for rows, _ in self._tile_rows(lambda rows: f[rows], recompute=False):
-            f[rows, : rows.start] = f[: rows.start, rows].T
+        for _ in self._tile_rows(lambda rows: f[rows]):
+            pass
         return f
 
     def save(self, path):
@@ -118,8 +110,7 @@ class StackedG:
         with open(path, "wb") as fh:
             np.lib.format.write_array_header_1_0(
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (self.size, self.size)})
-            for _, out in self._tile_rows(lambda rows: row[: rows.stop - rows.start],
-                                          recompute=True):
+            for out in self._tile_rows(lambda rows: row[: rows.stop - rows.start]):
                 out.tofile(fh)
 
 

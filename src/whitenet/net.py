@@ -217,36 +217,32 @@ def flat_layout(spec: NetSpec, vector=None, *, bn=False) -> Params:
     return _cut(vector, shapes, spec.depth)
 
 
-def _activate(kind, z, out=None):
-    """h = f(z), written into ``out`` when given (``z`` itself may be it).
-    Finite z gives finite h for every kind, so the forwards check z and
-    not h."""
+def _activate(kind, z):
+    """h = f(z). Finite z gives finite h for every kind, so the forwards
+    check z and not h."""
     if kind == "sigmoid":
         # Per element this is 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) for z < 0:
         # the overflow-free masked form, evaluated without boolean masks, and
         # bitwise equal to it. exp(min(z, 0)) / (1 + exp(-|z|)), in place on
-        # the denominator and on the numerator, which may be ``z``
+        # its two temporaries
+        num = np.minimum(z, 0.0)
+        np.exp(num, out=num)
         den = np.abs(z)
         np.negative(den, out=den)
         np.exp(den, out=den)
         den += 1.0
-        num = np.minimum(z, 0.0, out=out)
-        np.exp(num, out=num)
         num /= den
         return num
     if kind == "tanh":
-        return np.tanh(z, out=out)
+        return np.tanh(z)
     if kind == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0)
     if kind == "identity":
-        if out is None:
-            return z.copy()
-        out[...] = z
-        return out
+        return z.copy()
     if kind == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted, out=shifted)
-        return np.divide(e, e.sum(axis=1, keepdims=True), out=out)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
@@ -290,8 +286,8 @@ def _check_finite(z, i, what):
 
 def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
     """Layer i of the whitened forward: (s, z, h_i) from h_{i-1}, a float64
-    batch, for ``forward_whitened`` and the layer-by-layer
-    reparametrization. ``Model.predict`` repeats its arithmetic in place."""
+    batch. The one place its arithmetic lives, for ``forward_whitened``,
+    ``Model.predict`` and the layer-by-layer reparametrization."""
     s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
     z = s @ omega.weights[i].T + omega.biases[i]
     _check_finite(z, i, "pre-activation")
@@ -593,22 +589,13 @@ class Model:
 
     def predict(self, x) -> np.ndarray:
         """The outputs of ``forward(x)`` (inference mode for BN), bit for bit,
-        without the trace. Each layer's arithmetic is ``layer_forward``'s,
-        with fewer live arrays: the centered input is dropped once it is
-        whitened, the bias is added in place and the activation overwrites
-        z. ``x`` itself is never written."""
+        without the trace: each layer's s, z and h are dropped once the next
+        layer has them."""
         if self.params.gains:
             return self.forward(x).outputs
         h = as_batch(x, self.spec.input_dim)
-        omega, phi = self.params, self.phi
-        for i, layer in enumerate(self.spec.layers):
-            if phi is not None:  # centered in place, except the caller's x
-                h = np.subtract(h, phi.centers[i], out=h if i else None)
-                h = h @ phi.transforms[i].T
-            h = h @ omega.weights[i].T
-            h += omega.biases[i]
-            _check_finite(h, i, "pre-activation")
-            h = _activate(layer.nonlinearity, h, out=h)
+        for i in range(self.spec.depth):
+            h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
         return h
 
     def layout(self, vector=None) -> Params:

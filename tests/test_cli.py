@@ -85,6 +85,11 @@ class TestSchema:
             validate_config(raw)
         assert "optimizer" in exc.value.keys
 
+    @pytest.mark.parametrize("decay, floor", [(0.0, 0.5), (0.5, 0.5), (1.0, 1e-6)])
+    def test_rescale_decay_zero_or_at_least_the_floor_accepted(self, tmp_path, decay, floor):
+        cfg, _ = small_train_config(tmp_path, rescale_decay=decay, rescale_floor=floor)
+        assert validate_config(cfg)["train"]["rescale_decay"] == decay
+
     def test_presets_validate(self):
         for name in PRESETS:
             validate_config(PRESETS[name])
@@ -431,6 +436,11 @@ class TestTypedErrors:
         ("dataset", {"val_size": -5}, "dataset.val_size"),
         ("dataset", {"side": 0}, "dataset.side"),
         ("dataset", {"kind": "synthetic_gaussian", "dim": 0}, "dataset.dim"),
+        ("train", {"rescale_decay": 1.5}, "train.rescale_decay"),
+        ("train", {"rescale_decay": -0.1}, "train.rescale_decay"),
+        ("train", {"rescale_decay": 0.5, "rescale_floor": 0.6}, "train.rescale_decay"),
+        ("train", {"rescale_floor": 0.95}, "train.rescale_decay"),  # above the 0.9 default
+        ("train", {"rescale_floor": 0.0}, "train.rescale_floor"),
     ])
     def test_bad_config_value_refused_by_name(self, tmp_path, capsys, monkeypatch,
                                               section, values, key):

@@ -359,9 +359,34 @@ class TestFisherRows:
                     assert np.array_equal(exact_fisher_block(model, None, layer, sweep).matrix, f)
 
 
+def transpose_copied_block(block):
+    """An exact block built the in-memory way: each off-diagonal tile
+    G_a^T G_c is computed once and its transpose copied below the diagonal,
+    then the block is divided by B."""
+    stacked = block.stacked
+    b, n_in = stacked.signal.shape
+
+    def columns(cols):
+        units = slice(cols.start // n_in, cols.stop // n_in)
+        return np.concatenate([np.einsum("bi,bj->bij", d[:, units], stacked.signal).reshape(b, -1)
+                               for d in stacked.scaled])
+
+    blocks = stacked._blocks()
+    f = np.empty((stacked.size, stacked.size))
+    for j, rows in enumerate(blocks):
+        g_a = columns(rows)
+        f[rows, rows] = g_a.T @ g_a
+        for cols in blocks[j + 1 :]:
+            f[rows, cols] = g_a.T @ columns(cols)
+            f[cols, rows] = f[rows, cols].T
+    return f / b
+
+
 class TestSavedBlock:
     """An exact block's ``save`` streams the .npy one row of tiles at a
-    time; the file is byte for byte ``np.save(path, block.matrix)``."""
+    time, rebuilding each tile left of the diagonal; the file is byte for
+    byte ``np.save(path, block.matrix)``, and both are the block whose
+    lower tiles are copied transposes of the upper ones."""
 
     X = np.random.default_rng(70).standard_normal((512, 100))
 
@@ -377,7 +402,10 @@ class TestSavedBlock:
         model = classifier(sizes, head, 71, self.X[:256] if whitened else None)
         streamed, dense = tmp_path / "streamed.npy", tmp_path / "dense.npy"
         exact_fisher_block(model, self.X, 1).save(streamed)
-        np.save(dense, exact_fisher_block(model, self.X, 1).matrix)
+        block = exact_fisher_block(model, self.X, 1)
+        np.save(dense, block.matrix)
+        assert streamed.read_bytes() == dense.read_bytes()
+        np.save(dense, transpose_copied_block(block))
         assert streamed.read_bytes() == dense.read_bytes()
         f = np.load(streamed)
         assert f.shape == (sizes[1] * sizes[2],) * 2
