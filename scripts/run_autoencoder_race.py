@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Convergence race on the desk autoencoder: momentum-SGD and the whitened
-optimizer are each grid-tuned over learning rates {1e-1, 1e-2, 1e-3}, then
-compared by the number of updates needed to reach the tuned SGD loss.
+"""Convergence race on the desk autoencoder.
 
-Usage: python scripts/run_autoencoder_race.py [--out runs/race] [--steps-sgd 2000]
+momentum-SGD, RMSprop, batch norm and PRONG each run the same number of
+updates at every learning rate in {1e-1, 1e-2, 1e-3}; an optimizer's tuned
+run is its completed one with the lowest final eval loss. The target is
+tuned momentum's eval loss at its last update. For each optimizer the
+script prints the tuned learning rate, the first step and the first
+``wallclock_seconds`` at which the eval loss is at or below the target
+(momentum's own first hit among them), and the final eval loss.
+
+Usage: python scripts/run_autoencoder_race.py [--out runs/race] [--steps 2000]
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -14,48 +21,69 @@ from pathlib import Path
 from whitenet.cli import main as cli_main
 from whitenet.metrics import read_metrics
 
+LEARNING_RATES = [0.1, 0.01, 0.001]
+# momentum per optimizer; rmsprop's step takes none
+LANES = {"momentum": 0.9, "rmsprop": 0.0, "bn": 0.9, "prong": 0.9}
 
-def run_grid(optimizer, steps, out, extra=None):
+
+def run_grid(optimizer, momentum, steps, out):
+    """Train every learning rate; returns (learning_rate, rows) per
+    completed cell."""
     cfg = {
-        "grid": {"train.learning_rate": [0.1, 0.01, 0.001]},
+        "grid": {"train.learning_rate": LEARNING_RATES},
         "optimizer": optimizer,
-        "train": {"max_updates": steps},
+        "train": {"max_updates": steps, "momentum": momentum},
     }
-    if extra:
-        cfg["train"].update(extra)
     cfg_path = Path(out) / f"{optimizer}_grid.json"
     cfg_path.parent.mkdir(parents=True, exist_ok=True)
     cfg_path.write_text(json.dumps(cfg))
-    code = cli_main([
-        "grid", "--preset", "ae-mnist-desk", "--config", str(cfg_path),
-        "--out", str(Path(out) / optimizer),
-    ])
+    grid_out = Path(out) / optimizer
+    code = cli_main(["grid", "--preset", "ae-mnist-desk", "--config", str(cfg_path),
+                     "--out", str(grid_out)])
     if code != 0:
         raise SystemExit(code)
-    best = json.loads((Path(out) / optimizer / "best.json").read_text())
-    return best
+    with open(grid_out / "summary.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    return [(float(c["train.learning_rate"]), read_metrics(Path(c["out_dir"]) / "metrics.csv"))
+            for c in cells if c["diverged"] == "0"]
+
+
+def tuned(cells):
+    """The (learning_rate, rows) cell with the lowest final eval loss."""
+    return min(cells, key=lambda cell: cell[1][-1].eval_loss)
+
+
+def race_lines(lanes):
+    """Report lines for ``{optimizer: (learning_rate, rows)}``, momentum's
+    among them; its last eval loss is the target."""
+    target_rows = lanes["momentum"][1]
+    target = target_rows[-1].eval_loss
+    lines = [f"target: tuned momentum's eval loss at step {target_rows[-1].step} = {target:.5g}",
+             f"{'optimizer':<10} {'lr':>6} {'first step':>10} {'first s':>8} {'final eval':>11}"]
+    for optimizer, (lr, rows) in lanes.items():
+        hit = next((r for r in rows if r.eval_loss <= target), None)
+        step, seconds = ("never", "-") if hit is None else (hit.step, f"{hit.wallclock_seconds:.2f}")
+        lines.append(f"{optimizer:<10} {lr:>6g} {step:>10} {seconds:>8} "
+                     f"{rows[-1].eval_loss:>11.5g}")
+    return lines
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/race")
-    parser.add_argument("--steps-sgd", type=int, default=2000)
-    parser.add_argument("--steps-whitened", type=int, default=1000)
+    parser.add_argument("--steps", type=int, default=2000)
     args = parser.parse_args()
 
-    sgd_best = run_grid("momentum", args.steps_sgd, args.out, extra={"momentum": 0.9})
-    target = sgd_best["final_train_loss"]
-    prong_best = run_grid("prong", args.steps_whitened, args.out)
-
-    rows = read_metrics(Path(prong_best["out_dir"]) / "metrics.csv")
-    reached = [r.step for r in rows if r.train_loss <= target and not r.reparam_event]
-    print(f"tuned momentum-SGD loss at step {args.steps_sgd}: {target:.5f}")
-    if reached:
-        print(f"whitened optimizer reaches it at step {reached[0]} "
-              f"({args.steps_sgd / reached[0]:.1f}x fewer updates)")
-    else:
-        print(f"whitened optimizer did not reach it within {args.steps_whitened} steps "
-              f"(best final loss {prong_best['final_train_loss']:.5f})")
+    lanes = {}
+    for optimizer, momentum in LANES.items():
+        cells = run_grid(optimizer, momentum, args.steps, args.out)
+        if not cells:
+            print(f"{optimizer}: every learning rate diverged")
+            continue
+        lanes[optimizer] = tuned(cells)
+    if "momentum" not in lanes:
+        return 1
+    print("\n".join(race_lines(lanes)))
     return 0
 
 

@@ -110,7 +110,7 @@ def build_model(cfg: dict) -> net.Model:
     seed = cfg["train"].get("seed", 0)
     theta = net.init_fan_in(spec, seed)
     optimizer = cfg["optimizer"]
-    if optimizer in ("prong", "prong_plus"):
+    if optimizer == "prong":
         phi = net.WhiteningCoeffs.identity(spec)
         return net.Model(spec, net.project_to_whitened(theta, phi), phi=phi)
     if optimizer == "bn":
@@ -163,7 +163,8 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
                         extra={"dataset": ds_name, "error": str(exc)})
         raise
     write_metrics(out / "metrics.csv", result.rows)
-    save_checkpoint(out / "checkpoint.bin", model, seed=tcfg.seed, step=tcfg.max_updates)
+    # the updates applied: max_updates for a completed run, fewer for a diverged one
+    save_checkpoint(out / "checkpoint.bin", model, seed=tcfg.seed, step=result.state.step)
     _write_manifest(out, cfg, seed=tcfg.seed, status=status, result=result,
                     extra={"dataset": ds_name})
     return status, result
@@ -220,9 +221,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     white = build_model({**cfg, "optimizer": "prong"})
     from .optim import prong_reparametrize
 
-    prong_reparametrize(
-        white.params, white.phi, white.spec, probe, cfg["train"].get("eigen_epsilon", 0.0)
-    )
+    prong_reparametrize(white.params, white.phi, white.spec, probe,
+                        build_train_config(cfg).eigen_epsilon)
     fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
 
     summary = {}

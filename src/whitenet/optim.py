@@ -9,12 +9,6 @@ coefficients from the centered covariance eigendecomposition with
 canonical ones, and the network function, are unchanged. Plain
 momentum-SGD runs on the whitened parameters in between; momentum buffers
 are reset at each reparametrization by default (disable for ablation).
-
-The "plus" variant additionally divides each whitening matrix row after
-every update by ``max(decay + (1 - decay) * sigma, floor)``, sigma being the
-batch standard deviation of the corresponding whitened activation, and
-multiplies the consuming weight columns by the same factor, so the forward
-computation is preserved.
 """
 
 from __future__ import annotations
@@ -28,13 +22,12 @@ from . import linalg, net
 from .data import BatchPlan, Dataset, next_batch
 from .errors import (
     ConfigError,
-    ConsistencyError,
     DivergenceError,
     NumericError,
     SingularMatrixError,
 )
 
-OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong", "prong_plus")
+OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
 
 
 @dataclass
@@ -70,8 +63,6 @@ class TrainConfig:
     eval_interval: int = 100
     reset_momentum_on_reparam: bool = True
     freeze_whitening: bool = False
-    rescale_decay: float = 0.9
-    rescale_floor: float = 1e-6
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -198,32 +189,6 @@ def prong_reparametrize(
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
 
-def prong_plus_rescale(
-    model: net.Model,
-    trace: net.ForwardTrace,
-    state: OptimizerState,
-    config: TrainConfig,
-):
-    """Diagonal rescale of each whitening matrix: row k is divided by
-    d_k = max(decay + (1 - decay) * sigma_k, floor), sigma_k the batch std of
-    whitened unit k in ``trace``, and the consuming weight columns (and
-    their velocity) are multiplied by d_k to preserve the feed-forward
-    computation. There is no running average: d depends on this batch
-    alone, so a unit whose std stays below 1 has its row grown by up to
-    1/decay per update."""
-    if trace.phi is None:
-        raise ConsistencyError("rescale needs a whitened-mode forward trace")
-    phi = model.phi
-    velocities = model.layout(state.velocity).weights
-    decay = config.rescale_decay
-    for i in range(len(phi.transforms)):
-        d = decay + (1.0 - decay) * trace.signals[i].std(axis=0)
-        np.maximum(d, config.rescale_floor, out=d)
-        phi.transforms[i] /= d[:, None]
-        model.params.weights[i] *= d[None, :]
-        velocities[i] *= d[None, :]
-
-
 def waterfall_anneal(history, policy: AnnealPolicy, alpha: float) -> float:
     """Divide alpha when the best metric over the last ``patience``
     evaluations fails to improve on the best of all earlier evaluations by
@@ -284,7 +249,7 @@ def train(
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     if optimizer == "sgd" and config.momentum != 0.0:
         raise ConfigError("optimizer 'sgd' requires momentum 0; use 'momentum'")
-    whitened = optimizer in ("prong", "prong_plus")
+    whitened = optimizer == "prong"
     if whitened and model.phi is None:
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
     if optimizer == "bn" and not model.params.gains:
@@ -345,10 +310,6 @@ def train(
             )
         )
 
-    def probe_delta(before):
-        after = model.predict(probe_inputs)
-        return float(np.abs(after - before).max())
-
     for t in range(config.max_updates):
         if whitened and not config.freeze_whitening and t % config.reparam_period == 0:
             before = model.predict(probe_inputs) if probe_inputs is not None else None
@@ -361,7 +322,8 @@ def train(
             if config.reset_momentum_on_reparam:
                 state.reset_momentum()
             if before is not None:
-                result.probe_deltas.append(probe_delta(before))
+                after = model.predict(probe_inputs)
+                result.probe_deltas.append(float(np.abs(after - before).max()))
             result.reparam_steps.append(t)
             stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
             del info  # not kept alive through the next reparametrization
@@ -396,12 +358,6 @@ def train(
         loss_count += 1
         model.backward(trace, grad, out=gradient)
         step_fn(model.params.vector, gradient.vector, state, config)
-
-        if optimizer == "prong_plus":
-            before = model.predict(probe_inputs) if probe_inputs is not None else None
-            prong_plus_rescale(model, trace, state, config)
-            if before is not None:
-                result.probe_deltas.append(probe_delta(before))
 
         done = t + 1
         if config.anneal is not None and done % config.anneal.eval_interval == 0:

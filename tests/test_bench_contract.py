@@ -100,7 +100,7 @@ def test_span_members_do_not_nest(child, span, monkeypatch):
 
 @pytest.mark.parametrize("optimizer, step_name", [
     ("sgd", "sgd_step"), ("momentum", "sgd_step"), ("bn", "sgd_step"),
-    ("prong", "sgd_step"), ("prong_plus", "sgd_step"), ("rmsprop", "rmsprop_step"),
+    ("prong", "sgd_step"), ("rmsprop", "rmsprop_step"),
 ])
 def test_train_steps_through_the_traced_names(child, optimizer, step_name, monkeypatch):
     # the optim.step span wraps these module attributes, so train() must call
@@ -116,7 +116,7 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
     monkeypatch.setattr(optim, step_name, counting)
     spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
     theta = init_fan_in(spec, 8)
-    if optimizer in ("prong", "prong_plus"):
+    if optimizer == "prong":
         phi = WhiteningCoeffs.identity(spec)
         model = Model(spec, project_to_whitened(theta, phi), phi=phi)
     elif optimizer == "bn":

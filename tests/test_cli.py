@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from whitenet import cli, fisher
+from whitenet.checkpoint import load_checkpoint
 from whitenet.cli import main
 from whitenet.config import (
     PRESETS,
     config_hash,
+    deep_merge,
     resolve_config,
     validate_config,
 )
 from whitenet.errors import ConfigError
 from whitenet.metrics import read_metrics
+from whitenet.optim import prong_reparametrize
 
 
 def small_train_config(tmp_path, **train_overrides):
@@ -84,11 +87,6 @@ class TestSchema:
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         assert "optimizer" in exc.value.keys
-
-    @pytest.mark.parametrize("decay, floor", [(0.0, 0.5), (0.5, 0.5), (1.0, 1e-6)])
-    def test_rescale_decay_zero_or_at_least_the_floor_accepted(self, tmp_path, decay, floor):
-        cfg, _ = small_train_config(tmp_path, rescale_decay=decay, rescale_floor=floor)
-        assert validate_config(cfg)["train"]["rescale_decay"] == decay
 
     def test_presets_validate(self):
         for name in PRESETS:
@@ -162,6 +160,9 @@ class TestTrainCommand:
         assert code == 2
         assert manifest["status"] == "diverged"
         assert "divergence" in manifest
+        # the checkpoint records the updates applied before the divergence
+        _, meta = load_checkpoint(out / "checkpoint.bin")
+        assert meta["step"] == manifest["divergence"]["step"] < cfg["train"]["max_updates"]
 
     def test_cond_preset_prong_ends_below_chance(self, tmp_path):
         # the preset's whitened run must learn, not saturate: its final
@@ -310,6 +311,25 @@ class TestDiagnoseFisher:
                     assert row.cond_ratio == float(mid["cond_ratio_to_initial"])
         assert floored
 
+    def test_after_heatmap_whitens_at_the_runs_default_epsilon(self, tmp_path):
+        # no train.eigen_epsilon: the heatmap uses TrainConfig's default, as
+        # the prong run does
+        cfg, _ = small_train_config(tmp_path, max_updates=4, eval_interval=2)
+        del cfg["train"]["eigen_epsilon"]
+        cfg["dataset"].update(kind="synthetic_classification", dim=16, n_classes=2,
+                              autoencode=False)
+        cfg["model"].update(sizes=[16, 8, 8, 1], hidden="tanh", loss="binary_cross_entropy")
+        cfg_path = tmp_path / "diag.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "diag"
+        assert main(["diagnose-fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+        resolved = resolve_config(None, cfg_path)
+        probe = cli.build_dataset(resolved)[0].inputs[:512]
+        white = cli.build_model(resolved)
+        prong_reparametrize(white.params, white.phi, white.spec, probe, 1e-2)
+        expected = fisher.exact_fisher_block(white, probe, 1).matrix
+        assert np.load(out / "fisher_middle_after.npy").tobytes() == expected.tobytes()
+
     def test_best_middle_ratio_skips_floored_rows(self):
         def row(layer, ratio, flag=""):
             return fisher.ConditioningRow(layer, "factorized", 1.0, 1e-3, 1e3, ratio, flag)
@@ -436,11 +456,6 @@ class TestTypedErrors:
         ("dataset", {"val_size": -5}, "dataset.val_size"),
         ("dataset", {"side": 0}, "dataset.side"),
         ("dataset", {"kind": "synthetic_gaussian", "dim": 0}, "dataset.dim"),
-        ("train", {"rescale_decay": 1.5}, "train.rescale_decay"),
-        ("train", {"rescale_decay": -0.1}, "train.rescale_decay"),
-        ("train", {"rescale_decay": 0.5, "rescale_floor": 0.6}, "train.rescale_decay"),
-        ("train", {"rescale_floor": 0.95}, "train.rescale_decay"),  # above the 0.9 default
-        ("train", {"rescale_floor": 0.0}, "train.rescale_floor"),
     ])
     def test_bad_config_value_refused_by_name(self, tmp_path, capsys, monkeypatch,
                                               section, values, key):
@@ -452,6 +467,23 @@ class TestTypedErrors:
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert key in self.one_line(capsys, "config error: invalid config values: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"optimizer": "prong_plus"}, "optimizer"),
+        ({"train": {"rescale_decay": 0.9}}, "train.rescale_decay"),
+        ({"train": {"rescale_floor": 1e-6}}, "train.rescale_floor"),
+    ])
+    def test_removed_prong_plus_names_refused_by_key(self, tmp_path, capsys, monkeypatch,
+                                                     change, key):
+        # the row-rescaled whitened optimizer and its two settings are gone
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg_path.write_text(json.dumps(deep_merge(cfg, change)))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert key in self.one_line(capsys, "config error: invalid config keys: ")
         assert not out.exists()
 
     def test_out_dir_key_refused_by_name(self, tmp_path, capsys, monkeypatch):

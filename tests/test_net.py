@@ -140,7 +140,7 @@ class TestSigmoidBitIdentity:
         got = net._activate("sigmoid", z)
         assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
 
-    @pytest.mark.parametrize("optimizer", ["momentum", "prong", "prong_plus"])
+    @pytest.mark.parametrize("optimizer", ["momentum", "prong"])
     def test_training_bitwise_equal_to_reference(self, optimizer, monkeypatch):
         spec = NetSpec((
             net.LayerSpec(6, 8, "sigmoid"),

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from whitenet.optim import (
     AnnealPolicy,
     OptimizerState,
     TrainConfig,
-    prong_plus_rescale,
     prong_reparametrize,
     rmsprop_step,
     sgd_step,
@@ -235,66 +232,6 @@ class TestReparametrize:
             assert np.all(weaker <= stronger + 1e-15)
 
 
-class TestProngPlusRescale:
-    def _setup(self, seed=0):
-        model = whitened_model([5, 4, 2], seed=seed)
-        cfg = make_config(rescale_decay=0.0)  # track the batch std directly
-        state = OptimizerState.init(model.params.vector, cfg)
-        return model, cfg, state
-
-    def test_unit_stds_noop(self):
-        model, cfg, state = self._setup()
-        x = np.random.default_rng(1).standard_normal((64, 5))
-        # force the EMA to exactly 1 by rescaling with decay 0 on unit data
-        trace = model.forward(x)
-        weights_before = [w.copy() for w in model.params.weights]
-        # build a trace whose whitened activations have exactly unit std
-        unit = [a / a.std(axis=0) for a in trace.signals]
-        fake = replace(trace, signals=unit)
-        prong_plus_rescale(model, fake, state, cfg)
-        for w, before in zip(model.params.weights, weights_before):
-            np.testing.assert_allclose(w, before, rtol=1e-12)
-
-    def test_known_std_halves_row_doubles_column(self):
-        model, cfg, state = self._setup(seed=2)
-        u_before = model.phi.transforms[0].copy()
-        v_before = model.params.weights[0].copy()
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((128, 5))
-        trace = model.forward(x)
-        scaled = [a.copy() for a in trace.signals]
-        scaled[0] = scaled[0] / scaled[0].std(axis=0)
-        scaled[0][:, 2] *= 2.0  # unit 2 now has std exactly 2
-        for i in range(1, len(scaled)):
-            scaled[i] = scaled[i] / scaled[i].std(axis=0)
-        fake = replace(trace, signals=scaled)
-        probe_before = model.forward(x).outputs
-        prong_plus_rescale(model, fake, state, cfg)
-        np.testing.assert_allclose(model.phi.transforms[0][2], u_before[2] / 2.0, rtol=1e-12)
-        np.testing.assert_allclose(model.params.weights[0][:, 2], v_before[:, 2] * 2.0,
-                                   rtol=1e-12)
-        probe_after = model.forward(x).outputs
-        assert np.abs(probe_after - probe_before).max() < 1e-10
-
-    def test_variance_stays_bounded_in_training(self):
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((512, 8)) @ np.diag([3.0, 2.0, 1.0, 1.0, 0.5, 0.5, 0.2, 0.1])
-        ds = Dataset(x, x.copy())
-        model = whitened_model([8, 6, 8], seed=21, hidden="tanh", head="identity")
-        cfg = make_config(learning_rate=0.05, max_updates=300, reparam_period=100,
-                          stat_samples=256, eigen_epsilon=1e-3, batch_size=64,
-                          eval_interval=100)
-        state_holder = {}
-
-        result = train(model, ds, cfg, optimizer="prong_plus", loss_kind="squared_error")
-        # after warmup the running per-unit std of whitened activations stays
-        # near 1, so its square (the variance) stays within [0.5, 2]
-        probe = model.forward(ds.inputs[:256])
-        for a in probe.signals:
-            var = a.var(axis=0)
-            assert np.all(var > 0.4) and np.all(var < 2.5)
-
-
 class TestTrainLoop:
     def _dataset(self, n=256, dim=6, seed=0):
         ds = synthetic_gaussian(n, dim, 0.0, np.eye(dim), seed=seed)
@@ -359,18 +296,6 @@ class TestTrainLoop:
             for a, b in zip(with_reset.model.params.weights, without.model.params.weights)
         )
         assert not same
-
-    def test_transparency_probe_deltas_under_reparam_and_rescale(self):
-        ds = self._dataset(seed=9)
-        model = whitened_model([6, 5, 2], seed=10)
-        cfg = make_config(learning_rate=0.02, max_updates=30, eval_interval=30,
-                          reparam_period=10, stat_samples=64, eigen_epsilon=1e-2)
-        probe = ds.inputs[:12]
-        result = train(model, ds, cfg, optimizer="prong_plus",
-                       loss_kind="binary_cross_entropy", probe_inputs=probe)
-        # 3 reparams + 30 rescales, all function-preserving
-        assert len(result.probe_deltas) == 33
-        assert max(result.probe_deltas) < 1e-8
 
     def test_divergence_aborts_with_record(self):
         ds = self._dataset(seed=11)
@@ -513,14 +438,13 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
     velocities and the mean squares. Updates ``model`` in place."""
     from whitenet.data import BatchPlan, next_batch
 
-    whitened = optimizer in ("prong", "prong_plus")
+    whitened = optimizer == "prong"
     bn = bool(model.params.gains)
     arrays = [a for pair in zip(model.params.weights, model.params.biases) for a in pair]
     if bn:
         arrays += [a for pair in zip(model.params.gains, model.params.shifts) for a in pair]
     velocities = [np.zeros_like(a) for a in arrays]
     mean_squares = [np.zeros_like(a) for a in arrays]
-    unit_std = [np.ones(layer.in_dim) for layer in model.spec.layers]
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)
     stats_rng = np.random.default_rng([config.seed, 104729])
     alpha, rows, loss_sum, loss_count = config.learning_rate, [], 0.0, 0
@@ -536,7 +460,6 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
                                        config.eigen_epsilon)
             for v in velocities:
                 v[:] = 0.0
-            unit_std = [np.ones_like(s) for s in unit_std]
             stats_loss, _ = net.loss(loss_kind, info.outputs, data.targets[idx])
             if rows and rows[-1][0] == t:  # an interval row for this step exists
                 rows[-1] = rows[-1][:4] + (True,)
@@ -570,16 +493,6 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
                     p -= alpha * v
                 else:
                     p -= alpha * g
-        if optimizer == "prong_plus":
-            for i in range(model.spec.depth):
-                ema = unit_std[i]
-                ema *= config.rescale_decay
-                ema += (1.0 - config.rescale_decay) * trace.signals[i].std(axis=0)
-                d = np.maximum(ema, config.rescale_floor)
-                model.phi.transforms[i] /= d[:, None]
-                model.params.weights[i] *= d[None, :]
-                velocities[2 * i] *= d[None, :]
-                unit_std[i] = ema / d
         done = t + 1
         if done % config.eval_interval == 0:
             rows.append((done, loss_sum / loss_count, eval_loss(), alpha, False))
@@ -596,7 +509,7 @@ class TestFlatUpdateOracle:
         x = rng.standard_normal((128, 6)) @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.3])
         ds = Dataset(x, np.eye(3)[rng.integers(0, 3, size=128)])
         spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh", head="softmax")
-        if optimizer in ("prong", "prong_plus"):
+        if optimizer == "prong":
             model = whitened_model([6, 5, 4, 3], seed=61, head="softmax")
         elif optimizer == "bn":
             model = Model.batch_norm(spec, init_fan_in(spec, 61))
@@ -605,7 +518,7 @@ class TestFlatUpdateOracle:
         momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
         cfg = make_config(learning_rate=0.05, momentum=momentum, max_updates=50,
                           eval_interval=10, reparam_period=20, stat_samples=64,
-                          eigen_epsilon=1e-2, rescale_decay=0.5)
+                          eigen_epsilon=1e-2)
         reference = model.copy()
         result = train(model, ds, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
         rows, velocities, mean_squares = list_reference_train(
