@@ -158,8 +158,9 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
     except DivergenceError as exc:
         status = "diverged"
         result = exc.result
-    except ConfigError as exc:
-        _write_manifest(out, cfg, seed=tcfg.seed, status="refused",
+    except (ConfigError, SingularMatrixError) as exc:
+        _write_manifest(out, cfg, seed=tcfg.seed,
+                        status="refused" if isinstance(exc, ConfigError) else "failed",
                         extra={"dataset": ds_name, "error": str(exc)})
         raise
     write_metrics(out / "metrics.csv", result.rows)

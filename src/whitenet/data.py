@@ -20,7 +20,7 @@ from .errors import DimensionError, IdxFormatError, NumericError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-DOWNSAMPLE_BLOCK = 512  # rows per float64 conversion in load_idx(side=10)
+DOWNSAMPLE_BLOCK = 128  # rows per float64 conversion in load_idx, at either side
 
 
 @dataclass
@@ -85,15 +85,29 @@ def _read_be_u32(buf, offset, what):
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _decode(pixels, side):
+    """uint8 pixel rows scaled to [0, 1] in float64, through ``downsample``
+    for side 10, converted ``DOWNSAMPLE_BLOCK`` rows at a time into the one
+    output array. Each row block is dropped on return, before the caller
+    validates the dataset."""
+    inputs = np.empty((pixels.shape[0], pixels.shape[1] if side == 28 else 100))
+    for start in range(0, pixels.shape[0], DOWNSAMPLE_BLOCK):
+        block = pixels[start : start + DOWNSAMPLE_BLOCK].astype(np.float64)
+        block /= 255.0
+        inputs[start : start + DOWNSAMPLE_BLOCK] = block if side == 28 else downsample(block)
+    return inputs
+
+
 def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> Dataset:
     """Parse an IDX image/label file pair into a dataset.
 
     Pixels are scaled to [0, 1]; labels become one-hot rows. ``side=28``
     keeps the images at the file's own resolution. ``side=10`` needs 28x28
-    images and returns them through ``downsample``, converted to float64
-    ``DOWNSAMPLE_BLOCK`` rows at a time, so the full-resolution float array
-    never exists. Malformed headers, truncated payloads, and image/label
-    count mismatches raise IdxFormatError with the failing byte offset.
+    images and returns them through ``downsample``. Either way the pixels
+    are decoded a row block at a time (``_decode``), so no second full-size
+    float array ever exists. Malformed headers, truncated payloads, and
+    image/label count mismatches raise IdxFormatError with the failing byte
+    offset.
     """
     if side not in (10, 28):
         raise DimensionError(f"load_idx side must be 10 or 28, got {side}")
@@ -110,18 +124,11 @@ def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> 
             f"images payload is {len(img) - 16} bytes, header promises {payload}",
             min(len(img), 16 + payload),
         )
+    if side == 10 and rows * cols != 784:
+        raise IdxFormatError(f"side=10 needs 28x28 images, file has {rows}x{cols}", 8)
     pixels = np.frombuffer(img, dtype=np.uint8, count=payload, offset=16)
     pixels = pixels.reshape(count, rows * cols)
-    if side == 28:
-        inputs = pixels.astype(np.float64) / 255.0
-    else:
-        if rows * cols != 784:
-            raise IdxFormatError(f"side=10 needs 28x28 images, file has {rows}x{cols}", 8)
-        inputs = np.empty((count, 100))
-        for start in range(0, count, DOWNSAMPLE_BLOCK):
-            block = pixels[start : start + DOWNSAMPLE_BLOCK].astype(np.float64)
-            block /= 255.0
-            inputs[start : start + DOWNSAMPLE_BLOCK] = downsample(block)
+    inputs = _decode(pixels, side)
 
     lab = _read_file(labels_path)
     magic = _read_be_u32(lab, 0, "labels magic")

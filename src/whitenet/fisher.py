@@ -8,16 +8,16 @@ one), and vec flattens by rows. The expectation
 over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
 empirical mean. Both forms read a layer's per-example output Fisher as
-weighted delta rows (``fisher_rows``): one row per class, or a single row
-for a two-class head, whose two class deltas are collinear. The factorized
-form assumes delta and s independent and keeps only the two covariance
-factors; its Kronecker product uses the row-major vec convention, so
+weighted delta rows (``fisher_rows``): one row per class, or a single
+row for a two-class head, built at the output and backpropagated once. The
+factorized form assumes delta and s independent and keeps only the two
+covariance factors; its Kronecker product uses the row-major vec convention, so
 F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Either form builds its dense
 block only when its ``matrix`` is read; an exact block's ``save`` streams
 it to disk without building it. Off-block-diagonal
 (cross-layer) terms are never materialized. A conditioning report forwards
-its inputs once and backprops each class once (a ``ClassSweep``), and every
-layer's block reads its deltas from that one sweep.
+its inputs once and backprops each Fisher row once (a ``ClassSweep``), and
+every layer's block reads its deltas from that one sweep.
 """
 
 from __future__ import annotations
@@ -172,12 +172,12 @@ class FisherBlock:
 
 @dataclass
 class ClassSweep:
-    """One forward pass of the inputs and one full backprop per enumerated
-    output class: what the Fisher blocks of every layer are built from."""
+    """One forward pass of the inputs and one full backprop per Fisher row
+    of the output: what the Fisher blocks of every layer are built from."""
 
     trace: net.ForwardTrace
-    weights: list  # per class, (B,) predictive probability of the class
-    deltas: list  # per class, the per-layer deltas
+    weights: list  # per row, (B,) weight of the row
+    deltas: list  # per row, the per-layer deltas
 
 
 def check_enumerable(model: net.Model):
@@ -199,50 +199,40 @@ def check_enumerable(model: net.Model):
 
 
 def class_sweep(model: net.Model, inputs) -> ClassSweep:
-    """Forward the inputs once, enumerate the output classes and backprop
-    each class's output delta through every layer. Models that
-    ``check_enumerable`` refuses are refused first."""
+    """Forward the inputs once and backprop each Fisher row of the output
+    through every layer; the weighted outer products of a layer's rows sum
+    to each example's output Fisher, sum_y p_y delta_y delta_y^T over the
+    classes y. Models that ``check_enumerable`` refuses are refused first.
+
+    A head with three or more classes gives one row per class: weight p_y,
+    output delta h - onehot(y). A two-class head gives one row: its class
+    deltas are delta_0 = p_1 j and delta_1 = -p_0 j with p_0 + p_1 = 1, so
+    the sum is p_0 p_1 j j^T for j = delta_0 - delta_1. Backprop is linear,
+    so j is backpropagated from its output value: 1 for a sigmoid, whose
+    class deltas are h - 0 and h - 1, and (-1, +1) for a 2-way softmax."""
     check_enumerable(model)
     trace = model.forward(np.asarray(inputs, dtype=np.float64))
     h = trace.outputs
+    c = model.spec.output_dim
     if model.spec.layers[-1].nonlinearity == "sigmoid":
         p1 = h[:, 0]
-        class_pairs = [
-            (1.0 - p1, h - 0.0),  # y = 0: delta = h - y
-            (p1, h - 1.0),  # y = 1
-        ]
-    else:  # softmax
-        c = model.spec.output_dim
-        class_pairs = []
-        for y in range(c):
-            onehot = np.zeros(c)
-            onehot[y] = 1.0
-            class_pairs.append((h[:, y], h - onehot))
+        rows = [(p1 * (1.0 - p1), np.ones_like(h))]
+    elif c == 2:
+        rows = [(h[:, 0] * h[:, 1], np.tile([-1.0, 1.0], (h.shape[0], 1)))]
+    else:
+        rows = [(h[:, y], h - onehot) for y, onehot in enumerate(np.eye(c))]
     return ClassSweep(
         trace,
-        [weight for weight, _ in class_pairs],
-        [
-            net.backpropagate_deltas(trace, model.params, model.spec, delta_last)
-            for _, delta_last in class_pairs
-        ],
+        [weight for weight, _ in rows],
+        [net.backpropagate_deltas(trace, model.params, model.spec, delta_last)
+         for _, delta_last in rows],
     )
 
 
 def fisher_rows(sweep: ClassSweep, layer_index: int) -> list:
-    """(weight, delta) pairs of the layer whose weighted outer products sum
-    to each example's output Fisher, sum_c w_c delta_c delta_c^T.
-
-    A head with three or more classes gives one pair per class. A two-class
-    head (a sigmoid, or a 2-way softmax) gives one pair: its class deltas
-    are delta_0 = w_1 j and delta_1 = -w_0 j at every layer, so with
-    w_0 + w_1 = 1 the sum is w_0 w_1 j j^T, j = delta_0 - delta_1. The
-    deltas have opposite signs, so the difference does not cancel."""
-    pairs = [(weight, deltas[layer_index])
-             for weight, deltas in zip(sweep.weights, sweep.deltas)]
-    if len(pairs) == 2:
-        (w0, d0), (w1, d1) = pairs
-        return [(w0 * w1, d0 - d1)]
-    return pairs
+    """The sweep's (weight, delta) rows at the layer."""
+    return [(weight, deltas[layer_index])
+            for weight, deltas in zip(sweep.weights, sweep.deltas)]
 
 
 def exact_block_size(model, layer_index):

@@ -270,6 +270,10 @@ def train(
             f"optimizer 'bn' needs batches of at least 2 rows; n={train_data.n} training rows "
             f"with batch_size={config.batch_size} leave a one-row batch"
         )
+    if whitened and not config.freeze_whitening and train_data.n < 2:
+        # the reparametrization estimates moments from min(stat_samples, n) rows
+        raise ConfigError(
+            f"optimizer 'prong' needs at least 2 training rows, got n={train_data.n}")
 
     state = OptimizerState.init(model.params.vector, config, rmsprop=optimizer == "rmsprop")
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step

@@ -392,6 +392,30 @@ class TestTypedErrors:
         assert manifest["status"] == "refused"
         assert err == f"config error: {manifest['error']}\n"
 
+    def test_prong_one_training_row_refused(self, tmp_path, capsys):
+        # the reparametrization's moments need two rows
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg["dataset"].update(n=2, val_size=1)
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert "at least 2 training rows" in err and "n=1" in err
+        self.assert_refused(tmp_path / "run", err)
+
+    def test_singular_whitening_leaves_a_failed_manifest(self, tmp_path, capsys):
+        # two statistics rows give a rank-one covariance, singular at epsilon 0
+        _, cfg_path = small_train_config(tmp_path, eigen_epsilon=0.0, stat_samples=2)
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(run_dir)])
+        assert code == 2
+        err = self.one_line(capsys, "numerical error: ")
+        assert "singular with epsilon=0" in err
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "manifest.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert err == f"numerical error: {manifest['error']}\n"
+
     def test_input_width_mismatch_refused_before_training(self, tmp_path, capsys):
         # 4x4 images against the paper autoencoder's 784-wide input
         rng = np.random.default_rng(3)

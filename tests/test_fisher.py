@@ -169,6 +169,20 @@ def whitened_model(sizes, seed, stats):
     return model
 
 
+def central_differences(f, w, step=1e-6):
+    """d f / d w by central differences, perturbing ``w`` in place."""
+    numeric = np.zeros_like(w)
+    for idx in np.ndindex(w.shape):
+        orig = w[idx]
+        w[idx] = orig + step
+        plus = f()
+        w[idx] = orig - step
+        minus = f()
+        w[idx] = orig
+        numeric[idx] = (plus - minus) / (2 * step)
+    return numeric
+
+
 class TestSharedSweep:
     """conditioning_report shares one class sweep across layers; every row
     must equal the row rebuilt from a standalone block."""
@@ -223,29 +237,44 @@ class TestSharedSweep:
             factorized_fisher_block(model, self.X, 0)
 
     def test_sweep_deltas_are_log_likelihood_gradients(self):
-        # per class y, sum_b delta_b s_b^T is the gradient of sum_b -log p(y|x_b)
-        # w.r.t. each layer's weights: checked by central finite differences
-        model = canonical_model([4, 3, 1], seed=50)
+        # a head of three or more classes sweeps one row per class y, and
+        # sum_b delta_b s_b^T is the gradient of sum_b -log p(y|x_b) w.r.t.
+        # each layer's weights: checked by central finite differences
+        model = canonical_model([4, 3, 3], seed=50, head="softmax")
         x = np.random.default_rng(51).standard_normal((6, 4))
         sweep = class_sweep(model, x)
-
-        def neg_log_p(y):
-            p1 = model.forward(x).outputs[:, 0]
-            return -float(np.log(p1 if y == 1 else 1.0 - p1).sum())
+        assert len(sweep.deltas) == 3
 
         for y, deltas in enumerate(sweep.deltas):
+            def neg_log_p():
+                return -float(np.log(model.forward(x).outputs[:, y]).sum())
+
             for i, w in enumerate(model.params.weights):
-                numeric = np.zeros_like(w)
-                for idx in np.ndindex(w.shape):
-                    orig = w[idx]
-                    w[idx] = orig + 1e-6
-                    plus = neg_log_p(y)
-                    w[idx] = orig - 1e-6
-                    minus = neg_log_p(y)
-                    w[idx] = orig
-                    numeric[idx] = (plus - minus) / 2e-6
+                numeric = central_differences(neg_log_p, w)
                 analytic = deltas[i].T @ sweep.trace.signals[i]
                 np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("head, out", [("sigmoid", 1), ("softmax", 2)])
+    def test_two_class_sweep_is_one_row_of_head_gradients(self, head, out):
+        # a two-class head sweeps one row: weight p (1 - p), and output delta
+        # 1 (sigmoid) or (-1, +1) (softmax), so sum_b delta_b s_b^T is the
+        # gradient of sum_b z_b (sigmoid) or sum_b (z_b1 - z_b0) (softmax),
+        # z the head's pre-activation: checked by central finite differences
+        model = canonical_model([4, 3, out], seed=54, head=head)
+        x = np.random.default_rng(55).standard_normal((6, 4))
+        sweep = class_sweep(model, x)
+        assert len(sweep.weights) == len(sweep.deltas) == 1
+        p = sweep.trace.outputs[:, -1]
+        np.testing.assert_allclose(sweep.weights[0], p * (1.0 - p), rtol=1e-12)
+        sign = np.array([1.0]) if out == 1 else np.array([-1.0, 1.0])
+
+        def head_sum():
+            return float((model.forward(x).pre_activations[-1] @ sign).sum())
+
+        for i, w in enumerate(model.params.weights):
+            numeric = central_differences(head_sum, w)
+            analytic = sweep.deltas[0][i].T @ sweep.trace.signals[i]
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_batch_norm_model_refused(self):
         # the sweep's backprop has no BN gain/std factor, so its gradients
@@ -279,28 +308,35 @@ class TestSharedSweep:
         assert block.eigenvalues().shape == (2400,)
 
 
-def enumerated_pairs(sweep, layer):
-    """One (weight, delta) pair per enumerated class."""
-    return [(w, d[layer]) for w, d in zip(sweep.weights, sweep.deltas)]
+def enumerated_pairs(model, sweep, layer):
+    """One (p_y, delta_y) pair per output class y, each class's output delta
+    h - y (sigmoid) or h - onehot(y) (softmax) backpropagated on its own."""
+    h = sweep.trace.outputs
+    if model.spec.layers[-1].nonlinearity == "sigmoid":
+        classes = [(1.0 - h[:, 0], h - 0.0), (h[:, 0], h - 1.0)]
+    else:
+        classes = [(h[:, y], h - onehot) for y, onehot in enumerate(np.eye(h.shape[1]))]
+    return [(w, net.backpropagate_deltas(sweep.trace, model.params, model.spec, d)[layer])
+            for w, d in classes]
 
 
-def enumerated_exact(sweep, layer):
+def enumerated_exact(model, sweep, layer):
     """The exact block as one product of G stacked over every class:
-    G^T G / B with rows sqrt(w_c) vec(delta_c s^T)."""
+    G^T G / B with rows sqrt(p_y) vec(delta_y s^T)."""
     signal = sweep.trace.signals[layer]
     b = signal.shape[0]
     g = np.concatenate([
         np.einsum("bi,bj->bij", d * np.sqrt(w)[:, None], signal).reshape(b, -1)
-        for w, d in enumerated_pairs(sweep, layer)
+        for w, d in enumerated_pairs(model, sweep, layer)
     ])
     return g.T @ g / b
 
 
-def enumerated_factor(sweep, layer):
-    """The delta factor summed over every class: sum_c (delta_c w_c)^T delta_c / B,
+def enumerated_factor(model, sweep, layer):
+    """The delta factor summed over every class: sum_y (delta_y p_y)^T delta_y / B,
     accumulated and symmetrized as the factorized block does."""
     b = sweep.trace.signals[layer].shape[0]
-    f = sum((d * w[:, None]).T @ d for w, d in enumerated_pairs(sweep, layer)) / b
+    f = sum((d * w[:, None]).T @ d for w, d in enumerated_pairs(model, sweep, layer)) / b
     return (f + f.T) / 2.0
 
 
@@ -333,11 +369,11 @@ class TestFisherRows:
         for layer in range(model.spec.depth):
             assert len(fisher_rows(sweep, layer)) == 1
             f = exact_fisher_block(model, None, layer, sweep).matrix
-            reference = enumerated_exact(sweep, layer)
+            reference = enumerated_exact(model, sweep, layer)
             assert np.array_equal(f, f.T)
             assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
             factors, block = factorized_fisher_block(model, None, layer, sweep)
-            reference = enumerated_factor(sweep, layer)
+            reference = enumerated_factor(model, sweep, layer)
             assert np.array_equal(factors.delta_cov, factors.delta_cov.T)
             assert np.abs(factors.delta_cov - reference).max() <= 1e-12 * np.abs(reference).max()
             assert np.array_equal(block.matrix, block.matrix.T)
@@ -351,10 +387,11 @@ class TestFisherRows:
             for layer in range(model.spec.depth):
                 assert len(fisher_rows(sweep, layer)) == classes
                 factors, _ = factorized_fisher_block(model, None, layer, sweep)
-                assert np.array_equal(factors.delta_cov, enumerated_factor(sweep, layer))
+                assert np.array_equal(factors.delta_cov, enumerated_factor(model, sweep, layer))
                 exact.append(exact_fisher_block(model, None, layer, sweep).matrix)
             with monkeypatch.context() as m:
-                m.setattr(fisher, "fisher_rows", enumerated_pairs)
+                m.setattr(fisher, "fisher_rows",
+                          lambda sweep, layer: enumerated_pairs(model, sweep, layer))
                 for layer, f in enumerate(exact):
                     assert np.array_equal(exact_fisher_block(model, None, layer, sweep).matrix, f)
 

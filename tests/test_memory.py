@@ -1,11 +1,11 @@
 """Peak-memory guards and the bit-exactness of the lean paths.
 
 Evaluation goes through ``Model.predict``, which keeps no forward trace;
-``load_idx(side=10)`` converts and downsamples the pixels a block of rows at
-a time; the exact Fisher block is written tile by tile from column blocks of
-G, into the dense matrix when it is read or a row of tiles at a time to
-disk; the reparametrization walks the layers once and copies none but the
-current one. The memory figures are tracemalloc peaks, which count numpy's
+``load_idx`` converts the pixels (and at side 10 downsamples them) a block
+of rows at a time; the exact Fisher block is written tile by tile from
+column blocks of G, into the dense matrix when it is read or a row of tiles
+at a time to disk; the reparametrization walks the layers once and copies
+none but the current one. The memory figures are tracemalloc peaks, which count numpy's
 data buffers."""
 
 import struct
@@ -57,14 +57,43 @@ def test_eval_loss_peaks_below_half_a_trace():
     assert peak < full / 2, (peak, full)
 
 
-def test_load_idx_side_10_never_holds_full_resolution_floats(tmp_path):
-    n = 2048
+def write_idx_pair(tmp_path, n):
+    """A seeded IDX pair of ``n`` 28x28 images; returns its paths and pixels."""
     pixels = np.random.default_rng(1).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
     ip.write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + pixels.tobytes())
     lp.write_bytes(struct.pack(">II", 0x801, n) + bytes(n))
+    return ip, lp, pixels.reshape(n, 784)
+
+
+def test_load_idx_side_10_never_holds_full_resolution_floats(tmp_path):
+    n = 2048
+    ip, lp, _ = write_idx_pair(tmp_path, n)
     peak = traced_peak(load_idx, ip, lp, side=10)
     assert peak < n * 784 * 8, peak
+
+
+def test_load_idx_side_10_holds_two_128_row_blocks_at_most(tmp_path):
+    # beside the dataset and the file's bytes, one 128-row float block and
+    # its downsampled rows live at a time; a 512-row block alone is four
+    n = 2048
+    ip, lp, _ = write_idx_pair(tmp_path, n)
+    dataset_bytes = n * (100 + 10) * 8
+    peak = traced_peak(load_idx, ip, lp, side=10)
+    assert peak < dataset_bytes + n * 784 + 2 * 128 * 784 * 8, peak
+
+
+def test_load_idx_side_28_decodes_in_blocks_into_one_array(tmp_path):
+    # the whole-array astype / 255 bit for bit, with one full float copy
+    # beside the file's bytes; the whole-array form holds two wherever numpy
+    # cannot do its division in place of the astype temporary
+    n = 2048
+    ip, lp, pixels = write_idx_pair(tmp_path, n)
+    expected = pixels.astype(np.float64) / 255.0
+    assert np.array_equal(load_idx(ip, lp).inputs.view(np.int64), expected.view(np.int64))
+    del expected
+    peak = traced_peak(load_idx, ip, lp)
+    assert peak < 1.5 * n * 784 * 8, peak
 
 
 @pytest.mark.parametrize("kind", net.NONLINEARITIES)
