@@ -11,16 +11,26 @@ first ``wallclock_seconds`` at which the eval loss is at or below the target
 (momentum's own first hit among them), and the final eval loss.
 
 Usage: python scripts/run_autoencoder_race.py [--out runs/race] [--steps 2000]
+
+Run as a script, it pins BLAS to one thread before numpy is imported, so
+the ``first s`` column is timed as the README's table was. Imported (as the
+tests do), it leaves the environment alone.
 """
 
-import argparse
-import csv
-import json
-import sys
-from pathlib import Path
+import os
 
-from whitenet.cli import main as cli_main
-from whitenet.metrics import read_metrics
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from whitenet.cli import main as cli_main  # noqa: E402
+from whitenet.metrics import read_metrics  # noqa: E402
 
 LEARNING_RATES = [0.1, 0.01, 0.001]
 TARGET_EVALS = 5  # momentum's last evals averaged into the target

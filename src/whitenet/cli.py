@@ -211,9 +211,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     dataset = build_dataset(cfg)  # every run varies only the optimizer
     train_ds = dataset[0]
     probe = train_ds.inputs[: min(512, train_ds.n)]
-    kinds = ("factorized",)
-    baseline_rows = fisher.conditioning_report(baseline_model, probe, kinds=kinds)
-    baselines = {(r.layer, r.kind): r.cond for r in baseline_rows}
+    baselines = {r.layer: r.cond for r in fisher.conditioning_report(baseline_model, probe)}
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
     # stored bit for bit and streamed to disk a row of tiles at a time
@@ -234,7 +232,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
         series = []
 
         def on_row(model, step, _series=series):
-            rows = fisher.conditioning_report(model, probe, kinds=kinds, baselines=baselines)
+            rows = fisher.conditioning_report(model, probe, baselines=baselines)
             for r in rows:
                 _series.append((step, r))
             mid = [r for r in rows if r.layer == middle][0]
@@ -245,7 +243,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
                   "cond_ratio_to_initial", "flag"]
         table = [
-            [step, r.layer, r.kind, r.lambda_max, r.lambda_min, r.cond, r.cond_ratio, r.flag]
+            [step, r.layer, "factorized", r.lambda_max, r.lambda_min, r.cond, r.cond_ratio, r.flag]
             for step, r in series
         ]
         write_table(out / f"conditioning_{optimizer}.csv", header, table)

@@ -108,7 +108,7 @@ def _validate_section(section, schema, path, bad, missing):
             bad.append(here)
 
 
-DATASET_MINIMA = {"n": 1, "side": 1, "dim": 1, "val_size": 0}
+DATASET_MINIMA = {"n": 1, "side": 1, "dim": 1, "val_size": 0, "n_classes": 2}
 
 
 def _value_errors(cfg: dict) -> dict:

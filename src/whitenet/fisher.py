@@ -7,22 +7,25 @@ the canonical parametrization, the whitened activation in the whitened
 one), and vec flattens by rows. The expectation
 over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
-empirical mean. Both forms read a layer's per-example output Fisher as
-weighted delta rows (``fisher_rows``): one row per class, or a single
-row for a two-class head, built at the output and backpropagated once. The
-factorized form assumes delta and s independent and keeps only the two
-covariance factors; its Kronecker product uses the row-major vec convention, so
-F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Either form builds its dense
-block only when its ``matrix`` is read; an exact block's ``save`` streams
-it to disk without building it. Off-block-diagonal
+empirical mean. Both forms read a layer's per-example output Fisher from a
+``ClassSweep``: weighted delta rows, one per class, or a single row for a
+two-class head, built at the output and backpropagated once.
+
+An ``ExactBlock`` keeps the weighted deltas and the layer's signal, builds
+its dense ``matrix`` when first read, and ``save`` streams that matrix to
+disk without building it. A ``FactorizedBlock`` assumes delta and s
+independent and keeps only the two covariance factors; its Kronecker
+product uses the row-major vec convention, so
+F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Off-block-diagonal
 (cross-layer) terms are never materialized. A conditioning report forwards
-its inputs once and backprops each Fisher row once (a ``ClassSweep``), and
-every layer's block reads its deltas from that one sweep.
+its inputs once and backprops each Fisher row once, and every layer's
+factorized block reads its deltas from that one sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,16 +37,32 @@ TILE_COLUMNS = 128  # width of the G column blocks an exact block is built from
 
 
 @dataclass
-class KroneckerFactors:
+class FactorizedBlock:
+    """A Kronecker-factored block, F = delta_cov (x) act_cov."""
+
     delta_cov: np.ndarray  # E[delta delta^T], (N_i, N_i)
     act_cov: np.ndarray  # E[s s^T] uncentered, (N_{i-1}, N_{i-1})
 
+    @cached_property
+    def matrix(self) -> np.ndarray | None:
+        """The Kronecker product, built on first read; None above ``MAX_BLOCK``."""
+        if self.delta_cov.shape[0] * self.act_cov.shape[0] > MAX_BLOCK:
+            return None
+        return np.kron(self.delta_cov, self.act_cov)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum (descending): the sorted outer product of the factor
+        spectra, which is exact and needs no Kronecker product."""
+        ld = linalg.sym_eigvals(self.delta_cov)
+        la = linalg.sym_eigvals(self.act_cov)
+        return np.sort(np.outer(ld, la).ravel())[::-1]
+
 
 @dataclass
-class StackedG:
-    """What an exact block is built from: F = G^T G / B, where G stacks the
-    rows sqrt(w_rb) vec(delta_rb s_b^T) of every pair r of ``fisher_rows``
-    and example b, B rows for a two-class head and C B for C classes.
+class ExactBlock:
+    """An exact block, F = G^T G / B, where G stacks the rows
+    sqrt(w_rb) vec(delta_rb s_b^T) of every Fisher row r of the sweep and
+    example b, B rows for a two-class head and C B for C classes.
 
     G is never built whole: its column block for output units [k0, k1) is
     sqrt(w_r) delta_r[:, k0:k1] (x) s, about ``TILE_COLUMNS`` wide, built
@@ -53,7 +72,7 @@ class StackedG:
     rebuilt as (G_c^T G_a)^T, the operands in the order of the earlier row
     that wrote its transpose, so F is exactly symmetric."""
 
-    scaled: list  # per pair r, sqrt(w_r) * delta_r, (B, N_i)
+    scaled: list  # per Fisher row r, sqrt(w_r) * delta_r, (B, N_i)
     signal: np.ndarray  # (B, N_{i-1})
 
     @property
@@ -95,16 +114,21 @@ class StackedG:
             out /= b
             yield out
 
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense block, each row of tiles written in place."""
+        """The dense block, built on first read, each row of tiles written in place."""
         f = np.empty((self.size, self.size))
         for _ in self._tile_rows(lambda rows: f[rows]):
             pass
         return f
 
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum (descending) of ``matrix``, without eigenvectors."""
+        return linalg.sym_eigvals(self.matrix)
+
     def save(self, path):
-        """Write to ``path`` the bytes ``np.save`` writes for
-        ``self.matrix()``, holding one row of tiles instead of the block."""
+        """Write to ``path`` the bytes ``np.save`` writes for ``matrix``,
+        holding one row of tiles instead of the block."""
         blocks = self._blocks()
         row = np.empty((blocks[0].stop - blocks[0].start, self.size))
         with open(path, "wb") as fh:
@@ -112,62 +136,6 @@ class StackedG:
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (self.size, self.size)})
             for out in self._tile_rows(lambda rows: row[: rows.stop - rows.start]):
                 out.tofile(fh)
-
-
-@dataclass
-class FisherBlock:
-    layer_index: int
-    kind: str  # "exact" | "factorized"
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-    factors: KroneckerFactors | None = None
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    stacked: StackedG | None = field(default=None, repr=False)  # of an exact block
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        """The dense block, built on first read. An exact block builds it
-        from ``stacked``; a factorized block builds its Kronecker product,
-        and only within the tractability cap (None above)."""
-        if self._matrix is None:
-            if self.stacked is not None:
-                self._matrix = self.stacked.matrix()
-            elif self.factors is not None:
-                f = self.factors
-                if f.delta_cov.shape[0] * f.act_cov.shape[0] <= MAX_BLOCK:
-                    self._matrix = np.kron(f.delta_cov, f.act_cov)
-        return self._matrix
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum (descending), computed without eigenvectors. For
-        factorized blocks this is the sorted outer product of the factor
-        spectra, which is exact and does not require materializing the
-        Kronecker product."""
-        if self._eigenvalues is None:
-            if self.kind == "factorized":
-                ld = linalg.sym_eigvals(self.factors.delta_cov)
-                la = linalg.sym_eigvals(self.factors.act_cov)
-                self._eigenvalues = np.sort(np.outer(ld, la).ravel())[::-1]
-            else:
-                self._eigenvalues = linalg.sym_eigvals(self.matrix)
-        return self._eigenvalues
-
-    def spectrum(self) -> linalg.EigenDecomposition:
-        if self.matrix is None:
-            raise FisherSizeError(
-                "block matrix was not materialized; use eigenvalues() instead"
-            )
-        return linalg.sym_eig(self.matrix)
-
-    def condition_number(self, **kw) -> float:
-        return linalg.condition_number(self.eigenvalues(), **kw)
-
-    def save(self, path):
-        """Write an exact block to ``path`` byte for byte as
-        ``np.save(path, self.matrix)`` would, one row of tiles at a time,
-        without building ``matrix``."""
-        if self.stacked is None:
-            raise ConsistencyError("only an exact block is saved tile by tile")
-        self.stacked.save(path)
 
 
 @dataclass
@@ -229,12 +197,6 @@ def class_sweep(model: net.Model, inputs) -> ClassSweep:
     )
 
 
-def fisher_rows(sweep: ClassSweep, layer_index: int) -> list:
-    """The sweep's (weight, delta) rows at the layer."""
-    return [(weight, deltas[layer_index])
-            for weight, deltas in zip(sweep.weights, sweep.deltas)]
-
-
 def exact_block_size(model, layer_index):
     """Side of the layer's exact block; FisherSizeError above the cap."""
     layer = model.spec.layers[layer_index]
@@ -245,94 +207,71 @@ def exact_block_size(model, layer_index):
 
 
 def exact_fisher_block(model: net.Model, inputs, layer_index: int,
-                       sweep: ClassSweep | None = None) -> FisherBlock:
+                       sweep: ClassSweep | None = None) -> ExactBlock:
     """Exact per-layer Fisher block: labels enumerated, inputs averaged.
-
-    F = G^T G / B (see ``StackedG``). The block keeps G's factors, the
-    weighted deltas and the layer's signal; its dense ``matrix`` is built
-    when first read, and ``save`` writes it without building it. ``sweep``
-    is ``class_sweep(model, inputs)`` shared across layers; when given,
-    ``inputs`` is not read."""
+    ``sweep`` is ``class_sweep(model, inputs)`` shared across layers; when
+    given, ``inputs`` is not read."""
     exact_block_size(model, layer_index)
     if sweep is None:
         sweep = class_sweep(model, inputs)
-    scaled = [delta * np.sqrt(weight)[:, None]
-              for weight, delta in fisher_rows(sweep, layer_index)]
-    stacked = StackedG(scaled, sweep.trace.signals[layer_index])
-    return FisherBlock(layer_index, "exact", stacked=stacked)
+    scaled = [deltas[layer_index] * np.sqrt(weight)[:, None]
+              for weight, deltas in zip(sweep.weights, sweep.deltas)]
+    return ExactBlock(scaled, sweep.trace.signals[layer_index])
 
 
 def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
-                            sweep: ClassSweep | None = None):
+                            sweep: ClassSweep | None = None) -> FactorizedBlock:
     """Kronecker-factorized block under the delta/activation independence
-    assumption: returns (factors, block). ``sweep`` is as for
-    ``exact_fisher_block``. Eigenvalues come from the factors; the block's
-    ``matrix`` is built only when read."""
+    assumption. ``sweep`` is as for ``exact_fisher_block``."""
     n_out = model.spec.layers[layer_index].out_dim
     if sweep is None:
         sweep = class_sweep(model, inputs)
     signal = sweep.trace.signals[layer_index]
     b = signal.shape[0]
     delta_cov = np.zeros((n_out, n_out))
-    for weight, delta in fisher_rows(sweep, layer_index):
+    for weight, deltas in zip(sweep.weights, sweep.deltas):
+        delta = deltas[layer_index]
         delta_cov += (delta * weight[:, None]).T @ delta
     delta_cov /= b
     delta_cov = (delta_cov + delta_cov.T) / 2.0
     act_cov = signal.T @ signal / b
     act_cov = (act_cov + act_cov.T) / 2.0
-    factors = KroneckerFactors(delta_cov, act_cov)
-    return factors, FisherBlock(layer_index, "factorized", factors=factors)
+    return FactorizedBlock(delta_cov, act_cov)
 
 
 @dataclass
 class ConditioningRow:
     layer: int
-    kind: str
     lambda_max: float
     lambda_min: float
     cond: float
     cond_ratio: float | None = None
-    flag: str = ""  # "floored", "too_large", "degenerate" or empty
+    flag: str = ""  # "floored", "degenerate" or empty
 
 
-def conditioning_report(
-    model: net.Model,
-    inputs,
-    kinds=("factorized",),
-    baselines: dict | None = None,
-) -> list[ConditioningRow]:
-    """Per-layer condition numbers for the requested block kinds.
+def conditioning_report(model: net.Model, inputs,
+                        baselines: dict | None = None) -> list[ConditioningRow]:
+    """Per-layer condition numbers of the factorized blocks, from one class
+    sweep; a model that ``check_enumerable`` refuses raises its error.
 
-    ``baselines`` maps (layer, kind) to the pre-whitening condition number;
-    when given, each row carries the ratio to it. Degenerate spectra and
-    over-cap exact blocks are flagged rather than raised, and so is a row
-    whose lambda_min sits at ``linalg.COND_FLOOR`` times lambda_max
-    ("floored"): its cond is the floor, not a measured conditioning."""
+    ``baselines`` maps a layer to its pre-whitening condition number; when
+    given, each row carries the ratio to it. A degenerate spectrum is
+    flagged rather than raised, and so is a row whose lambda_min sits at
+    ``linalg.COND_FLOOR`` times lambda_max ("floored"): its cond is the
+    floor, not a measured conditioning."""
+    sweep = class_sweep(model, inputs)
     rows = []
-    sweep = None  # one class sweep serves every layer and kind
     for layer_index in range(model.spec.depth):
-        for kind in kinds:
-            try:
-                if kind == "exact":
-                    exact_block_size(model, layer_index)
-                if sweep is None:
-                    sweep = class_sweep(model, inputs)
-                if kind == "exact":
-                    block = exact_fisher_block(model, inputs, layer_index, sweep)
-                else:
-                    _, block = factorized_fisher_block(model, inputs, layer_index, sweep)
-                lam = block.eigenvalues()
-                cond = linalg.condition_number(lam)
-            except FisherSizeError:
-                rows.append(ConditioningRow(layer_index, kind, np.nan, np.nan, np.nan, flag="too_large"))
-                continue
-            except DegenerateSpectrumError:
-                rows.append(ConditioningRow(layer_index, kind, np.nan, np.nan, np.nan, flag="degenerate"))
-                continue
-            ratio = None
-            if baselines is not None and (layer_index, kind) in baselines:
-                ratio = cond / baselines[(layer_index, kind)]
-            lmax, lmin = float(lam.max()), float(lam.min())
-            flag = "floored" if lmin <= linalg.COND_FLOOR * lmax else ""
-            rows.append(ConditioningRow(layer_index, kind, lmax, lmin, cond, ratio, flag))
+        lam = factorized_fisher_block(model, inputs, layer_index, sweep).eigenvalues()
+        try:
+            cond = linalg.condition_number(lam)
+        except DegenerateSpectrumError:
+            rows.append(ConditioningRow(layer_index, np.nan, np.nan, np.nan, flag="degenerate"))
+            continue
+        ratio = None
+        if baselines is not None and layer_index in baselines:
+            ratio = cond / baselines[layer_index]
+        lmax, lmin = float(lam.max()), float(lam.min())
+        flag = "floored" if lmin <= linalg.COND_FLOOR * lmax else ""
+        rows.append(ConditioningRow(layer_index, lmax, lmin, cond, ratio, flag))
     return rows

@@ -79,8 +79,12 @@ class TrainConfig:
             raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
         if self.rmsprop_damping <= 0:
             raise ConfigError(f"rmsprop_damping must be > 0, got {self.rmsprop_damping}")
-        if self.batch_size < 1 or self.max_updates < 0 or self.eval_interval < 1:
-            raise ConfigError("batch_size/max_updates/eval_interval out of range")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_updates < 0:
+            raise ConfigError(f"max_updates must be >= 0, got {self.max_updates}")
+        if self.eval_interval < 1:
+            raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
 
 
 @dataclass
@@ -193,11 +197,12 @@ def waterfall_anneal(history, policy: AnnealPolicy, alpha: float) -> float:
     """Divide alpha when the best metric over the last ``patience``
     evaluations fails to improve on the best of all earlier evaluations by
     at least ``min_relative_improvement`` (strict; at most one division per
-    call). ``history`` is ordered, most recent last, lower is better."""
-    if len(history) < policy.patience or len(history) < 2:
+    call). ``history`` is ordered, most recent last, lower is better; it
+    needs an evaluation before the window."""
+    if len(history) <= policy.patience:
         return alpha
     window_best = min(history[-policy.patience :])
-    prior_best = min(history[:-1])
+    prior_best = min(history[: -policy.patience])
     denom = max(abs(prior_best), np.finfo(float).tiny)
     improvement = (prior_best - window_best) / denom
     if improvement < policy.min_relative_improvement:
@@ -366,7 +371,10 @@ def train(
         done = t + 1
         if config.anneal is not None and done % config.anneal.eval_interval == 0:
             anneal_history.append(evaluate(done))
-            state.alpha = waterfall_anneal(anneal_history, config.anneal, state.alpha)
+            alpha = waterfall_anneal(anneal_history, config.anneal, state.alpha)
+            if alpha != state.alpha:  # the next division waits a full window at the new rate
+                anneal_history[:] = [min(anneal_history)]
+                state.alpha = alpha
         if done % config.eval_interval == 0:
             emit(done, loss_sum / max(loss_count, 1), reparam_event=False)
             loss_sum, loss_count = 0.0, 0

@@ -14,6 +14,7 @@ from whitenet.config import PRESETS, validate_config
 from whitenet.data import Dataset, synthetic_classification, synthetic_images
 from whitenet.errors import DivergenceError
 from whitenet.fisher import factorized_fisher_block
+from whitenet.linalg import condition_number
 from whitenet.net import (
     Model,
     NetSpec,
@@ -54,15 +55,13 @@ class TestAcceptance:
         theta = init_fan_in(spec, 3)
 
         canonical = Model(spec, theta.copy())
-        _, before_block = factorized_fisher_block(canonical, ds.inputs, 1)
-        before = before_block.condition_number()
+        before = condition_number(factorized_fisher_block(canonical, ds.inputs, 1).eigenvalues())
 
         phi = WhiteningCoeffs.identity(spec)
         whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
-        _, after_block = factorized_fisher_block(whitened, ds.inputs, 1)
-        after = after_block.condition_number()
+        after = condition_number(factorized_fisher_block(whitened, ds.inputs, 1).eigenvalues())
 
         ratio = after / before
         report("C1", ratio < 0.10,

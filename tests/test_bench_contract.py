@@ -246,3 +246,16 @@ def test_diagnose_fisher_calls_every_expected_span(child, tmp_path, monkeypatch)
     out = tmp_path / "diag"
     assert cli.main(["diagnose-fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert_every_span_called(calls, COND_FISHER_EXPECT)
+    # the two heatmaps are the only exact blocks
+    assert calls["fisher.exact", "exact_fisher_block"] == 2
+
+
+def test_conditioning_report_builds_each_factorized_block_through_the_module(child, monkeypatch):
+    # the fisher.factorized span and the fisher.blocks count see one call per
+    # layer only while the report calls the block function by its module name
+    calls = count_span_calls(child, ["fisher.factorized", "fisher.exact"], monkeypatch)
+    spec = NetSpec.mlp([6, 5, 4, 1], hidden="tanh", head="sigmoid")
+    x = np.random.default_rng(8).standard_normal((32, 6))
+    assert len(fisher.conditioning_report(Model(spec, init_fan_in(spec, 9)), x)) == 3
+    assert calls == {("fisher.factorized", "factorized_fisher_block"): 3,
+                     ("fisher.exact", "exact_fisher_block"): 0}

@@ -332,7 +332,7 @@ class TestDiagnoseFisher:
 
     def test_best_middle_ratio_skips_floored_rows(self):
         def row(layer, ratio, flag=""):
-            return fisher.ConditioningRow(layer, "factorized", 1.0, 1e-3, 1e3, ratio, flag)
+            return fisher.ConditioningRow(layer, 1.0, 1e-3, 1e3, ratio, flag)
 
         rows = [row(1, 0.5), row(1, 1e-3, "floored"), row(0, 1e-4), row(1, None), row(1, 0.2)]
         assert cli.best_middle_ratio(rows, 1) == 0.2
@@ -480,6 +480,8 @@ class TestTypedErrors:
         ("dataset", {"val_size": -5}, "dataset.val_size"),
         ("dataset", {"side": 0}, "dataset.side"),
         ("dataset", {"kind": "synthetic_gaussian", "dim": 0}, "dataset.dim"),
+        ("dataset", {"kind": "synthetic_classification", "dim": 36, "n_classes": 0},
+         "dataset.n_classes (an integer >= 2)"),
     ])
     def test_bad_config_value_refused_by_name(self, tmp_path, capsys, monkeypatch,
                                               section, values, key):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from whitenet import fisher, net
+from whitenet import net
 from whitenet.data import synthetic_classification
 from whitenet.errors import ConsistencyError, FisherSizeError
 from whitenet.fisher import (
+    ClassSweep,
     ConditioningRow,
     class_sweep,
     conditioning_report,
     exact_fisher_block,
     factorized_fisher_block,
-    fisher_rows,
 )
 from whitenet.linalg import condition_number
 from whitenet.net import (
@@ -107,20 +107,20 @@ class TestFactorizedBlock:
         # F[km, ln] = delta_cov[k, l] * act_cov[m, n] with row-major vec
         model = canonical_model([3, 2, 1], seed=8)
         x = np.random.default_rng(9).standard_normal((8, 3))
-        factors, block = factorized_fisher_block(model, x, 1)
+        block = factorized_fisher_block(model, x, 1)
         n_in = 2
         for k in range(1):
             for m in range(n_in):
                 for l in range(1):
                     for n_ in range(n_in):
                         assert block.matrix[k * n_in + m, l * n_in + n_] == pytest.approx(
-                            factors.delta_cov[k, l] * factors.act_cov[m, n_]
+                            block.delta_cov[k, l] * block.act_cov[m, n_]
                         )
 
     def test_kron_eigenvalues_match_materialized(self):
         model = canonical_model([4, 3, 1], seed=10)
         x = np.random.default_rng(11).standard_normal((24, 4))
-        _, block = factorized_fisher_block(model, x, 1)
+        block = factorized_fisher_block(model, x, 1)
         from whitenet.linalg import sym_eig
 
         direct = sym_eig(block.matrix).eigenvalues
@@ -134,14 +134,14 @@ class TestFactorizedBlock:
         model = Model(spec, params)
         x = np.array([[1.0, 2.0, -0.5]])
         exact = exact_fisher_block(model, x, 0).matrix
-        _, fact = factorized_fisher_block(model, x, 0)
+        fact = factorized_fisher_block(model, x, 0)
         np.testing.assert_allclose(fact.matrix, exact, atol=1e-12)
 
     def test_general_factorized_differs_from_exact(self):
         model = canonical_model([6, 5, 1], seed=12)
         x = np.random.default_rng(13).standard_normal((64, 6))
         exact = exact_fisher_block(model, x, 1).matrix
-        _, fact = factorized_fisher_block(model, x, 1)
+        fact = factorized_fisher_block(model, x, 1)
         gap = np.linalg.norm(fact.matrix - exact) / np.linalg.norm(exact)
         assert gap > 0.0  # the independence assumption is an approximation
 
@@ -152,11 +152,11 @@ class TestFactorizedBlock:
         model = Model(spec, project_to_whitened(theta, phi), phi=phi)
         stats = np.random.default_rng(15).standard_normal((200, 6))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        factors, block = factorized_fisher_block(model, stats, 1)
-        assert np.abs(factors.act_cov - np.eye(4)).max() < 1e-6
-        expected = np.kron(factors.delta_cov, np.eye(4))
+        block = factorized_fisher_block(model, stats, 1)
+        assert np.abs(block.act_cov - np.eye(4)).max() < 1e-6
+        expected = np.kron(block.delta_cov, np.eye(4))
         assert np.abs(block.matrix - expected).max() < 1e-6 * max(
-            np.abs(factors.delta_cov).max(), 1e-12
+            np.abs(block.delta_cov).max(), 1e-12
         )
 
 
@@ -185,7 +185,8 @@ def central_differences(f, w, step=1e-6):
 
 class TestSharedSweep:
     """conditioning_report shares one class sweep across layers; every row
-    must equal the row rebuilt from a standalone block."""
+    must equal the row rebuilt from a standalone block, and so must every
+    exact block's spectrum."""
 
     X = np.random.default_rng(40).standard_normal((48, 6))
 
@@ -196,38 +197,34 @@ class TestSharedSweep:
     ], ids=["canonical-sigmoid", "whitened", "softmax-3"])
     def test_report_rows_equal_standalone_blocks(self, make):
         model = make(self.X)
-        rows = conditioning_report(model, self.X, kinds=("factorized", "exact"))
-        assert [(r.layer, r.kind) for r in rows] == [
-            (i, k) for i in range(3) for k in ("factorized", "exact")
-        ]
+        rows = conditioning_report(model, self.X)
+        assert [r.layer for r in rows] == [0, 1, 2]
         for r in rows:
-            if r.kind == "factorized":
-                _, block = factorized_fisher_block(model, self.X, r.layer)
-            else:
-                block = exact_fisher_block(model, self.X, r.layer)
-            lam = block.eigenvalues()
-            # the softmax-3 exact blocks are rank-deficient: lambda_min sits at the floor
+            lam = factorized_fisher_block(model, self.X, r.layer).eigenvalues()
             flag = "floored" if lam.min() <= 1e-12 * lam.max() else ""
-            expected = ConditioningRow(r.layer, r.kind, float(lam.max()), float(lam.min()),
+            expected = ConditioningRow(r.layer, float(lam.max()), float(lam.min()),
                                        condition_number(lam), flag=flag)
             assert r == expected
+        sweep = class_sweep(model, self.X)
+        for layer in range(3):
+            lam = exact_fisher_block(model, None, layer, sweep).eigenvalues()
+            assert np.array_equal(lam, exact_fisher_block(model, self.X, layer).eigenvalues())
 
     def test_shared_sweep_blocks_equal_standalone(self):
         model = canonical_model([6, 5, 4, 3], seed=44, head="softmax")
         sweep = class_sweep(model, self.X)
         for layer in range(3):
-            shared_factors, _ = factorized_fisher_block(model, None, layer, sweep)
-            factors, _ = factorized_fisher_block(model, self.X, layer)
+            shared_factors = factorized_fisher_block(model, None, layer, sweep)
+            factors = factorized_fisher_block(model, self.X, layer)
             assert np.array_equal(shared_factors.delta_cov, factors.delta_cov)
             assert np.array_equal(shared_factors.act_cov, factors.act_cov)
             shared = exact_fisher_block(model, None, layer, sweep).matrix
             assert np.array_equal(shared, exact_fisher_block(model, self.X, layer).matrix)
 
-    def test_over_ten_classes_too_large_on_every_layer(self):
+    def test_over_ten_classes_refused(self):
         model = canonical_model([6, 5, 11], seed=45, head="softmax")
-        rows = conditioning_report(model, self.X, kinds=("factorized", "exact"))
-        assert len(rows) == 4
-        assert all(r.flag == "too_large" and np.isnan(r.cond) for r in rows)
+        with pytest.raises(FisherSizeError, match="10 classes"):
+            conditioning_report(model, self.X)
 
     def test_unsupported_head_raises(self):
         model = canonical_model([6, 5, 2], seed=46, head="relu")
@@ -286,7 +283,7 @@ class TestSharedSweep:
         with pytest.raises(ConsistencyError, match="batch-norm"):
             class_sweep(model, x)
         with pytest.raises(ConsistencyError, match="batch-norm"):
-            conditioning_report(model, x, kinds=("factorized", "exact"))
+            conditioning_report(model, x)
         with pytest.raises(ConsistencyError, match="batch-norm"):
             exact_fisher_block(model, x, 1)
         with pytest.raises(ConsistencyError, match="batch-norm"):
@@ -294,30 +291,36 @@ class TestSharedSweep:
 
     def test_factorized_matrix_is_kron_of_factors(self):
         model = canonical_model([6, 5, 1], seed=47)
-        factors, block = factorized_fisher_block(model, self.X, 0)
-        assert np.array_equal(block.matrix, np.kron(factors.delta_cov, factors.act_cov))
+        block = factorized_fisher_block(model, self.X, 0)
+        assert np.array_equal(block.matrix, np.kron(block.delta_cov, block.act_cov))
         assert block.matrix is block.matrix  # built once, on first read
 
     def test_factorized_matrix_absent_above_cap(self):
         model = canonical_model([60, 40, 1], seed=48)
         x = np.random.default_rng(49).standard_normal((16, 60))
-        _, block = factorized_fisher_block(model, x, 0)  # 40*60 > MAX_BLOCK
+        block = factorized_fisher_block(model, x, 0)  # 40*60 > MAX_BLOCK
         assert block.matrix is None
-        with pytest.raises(FisherSizeError):
-            block.spectrum()
         assert block.eigenvalues().shape == (2400,)
 
 
-def enumerated_pairs(model, sweep, layer):
-    """One (p_y, delta_y) pair per output class y, each class's output delta
-    h - y (sigmoid) or h - onehot(y) (softmax) backpropagated on its own."""
+def enumerated_sweep(model, sweep):
+    """The sweep's trace with one row per output class y: weight p_y, and
+    the output delta h - y (sigmoid) or h - onehot(y) (softmax)
+    backpropagated on its own."""
     h = sweep.trace.outputs
     if model.spec.layers[-1].nonlinearity == "sigmoid":
         classes = [(1.0 - h[:, 0], h - 0.0), (h[:, 0], h - 1.0)]
     else:
         classes = [(h[:, y], h - onehot) for y, onehot in enumerate(np.eye(h.shape[1]))]
-    return [(w, net.backpropagate_deltas(sweep.trace, model.params, model.spec, d)[layer])
-            for w, d in classes]
+    return ClassSweep(sweep.trace, [w for w, _ in classes],
+                      [net.backpropagate_deltas(sweep.trace, model.params, model.spec, d)
+                       for _, d in classes])
+
+
+def enumerated_pairs(model, sweep, layer):
+    """One (p_y, delta_y) pair per output class y, from ``enumerated_sweep``."""
+    enumerated = enumerated_sweep(model, sweep)
+    return [(w, deltas[layer]) for w, deltas in zip(enumerated.weights, enumerated.deltas)]
 
 
 def enumerated_exact(model, sweep, layer):
@@ -366,50 +369,45 @@ class TestFisherRows:
     def test_two_class_blocks_match_enumerated_classes(self, head, sizes, whitened):
         model = classifier(sizes, head, 61, self.X if whitened else None)
         sweep = class_sweep(model, self.X)
+        assert len(sweep.weights) == len(sweep.deltas) == 1
         for layer in range(model.spec.depth):
-            assert len(fisher_rows(sweep, layer)) == 1
             f = exact_fisher_block(model, None, layer, sweep).matrix
             reference = enumerated_exact(model, sweep, layer)
             assert np.array_equal(f, f.T)
             assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
-            factors, block = factorized_fisher_block(model, None, layer, sweep)
+            block = factorized_fisher_block(model, None, layer, sweep)
             reference = enumerated_factor(model, sweep, layer)
-            assert np.array_equal(factors.delta_cov, factors.delta_cov.T)
-            assert np.abs(factors.delta_cov - reference).max() <= 1e-12 * np.abs(reference).max()
+            assert np.array_equal(block.delta_cov, block.delta_cov.T)
+            assert np.abs(block.delta_cov - reference).max() <= 1e-12 * np.abs(reference).max()
             assert np.array_equal(block.matrix, block.matrix.T)
 
     @pytest.mark.parametrize("classes", [3, 4])
-    def test_multiclass_blocks_are_enumerated_bit_for_bit(self, classes, monkeypatch):
+    def test_multiclass_blocks_are_enumerated_bit_for_bit(self, classes):
         for model in (classifier([20, 30, 17, classes], "softmax", 62),
                       classifier([20, 30, 17, classes], "softmax", 62, self.X)):
             sweep = class_sweep(model, self.X)
-            exact = []
+            enumerated = enumerated_sweep(model, sweep)
+            assert len(sweep.weights) == len(sweep.deltas) == classes
             for layer in range(model.spec.depth):
-                assert len(fisher_rows(sweep, layer)) == classes
-                factors, _ = factorized_fisher_block(model, None, layer, sweep)
-                assert np.array_equal(factors.delta_cov, enumerated_factor(model, sweep, layer))
-                exact.append(exact_fisher_block(model, None, layer, sweep).matrix)
-            with monkeypatch.context() as m:
-                m.setattr(fisher, "fisher_rows",
-                          lambda sweep, layer: enumerated_pairs(model, sweep, layer))
-                for layer, f in enumerate(exact):
-                    assert np.array_equal(exact_fisher_block(model, None, layer, sweep).matrix, f)
+                block = factorized_fisher_block(model, None, layer, sweep)
+                assert np.array_equal(block.delta_cov, enumerated_factor(model, sweep, layer))
+                f = exact_fisher_block(model, None, layer, sweep).matrix
+                assert np.array_equal(exact_fisher_block(model, None, layer, enumerated).matrix, f)
 
 
 def transpose_copied_block(block):
     """An exact block built the in-memory way: each off-diagonal tile
     G_a^T G_c is computed once and its transpose copied below the diagonal,
     then the block is divided by B."""
-    stacked = block.stacked
-    b, n_in = stacked.signal.shape
+    b, n_in = block.signal.shape
 
     def columns(cols):
         units = slice(cols.start // n_in, cols.stop // n_in)
-        return np.concatenate([np.einsum("bi,bj->bij", d[:, units], stacked.signal).reshape(b, -1)
-                               for d in stacked.scaled])
+        return np.concatenate([np.einsum("bi,bj->bij", d[:, units], block.signal).reshape(b, -1)
+                               for d in block.scaled])
 
-    blocks = stacked._blocks()
-    f = np.empty((stacked.size, stacked.size))
+    blocks = block._blocks()
+    f = np.empty((block.size, block.size))
     for j, rows in enumerate(blocks):
         g_a = columns(rows)
         f[rows, rows] = g_a.T @ g_a
@@ -449,8 +447,8 @@ class TestSavedBlock:
         assert np.array_equal(f, f.T)
 
     def test_factorized_block_is_not_streamed(self, tmp_path):
-        _, block = factorized_fisher_block(canonical_model([6, 5, 1], seed=72), self.X[:, :6], 0)
-        with pytest.raises(ConsistencyError, match="exact"):
+        block = factorized_fisher_block(canonical_model([6, 5, 1], seed=72), self.X[:, :6], 0)
+        with pytest.raises(AttributeError, match="save"):
             block.save(tmp_path / "f.npy")
         assert not (tmp_path / "f.npy").exists()
 
@@ -469,43 +467,43 @@ class TestConditioningReport:
 
         u = pca_from_eig(sym_eig(cov), 0.0)
         white = (raw - mu) @ u.T
-        factors, _ = factorized_fisher_block(model, white, 0)
-        from whitenet.linalg import condition_number, sym_eig
-
-        cond = condition_number(sym_eig(factors.act_cov))
+        block = factorized_fisher_block(model, white, 0)
+        cond = condition_number(sym_eig(block.act_cov))
         assert cond == pytest.approx(1.0, rel=1e-6)
 
     def test_report_rows_and_ratio(self):
         model = canonical_model([8, 6, 4, 1], seed=18)
         x = np.random.default_rng(19).standard_normal((64, 8))
-        rows = conditioning_report(model, x, kinds=("factorized",))
+        rows = conditioning_report(model, x)
         assert len(rows) == 3
-        baselines = {(r.layer, r.kind): r.cond for r in rows}
-        rows2 = conditioning_report(model, x, kinds=("factorized",), baselines=baselines)
+        baselines = {r.layer: r.cond for r in rows}
+        rows2 = conditioning_report(model, x, baselines=baselines)
         for r in rows2:
             assert r.cond_ratio == pytest.approx(1.0)
 
-    def test_oversize_exact_flagged_not_raised(self):
+    def test_rank_deficient_exact_block_sits_at_the_floor(self):
         model = canonical_model([60, 40, 1], seed=20)
         x = np.random.default_rng(21).standard_normal((16, 60))
-        rows = conditioning_report(model, x, kinds=("exact",))
-        assert rows[0].flag == "too_large"
         # the 40x1 block fits; 16 rows leave it rank-deficient, so it is floored
-        assert rows[1].flag == "floored"
+        lam = exact_fisher_block(model, x, 1).eigenvalues()
+        assert lam.min() <= 1e-12 * lam.max()
 
     def test_rank_deficient_blocks_flagged_floored(self):
         # 3 rows give layer 0 a 5x5 activation factor and a 20x20 exact block
         # of rank <= 3: lambda_min is rounding noise, and cond is the floor
         model = canonical_model([5, 4, 1], seed=25)
         few = np.random.default_rng(26).standard_normal((3, 5))
-        for r in conditioning_report(model, few, kinds=("factorized", "exact")):
-            if r.layer == 0:
-                assert r.flag == "floored"
-                assert r.lambda_min <= 1e-12 * r.lambda_max
-                assert r.cond == pytest.approx(1e12)
+        r = conditioning_report(model, few)[0]
+        assert r.flag == "floored"
+        assert r.lambda_min <= 1e-12 * r.lambda_max
+        assert r.cond == pytest.approx(1e12)
+        lam = exact_fisher_block(model, few, 0).eigenvalues()
+        assert lam.min() <= 1e-12 * lam.max()
+        assert condition_number(lam) == pytest.approx(1e12)
         many = np.random.default_rng(27).standard_normal((64, 5))
-        rows = conditioning_report(model, many, kinds=("factorized", "exact"))
-        assert [r.flag for r in rows if r.layer == 0] == ["", ""]
+        assert conditioning_report(model, many)[0].flag == ""
+        lam = exact_fisher_block(model, many, 0).eigenvalues()
+        assert lam.min() > 1e-12 * lam.max()
 
     def test_exact_block_condition_number_drops_after_whitening(self):
         # same story on the exact (non-factorized) middle-layer block, at a
@@ -514,12 +512,12 @@ class TestConditioningReport:
         spec = NetSpec.mlp([16, 8, 8, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 31)
         canonical = Model(spec, theta.copy())
-        before = exact_fisher_block(canonical, ds.inputs, 1).condition_number()
+        before = condition_number(exact_fisher_block(canonical, ds.inputs, 1).eigenvalues())
         phi = WhiteningCoeffs.identity(spec)
         whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
-        after = exact_fisher_block(whitened, ds.inputs, 1).condition_number()
+        after = condition_number(exact_fisher_block(whitened, ds.inputs, 1).eigenvalues())
         assert after / before < 0.1
 
     def test_conditioning_series_sgd_stable_prong_collapses(self):
@@ -538,8 +536,7 @@ class TestConditioningReport:
         probe = ds.inputs[:400]
 
         def middle_cond(model):
-            _, block = factorized_fisher_block(model, probe, 1)
-            return block.condition_number()
+            return condition_number(factorized_fisher_block(model, probe, 1).eigenvalues())
 
         canonical = Model(spec, theta.copy())
         initial = middle_cond(canonical)

@@ -120,17 +120,23 @@ class TestWaterfallAnneal:
         assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
 
     def test_flat_history_divides_once(self):
-        history = [1.0] * 4  # length == patience
+        history = [1.0] * 5  # the window and one evaluation before it
         assert waterfall_anneal(history, self.POLICY, 0.1) == pytest.approx(0.01)
+        assert waterfall_anneal(history[1:], self.POLICY, 0.1) == 0.1
+
+    def test_window_improving_on_earlier_evaluations_unchanged(self):
+        # the window's best, 0.5, is 50% below the one evaluation before it
+        history = [1.0, 0.5, 0.6, 0.7, 0.8]
+        assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
 
     def test_short_history_untouched(self):
         assert waterfall_anneal([1.0, 1.0], self.POLICY, 0.1) == 0.1
 
     def test_boundary_improvement_no_division(self):
         # improvement of exactly 1% does not trigger (strict inequality)
-        history = [1.0, 1.0, 1.0, 0.99]
+        history = [1.0, 1.0, 1.0, 1.0, 0.99]
         assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
-        history = [1.0, 1.0, 1.0, 0.99 + 1e-9]
+        history = [1.0, 1.0, 1.0, 1.0, 0.99 + 1e-9]
         assert waterfall_anneal(history, self.POLICY, 0.1) == pytest.approx(0.01)
 
     def test_never_increases(self):
@@ -317,6 +323,27 @@ class TestTrainLoop:
         # with a 50% improvement bar and a microscopic step, evals plateau
         assert result.state.alpha < 1e-9
         assert all(r.learning_rate <= 1e-9 for r in result.rows)
+
+    def test_anneal_divides_once_per_window_on_a_plateau(self):
+        # 8 flat evaluations, patience 2: the first division needs 3 of them,
+        # and each later one a fresh window of 2 at the new rate
+        ds = self._dataset(seed=13)
+        spec = NetSpec.mlp([6, 4, 2])
+        model = Model(spec, init_fan_in(spec, 14))
+        policy = AnnealPolicy(eval_interval=5, patience=2, min_relative_improvement=0.5)
+        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=10, anneal=policy)
+        result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
+        # divisions after the evaluations at steps 15, 25 and 35
+        rates = [r.learning_rate for r in result.rows]
+        np.testing.assert_allclose(rates, [1e-9, 1e-10, 1e-11, 1e-12], rtol=1e-12)
+        assert result.state.alpha == pytest.approx(1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("batch_size", 0, ">= 1"), ("max_updates", -1, ">= 0"), ("eval_interval", 0, ">= 1"),
+    ])
+    def test_out_of_range_setting_refused_by_name(self, key, value, rule):
+        with pytest.raises(ConfigError, match=f"^{key} must be {rule}, got {value}$"):
+            make_config(**{key: value})
 
     def test_bn_optimizer_trains(self):
         ds = self._dataset(seed=15)

@@ -2,6 +2,9 @@
 files."""
 
 import importlib.util
+import os
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,14 +12,31 @@ import pytest
 from whitenet.metrics import MetricsRow, read_metrics, write_metrics
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_autoencoder_race.py"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.fixture(scope="module")
-def race():
+def load_script():
     spec = importlib.util.spec_from_file_location("run_autoencoder_race", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def race():
+    return load_script()
+
+
+def test_blas_threads_pinned_when_run_not_when_imported(monkeypatch):
+    for var in BLAS_THREADS:
+        monkeypatch.setenv(var, "unpinned")  # restored after the test
+    load_script()
+    assert [os.environ[var] for var in BLAS_THREADS] == ["unpinned"] * 3
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exc.value.code == 0
+    assert [os.environ[var] for var in BLAS_THREADS] == ["1"] * 3
 
 
 def metrics_file(path, eval_losses, seconds_per_step=0.01, interval=50):
