@@ -111,8 +111,8 @@ def build_model(cfg: dict) -> net.Model:
     theta = net.init_fan_in(spec, seed)
     optimizer = cfg["optimizer"]
     if optimizer == "prong":
-        phi = net.WhiteningCoeffs.identity(spec)
-        return net.Model(spec, net.project_to_whitened(theta, phi), phi=phi)
+        phi = net.WhiteningCoeffs.identity(spec)  # each U = I is its own inverse
+        return net.Model(spec, net.project_to_whitened(theta, phi, phi.transforms), phi=phi)
     if optimizer == "bn":
         return net.Model.batch_norm(spec, theta)
     return net.Model(spec, theta)

@@ -53,17 +53,22 @@ class Dataset:
     def n(self):
         return self.inputs.shape[0]
 
+    @classmethod
+    def _unchecked(cls, inputs, targets, name, split=""):
+        """A dataset of float64 arrays already known to be 2-D, row-matched
+        and finite, built without the checks of ``__post_init__``."""
+        ds = object.__new__(cls)
+        ds.inputs, ds.targets, ds.name, ds.split = inputs, targets, name, split
+        return ds
+
     def take(self, indices, split=None):
         """The rows ``indices`` (a 1-D index array, slice or mask) as a new
         dataset, with shared targets kept shared. A row subset of a
         validated dataset is 2-D and finite, so it skips the checks of
         ``__post_init__``."""
-        sub = object.__new__(type(self))
-        sub.inputs = self.inputs[indices]
-        sub.targets = sub.inputs if self.targets is self.inputs else self.targets[indices]
-        sub.name = self.name
-        sub.split = self.split if split is None else split
-        return sub
+        inputs = self.inputs[indices]
+        targets = inputs if self.targets is self.inputs else self.targets[indices]
+        return self._unchecked(inputs, targets, self.name, self.split if split is None else split)
 
 
 def _read_file(path):
@@ -89,7 +94,7 @@ def _decode(pixels, side):
     """uint8 pixel rows scaled to [0, 1] in float64, through ``downsample``
     for side 10, converted ``DOWNSAMPLE_BLOCK`` rows at a time into the one
     output array. Each row block is dropped on return, before the caller
-    validates the dataset."""
+    builds the dataset."""
     inputs = np.empty((pixels.shape[0], pixels.shape[1] if side == 28 else 100))
     for start in range(0, pixels.shape[0], DOWNSAMPLE_BLOCK):
         block = pixels[start : start + DOWNSAMPLE_BLOCK].astype(np.float64)
@@ -105,9 +110,10 @@ def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> 
     keeps the images at the file's own resolution. ``side=10`` needs 28x28
     images and returns them through ``downsample``. Either way the pixels
     are decoded a row block at a time (``_decode``), so no second full-size
-    float array ever exists. Malformed headers, truncated payloads, and
-    image/label count mismatches raise IdxFormatError with the failing byte
-    offset.
+    float array ever exists. Pixels decoded from uint8 are finite, so the
+    dataset is built without the payload-sized mask of a finiteness check.
+    Malformed headers, truncated payloads, and image/label count mismatches
+    raise IdxFormatError with the failing byte offset.
     """
     if side not in (10, 28):
         raise DimensionError(f"load_idx side must be 10 or 28, got {side}")
@@ -147,7 +153,7 @@ def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> 
         raise IdxFormatError(f"label {labels.max()} out of range for {classes} classes", 8)
     targets = np.zeros((count, classes))
     targets[np.arange(count), labels] = 1.0
-    return Dataset(inputs, targets, name="idx" if side == 28 else "idx-10x10")
+    return Dataset._unchecked(inputs, targets, "idx" if side == 28 else "idx-10x10")
 
 
 def downsample(images) -> np.ndarray:

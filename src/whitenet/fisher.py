@@ -24,6 +24,7 @@ factorized block reads its deltas from that one sweep.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,11 +67,11 @@ class ExactBlock:
 
     G is never built whole: its column block for output units [k0, k1) is
     sqrt(w_r) delta_r[:, k0:k1] (x) s, about ``TILE_COLUMNS`` wide, built
-    when a tile needs it. F is written one row of tiles at a time. The
-    diagonal tile is the same-buffer product G_a^T G_a, which numpy runs as
-    SYRK; a tile right of it is G_a^T G_c, and a tile left of it is
-    rebuilt as (G_c^T G_a)^T, the operands in the order of the earlier row
-    that wrote its transpose, so F is exactly symmetric."""
+    when a tile needs it. F is written one row of tiles at a time, and
+    each product is computed once: the diagonal tile is the same-buffer
+    product G_a^T G_a, which numpy runs as SYRK, and a tile right of it is
+    G_a^T G_c. A tile left of the diagonal is the transpose of the tile an
+    earlier row wrote there, so F is exactly symmetric."""
 
     scaled: list  # per Fisher row r, sqrt(w_r) * delta_r, (B, N_i)
     signal: np.ndarray  # (B, N_{i-1})
@@ -96,30 +97,33 @@ class ExactBlock:
                       out=g_c.reshape(b, -1, n_in))
         return g.reshape(-1, width)
 
-    def _tile_rows(self, row_of):
-        """Write each row of tiles of F into ``row_of(rows)``, a
-        (len(rows), size) array, and yield that array."""
+    def _tile_rows(self, f=None):
+        """For each row of tiles of F, write its diagonal tile and the tiles
+        right of it into those rows of ``f``, or of one reused row buffer
+        when ``f`` is None, and yield the rows' range and array. The tiles
+        left of the diagonal are left to the caller: they are the
+        transposes of tiles already yielded."""
         blocks = self._blocks()
         b = self.signal.shape[0]
         width = blocks[0].stop - blocks[0].start
         buffers = np.empty((2, len(self.scaled) * b * width))  # for G_a and G_c
+        row = np.empty((width, self.size)) if f is None else None
         for j, rows in enumerate(blocks):
-            out = row_of(rows)
+            out = row[: rows.stop - rows.start] if f is None else f[rows]
             g_a = self._columns(rows, buffers[0])
             out[:, rows] = g_a.T @ g_a
             for cols in blocks[j + 1 :]:
                 out[:, cols] = g_a.T @ self._columns(cols, buffers[1])
-            for cols in blocks[:j]:
-                out[:, cols] = (self._columns(cols, buffers[1]).T @ g_a).T
-            out /= b
-            yield out
+            out[:, rows.start :] /= b
+            yield rows, out
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense block, built on first read, each row of tiles written in place."""
+        """The dense block, built on first read: each row of tiles is
+        written in place, then mirrored into the column below its diagonal."""
         f = np.empty((self.size, self.size))
-        for _ in self._tile_rows(lambda rows: f[rows]):
-            pass
+        for rows, _ in self._tile_rows(f):
+            f[rows.stop :, rows] = f[rows, rows.stop :].T
         return f
 
     def eigenvalues(self) -> np.ndarray:
@@ -128,15 +132,21 @@ class ExactBlock:
 
     def save(self, path):
         """Write to ``path`` the bytes ``np.save`` writes for ``matrix``,
-        holding one row of tiles instead of the block."""
-        blocks = self._blocks()
-        row = np.empty((blocks[0].stop - blocks[0].start, self.size))
-        with open(path, "wb") as fh:
+        holding one row of tiles instead of the block. The tiles left of
+        the diagonal are the transposes of tiles in the rows already
+        written, read back from the file a few rows at a time."""
+        back = np.empty((8, self.size))  # rows read back per call
+        with open(path, "w+b") as fh:
             np.lib.format.write_array_header_1_0(
                 fh, {"descr": "<f8", "fortran_order": False, "shape": (self.size, self.size)})
-            for out in self._tile_rows(lambda rows: row[: rows.stop - rows.start]):
+            data = fh.tell()
+            for rows, out in self._tile_rows():
+                fh.flush()
+                for r in range(0, rows.start, len(back)):  # F[rows, r] is F[r, rows]^T
+                    got = back[: rows.start - r]
+                    os.preadv(fh.fileno(), [got], data + 8 * r * self.size)
+                    out[:, r : r + len(got)] = got[:, rows].T
                 out.tofile(fh)
-
 
 @dataclass
 class ClassSweep:

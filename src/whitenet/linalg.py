@@ -3,7 +3,8 @@
 Everything runs in float64 on row-major numpy arrays. Eigendecompositions
 come from LAPACK (``np.linalg.eigh``) with a fixed ordering and sign
 convention, and spectra that need no eigenvectors from ``np.linalg.eigvalsh``;
-whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T.
+whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T, and
+their inverses the closed form E diag(sqrt(lam + eps)).
 """
 
 from __future__ import annotations
@@ -42,17 +43,12 @@ class MomentEstimate:
     sample_count: int
 
 
-def _square_float(a, name="matrix") -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
 def _symmetrized(a) -> np.ndarray:
     """(A + A^T)/2 of a square, finite matrix that is symmetric up to 1e-9
     relative to its largest entry."""
-    s = _square_float(a)
+    s = np.asarray(a, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise NumericError("matrix contains non-finite entries")
     scale = float(np.abs(s).max()) if s.size else 0.0
@@ -109,9 +105,9 @@ def estimate_moments(samples) -> MomentEstimate:
     return MomentEstimate(mean, cov, n)
 
 
-def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
-    """PCA whitening transform diag(lam + eps)^(-1/2) @ E^T from a precomputed
-    spectrum."""
+def _damped_roots(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
+    """sqrt(lam + eps) of a numerically PSD spectrum: the reciprocal gains
+    of PCA whitening."""
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     lam = np.asarray(eig.eigenvalues, dtype=np.float64)
@@ -123,8 +119,13 @@ def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
         raise SingularMatrixError(
             "covariance is numerically singular; whitening needs epsilon > 0"
         )
-    gains = 1.0 / np.sqrt(lam + epsilon)
-    return gains[:, None] * eig.eigenvectors.T
+    return np.sqrt(lam + epsilon)
+
+
+def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
+    """PCA whitening transform diag(lam + eps)^(-1/2) @ E^T from a precomputed
+    spectrum."""
+    return (1.0 / _damped_roots(eig, epsilon))[:, None] * eig.eigenvectors.T
 
 
 def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
@@ -142,16 +143,8 @@ def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
     return lmax / lmin
 
 
-def invert_whitening(u) -> np.ndarray:
-    """Inverse of a whitening matrix, verified to 1e-9 by multiplying back."""
-    m = _square_float(u, "whitening matrix")
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"whitening matrix is singular: {exc}") from exc
-    residual = float(np.abs(m @ inv - np.eye(m.shape[0])).max())
-    if not np.isfinite(residual) or residual > 1e-9:
-        raise SingularMatrixError(
-            f"whitening matrix too ill-conditioned to invert (residual {residual:.3e})"
-        )
-    return inv
+def invert_whitening(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
+    """Inverse of ``pca_from_eig(eig, epsilon)`` in closed form,
+    E diag(sqrt(lam + eps)): E is orthogonal, so no general inverse is
+    needed. Refuses what ``pca_from_eig`` refuses."""
+    return eig.eigenvectors * _damped_roots(eig, epsilon)

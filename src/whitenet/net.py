@@ -18,9 +18,13 @@ that preserve the network function:
     W_i = V_i U_{i-1},  b_i = d_i - W_i c_{i-1}        (to canonical)
     V_i = W_i U_{i-1}^{-1},  d_i = b_i + W_i c_{i-1}   (to whitened)
 
+The projection to whitened takes U^{-1} from its caller; the
+reparametrization has it in closed form from U's spectrum.
+
 Evaluation is batched: inputs are stacked as rows, per-example semantics
 are identical to the single-vector case, and gradients are averaged over
 the batch (the 1/B factor enters through the loss gradient).
+``Model.predict`` evaluates ``PREDICT_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -44,6 +47,7 @@ LOSS_KINDS = ("squared_error", "binary_cross_entropy", "categorical_cross_entrop
 PROB_CLAMP = 1e-12
 BN_STD_FLOOR = 1e-6
 BN_DECAY = 0.9  # running-average decay of the batch-norm statistics
+PREDICT_ROWS = 128  # rows per block of Model.predict
 
 
 @dataclass(frozen=True)
@@ -494,8 +498,9 @@ def backward_bn(
 
 def project_layer(weight, bias, old=None, new=None):
     """One layer's (weight, bias) moved from the input coefficients ``old``
-    to ``new``, each a (U, c) pair or None for the canonical U = I, c = 0.
-    Function-preserving:
+    to ``new``, or None for the canonical U = I, c = 0. ``old`` is a
+    (U, c) pair and ``new`` a (U^-1, c) pair: the caller supplies the
+    inverse. Function-preserving:
 
         W = V U_old,  b = d - W c_old        (to canonical)
         V = W U_new^-1,  d = b + W c_new     (to whitened)
@@ -505,8 +510,8 @@ def project_layer(weight, bias, old=None, new=None):
         weight = weight @ u
         bias = bias - weight @ c
     if new is not None:
-        u, c = new
-        weight, bias = weight @ linalg.invert_whitening(u), bias + weight @ c
+        u_inv, c = new
+        weight, bias = weight @ u_inv, bias + weight @ c
     return weight, bias
 
 
@@ -521,10 +526,11 @@ def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
     return Params.of([w for w, _ in layers], [b for _, b in layers])
 
 
-def project_to_whitened(theta: Params, phi: WhiteningCoeffs) -> Params:
-    """Exact inverse of project_to_canonical for the same coefficients."""
-    layers = [project_layer(w, b, new=(u, c))
-              for w, b, u, c in zip(theta.weights, theta.biases, phi.transforms, phi.centers)]
+def project_to_whitened(theta: Params, phi: WhiteningCoeffs, inverses) -> Params:
+    """Exact inverse of project_to_canonical for the same coefficients;
+    ``inverses[i]`` is U_i^-1 (the identity is its own)."""
+    layers = [project_layer(w, b, new=(u_inv, c))
+              for w, b, u_inv, c in zip(theta.weights, theta.biases, inverses, phi.centers)]
     return Params.of([v for v, _ in layers], [d for _, d in layers])
 
 
@@ -588,15 +594,27 @@ class Model:
         return forward_whitened(self.params, self.phi, self.spec, x)
 
     def predict(self, x) -> np.ndarray:
-        """The outputs of ``forward(x)`` (inference mode for BN), bit for bit,
-        without the trace: each layer's s, z and h are dropped once the next
-        layer has them."""
-        if self.params.gains:
-            return self.forward(x).outputs
-        h = as_batch(x, self.spec.input_dim)
-        for i in range(self.spec.depth):
-            h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
-        return h
+        """The outputs of ``forward(x)`` (inference mode for BN), without the
+        trace. The rows go through ``layer_forward`` (BN: ``forward``) in
+        blocks of ``PREDICT_ROWS`` into one output array, so one block's s,
+        z and h exist at a time. The last block takes the remainder, from
+        ``PREDICT_ROWS`` to twice that: a short block can take another BLAS
+        kernel than the whole batch. The outputs equal ``forward(x)``'s bit
+        for bit wherever BLAS rounds a row the same in a block as in the
+        whole batch, as on OpenBLAS at desk widths; at paper width they can
+        differ in the last bit."""
+        x = as_batch(x, self.spec.input_dim)
+        out = np.empty((len(x), self.spec.output_dim))
+        starts = range(0, max(len(x) - PREDICT_ROWS, 0) + 1, PREDICT_ROWS)
+        for start, stop in zip(starts, [*starts[1:], len(x)]):
+            h = x[start:stop]
+            if self.params.gains:
+                h = self.forward(h).outputs
+            else:
+                for i in range(self.spec.depth):
+                    h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
+            out[start:stop] = h
+        return out
 
     def layout(self, vector=None) -> Params:
         """Views of ``vector`` (a new one when None) laid out as ``params``."""

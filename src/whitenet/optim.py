@@ -5,10 +5,12 @@ updates (including update 0, which makes the first reparametrization act as
 an initialization scheme) one pass over the layers estimates each layer's
 input statistics from ``stat_samples`` points, rebuilds its whitening
 coefficients from the centered covariance eigendecomposition with
-``eigen_epsilon`` damping, and re-projects its parameters so that the
-canonical ones, and the network function, are unchanged. Plain
-momentum-SGD runs on the whitened parameters in between; momentum buffers
-are reset at each reparametrization by default (disable for ablation).
+``eigen_epsilon`` damping, and re-projects its parameters, through the
+closed-form inverse of the new whitening matrix, so that the canonical
+ones, and the network function, are unchanged. Plain momentum-SGD runs on
+the whitened parameters in between; momentum buffers are reset at each
+reparametrization by default (disable for ablation). Evaluation losses and
+probe outputs come from ``Model.predict``, a row block at a time.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ def prong_reparametrize(
     and the eigendecomposition of the centered covariance, damped by
     ``epsilon``) give its new centering vector and whitening matrix; the
     layer is forwarded under its old coefficients, which yields the next
-    layer's input; then its weights and bias are re-projected so that the
+    layer's input; then its weights and bias are re-projected, through the
+    new matrix's closed-form inverse from the same spectrum, so that the
     canonical parameters, and thus the network function, are unchanged.
     The last layer's outputs are returned with each slot's eigenvalues;
     no covariance or eigenvector matrix outlives its layer. Updates
@@ -181,12 +184,11 @@ def prong_reparametrize(
                 "set eigen_epsilon > 0"
             ) from exc
         h = net.layer_forward(omega, phi, spec, i, h)[2]
-        v, d = net.project_layer(omega.weights[i], omega.biases[i],
-                                 old=(phi.transforms[i], phi.centers[i]), new=(u, mom.mean))
         # written into the existing arrays: they are views of the model's
         # flat vector
-        omega.weights[i][:] = v
-        omega.biases[i][:] = d
+        omega.weights[i][:], omega.biases[i][:] = net.project_layer(
+            omega.weights[i], omega.biases[i], old=(phi.transforms[i], phi.centers[i]),
+            new=(linalg.invert_whitening(eig, epsilon), mom.mean))
         phi.transforms[i] = u
         phi.centers[i] = mom.mean.copy()
         eigenvalues.append(eig.eigenvalues)

@@ -41,7 +41,7 @@ def whitened_from_seed(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
-    return Model(spec, project_to_whitened(theta, phi), phi=phi), theta
+    return Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi), theta
 
 
 class TestAcceptance:
@@ -58,7 +58,7 @@ class TestAcceptance:
         before = condition_number(factorized_fisher_block(canonical, ds.inputs, 1).eigenvalues())
 
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
+        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         after = condition_number(factorized_fisher_block(whitened, ds.inputs, 1).eigenvalues())
@@ -178,7 +178,7 @@ class TestAcceptance:
             theta = init_fan_in(spec, preset["train"]["seed"])
             if optimizer == "prong":
                 phi = WhiteningCoeffs.identity(spec)
-                model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+                model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
             else:
                 model = Model(spec, theta)
             cfg = TrainConfig(
@@ -260,7 +260,7 @@ class TestAcceptance:
         """Central finite differences on 10 seeded instances across the
         canonical, whitened and batch-norm layer types: relative error
         < 1e-5 per parameter at step 1e-6."""
-        from test_net import check_model_gradients, seeded_phi
+        from test_net import check_model_gradients, inverses, seeded_phi
 
         worst_cases = 0
         instances = 0
@@ -281,7 +281,7 @@ class TestAcceptance:
                     model = Model(spec, theta)
                 elif kind == "whitened":
                     phi = seeded_phi(spec, seed + 1)
-                    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+                    model = Model(spec, project_to_whitened(theta, phi, inverses(phi)), phi=phi)
                 else:
                     model = Model.batch_norm(spec, theta)
                 x = rng.standard_normal((6, sizes[0]))

@@ -34,7 +34,7 @@ def child():
 def whitened_model(seed=3):
     spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
     phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)
+    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
     stats = np.random.default_rng(seed).standard_normal((80, 6))
     optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
     return model, stats
@@ -118,7 +118,7 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
     theta = init_fan_in(spec, 8)
     if optimizer == "prong":
         phi = WhiteningCoeffs.identity(spec)
-        model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+        model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
     elif optimizer == "bn":
         model = Model.batch_norm(spec, theta)
     else:

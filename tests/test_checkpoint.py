@@ -29,7 +29,8 @@ def test_whitened_round_trip_bit_exact(tmp_path):
     theta = init_fan_in(spec, 1)
     phi = WhiteningCoeffs.identity(spec)
     phi.transforms[0] += np.random.default_rng(2).standard_normal((4, 4)) * 0.1
-    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+    inverses = [np.linalg.inv(u) for u in phi.transforms]
+    model = Model(spec, project_to_whitened(theta, phi, inverses), phi=phi)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=1, step=7)
     back, _ = load_checkpoint(path)

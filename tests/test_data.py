@@ -46,6 +46,17 @@ class TestLoadIdx:
         assert ds.targets[0, 3] == 1.0 and ds.targets[1, 7] == 1.0
         assert ds.targets.sum() == 2.0
 
+    @pytest.mark.parametrize("side", [28, 10])
+    def test_dataset_is_what_validated_construction_builds(self, tmp_path, side):
+        # load_idx skips the checks of __post_init__: its arrays must pass them
+        imgs = np.random.default_rng(4).integers(0, 256, size=(3, 28, 28)).astype(np.uint8)
+        ds = load_idx(*write_idx_pair(tmp_path, imgs, [0, 9, 4]), side=side)
+        ref = Dataset(ds.inputs, ds.targets, name=ds.name)
+        assert type(ds) is Dataset and (ds.name, ds.split) == (ref.name, ref.split)
+        for got, want in ((ds.inputs, ref.inputs), (ds.targets, ref.targets)):
+            assert got.dtype == np.float64 and got.ndim == 2
+            assert np.array_equal(got, want)
+
     def test_gzip_transparent(self, tmp_path):
         imgs = np.zeros((1, 28, 28), dtype=np.uint8)
         imgs[0, 5, 5] = 255

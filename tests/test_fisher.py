@@ -149,7 +149,7 @@ class TestFactorizedBlock:
         spec = NetSpec.mlp([6, 4, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 14)
         phi = WhiteningCoeffs.identity(spec)
-        model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+        model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
         stats = np.random.default_rng(15).standard_normal((200, 6))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         block = factorized_fisher_block(model, stats, 1)
@@ -164,7 +164,7 @@ def whitened_model(sizes, seed, stats):
     spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+    model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
     prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=1e-3)
     return model
 
@@ -350,7 +350,7 @@ def classifier(sizes, head, seed, stats=None):
     if stats is None:
         return Model(spec, theta)
     phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+    model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
     prong_reparametrize(model.params, model.phi, spec, stats, epsilon=1e-3)
     return model
 
@@ -419,7 +419,8 @@ def transpose_copied_block(block):
 
 class TestSavedBlock:
     """An exact block's ``save`` streams the .npy one row of tiles at a
-    time, rebuilding each tile left of the diagonal; the file is byte for
+    time, reading each tile left of the diagonal back from the rows it
+    already wrote; the file is byte for
     byte ``np.save(path, block.matrix)``, and both are the block whose
     lower tiles are copied transposes of the upper ones."""
 
@@ -451,6 +452,17 @@ class TestSavedBlock:
         with pytest.raises(AttributeError, match="save"):
             block.save(tmp_path / "f.npy")
         assert not (tmp_path / "f.npy").exists()
+
+
+def test_saved_bytes_when_rows_of_tiles_start_between_read_back_rows(tmp_path):
+    # 17 inputs give rows of tiles 119 rows tall: save reads the rows it
+    # wrote back a few at a time, and the last read of a row stops short
+    model = classifier([100, 17, 20, 1], "sigmoid", 73)
+    block = exact_fisher_block(model, TestSavedBlock.X, 1)
+    assert block._blocks()[1].start % 8
+    block.save(tmp_path / "streamed.npy")
+    np.save(tmp_path / "dense.npy", block.matrix)
+    assert (tmp_path / "streamed.npy").read_bytes() == (tmp_path / "dense.npy").read_bytes()
 
 
 class TestConditioningReport:
@@ -514,7 +526,7 @@ class TestConditioningReport:
         canonical = Model(spec, theta.copy())
         before = condition_number(exact_fisher_block(canonical, ds.inputs, 1).eigenvalues())
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
+        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         after = condition_number(exact_fisher_block(whitened, ds.inputs, 1).eigenvalues())
@@ -551,7 +563,7 @@ class TestConditioningReport:
         assert all(0.5 < r < 2.0 for r in sgd_series)
 
         phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi), phi=phi)
+        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
         pcfg = TrainConfig(learning_rate=0.05, seed=24, max_updates=400,
                            eval_interval=400, batch_size=32, reparam_period=500,
                            stat_samples=512, eigen_epsilon=1e-3)

@@ -33,7 +33,7 @@ def assert_views_of_vector(model):
 
 def whitened(seed=0):
     phi = WhiteningCoeffs.identity(SPEC)
-    return Model(SPEC, project_to_whitened(init_fan_in(SPEC, seed), phi), phi=phi)
+    return Model(SPEC, project_to_whitened(init_fan_in(SPEC, seed), phi, phi.transforms), phi=phi)
 
 
 @pytest.mark.parametrize("make", [

@@ -240,27 +240,40 @@ class TestConditionNumber:
 
 class TestInvertWhitening:
     def test_identity(self):
-        np.testing.assert_allclose(invert_whitening(np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(invert_whitening(sym_eig(np.eye(3)), 0.0), np.eye(3))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(
-            invert_whitening(np.diag([0.5, 1.0])), np.diag([2.0, 1.0])
-        )
+        # U = diag(0.5, 1) whitens diag(4, 1)
+        inv = invert_whitening(sym_eig(np.diag([4.0, 1.0])), 0.0)
+        np.testing.assert_allclose(inv, np.diag([2.0, 1.0]))
 
     def test_round_trip_on_random_zca(self):
         x = _seeded_samples(200, 6, seed=21)
-        m = estimate_moments(x)
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=1e-3)
-        uinv = invert_whitening(u)
+        eig = sym_eig(estimate_moments(x).covariance)
+        u = pca_from_eig(eig, epsilon=1e-3)
+        uinv = invert_whitening(eig, epsilon=1e-3)
         assert np.abs(u @ uinv - np.eye(6)).max() <= 1e-9
 
-    def test_non_square(self):
-        with pytest.raises(DimensionError):
-            invert_whitening(np.ones((2, 3)))
+    @pytest.mark.parametrize("width", [100, 200, 50, 16])
+    def test_inverts_the_whitening_at_desk_widths(self, width):
+        # the desk autoencoder's input slots, 100 statistics rows: rank
+        # deficient above width 99, so eps carries the null space
+        x = np.random.default_rng(width).uniform(0.0, 1.0, size=(100, width))
+        eig = sym_eig(estimate_moments(x).covariance)
+        u = pca_from_eig(eig, 1e-2)
+        assert np.abs(invert_whitening(eig, 1e-2) @ u - np.eye(width)).max() <= 1e-12
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            invert_whitening(np.zeros((2, 2)))
+            invert_whitening(sym_eig(np.zeros((2, 2))), 0.0)
+
+    def test_epsilon_zero_on_rank_deficient_covariance_refused(self):
+        # 20 samples in 40 dimensions: rank 19
+        x = np.random.default_rng(3).standard_normal((20, 40))
+        eig = sym_eig(estimate_moments(x).covariance)
+        with pytest.raises(SingularMatrixError):
+            invert_whitening(eig, 0.0)
+        assert np.isfinite(invert_whitening(eig, 1e-2)).all()
 
 
 def _seeded_samples(n, dim, seed):

@@ -1,6 +1,7 @@
 """Peak-memory guards and the bit-exactness of the lean paths.
 
-Evaluation goes through ``Model.predict``, which keeps no forward trace;
+Evaluation goes through ``Model.predict``, which keeps no forward trace
+and forwards a block of rows at a time;
 ``load_idx`` converts the pixels (and at side 10 downsamples them) a block
 of rows at a time; the exact Fisher block is written tile by tile from
 column blocks of G, into the dense matrix when it is read or a row of tiles
@@ -36,7 +37,7 @@ def traced_peak(fn, *args, **kwargs):
 
 def whitened(spec, seed, stats):
     phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)
+    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
     optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-4)
     return model
 
@@ -96,6 +97,16 @@ def test_load_idx_side_28_decodes_in_blocks_into_one_array(tmp_path):
     assert peak < 1.5 * n * 784 * 8, peak
 
 
+def test_load_idx_side_28_holds_no_payload_sized_mask(tmp_path):
+    # beside the dataset: the file's bytes and one 128-row float block; a
+    # finiteness check of the decoded inputs would add one bool per pixel
+    n = 8192
+    ip, lp, _ = write_idx_pair(tmp_path, n)
+    dataset_bytes = n * (784 + 10) * 8
+    peak = traced_peak(load_idx, ip, lp)
+    assert peak < dataset_bytes + 1.5 * n * 784, peak
+
+
 @pytest.mark.parametrize("kind", net.NONLINEARITIES)
 def test_predict_is_forward_outputs_bit_for_bit(kind):
     spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh" if kind == "softmax" else kind, head=kind)
@@ -117,6 +128,45 @@ def test_predict_on_batch_norm_model_is_inference_forward():
     model.forward(x, training=True)  # moves the running statistics
     expected = model.forward(x, training=False).outputs
     assert np.array_equal(model.predict(x).view(np.int64), expected.view(np.int64))
+
+
+def desk_model(kind, stats):
+    """The desk autoencoder net, canonical, whitened by one reparametrization
+    on ``stats``, or batch-normalized with running statistics moved by one
+    training forward of ``stats``."""
+    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    if kind == "whitened":
+        return whitened(spec, 15, stats)
+    theta = init_fan_in(spec, 15)
+    if kind == "canonical":
+        return Model(spec, theta)
+    model = Model.batch_norm(spec, theta)
+    model.forward(stats, training=True)
+    return model
+
+
+@pytest.mark.parametrize("rows", [net.PREDICT_ROWS + 1, 2 * net.PREDICT_ROWS + 44,
+                                  4 * net.PREDICT_ROWS])
+@pytest.mark.parametrize("kind", ["canonical", "whitened", "bn"])
+def test_predict_in_row_blocks_is_forward_outputs_bit_for_bit(kind, rows):
+    # whole blocks and a last block that takes the remainder; 512 rows is
+    # the desk validation split, whose eval loss a reloaded checkpoint's
+    # forward must reproduce
+    x = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 100))
+    model = desk_model(kind, x[:100])
+    expected = model.forward(x).outputs
+    assert np.array_equal(model.predict(x).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["canonical", "whitened"])
+def test_predict_holds_one_row_block_at_a_time(kind):
+    # beside the output: one block's s, z and h (and the centered input of a
+    # whitened layer) at width 200; the whole batch's would be four times that
+    x = np.random.default_rng(16).uniform(0.0, 1.0, size=(512, 100))
+    model = desk_model(kind, x[:100])
+    block_bytes = net.PREDICT_ROWS * 200 * 8
+    peak = traced_peak(model.predict, x)
+    assert peak < x.shape[0] * 100 * 8 + 5 * block_bytes, peak / block_bytes
 
 
 def old_exact_block(sweep, layer_index):
@@ -220,7 +270,7 @@ def test_saved_exact_block_peaks_below_half_a_block(tmp_path):
 
 def identity_model(spec, seed):
     phi = WhiteningCoeffs.identity(spec)
-    return Model(spec, project_to_whitened(init_fan_in(spec, seed), phi), phi=phi)
+    return Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
 
 
 def test_reparametrize_peaks_below_5_mb_at_desk_width():
@@ -250,8 +300,8 @@ def old_reparametrize(omega, phi, spec, stats, epsilon):
         new_phi.centers.append(mom.mean.copy())
         spectra.append(eig)
     weights, biases = [], []
-    for (w, b), u, c in zip(thetas, new_phi.transforms, new_phi.centers):
-        weights.append(w @ linalg.invert_whitening(u))
+    for (w, b), eig, c in zip(thetas, spectra, new_phi.centers):
+        weights.append(w @ linalg.invert_whitening(eig, epsilon))
         biases.append(b + w @ c)
     return net.Params.of(weights, biases), new_phi, spectra, trace.outputs
 

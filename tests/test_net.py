@@ -41,6 +41,11 @@ def seeded_phi(spec, seed, scale=0.5):
     return WhiteningCoeffs(transforms, centers)
 
 
+def inverses(phi):
+    """U^-1 of every slot of arbitrary coefficients, by general inverse."""
+    return [np.linalg.inv(u) for u in phi.transforms]
+
+
 def naive_forward(params, spec, x):
     """Scalar-by-scalar reference evaluation (independent oracle)."""
     h = list(map(float, x))
@@ -161,7 +166,7 @@ class TestSigmoidBitIdentity:
                 model = Model(spec, theta)
             else:
                 phi = WhiteningCoeffs.identity(spec)
-                model = Model(spec, project_to_whitened(theta, phi), phi=phi)
+                model = Model(spec, project_to_whitened(theta, phi, inverses(phi)), phi=phi)
             return train(model, data, cfg, optimizer=optimizer,
                          loss_kind="binary_cross_entropy")
 
@@ -227,7 +232,7 @@ class TestForwardWhitened:
     def test_round_trip_outputs_equal(self):
         spec, params = seeded_canonical([4, 5, 3], seed=6)
         phi = seeded_phi(spec, seed=7)
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         back = project_to_canonical(omega, phi)
         x = np.random.default_rng(3).standard_normal((20, 4))
         o1 = forward_whitened(params, None, spec, x).outputs
@@ -400,7 +405,7 @@ class TestBackward:
     def test_finite_differences_whitened(self):
         spec, params = seeded_canonical([3, 4, 2], seed=14, hidden="sigmoid", head="identity")
         phi = seeded_phi(spec, seed=15)
-        model = Model(spec, project_to_whitened(params, phi), phi=phi)
+        model = Model(spec, project_to_whitened(params, phi, inverses(phi)), phi=phi)
         rng = np.random.default_rng(16)
         check_model_gradients(model, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
                               "squared_error")
@@ -425,7 +430,7 @@ class TestProjections:
     def test_identity_coeffs_are_noop(self):
         spec, params = seeded_canonical([4, 3], seed=20)
         phi = WhiteningCoeffs.identity(spec)
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         np.testing.assert_allclose(omega.weights[0], params.weights[0])
         np.testing.assert_allclose(omega.biases[0], params.biases[0])
 
@@ -441,8 +446,8 @@ class TestProjections:
     def test_round_trip_on_omega(self):
         spec, params = seeded_canonical([3, 5, 2], seed=21)
         phi = seeded_phi(spec, seed=22)
-        omega = project_to_whitened(params, phi)
-        omega2 = project_to_whitened(project_to_canonical(omega, phi), phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
+        omega2 = project_to_whitened(project_to_canonical(omega, phi), phi, inverses(phi))
         for a, b in zip(omega.weights + omega.biases, omega2.weights + omega2.biases):
             assert np.abs(a - b).max() < 1e-10
 
@@ -451,10 +456,10 @@ class TestProjections:
         # coefficients must not change the network function
         spec, params = seeded_canonical([4, 6, 3], seed=23)
         phi_old = seeded_phi(spec, seed=24)
-        omega = project_to_whitened(params, phi_old)
+        omega = project_to_whitened(params, phi_old, inverses(phi_old))
         theta = project_to_canonical(omega, phi_old)
         phi_new = seeded_phi(spec, seed=25)
-        omega_new = project_to_whitened(theta, phi_new)
+        omega_new = project_to_whitened(theta, phi_new, inverses(phi_new))
         x = np.random.default_rng(26).standard_normal((50, 4))
         o_old = forward_whitened(omega, phi_old, spec, x).outputs
         o_new = forward_whitened(omega_new, phi_new, spec, x).outputs
@@ -463,7 +468,7 @@ class TestProjections:
     def test_functional_duality_100_inputs(self):
         spec, params = seeded_canonical([5, 4, 2], seed=27)
         phi = seeded_phi(spec, seed=28)
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         theta = project_to_canonical(omega, phi)
         x = np.random.default_rng(29).standard_normal((100, 5))
         ow = forward_whitened(omega, phi, spec, x).outputs
@@ -475,7 +480,7 @@ class TestProjections:
     def test_projection_bijectivity(self, seed):
         spec, params = seeded_canonical([3, 4, 2], seed=seed)
         phi = seeded_phi(spec, seed=seed + 1)
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         theta2 = project_to_canonical(omega, phi)
         for a, b in zip(params.weights + params.biases, theta2.weights + theta2.biases):
             assert np.abs(a - b).max() < 1e-10
@@ -486,7 +491,7 @@ class TestProjections:
         phi = seeded_phi(spec, seed=31)
         for c in phi.centers:
             c[:] = 0.0
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         theta = project_to_canonical(omega, phi)
         x = np.random.default_rng(32).standard_normal((10, 4))
         y = np.random.default_rng(33).uniform(0.1, 0.9, (10, 2))
@@ -504,7 +509,7 @@ class TestProjections:
         # with centering, the bias couples in: G_V = (G_W - delta_bar c^T) U^T
         spec, params = seeded_canonical([4, 3, 2], seed=34)
         phi = seeded_phi(spec, seed=35)
-        omega = project_to_whitened(params, phi)
+        omega = project_to_whitened(params, phi, inverses(phi))
         theta = project_to_canonical(omega, phi)
         x = np.random.default_rng(36).standard_normal((10, 4))
         y = np.random.default_rng(37).uniform(0.1, 0.9, (10, 2))

@@ -154,7 +154,7 @@ def whitened_model(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
     theta = init_fan_in(spec, seed)
     phi = WhiteningCoeffs.identity(spec)
-    omega = project_to_whitened(theta, phi)
+    omega = project_to_whitened(theta, phi, phi.transforms)
     return Model(spec, omega, phi=phi)
 
 
@@ -432,7 +432,7 @@ class TestNaturalGradientEquivalence:
         for i, layer in enumerate(spec.layers):
             n = layer.in_dim
             phi.transforms[i] = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-        omega = project_to_whitened(theta, phi)
+        omega = project_to_whitened(theta, phi, [np.linalg.inv(u) for u in phi.transforms])
         model = Model(spec, omega, phi=phi)
         alpha = 0.05
 
