@@ -98,7 +98,8 @@ def build_dataset(cfg: dict):
             n_classes=d.get("n_classes", 2),
         )
     if autoencode and ds.targets is not ds.inputs:
-        ds = data_mod.Dataset(ds.inputs, ds.inputs, name=ds.name)
+        # the inputs are validated already: no second finiteness check
+        ds = data_mod.Dataset._unchecked(ds.inputs, ds.inputs, ds.name)
     val_size = d.get("val_size", 0)
     train_ds, val_ds = data_mod.split_train_val(ds, min(val_size, ds.n - 1), seed)
     return train_ds, val_ds, ds.name

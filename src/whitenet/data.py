@@ -187,11 +187,10 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
         cov = np.diag(cov)
     if cov.shape != (dim, dim):
         raise DimensionError(f"covariance must be {dim}x{dim}, got {cov.shape}")
-    eig = linalg.sym_eig(cov)
-    if eig.eigenvalues.min() < -1e-10 * max(eig.eigenvalues.max(), 1.0):
+    lam, e = linalg.sym_eig(cov)
+    if lam.min() < -1e-10 * max(lam.max(), 1.0):
         raise ValueError("covariance spec is not PSD")
-    e = eig.eigenvectors
-    root = (e * np.sqrt(np.maximum(eig.eigenvalues, 0.0))) @ e.T
+    root = (e * np.sqrt(np.maximum(lam, 0.0))) @ e.T
     z = np.random.default_rng(seed).standard_normal((n, dim))
     inputs = mean + z @ root.T
     return Dataset(inputs, inputs, name="synthetic-gaussian")

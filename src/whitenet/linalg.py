@@ -1,10 +1,16 @@
 """Dense symmetric linear algebra for whitening.
 
 Everything runs in float64 on row-major numpy arrays. Eigendecompositions
-come from LAPACK (``np.linalg.eigh``) with a fixed ordering and sign
-convention, and spectra that need no eigenvectors from ``np.linalg.eigvalsh``;
-whitening matrices are PCA whitening, diag(lam + eps)^(-1/2) E^T, and
-their inverses the closed form E diag(sqrt(lam + eps)).
+come from LAPACK (``np.linalg.eigh``) in descending order, and spectra that
+need no eigenvectors from ``np.linalg.eigvalsh``. Whitening is rank-aware
+ZCA: from the range (lam_r, E_r) of a sample covariance,
+
+    U = a I + E_r diag((lam_r + eps)^-1/2 - a) E_r^T,
+
+with a = eps^-1/2 when E_r spans fewer than all d directions and a = 0 when
+it is complete; U^-1 has the same form with sqrt(lam_r + eps) and eps^1/2.
+A sample of N < d rows takes its range from the N x N Gram matrix, so no
+d x d covariance or eigendecomposition is made.
 """
 
 from __future__ import annotations
@@ -22,25 +28,22 @@ from .errors import (
 )
 
 
-COND_FLOOR = 1e-12  # condition_number's floor on lambda_min / lambda_max
-
-
-@dataclass
-class EigenDecomposition:
-    """Spectrum of a symmetric matrix: eigenvalues descending, eigenvectors
-    as matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+# condition_number's floor on lambda_min / lambda_max; eigenvalues at or
+# below it times lambda_max are outside a covariance's range
+COND_FLOOR = 1e-12
 
 
 @dataclass
 class MomentEstimate:
-    """Sample mean and centered covariance (population 1/N normalization)."""
+    """Sample mean and the smaller second-moment matrix of the centered
+    sample X (N rows of width d, 1/N normalization): the covariance
+    X^T X / N when d <= N, else the Gram matrix X X^T / N and X itself,
+    which carries the Gram eigenvectors to the covariance's."""
 
     mean: np.ndarray
-    covariance: np.ndarray
-    sample_count: int
+    covariance: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    centered: np.ndarray | None = None
 
 
 def _symmetrized(a) -> np.ndarray:
@@ -57,21 +60,18 @@ def _symmetrized(a) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def sym_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix via LAPACK (``np.linalg.eigh``).
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix via LAPACK
+    (``np.linalg.eigh``): eigenvalues descending (a stable sort, so ties
+    keep LAPACK's order), eigenvectors as matching orthonormal columns with
+    LAPACK's signs.
 
     The input may be asymmetric up to 1e-9 relative to its largest entry; it
-    is symmetrized as (A + A^T)/2 first. Eigenvalues come back descending
-    (a stable sort, so ties keep LAPACK's order) and each eigenvector's sign
-    is fixed so that its largest-magnitude component is positive.
+    is symmetrized as (A + A^T)/2 first.
     """
     lam, v = np.linalg.eigh(_symmetrized(a))
     order = np.argsort(-lam, kind="stable")
-    lam, v = lam[order], v[:, order]
-    if v.size:
-        lead = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
-        v = v * np.where(lead < 0.0, -1.0, 1.0)
-    return EigenDecomposition(lam, v)
+    return lam[order], v[:, order]
 
 
 def sym_eigvals(a) -> np.ndarray:
@@ -82,11 +82,8 @@ def sym_eigvals(a) -> np.ndarray:
 
 
 def estimate_moments(samples) -> MomentEstimate:
-    """Sample mean and centered covariance of row vectors.
-
-    The covariance is E[(h - mu)(h - mu)^T] with 1/N normalization; it is
-    exactly symmetric by construction.
-    """
+    """Sample mean and the smaller second-moment matrix of the centered
+    rows (see ``MomentEstimate``), exactly symmetric by construction."""
     try:
         x = np.asarray(samples, dtype=np.float64)
     except ValueError as exc:
@@ -95,45 +92,63 @@ def estimate_moments(samples) -> MomentEstimate:
         raise DimensionError(f"expected a stack of row vectors, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NumericError("samples contain non-finite entries")
-    n = x.shape[0]
+    n, dim = x.shape
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
     mean = x.mean(axis=0)
     d = x - mean
-    cov = d.T @ d / n
-    cov = (cov + cov.T) / 2.0
-    return MomentEstimate(mean, cov, n)
+    if dim <= n:
+        cov = d.T @ d / n
+        return MomentEstimate(mean, covariance=(cov + cov.T) / 2.0)
+    gram = d @ d.T / n
+    return MomentEstimate(mean, gram=(gram + gram.T) / 2.0, centered=d)
 
 
-def _damped_roots(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
-    """sqrt(lam + eps) of a numerically PSD spectrum: the reciprocal gains
-    of PCA whitening."""
+def covariance_range(mom: MomentEstimate, eigenvalues, eigenvectors):
+    """The sample covariance's spectrum from ``sym_eig`` of ``mom``'s
+    second-moment matrix: its d eigenvalues, descending, with those at or
+    below ``COND_FLOOR`` times the largest counted as 0, and E_r, the
+    orthonormal eigenvectors of the r above it. Gram eigenvectors Q_r map
+    to E_r = X^T Q_r / sqrt(N lam_r)."""
+    lam = eigenvalues[:np.count_nonzero(eigenvalues > COND_FLOOR * max(eigenvalues[0], 0.0))]
+    e = eigenvectors[:, :lam.size]
+    if mom.gram is not None:
+        e = mom.centered.T @ (e / np.sqrt(len(mom.centered) * lam))
+    return np.pad(lam, (0, mom.mean.size - lam.size)), e
+
+
+def _zca(spectrum, e, epsilon, power) -> np.ndarray:
+    """a I + E_r diag((lam_r + eps)^power - a) E_r^T, with a = eps^power
+    when E_r is incomplete and 0 when it is not."""
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    lam = np.asarray(eig.eigenvalues, dtype=np.float64)
-    lmax = float(lam[0]) if lam.size else 0.0
-    if lam.size and float(lam[-1]) < -1e-8 * max(abs(lmax), 1.0):
-        raise ValueError("spectrum is not numerically PSD")
-    lam = np.maximum(lam, 0.0)
-    if epsilon == 0.0 and (lmax <= 0.0 or float(lam[-1]) <= 1e-12 * lmax):
+    dim, r = e.shape
+    if epsilon == 0.0 and r < dim:
         raise SingularMatrixError(
             "covariance is numerically singular; whitening needs epsilon > 0"
         )
-    return np.sqrt(lam + epsilon)
+    a = epsilon**power if r < dim else 0.0
+    out = (e * ((spectrum[:r] + epsilon) ** power - a)) @ e.T
+    out.flat[:: dim + 1] += a
+    return out
 
 
-def pca_from_eig(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
-    """PCA whitening transform diag(lam + eps)^(-1/2) @ E^T from a precomputed
-    spectrum."""
-    return (1.0 / _damped_roots(eig, epsilon))[:, None] * eig.eigenvectors.T
+def zca_whitening(spectrum, e, epsilon: float) -> np.ndarray:
+    """The whitening matrix U of a ``covariance_range``; U Sigma U^T =
+    Sigma (Sigma + eps I)^-1 on the covariance Sigma it came from."""
+    return _zca(spectrum, e, epsilon, -0.5)
+
+
+def invert_whitening(spectrum, e, epsilon: float) -> np.ndarray:
+    """U^-1 of ``zca_whitening(spectrum, e, epsilon)`` in closed form; no
+    general inverse is needed. Refuses what ``zca_whitening`` refuses."""
+    return _zca(spectrum, e, epsilon, 0.5)
 
 
 def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
-    """lambda_max / lambda_min with the minimum floored at floor_ratio*lambda_max.
-
-    Accepts an EigenDecomposition or a bare eigenvalue array.
-    """
-    lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=np.float64)
+    """lambda_max / lambda_min of an eigenvalue array, with the minimum
+    floored at floor_ratio*lambda_max."""
+    lam = np.asarray(spectrum, dtype=np.float64)
     if lam.size == 0:
         raise DegenerateSpectrumError("empty spectrum")
     lmax = float(lam.max())
@@ -141,10 +156,3 @@ def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
         raise DegenerateSpectrumError("spectrum has no positive eigenvalue")
     lmin = max(float(lam.min()), floor_ratio * lmax)
     return lmax / lmin
-
-
-def invert_whitening(eig: EigenDecomposition, epsilon: float) -> np.ndarray:
-    """Inverse of ``pca_from_eig(eig, epsilon)`` in closed form,
-    E diag(sqrt(lam + eps)): E is orthogonal, so no general inverse is
-    needed. Refuses what ``pca_from_eig`` refuses."""
-    return eig.eigenvectors * _damped_roots(eig, epsilon)

@@ -3,14 +3,15 @@
 The whitened trainer follows one amortized loop: every ``reparam_period``
 updates (including update 0, which makes the first reparametrization act as
 an initialization scheme) one pass over the layers estimates each layer's
-input statistics from ``stat_samples`` points, rebuilds its whitening
-coefficients from the centered covariance eigendecomposition with
-``eigen_epsilon`` damping, and re-projects its parameters, through the
-closed-form inverse of the new whitening matrix, so that the canonical
-ones, and the network function, are unchanged. Plain momentum-SGD runs on
-the whitened parameters in between; momentum buffers are reset at each
-reparametrization by default (disable for ablation). Evaluation losses and
-probe outputs come from ``Model.predict``, a row block at a time.
+input statistics from ``stat_samples`` points, rebuilds its whitening matrix
+as rank-aware ZCA from the range of the centered covariance with
+``eigen_epsilon`` damping (``linalg``), and re-projects its parameters,
+through the closed-form inverse of the new whitening matrix, so that the
+canonical ones, and the network function, are unchanged. Plain
+momentum-SGD runs on the whitened parameters in between; momentum buffers
+are reset at each reparametrization by default (disable for ablation).
+Evaluation losses and probe outputs come from ``Model.predict``, a row
+block at a time.
 """
 
 from __future__ import annotations
@@ -114,17 +115,17 @@ def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
     """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0).
 
     ``vector`` and ``grad`` are flat; the step is refused, with nothing
-    changed, when ``grad`` holds a non-finite entry."""
+    changed, when ``grad`` holds a non-finite entry. The step consumes
+    ``grad``: alpha v (alpha g) is written into it and subtracted from
+    there, so no temporary the size of ``vector`` is made."""
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; step refused")
     m = config.momentum
     if m != 0.0:
-        v = state.velocity
-        v *= m
-        v += grad
-        vector -= state.alpha * v
-    else:
-        vector -= state.alpha * grad
+        state.velocity *= m
+        state.velocity += grad
+    np.multiply(state.velocity if m != 0.0 else grad, state.alpha, out=grad)
+    vector -= grad
     state.step += 1
 
 
@@ -145,7 +146,9 @@ def rmsprop_step(vector, grad, state: OptimizerState, config: TrainConfig):
 
 @dataclass
 class ReparamInfo:
-    eigenvalues: list  # per input slot, the centered covariance's, descending
+    # per input slot, the d eigenvalues of the centered covariance: its
+    # range, descending, then zeros
+    eigenvalues: list
     outputs: np.ndarray  # network outputs on the statistics sample
     seconds: float = 0.0
 
@@ -160,14 +163,15 @@ def prong_reparametrize(
     """Re-estimate whitening coefficients and re-project the parameters.
 
     One pass over the layers: layer i's input statistics (the sample mean
-    and the eigendecomposition of the centered covariance, damped by
-    ``epsilon``) give its new centering vector and whitening matrix; the
-    layer is forwarded under its old coefficients, which yields the next
-    layer's input; then its weights and bias are re-projected, through the
-    new matrix's closed-form inverse from the same spectrum, so that the
-    canonical parameters, and thus the network function, are unchanged.
-    The last layer's outputs are returned with each slot's eigenvalues;
-    no covariance or eigenvector matrix outlives its layer. Updates
+    and the range of the centered covariance, from the smaller of the
+    covariance and the Gram matrix) give its new centering vector and its
+    rank-aware ZCA whitening matrix, damped by ``epsilon``; the layer is
+    forwarded under its old coefficients, which yields the next layer's
+    input; then its weights and bias are re-projected, through the new
+    matrix's closed-form inverse from the same range, so that the canonical
+    parameters, and thus the network function, are unchanged. The last
+    layer's outputs are returned with each slot's eigenvalues; no
+    second-moment or eigenvector matrix outlives its layer. Updates
     ``omega`` and ``phi`` in place; no layer but the current one is copied.
     """
     t0 = time.perf_counter()
@@ -175,9 +179,10 @@ def prong_reparametrize(
     eigenvalues = []
     for i in range(spec.depth):
         mom = linalg.estimate_moments(h)
-        eig = linalg.sym_eig(mom.covariance)
+        lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
+            mom.covariance if mom.gram is None else mom.gram))
         try:
-            u = linalg.pca_from_eig(eig, epsilon)
+            u = linalg.zca_whitening(lam, e, epsilon)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"layer {i} activation covariance is singular with epsilon=0; "
@@ -188,10 +193,10 @@ def prong_reparametrize(
         # flat vector
         omega.weights[i][:], omega.biases[i][:] = net.project_layer(
             omega.weights[i], omega.biases[i], old=(phi.transforms[i], phi.centers[i]),
-            new=(linalg.invert_whitening(eig, epsilon), mom.mean))
+            new=(linalg.invert_whitening(lam, e, epsilon), mom.mean))
         phi.transforms[i] = u
-        phi.centers[i] = mom.mean.copy()
-        eigenvalues.append(eig.eigenvalues)
+        phi.centers[i] = mom.mean
+        eigenvalues.append(lam)
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
 
@@ -284,7 +289,7 @@ def train(
 
     state = OptimizerState.init(model.params.vector, config, rmsprop=optimizer == "rmsprop")
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step
-    gradient = model.layout()  # every step's backward writes here
+    gradient = model.layout()  # every backward writes here; the step consumes it
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)
     stats_rng = np.random.default_rng([config.seed, 104729])
 
@@ -368,6 +373,7 @@ def train(
         loss_sum += value
         loss_count += 1
         model.backward(trace, grad, out=gradient)
+        del trace, grad  # no old trace is alive through the next forward
         step_fn(model.params.vector, gradient.vector, state, config)
 
         done = t + 1

@@ -134,7 +134,8 @@ class TestAcceptance:
     def test_c4_whitening_invariant(self):
         """Immediately after reparametrization, whitened activations on the
         statistics sample have mean < 1e-8 and covariance within 1e-6 of I
-        (eps=0) or of diag(lam/(lam+eps)) (eps>0)."""
+        (eps=0) or of Sigma (Sigma + eps I)^-1 (eps>0), Sigma the covariance
+        of the slot's canonical input on that sample."""
         rng = np.random.default_rng(41)
         stats = rng.standard_normal((400, 12)) @ rng.standard_normal((12, 12))
         worst_mean, worst_cov = 0.0, 0.0
@@ -148,12 +149,13 @@ class TestAcceptance:
 
         eps = 0.05
         model2, _ = whitened_from_seed([12, 10, 6, 2], seed=42)
-        info = prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
+        prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
         trace2 = model2.forward(stats)
         worst_eps = 0.0
-        for a, eigenvalues in zip(trace2.signals, info.eigenvalues):
-            lam = np.maximum(eigenvalues, 0.0)
-            expected = np.diag(lam / (lam + eps))
+        for a, h in zip(trace2.signals, [trace2.inputs] + trace2.activations):
+            centered = h - h.mean(axis=0)
+            sigma = centered.T @ centered / h.shape[0]
+            expected = np.linalg.solve(sigma + eps * np.eye(len(sigma)), sigma)
             cov = a.T @ a / a.shape[0]
             worst_eps = max(worst_eps, float(np.abs(cov - expected).max()))
 

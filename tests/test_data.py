@@ -178,6 +178,19 @@ class TestSyntheticGaussian:
         b = synthetic_gaussian(6, 3, 0.0, np.eye(3), seed=9)
         np.testing.assert_array_equal(a.inputs[0], b.inputs[0])
 
+    def test_seeded_draw_keeps_its_bits(self):
+        # a non-diagonal covariance whose LAPACK eigenvectors include one
+        # with a negative leading component; the root E sqrt(lam) E^T does
+        # not depend on the signs, so the draw is the same bit for bit
+        cov = np.array([[2.0, 0.6, 0.0, 0.1], [0.6, 1.0, -0.3, 0.0],
+                        [0.0, -0.3, 0.5, 0.2], [0.1, 0.0, 0.2, 0.8]])
+        ds = synthetic_gaussian(3, 4, [1.0, -2.0, 0.5, 0.0], cov, seed=7)
+        assert ds.inputs.view(np.int64).tolist() == [
+            [4607343372966320222, -4613166099301084470, 4594394871578592888, -4617807000719126348],
+            [4595273705665869648, -4609303211412248283, 4606207437257906048, 4607930423276638159],
+            [4595691442748479040, -4609873037860855898, 4607009597149167863, 4600039670476844248],
+        ]
+
     def test_non_psd_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValueError):

@@ -11,13 +11,14 @@ from whitenet.errors import (
     SingularMatrixError,
 )
 from whitenet.linalg import (
-    EigenDecomposition,
+    MomentEstimate,
     condition_number,
+    covariance_range,
     estimate_moments,
     invert_whitening,
-    pca_from_eig,
     sym_eig,
     sym_eigvals,
+    zca_whitening,
 )
 
 
@@ -29,32 +30,30 @@ def random_symmetric(n, seed, scale=1.0):
 
 class TestSymEig:
     def test_identity(self):
-        e = sym_eig(np.eye(3))
-        np.testing.assert_allclose(e.eigenvalues, np.ones(3))
-        np.testing.assert_allclose(np.abs(e.eigenvectors), np.eye(3), atol=1e-12)
+        lam, v = sym_eig(np.eye(3))
+        np.testing.assert_allclose(lam, np.ones(3))
+        np.testing.assert_allclose(np.abs(v), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        e = sym_eig(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(e.eigenvalues, [4.0, 1.0])
+        lam, v = sym_eig(np.diag([4.0, 1.0]))
+        np.testing.assert_allclose(lam, [4.0, 1.0])
         # eigenvectors equal identity columns up to sign
-        np.testing.assert_allclose(np.abs(e.eigenvectors), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-12)
 
     def test_reconstruction_random_5x5(self):
         a = random_symmetric(5, seed=7)
-        e = sym_eig(a)
-        rec = e.eigenvectors @ np.diag(e.eigenvalues) @ e.eigenvectors.T
+        lam, v = sym_eig(a)
+        rec = v @ np.diag(lam) @ v.T
         assert np.abs(rec - a).max() < 1e-8 * max(np.abs(a).max(), 1.0)
 
     def test_descending_order(self):
-        e = sym_eig(random_symmetric(12, seed=3))
-        assert np.all(np.diff(e.eigenvalues) <= 0)
+        lam, _ = sym_eig(random_symmetric(12, seed=3))
+        assert np.all(np.diff(lam) <= 0)
 
     def test_deterministic(self):
         a = random_symmetric(9, seed=11)
-        e1 = sym_eig(a.copy())
-        e2 = sym_eig(a.copy())
-        assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
-        assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+        for first, second in zip(sym_eig(a.copy()), sym_eig(a.copy())):
+            assert np.array_equal(first, second)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -71,19 +70,14 @@ class TestSymEig:
         with pytest.raises(NumericError):
             sym_eig(a)
 
-    def test_sign_convention(self):
-        # each eigenvector's largest-magnitude component is positive
-        v = sym_eig(random_symmetric(8, seed=4)).eigenvectors
-        assert np.all(v[np.abs(v).argmax(axis=0), np.arange(8)] > 0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10_000))
     def test_orthonormality_and_reconstruction(self, n, seed):
         a = random_symmetric(n, seed=seed)
-        e = sym_eig(a)
-        orth = np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(n)).max()
+        lam, v = sym_eig(a)
+        orth = np.abs(v.T @ v - np.eye(n)).max()
         assert orth <= 1e-10
-        rec = e.eigenvectors @ np.diag(e.eigenvalues) @ e.eigenvectors.T
+        rec = v @ np.diag(lam) @ v.T
         assert np.abs(rec - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
 
 
@@ -98,7 +92,7 @@ class TestSymEigvals:
             g = np.random.default_rng(22).standard_normal((rank, 12))
             a = g.T @ g
         lam = sym_eigvals(a)
-        expected = sym_eig(a).eigenvalues
+        expected = sym_eig(a)[0]
         assert lam.shape == expected.shape
         assert np.all(np.diff(lam) <= 0)
         assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -121,7 +115,7 @@ class TestEstimateMoments:
         m = estimate_moments(np.tile(c, (6, 1)))
         np.testing.assert_allclose(m.mean, c)
         np.testing.assert_allclose(m.covariance, np.zeros((3, 3)), atol=1e-15)
-        assert m.sample_count == 6
+        assert m.gram is None and m.centered is None
 
     def test_hand_computed_pair(self):
         # centered second moment of {(0,0),(2,2)}: mean (1,1),
@@ -164,94 +158,134 @@ class TestEstimateMoments:
             estimate_moments(x)
 
 
+    @pytest.mark.parametrize("n, dim", [(100, 200), (100, 100), (2, 3)])
+    def test_gram_matrix_when_wider_than_the_sample(self, n, dim):
+        # d > N keeps the N x N Gram matrix and the centered sample, d = N
+        # the d x d covariance alone
+        x = np.random.default_rng(dim).standard_normal((n, dim))
+        m = estimate_moments(x)
+        centered = x - x.mean(axis=0)
+        if dim <= n:
+            assert m.gram is None and m.centered is None
+            assert m.covariance.shape == (dim, dim)
+            return
+        assert m.covariance is None
+        assert np.array_equal(m.centered, centered)
+        np.testing.assert_allclose(m.gram, centered @ centered.T / n, atol=1e-14)
+        assert np.array_equal(m.gram, m.gram.T)
+
+
 class TestZcaMatrix:
     def test_identity_covariance(self):
         m = estimate_moments(_seeded_samples(400, 4, seed=1))
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
+        u = zca_whitening(*zca_range(m), epsilon=0.0)
         np.testing.assert_allclose(u @ m.covariance @ u.T, np.eye(4), atol=1e-8)
 
     def test_diagonal_epsilon_zero(self):
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
-        np.testing.assert_allclose(np.abs(u), np.diag([0.5, 1.0]), atol=1e-12)
+        u = zca_whitening(*zca_range(m), epsilon=0.0)
+        np.testing.assert_allclose(u, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_diagonal_epsilon_one(self):
         # gains are 1/sqrt(lam + eps): 1/sqrt(5), 1/sqrt(2)
         m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=1.0)
+        u = zca_whitening(*zca_range(m), epsilon=1.0)
         expected = np.diag([1.0 / np.sqrt(5.0), 1.0 / np.sqrt(2.0)])
-        np.testing.assert_allclose(np.abs(u), expected, atol=1e-12)
+        np.testing.assert_allclose(u, expected, atol=1e-12)
 
     def test_singular_requires_epsilon(self):
         m = _moments_with_cov(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
-            pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.5)
-        assert np.isfinite(u).all()
+            zca_whitening(*zca_range(m), epsilon=0.0)
+        u = zca_whitening(*zca_range(m), epsilon=0.5)
+        # the null direction takes eps^-1/2
+        np.testing.assert_allclose(u, np.diag([1.0 / np.sqrt(1.5), np.sqrt(2.0)]), atol=1e-12)
 
     def test_whitened_samples_have_unit_moments(self):
         x = _seeded_samples(300, 5, seed=9)
         m = estimate_moments(x)
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=0.0)
+        u = zca_whitening(*zca_range(m), epsilon=0.0)
         a = (x - m.mean) @ u.T
         assert np.abs(a.mean(axis=0)).max() < 1e-9
         cov = a.T @ a / a.shape[0]
         assert np.abs(cov - np.eye(5)).max() < 1e-8
 
     def test_epsilon_shrinks_whitened_covariance(self):
-        # with eps > 0 the whitened covariance is diag(lam/(lam+eps))
-        # in the eigenbasis, which PCA whitening rotates into
+        # with eps > 0 the whitened covariance is Sigma (Sigma + eps I)^-1,
+        # whatever basis the whitening uses
         eps = 0.3
         x = _seeded_samples(500, 4, seed=13)
         m = estimate_moments(x)
-        eig = sym_eig(m.covariance)
-        u = pca_from_eig(sym_eig(m.covariance), epsilon=eps)
+        u = zca_whitening(*zca_range(m), epsilon=eps)
         a = (x - m.mean) @ u.T
         cov = a.T @ a / a.shape[0]
-        expected = np.diag(eig.eigenvalues / (eig.eigenvalues + eps))
+        expected = np.linalg.solve(m.covariance + eps * np.eye(4), m.covariance)
         assert np.abs(cov - expected).max() < 1e-8
+
+    @pytest.mark.parametrize("dim, epsilon", [(200, 1e-4), (1000, 1e-2)])
+    def test_gram_range_matches_the_dense_zca(self, dim, epsilon):
+        # 100 statistics rows, as at desk and paper width: U from the Gram
+        # matrix's range against E diag((lam + eps)^-1/2) E^T from the
+        # d x d eigendecomposition
+        x = np.random.default_rng(dim).uniform(0.0, 1.0, size=(100, dim))
+        m = estimate_moments(x)
+        lam, e = zca_range(m)
+        u = zca_whitening(lam, e, epsilon)
+        centered = x - m.mean
+        dense_lam, dense_e = np.linalg.eigh(centered.T @ centered / 100)
+        dense = (dense_e / np.sqrt(np.maximum(dense_lam, 0.0) + epsilon)) @ dense_e.T
+        assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
+        assert np.abs(invert_whitening(lam, e, epsilon) @ u - np.eye(dim)).max() <= 1e-12
+        # the spectrum: the covariance's range, then zeros
+        assert lam.shape == (dim,) and e.shape == (dim, 99)
+        np.testing.assert_allclose(lam[:99], dense_lam[::-1][:99], rtol=1e-10)
+        assert not lam[99:].any()
+
+    def test_epsilon_zero_with_as_many_samples_as_width_refused(self):
+        # centered, N rows span at most N - 1 directions, so N = d is
+        # singular too (N < d: test_epsilon_zero_on_rank_deficient_...)
+        m = estimate_moments(np.random.default_rng(40).standard_normal((40, 40)))
+        for fn in (zca_whitening, invert_whitening):
+            with pytest.raises(SingularMatrixError):
+                fn(*zca_range(m), 0.0)
 
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(sym_eig(np.eye(4))) == pytest.approx(1.0)
+        assert condition_number(sym_eig(np.eye(4))[0]) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert condition_number(sym_eig(np.diag([100.0, 1.0]))) == pytest.approx(100.0)
+        assert condition_number(sym_eig(np.diag([100.0, 1.0]))[0]) == pytest.approx(100.0)
 
     def test_floor_applied(self):
-        spec = EigenDecomposition(np.array([1.0, 0.0]), np.eye(2))
-        assert condition_number(spec) == pytest.approx(1e12)
+        assert condition_number(np.array([1.0, 0.0])) == pytest.approx(1e12)
 
     def test_degenerate(self):
-        spec = EigenDecomposition(np.array([0.0, 0.0]), np.eye(2))
         with pytest.raises(DegenerateSpectrumError):
-            condition_number(spec)
+            condition_number(np.array([0.0, 0.0]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1e6), st.integers(min_value=0, max_value=1000))
     def test_scale_invariance(self, scale, seed):
         rng = np.random.default_rng(seed)
         lam = np.sort(rng.uniform(0.1, 10.0, size=5))[::-1]
-        c1 = condition_number(EigenDecomposition(lam, np.eye(5)))
-        c2 = condition_number(EigenDecomposition(lam * scale, np.eye(5)))
-        assert c2 == pytest.approx(c1, rel=1e-9)
+        assert condition_number(lam * scale) == pytest.approx(condition_number(lam), rel=1e-9)
 
 
 class TestInvertWhitening:
     def test_identity(self):
-        np.testing.assert_allclose(invert_whitening(sym_eig(np.eye(3)), 0.0), np.eye(3))
+        inv = invert_whitening(*zca_range(_moments_with_cov(np.eye(3))), 0.0)
+        np.testing.assert_allclose(inv, np.eye(3))
 
     def test_diagonal(self):
         # U = diag(0.5, 1) whitens diag(4, 1)
-        inv = invert_whitening(sym_eig(np.diag([4.0, 1.0])), 0.0)
+        inv = invert_whitening(*zca_range(_moments_with_cov(np.diag([4.0, 1.0]))), 0.0)
         np.testing.assert_allclose(inv, np.diag([2.0, 1.0]))
 
     def test_round_trip_on_random_zca(self):
-        x = _seeded_samples(200, 6, seed=21)
-        eig = sym_eig(estimate_moments(x).covariance)
-        u = pca_from_eig(eig, epsilon=1e-3)
-        uinv = invert_whitening(eig, epsilon=1e-3)
+        lam, e = zca_range(estimate_moments(_seeded_samples(200, 6, seed=21)))
+        u = zca_whitening(lam, e, epsilon=1e-3)
+        uinv = invert_whitening(lam, e, epsilon=1e-3)
         assert np.abs(u @ uinv - np.eye(6)).max() <= 1e-9
 
     @pytest.mark.parametrize("width", [100, 200, 50, 16])
@@ -259,21 +293,27 @@ class TestInvertWhitening:
         # the desk autoencoder's input slots, 100 statistics rows: rank
         # deficient above width 99, so eps carries the null space
         x = np.random.default_rng(width).uniform(0.0, 1.0, size=(100, width))
-        eig = sym_eig(estimate_moments(x).covariance)
-        u = pca_from_eig(eig, 1e-2)
-        assert np.abs(invert_whitening(eig, 1e-2) @ u - np.eye(width)).max() <= 1e-12
+        lam, e = zca_range(estimate_moments(x))
+        u = zca_whitening(lam, e, 1e-2)
+        assert np.abs(invert_whitening(lam, e, 1e-2) @ u - np.eye(width)).max() <= 1e-12
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            invert_whitening(sym_eig(np.zeros((2, 2))), 0.0)
+            invert_whitening(*zca_range(_moments_with_cov(np.zeros((2, 2)))), 0.0)
 
     def test_epsilon_zero_on_rank_deficient_covariance_refused(self):
         # 20 samples in 40 dimensions: rank 19
         x = np.random.default_rng(3).standard_normal((20, 40))
-        eig = sym_eig(estimate_moments(x).covariance)
+        lam, e = zca_range(estimate_moments(x))
         with pytest.raises(SingularMatrixError):
-            invert_whitening(eig, 0.0)
-        assert np.isfinite(invert_whitening(eig, 1e-2)).all()
+            invert_whitening(lam, e, 0.0)
+        assert np.isfinite(invert_whitening(lam, e, 1e-2)).all()
+
+
+def zca_range(m):
+    """``covariance_range`` of a moment estimate, through ``sym_eig`` of
+    its second-moment matrix."""
+    return covariance_range(m, *sym_eig(m.covariance if m.gram is None else m.gram))
 
 
 def _seeded_samples(n, dim, seed):
@@ -283,6 +323,5 @@ def _seeded_samples(n, dim, seed):
 
 
 def _moments_with_cov(cov):
-    from whitenet.linalg import MomentEstimate
-
-    return MomentEstimate(np.zeros(cov.shape[0]), np.asarray(cov, dtype=float), 10)
+    cov = np.asarray(cov, dtype=float)
+    return MomentEstimate(np.zeros(cov.shape[0]), covariance=cov)

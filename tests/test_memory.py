@@ -6,8 +6,9 @@ and forwards a block of rows at a time;
 of rows at a time; the exact Fisher block is written tile by tile from
 column blocks of G, into the dense matrix when it is read or a row of tiles
 at a time to disk; the reparametrization walks the layers once and copies
-none but the current one. The memory figures are tracemalloc peaks, which count numpy's
-data buffers."""
+none but the current one; the training loop holds one batch's trace, and
+its step makes no temporary the size of the parameter vector. The memory
+figures are tracemalloc peaks, which count numpy's data buffers."""
 
 import struct
 import tracemalloc
@@ -15,8 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whitenet import fisher, linalg, net, optim
-from whitenet.data import Dataset, load_idx
+from whitenet import cli, fisher, linalg, net, optim
+from whitenet.data import Dataset, load_idx, synthetic_images
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 
 DESK_SIZES = [100, 200, 100, 50, 16, 50, 100, 200, 100]
@@ -105,6 +106,24 @@ def test_load_idx_side_28_holds_no_payload_sized_mask(tmp_path):
     dataset_bytes = n * (784 + 10) * 8
     peak = traced_peak(load_idx, ip, lp)
     assert peak < dataset_bytes + 1.5 * n * 784, peak
+
+
+def test_autoencoder_build_holds_no_payload_sized_mask(tmp_path, monkeypatch):
+    # the autoencoder rewrap of an IDX dataset shares its validated inputs
+    # as targets; a second finiteness check would add one bool per pixel.
+    # The IDX decode (measured above) and the train/val gather (a full copy
+    # that would hide the mask) are left out of the measurement.
+    n = 8192
+    ip, lp, _ = write_idx_pair(tmp_path, n)
+    loaded = load_idx(ip, lp)
+    monkeypatch.setattr(cli.data_mod, "load_idx", lambda *args, **kwargs: loaded)
+    monkeypatch.setattr(cli.data_mod, "split_train_val", lambda ds, val_size, seed: (ds, None))
+    cfg = {"dataset": {"kind": "mnist", "images": str(ip), "labels": str(lp),
+                       "autoencode": True}}
+    peak = traced_peak(cli.build_dataset, cfg)
+    assert peak < 0.5 * n * 784, peak
+    train = cli.build_dataset(cfg)[0]
+    assert train.targets is train.inputs is loaded.inputs
 
 
 @pytest.mark.parametrize("kind", net.NONLINEARITIES)
@@ -282,6 +301,50 @@ def test_reparametrize_peaks_below_5_mb_at_desk_width():
     assert peak < 5e6, peak
 
 
+def test_paper_width_reparametrize_peaks_below_55_mb():
+    # 784-1000-500-250-30-...-784 from 100 statistics rows: the 1000-wide
+    # slots take their range from the 100 x 100 Gram matrix, with no
+    # 1000 x 1000 covariance or eigenvector matrix (the dense PCA form
+    # peaked at 63 MB)
+    spec = NetSpec.mlp([784, 1000, 500, 250, 30, 250, 500, 1000, 784],
+                       hidden="sigmoid", head="sigmoid")
+    model = identity_model(spec, 1)
+    stats = synthetic_images(100, 28, 3).inputs
+    peak = traced_peak(optim.prong_reparametrize, model.params, model.phi, spec, stats, 1e-2)
+    assert peak < 55e6, peak
+
+
+def test_train_holds_one_batch_trace():
+    # beside the velocity and the gradient buffer: one batch's trace and
+    # its backward's deltas and temporaries. The last step's trace kept
+    # alive through the next forward reads about 2.25 traces
+    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(1024, 100))
+    model = whitened(spec, 1, x[:100])
+    full = trace_bytes(model.forward(x[:64]))
+    config = optim.TrainConfig(learning_rate=1e-3, momentum=0.9, batch_size=64, max_updates=20,
+                               eval_interval=1000, freeze_whitening=True)
+    peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="prong",
+                       loss_kind="squared_error")
+    assert peak < 2 * model.params.vector.nbytes + 1.9 * full, (peak, full)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_step_makes_no_vector_sized_temporary(momentum):
+    # alpha v (alpha g) is written into the gradient it consumes; the
+    # parameters come out as p - alpha v bit for bit
+    rng = np.random.default_rng(15)
+    vector, grad = rng.standard_normal(100_000), rng.standard_normal(100_000)
+    config = optim.TrainConfig(learning_rate=1e-3, momentum=momentum)
+    state = optim.OptimizerState.init(vector, config)
+    state.velocity[:] = rng.standard_normal(100_000)
+    v = state.velocity * momentum + grad if momentum else grad
+    expected = vector - config.learning_rate * v
+    peak = traced_peak(optim.sgd_step, vector, grad, state, config)
+    assert peak < vector.nbytes / 2, peak
+    assert np.array_equal(vector.view(np.int64), expected.view(np.int64))
+
+
 def old_reparametrize(omega, phi, spec, stats, epsilon):
     """The three-pass sequence the reparametrization replaces: project the
     whole model to canonical, forward the statistics through the old
@@ -295,13 +358,14 @@ def old_reparametrize(omega, phi, spec, stats, epsilon):
     spectra = []
     for i in range(spec.depth):
         mom = linalg.estimate_moments(([trace.inputs] + trace.activations)[i])
-        eig = linalg.sym_eig(mom.covariance)
-        new_phi.transforms.append(linalg.pca_from_eig(eig, epsilon))
+        lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
+            mom.covariance if mom.gram is None else mom.gram))
+        new_phi.transforms.append(linalg.zca_whitening(lam, e, epsilon))
         new_phi.centers.append(mom.mean.copy())
-        spectra.append(eig)
+        spectra.append((lam, e))
     weights, biases = [], []
-    for (w, b), eig, c in zip(thetas, spectra, new_phi.centers):
-        weights.append(w @ linalg.invert_whitening(eig, epsilon))
+    for (w, b), (lam, e), c in zip(thetas, spectra, new_phi.centers):
+        weights.append(w @ linalg.invert_whitening(lam, e, epsilon))
         biases.append(b + w @ c)
     return net.Params.of(weights, biases), new_phi, spectra, trace.outputs
 
@@ -323,7 +387,7 @@ def test_reparametrize_is_the_old_sequence_bit_for_bit(start):
     for got, expected in [
         (model.params.weights + model.params.biases, fresh.weights + fresh.biases),
         (model.phi.transforms + model.phi.centers, phi.transforms + phi.centers),
-        (info.eigenvalues, [e.eigenvalues for e in spectra]),
+        (info.eigenvalues, [lam for lam, _ in spectra]),
         ([info.outputs], [outputs]),
     ]:
         for a, b in zip(bits(got), bits(expected), strict=True):

@@ -184,12 +184,16 @@ class TestReparametrize:
         eps = 0.1
         model = whitened_model([5, 4, 2], seed=5)
         stats = np.random.default_rng(6).standard_normal((256, 5))
-        info = prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=eps)
+        prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=eps)
         trace = model.forward(stats)
         for i in range(model.spec.depth):
+            # Sigma (Sigma + eps I)^-1, Sigma the slot's canonical input
+            # covariance on the statistics sample
             a = trace.signals[i]
-            lam = info.eigenvalues[i]
-            expected = np.diag(lam / (lam + eps))
+            centered = ([trace.inputs] + trace.activations)[i]
+            centered = centered - centered.mean(axis=0)
+            sigma = centered.T @ centered / centered.shape[0]
+            expected = np.linalg.solve(sigma + eps * np.eye(len(sigma)), sigma)
             cov = a.T @ a / a.shape[0]
             assert np.abs(cov - expected).max() < 1e-6
 
