@@ -62,10 +62,11 @@ def build_dataset(cfg: dict):
         if images and labels and Path(images).exists() and Path(labels).exists():
             ds = data_mod.load_idx(images, labels, side=10 if kind == "mnist10x10" else 28)
             if not autoencode and d.get("n_classes", 10) == 2:
-                # binary heads: digits 5-9 vs 0-4
+                # binary heads: digits 5-9 vs 0-4; load_idx's inputs and
+                # these 0/1 targets need none of Dataset's checks
                 digit = ds.targets.argmax(axis=1)
-                ds = data_mod.Dataset(
-                    ds.inputs, (digit >= 5).astype(float)[:, None], name=ds.name + "-binary"
+                ds = data_mod.Dataset._unchecked(
+                    ds.inputs, (digit >= 5).astype(float)[:, None], ds.name + "-binary"
                 )
         elif d.get("fallback_synthetic", False):
             side = d.get("side", 10)

@@ -176,8 +176,9 @@ class BatchNormState:
 
 @dataclass
 class ForwardTrace:
+    """What a backward reads of its forward; every vjp reads h_i = f(z_i)."""
+
     inputs: np.ndarray  # (B, N_0)
-    pre_activations: list  # z_i, (B, N_i)
     activations: list  # h_i, (B, N_i)
     signals: list  # what layer i multiplies: a_i when whitened, else h_{i-1}
     phi: WhiteningCoeffs | None = None  # the coefficients the forward used
@@ -186,12 +187,6 @@ class ForwardTrace:
     @property
     def outputs(self):
         return self.activations[-1]
-
-
-@dataclass
-class BackwardTrace:
-    grads: Params  # laid out as the model's parameters
-    deltas: list  # dLoss/dz_i, (B, N_i)
 
 
 def _cut(vector, shapes, depth) -> Params:
@@ -250,8 +245,9 @@ def _activate(kind, z):
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
-def _activation_vjp(kind, z, h, upstream):
-    """dLoss/dz from dLoss/dh for an elementwise or softmax nonlinearity."""
+def _activation_vjp(kind, h, upstream):
+    """dLoss/dz from dLoss/dh for an elementwise or softmax nonlinearity,
+    read from h = f(z) alone."""
     # sigmoid and tanh keep the product order (u*h)*(1-h) and u*(1-h*h), so
     # the in-place forms round exactly as the plain expressions do
     if kind == "sigmoid":
@@ -264,7 +260,7 @@ def _activation_vjp(kind, z, h, upstream):
         out *= upstream
         return out
     if kind == "relu":
-        return upstream * (z > 0.0)
+        return upstream * (h > 0.0)  # h = max(z, 0) > 0 exactly where z > 0
     if kind == "identity":
         return upstream.copy()
     if kind == "softmax":
@@ -289,26 +285,25 @@ def _check_finite(z, i, what):
 
 
 def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
-    """Layer i of the whitened forward: (s, z, h_i) from h_{i-1}, a float64
+    """Layer i of the whitened forward: (s, h_i) from h_{i-1}, a float64
     batch. The one place its arithmetic lives, for ``forward_whitened``,
     ``Model.predict`` and the layer-by-layer reparametrization."""
     s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
     z = s @ omega.weights[i].T + omega.biases[i]
     _check_finite(z, i, "pre-activation")
-    return s, z, _activate(spec.layers[i].nonlinearity, z)
+    return s, _activate(spec.layers[i].nonlinearity, z)
 
 
 def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x) -> ForwardTrace:
     """Forward pass; ``phi=None`` is the canonical net, with no U/c step."""
     h = as_batch(x, spec.input_dim)
     inputs = h
-    zs, hs, signals = [], [], []
+    hs, signals = [], []
     for i in range(spec.depth):
-        s, z, h = layer_forward(omega, phi, spec, i, h)
+        s, h = layer_forward(omega, phi, spec, i, h)
         signals.append(s)
-        zs.append(z)
         hs.append(h)
-    return ForwardTrace(inputs, zs, hs, signals, phi)
+    return ForwardTrace(inputs, hs, signals, phi)
 
 
 def forward_bn(
@@ -331,7 +326,7 @@ def forward_bn(
     if training and h.shape[0] < 2:
         raise InsufficientBatchError("batch normalization needs batch_size >= 2")
     inputs = h
-    zs, hs, signals, stash = [], [], [], []
+    hs, signals, stash = [], [], []
     for i, layer in enumerate(spec.layers):
         signals.append(h)
         z = h @ params.weights[i].T + params.biases[i]
@@ -354,12 +349,9 @@ def forward_bn(
         y = params.gains[i] * zhat + params.shifts[i]
         h = _activate(layer.nonlinearity, y)
         _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
-        zs.append(z)
         hs.append(h)
-        stash.append(
-            {"zhat": zhat, "std": std, "floored": floored, "y": y, "training": training}
-        )
-    return ForwardTrace(inputs, zs, hs, signals, bn=stash)
+        stash.append({"zhat": zhat, "std": std, "floored": floored, "training": training})
+    return ForwardTrace(inputs, hs, signals, bn=stash)
 
 
 def loss(kind: str, output, target):
@@ -397,25 +389,22 @@ def loss(kind: str, output, target):
     return value, grad
 
 
-def _propagate_deltas(trace, weights, spec, delta_last):
-    """Backpropagate dLoss/dz from the last layer to all layers.
-
-    ``weights`` is the list of layer weight matrices (W or V); a whitened
-    trace's U factor is crossed when stepping from a layer's whitened input
-    back to the previous activation.
-    """
+def _deltas(trace, weights, spec, delta):
+    """Yield (i, dLoss/dz_i) from the last layer down, ``delta`` being the
+    last layer's. ``weights`` is the list of layer weight matrices (W or V);
+    a whitened trace's U factor is crossed when stepping from a layer's
+    whitened input back to the previous activation. delta_{i-1} is formed
+    only when the consumer asks for it, after it has used delta_i, so no
+    list of deltas is built."""
     phi = trace.phi
-    deltas = [None] * spec.depth
-    deltas[-1] = delta_last
     for i in range(spec.depth - 1, 0, -1):
-        upstream = deltas[i] @ weights[i]
+        yield i, delta
+        upstream = delta @ weights[i]
         if phi is not None:
             upstream = upstream @ phi.transforms[i]
-        layer = spec.layers[i - 1]
-        deltas[i - 1] = _activation_vjp(
-            layer.nonlinearity, trace.pre_activations[i - 1], trace.activations[i - 1], upstream
-        )
-    return deltas
+        delta = _activation_vjp(spec.layers[i - 1].nonlinearity, trace.activations[i - 1],
+                                upstream)
+    yield 0, delta
 
 
 def output_delta(trace, spec, loss_grad):
@@ -423,32 +412,33 @@ def output_delta(trace, spec, loss_grad):
     g = as_batch(loss_grad, spec.output_dim, "loss gradient")
     if g.shape[0] != trace.outputs.shape[0]:
         raise ConsistencyError("loss gradient batch size does not match trace")
-    last = spec.layers[-1]
-    return _activation_vjp(last.nonlinearity, trace.pre_activations[-1], trace.outputs, g)
+    return _activation_vjp(spec.layers[-1].nonlinearity, trace.outputs, g)
 
 
 def backpropagate_deltas(trace, params, spec, delta_last):
-    """Deltas for every layer given dLoss/dz at the output layer.
+    """Deltas for every layer, as a list in layer order, given dLoss/dz at
+    the output layer.
 
     Exposed for Fisher computations, which enumerate output distributions
     and therefore construct the final delta analytically.
     """
-    return _propagate_deltas(trace, params.weights, spec, delta_last)
+    return [delta for _, delta in _deltas(trace, params.weights, spec, delta_last)][::-1]
 
 
 def backward_whitened(
     trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad, out=None
-) -> BackwardTrace:
+) -> Params:
     """Gradients of a ``forward_whitened`` trace, canonical or whitened,
-    written into ``out``, a ``flat_layout(spec)`` (a new one when None)."""
+    written into ``out``, a ``flat_layout(spec)`` (a new one when None),
+    and returned. Each layer's gradient is written as its delta arrives."""
     if trace.bn is not None:
         raise ConsistencyError("trace was produced by forward_bn; use backward_bn")
-    deltas = _propagate_deltas(trace, omega.weights, spec, output_delta(trace, spec, loss_grad))
     out = flat_layout(spec) if out is None else out
-    for delta, signal, w, b in zip(deltas, trace.signals, out.weights, out.biases):
-        np.matmul(delta.T, signal, out=w)
-        np.add.reduce(delta, axis=0, out=b)
-    return BackwardTrace(out, deltas)
+    # at most delta_i, its upstream product and delta_{i-1} are alive at once
+    for i, delta in _deltas(trace, omega.weights, spec, output_delta(trace, spec, loss_grad)):
+        np.matmul(delta.T, trace.signals[i], out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
+    return out
 
 
 def backward_bn(
@@ -457,9 +447,9 @@ def backward_bn(
     spec: NetSpec,
     loss_grad,
     out=None,
-) -> BackwardTrace:
+) -> Params:
     """Backward pass through batch normalization, into ``out``, a
-    ``flat_layout(spec, bn=True)`` (a new one when None).
+    ``flat_layout(spec, bn=True)`` (a new one when None), which is returned.
 
     Gradients flow through the batch statistics: for a standardized column
     zhat with gradient u = dL/dzhat, the raw pre-activation gradient is
@@ -471,12 +461,11 @@ def backward_bn(
     g = as_batch(loss_grad, spec.output_dim, "loss gradient")
     out = flat_layout(spec, bn=True) if out is None else out
     wg, bg, gg, sg = out.weights, out.biases, out.gains, out.shifts
-    deltas_z = [None] * spec.depth
     upstream = g
     for i in range(spec.depth - 1, -1, -1):
         stash = trace.bn[i]
         layer = spec.layers[i]
-        dy = _activation_vjp(layer.nonlinearity, stash["y"], trace.activations[i], upstream)
+        dy = _activation_vjp(layer.nonlinearity, trace.activations[i], upstream)
         np.add.reduce(dy * stash["zhat"], axis=0, out=gg[i])
         np.add.reduce(dy, axis=0, out=sg[i])
         u = dy * params.gains[i]
@@ -488,12 +477,11 @@ def backward_bn(
             dz = np.where(stash["floored"], flat, coupled)
         else:
             dz = u / stash["std"]
-        deltas_z[i] = dz
         np.matmul(dz.T, trace.signals[i], out=wg[i])
         np.add.reduce(dz, axis=0, out=bg[i])
         if i > 0:
             upstream = dz @ params.weights[i]
-    return BackwardTrace(out, deltas_z)
+    return out
 
 
 def project_layer(weight, bias, old=None, new=None):
@@ -612,7 +600,7 @@ class Model:
                 h = self.forward(h).outputs
             else:
                 for i in range(self.spec.depth):
-                    h = layer_forward(self.params, self.phi, self.spec, i, h)[2]
+                    h = layer_forward(self.params, self.phi, self.spec, i, h)[1]
             out[start:stop] = h
         return out
 
@@ -620,9 +608,9 @@ class Model:
         """Views of ``vector`` (a new one when None) laid out as ``params``."""
         return flat_layout(self.spec, vector, bn=bool(self.params.gains))
 
-    def backward(self, trace, loss_grad, out=None) -> BackwardTrace:
+    def backward(self, trace, loss_grad, out=None) -> Params:
         """Gradients, written into ``out`` (a ``layout()``) when given, else
-        into a new one."""
+        into a new one, and returned."""
         if self.params.gains:
             return backward_bn(trace, self.params, self.spec, loss_grad, out)
         return backward_whitened(trace, self.params, self.spec, loss_grad, out)

@@ -188,7 +188,7 @@ def prong_reparametrize(
                 f"layer {i} activation covariance is singular with epsilon=0; "
                 "set eigen_epsilon > 0"
             ) from exc
-        h = net.layer_forward(omega, phi, spec, i, h)[2]
+        h = net.layer_forward(omega, phi, spec, i, h)[1]
         # written into the existing arrays: they are views of the model's
         # flat vector
         omega.weights[i][:], omega.biases[i][:] = net.project_layer(

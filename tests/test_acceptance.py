@@ -90,16 +90,18 @@ class TestAcceptance:
         y = rng.uniform(0.2, 0.8, (12, 2))
         trace = model.forward(x)
         _, grad = net.loss("binary_cross_entropy", trace.outputs, y)
-        bt = model.backward(trace, grad)
+        grads = model.backward(trace, grad)
         cfg = TrainConfig(learning_rate=alpha, momentum=0.0, seed=0, max_updates=1,
                           stat_samples=48)
         state = OptimizerState.init(model.params.vector, cfg)
-        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
+        sgd_step(model.params.vector, grads.vector, state, cfg)
         theta1 = project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta0, None, model.spec, x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, y)
-        cbt = net.backward_whitened(ctrace, theta0, model.spec, cgrad)
+        cgrads = net.backward_whitened(ctrace, theta0, model.spec, cgrad)
+        cdeltas = net.backpropagate_deltas(ctrace, theta0, model.spec,
+                                           net.output_delta(ctrace, model.spec, cgrad))
         strace = net.forward_whitened(theta0, None, model.spec, stats)
 
         worst = 0.0
@@ -107,7 +109,7 @@ class TestAcceptance:
             h = ([strace.inputs] + strace.activations)[i]
             mu = h.mean(axis=0)
             sigma = (h - mu).T @ (h - mu) / h.shape[0]
-            centered = cbt.grads.weights[i] - np.outer(cbt.deltas[i].sum(axis=0), mu)
+            centered = cgrads.weights[i] - np.outer(cdeltas[i].sum(axis=0), mu)
             oracle_dw = -alpha * centered @ np.linalg.inv(sigma)
             dw = theta1.weights[i] - theta0.weights[i]
             worst = max(worst, float(np.abs(dw - oracle_dw).max()))

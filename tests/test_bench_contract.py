@@ -64,6 +64,21 @@ def test_probe_forward_runs_on_whitened_model(child):
     assert np.array_equal(outputs, expected)
 
 
+def test_forward_units_count_the_traced_rows(child):
+    # child._forward_rows reads the row count off each traced forward's result,
+    # so a trace keeps its inputs
+    model, x = whitened_model()
+    spec, params = model.spec, init_fan_in(model.spec, 6)
+    bn = Model.batch_norm(spec, params).params
+    for name, args in [
+        ("forward_whitened", (params, None, spec, x)),
+        ("forward_whitened", (model.params, model.phi, spec, x)),
+        ("forward_bn", (bn, spec, x)),
+    ]:
+        result = getattr(net, name)(*args)
+        assert child.UNITS[f"net.{name}"](args, result) == x.shape[0]
+
+
 @pytest.mark.parametrize("span", ["net.forward", "net.backward"])
 def test_span_members_do_not_nest(child, span, monkeypatch):
     # the tracer sums its members' total times, so a member that calls

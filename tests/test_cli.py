@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from whitenet import cli, fisher
+from whitenet import cli, data, fisher
 from whitenet.checkpoint import load_checkpoint
 from whitenet.cli import main
 from whitenet.config import (
@@ -558,3 +558,31 @@ def test_idx_autoencoder_targets_are_the_inputs(tmp_path):
     assert (train.n, val.n) == (32, 8)
     for part in (train, val):
         assert part.targets is part.inputs and part.inputs.shape[1] == 100
+
+
+def test_idx_binary_relabel_runs_no_dataset_checks(tmp_path, monkeypatch):
+    # load_idx's inputs and the 0/1 targets built from its labels are finite
+    # and 2-D: the relabelled dataset skips Dataset's checks and splits as
+    # the checked one does
+    ip, lp = write_idx_files(tmp_path)
+    cfg, _ = idx_config(tmp_path, ip, lp)
+    cfg["dataset"].update(autoencode=False, n_classes=2)
+    loaded = data.load_idx(ip, lp, side=10)
+    digit = loaded.targets.argmax(axis=1)
+    checked = data.Dataset(loaded.inputs, (digit >= 5).astype(float)[:, None],
+                           name=loaded.name + "-binary")
+    expected = data.split_train_val(checked, 8, 2)
+    calls = []
+    original = data.Dataset.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(data.Dataset, "__post_init__", counting)
+    train, val, name = cli.build_dataset(validate_config(cfg))
+    assert calls == []
+    assert name == "idx-10x10-binary"
+    for got, want in zip((train, val), expected, strict=True):
+        assert np.array_equal(got.inputs, want.inputs)
+        assert np.array_equal(got.targets, want.targets)

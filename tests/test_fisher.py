@@ -266,7 +266,9 @@ class TestSharedSweep:
         sign = np.array([1.0]) if out == 1 else np.array([-1.0, 1.0])
 
         def head_sum():
-            return float((model.forward(x).pre_activations[-1] @ sign).sum())
+            s = model.forward(x).signals[-1]
+            z = s @ model.params.weights[-1].T + model.params.biases[-1]
+            return float((z @ sign).sum())
 
         for i, w in enumerate(model.params.weights):
             numeric = central_differences(head_sum, w)

@@ -105,6 +105,5 @@ def test_backward_writes_into_the_given_layout(bn):
     fresh = model.backward(trace, grad)
     out = model.layout()
     out.vector[:] = np.nan
-    bt = model.backward(trace, grad, out=out)
-    assert bt.grads is out
-    assert np.array_equal(out.vector, fresh.grads.vector)
+    assert model.backward(trace, grad, out=out) is out
+    assert np.array_equal(out.vector, fresh.vector)

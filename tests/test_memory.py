@@ -6,9 +6,10 @@ and forwards a block of rows at a time;
 of rows at a time; the exact Fisher block is written tile by tile from
 column blocks of G, into the dense matrix when it is read or a row of tiles
 at a time to disk; the reparametrization walks the layers once and copies
-none but the current one; the training loop holds one batch's trace, and
-its step makes no temporary the size of the parameter vector. The memory
-figures are tracemalloc peaks, which count numpy's data buffers."""
+none but the current one; the training loop holds one batch's trace, its
+backward one layer's delta at a time, and its step makes no temporary the
+size of the parameter vector. The memory figures are tracemalloc peaks,
+which count numpy's data buffers."""
 
 import struct
 import tracemalloc
@@ -44,9 +45,12 @@ def whitened(spec, seed, stats):
 
 
 def trace_bytes(trace):
-    """Bytes of every array a forward trace holds, its inputs excepted."""
-    arrays = {id(a): a for a in trace.signals + trace.pre_activations + trace.activations}
-    return sum(a.nbytes for a in arrays.values() if a is not trace.inputs)
+    """Bytes of a forward trace's distinct signals and activations, its
+    inputs excepted, plus one pre-activation z_i as large as each h_i: the
+    unit the bounds below were set in, when traces kept z beside h."""
+    arrays = {id(a): a for a in trace.signals + trace.activations}
+    held = sum(a.nbytes for a in arrays.values() if a is not trace.inputs)
+    return held + sum(h.nbytes for h in trace.activations)
 
 
 def test_eval_loss_peaks_below_half_a_trace():
@@ -316,7 +320,7 @@ def test_paper_width_reparametrize_peaks_below_55_mb():
 
 def test_train_holds_one_batch_trace():
     # beside the velocity and the gradient buffer: one batch's trace and
-    # its backward's deltas and temporaries. The last step's trace kept
+    # its backward's live delta and temporaries. The last step's trace kept
     # alive through the next forward reads about 2.25 traces
     spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(1024, 100))
@@ -327,6 +331,22 @@ def test_train_holds_one_batch_trace():
     peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="prong",
                        loss_kind="squared_error")
     assert peak < 2 * model.params.vector.nbytes + 1.9 * full, (peak, full)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "whitened"])
+def test_backward_holds_less_than_one_set_of_deltas(kind):
+    # each layer's gradient is written as its delta arrives, so beside the
+    # given gradient layout at most the current delta, its upstream product
+    # and the next delta live: about 0.86 of the deltas of every layer,
+    # which a backward that lists them all before writing (1.49) holds at
+    # once
+    x = np.random.default_rng(17).uniform(0.0, 1.0, size=(64, 100))
+    model = desk_model(kind, x)
+    trace = model.forward(x)
+    _, grad = net.loss("squared_error", trace.outputs, x)
+    deltas_bytes = x.shape[0] * sum(layer.out_dim for layer in model.spec.layers) * 8
+    peak = traced_peak(model.backward, trace, grad, out=model.layout())
+    assert peak < deltas_bytes, peak / deltas_bytes
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])

@@ -23,6 +23,8 @@ from whitenet.net import (
 )
 from whitenet.optim import TrainConfig, train
 
+from backward_reference import list_backward, vjp_inputs
+
 
 def seeded_canonical(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
@@ -180,12 +182,12 @@ class TestSigmoidBitIdentity:
                 return masked_sigmoid(z)
             return activate(kind, z)
 
-        def reference_vjp(kind, z, h, upstream):
+        def reference_vjp(kind, h, upstream):
             if kind == "sigmoid":
                 return upstream * h * (1.0 - h)
             if kind == "tanh":
                 return upstream * (1.0 - h * h)
-            return vjp(kind, z, h, upstream)
+            return vjp(kind, h, upstream)
 
         monkeypatch.setattr(net, "_activate", reference_activate)
         monkeypatch.setattr(net, "_activation_vjp", reference_vjp)
@@ -217,9 +219,9 @@ class TestForwardWhitened:
         for ha, hb in zip(a.activations, b.activations):
             assert np.array_equal(ha, hb)
         _, g = loss("binary_cross_entropy", a.outputs, y)
-        bta = net.backward_whitened(a, params, spec, g)
-        btb = net.backward_whitened(b, params, spec, g)
-        for ga, gb in zip(bta.grads.weights + bta.grads.biases, btb.grads.weights + btb.grads.biases):
+        grads_a = net.backward_whitened(a, params, spec, g)
+        grads_b = net.backward_whitened(b, params, spec, g)
+        for ga, gb in zip(grads_a.weights + grads_a.biases, grads_b.weights + grads_b.biases):
             assert np.array_equal(ga, gb)
 
     def test_centering_zeroes_batch_mean(self):
@@ -359,8 +361,7 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
 
     trace = model.forward(x, training=True)
     _, g = loss(kind, trace.outputs, targets)
-    bt = model.backward(trace, g)
-    analytic = [bt.grads.vector]
+    analytic = [model.backward(trace, g).vector]
     numeric = finite_difference_grads(eval_loss, [model.params.vector])
     assert relative_errors(analytic, numeric) < tol
 
@@ -372,8 +373,8 @@ class TestBackward:
         x = np.array([0.3, -0.2, 0.9])
         trace = forward_whitened(params, None, spec, x)
         _, g = loss("squared_error", trace.outputs, x[None, :])
-        bt = net.backward_whitened(trace, params, spec, g)
-        for arr in bt.grads.weights + bt.grads.biases:
+        grads = net.backward_whitened(trace, params, spec, g)
+        for arr in grads.weights + grads.biases:
             np.testing.assert_allclose(arr, 0.0, atol=1e-15)
 
     def test_sigmoid_cross_entropy_delta(self):
@@ -383,8 +384,8 @@ class TestBackward:
         y = np.random.default_rng(6).integers(0, 2, size=(6, 1)).astype(float)
         trace = forward_whitened(params, None, spec, x)
         _, g = loss("binary_cross_entropy", trace.outputs, y)
-        bt = net.backward_whitened(trace, params, spec, g)
-        np.testing.assert_allclose(bt.deltas[-1], (trace.outputs - y) / 6.0, atol=1e-12)
+        delta = net.output_delta(trace, spec, g)
+        np.testing.assert_allclose(delta, (trace.outputs - y) / 6.0, atol=1e-12)
 
     def test_softmax_cross_entropy_delta(self):
         spec, params = seeded_canonical([5, 4], seed=10, head="softmax")
@@ -392,8 +393,8 @@ class TestBackward:
         y = np.eye(4)[np.random.default_rng(8).integers(0, 4, size=8)]
         trace = forward_whitened(params, None, spec, x)
         _, g = loss("categorical_cross_entropy", trace.outputs, y)
-        bt = net.backward_whitened(trace, params, spec, g)
-        np.testing.assert_allclose(bt.deltas[-1], (trace.outputs - y) / 8.0, atol=1e-12)
+        delta = net.output_delta(trace, spec, g)
+        np.testing.assert_allclose(delta, (trace.outputs - y) / 8.0, atol=1e-12)
 
     def test_finite_differences_canonical(self):
         spec, params = seeded_canonical([4, 5, 3], seed=12, hidden="tanh", head="sigmoid")
@@ -424,6 +425,60 @@ class TestBackward:
         trace = forward_bn(bn, spec, np.zeros((4, 3)))
         with pytest.raises(ConsistencyError, match="forward_bn"):
             net.backward_whitened(trace, params, spec, np.zeros((4, 2)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestStreamedBackward:
+    """The backward that writes each layer's gradient as its delta arrives
+    and reads h where it read z gives the list backward's bits."""
+
+    KINDS = ["canonical", "whitened", "bn", "bn-inference"]
+
+    def model(self, kind, hidden, head):
+        spec, params = seeded_canonical([6, 5, 4, 3], seed=70, hidden=hidden, head=head)
+        if kind == "canonical":
+            return Model(spec, params)
+        if kind == "whitened":
+            phi = seeded_phi(spec, seed=71)
+            return Model(spec, project_to_whitened(params, phi, inverses(phi)), phi=phi)
+        model = Model.batch_norm(spec, params)
+        rng = np.random.default_rng(72)
+        for g, sh in zip(model.params.gains, model.params.shifts):
+            g[:] = rng.uniform(0.5, 2.0, g.shape)
+            sh[:] = rng.uniform(-0.5, 0.5, sh.shape)
+        return model
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("head", ["sigmoid", "softmax", "identity"])
+    @pytest.mark.parametrize("hidden", ["sigmoid", "tanh", "relu", "identity"])
+    def test_gradients_and_deltas_are_the_list_backwards(self, hidden, head, kind):
+        model = self.model(kind, hidden, head)
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((9, 6))
+        if kind == "bn-inference":
+            model.forward(x, training=True)  # moves the running statistics
+        trace = model.forward(x, training=kind != "bn-inference")
+        zs = vjp_inputs(model, trace)
+        if hidden == "relu":
+            # rows on the kink: h = max(z, 0) is 0 for z = +0.0 and -0.0 alike
+            for z, h in zip(zs[:-1], trace.activations[:-1]):
+                z[0], z[1] = 0.0, -0.0
+                np.maximum(z[:2], 0.0, out=h[:2])
+            assert np.signbit(zs[0][1]).all() and not np.signbit(zs[0][0]).any()
+        _, g = loss("squared_error", trace.outputs, rng.uniform(0.1, 0.9, (9, 3)))
+        expected, deltas = list_backward(model, trace, zs, g)
+        out = model.layout()
+        assert model.backward(trace, g, out=out) is out
+        assert np.array_equal(bits(out.vector), bits(expected.vector))
+        assert np.array_equal(bits(model.backward(trace, g).vector), bits(expected.vector))
+        if not model.params.gains:
+            streamed = net.backpropagate_deltas(trace, model.params, model.spec,
+                                                net.output_delta(trace, model.spec, g))
+            for a, b in zip(streamed, deltas, strict=True):
+                assert np.array_equal(bits(a), bits(b))
 
 
 class TestProjections:
@@ -499,11 +554,11 @@ class TestProjections:
         tc = forward_whitened(theta, None, spec, x)
         _, gw = loss("binary_cross_entropy", tc.outputs, y)
         _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        btc = net.backward_whitened(tc, theta, spec, gw)
-        btw = net.backward_whitened(tw, omega, spec, gv)
+        grad_w = net.backward_whitened(tc, theta, spec, gw)
+        grad_v = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
-            expected = btc.grads.weights[i] @ phi.transforms[i].T
-            assert np.abs(btw.grads.weights[i] - expected).max() < 1e-10
+            expected = grad_w.weights[i] @ phi.transforms[i].T
+            assert np.abs(grad_v.weights[i] - expected).max() < 1e-10
 
     def test_gradient_duality_general_centering(self):
         # with centering, the bias couples in: G_V = (G_W - delta_bar c^T) U^T
@@ -517,13 +572,14 @@ class TestProjections:
         tc = forward_whitened(theta, None, spec, x)
         _, gw = loss("binary_cross_entropy", tc.outputs, y)
         _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        btc = net.backward_whitened(tc, theta, spec, gw)
-        btw = net.backward_whitened(tw, omega, spec, gv)
+        deltas = net.backpropagate_deltas(tc, theta, spec, net.output_delta(tc, spec, gw))
+        grad_w = net.backward_whitened(tc, theta, spec, gw)
+        grad_v = net.backward_whitened(tw, omega, spec, gv)
         for i in range(spec.depth):
-            delta_bar = btc.deltas[i].sum(axis=0)
-            corrected = btc.grads.weights[i] - np.outer(delta_bar, phi.centers[i])
+            delta_bar = deltas[i].sum(axis=0)
+            corrected = grad_w.weights[i] - np.outer(delta_bar, phi.centers[i])
             expected = corrected @ phi.transforms[i].T
-            assert np.abs(btw.grads.weights[i] - expected).max() < 1e-10
+            assert np.abs(grad_v.weights[i] - expected).max() < 1e-10
 
 
 class TestInitFanIn:
@@ -563,7 +619,7 @@ class TestBatchNorm:
     def test_gain_std_shift_mean_reproduces_raw(self):
         spec, params = seeded_canonical([4, 3], seed=40, head="identity")
         x = np.random.default_rng(41).standard_normal((16, 4))
-        z = forward_whitened(params, None, spec, x).pre_activations[0]
+        z = x @ params.weights[0].T + params.biases[0]
         bn = Model.batch_norm(spec, params).params
         bn.gains[0][:] = np.maximum(z.std(axis=0), net.BN_STD_FLOOR)
         bn.shifts[0][:] = z.mean(axis=0)

@@ -21,6 +21,8 @@ from whitenet.optim import (
     waterfall_anneal,
 )
 
+from backward_reference import list_backward, vjp_inputs
+
 
 def make_config(**kw):
     base = dict(learning_rate=0.1, seed=0, max_updates=10, eval_interval=5,
@@ -391,24 +393,26 @@ class TestNaturalGradientEquivalence:
         batch_y = np.eye(3)[rng.integers(0, 3, size=16)]
         trace = model.forward(batch_x)
         _, grad = net.loss("categorical_cross_entropy", trace.outputs, batch_y)
-        bt = model.backward(trace, grad)
+        grads = model.backward(trace, grad)
 
         cfg = make_config(learning_rate=alpha, momentum=0.0)
         state = OptimizerState.init(model.params.vector, cfg)
-        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
+        sgd_step(model.params.vector, grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         # canonical gradients on the same batch (deltas per layer)
         ctrace = net.forward_whitened(theta_before, None, model.spec, batch_x)
         _, cgrad = net.loss("categorical_cross_entropy", ctrace.outputs, batch_y)
-        cbt = net.backward_whitened(ctrace, theta_before, model.spec, cgrad)
+        cgrads = net.backward_whitened(ctrace, theta_before, model.spec, cgrad)
+        cdeltas = net.backpropagate_deltas(ctrace, theta_before, model.spec,
+                                           net.output_delta(ctrace, model.spec, cgrad))
 
         stats_trace = net.forward_whitened(theta_before, None, model.spec, stats)
         for i in range(model.spec.depth):
             h = ([stats_trace.inputs] + stats_trace.activations)[i]
             aug = np.hstack([h, np.ones((h.shape[0], 1))])
             moment = aug.T @ aug / aug.shape[0]
-            g_aug = np.hstack([cbt.grads.weights[i], cbt.grads.biases[i][:, None]])
+            g_aug = np.hstack([cgrads.weights[i], cgrads.biases[i][:, None]])
             delta_aug = -alpha * g_aug @ np.linalg.inv(moment)
 
             dw = theta_after.weights[i] - theta_before.weights[i]
@@ -419,8 +423,8 @@ class TestNaturalGradientEquivalence:
             # centered-gradient form of the same identity
             mu = h.mean(axis=0)
             sigma = (h - mu).T @ (h - mu) / h.shape[0]
-            delta_bar = cbt.deltas[i].sum(axis=0)
-            centered_g = cbt.grads.weights[i] - np.outer(delta_bar, mu)
+            delta_bar = cdeltas[i].sum(axis=0)
+            centered_g = cgrads.weights[i] - np.outer(delta_bar, mu)
             dw_centered = -alpha * centered_g @ np.linalg.inv(sigma)
             assert np.abs(dw - dw_centered).max() < 1e-8
 
@@ -444,18 +448,18 @@ class TestNaturalGradientEquivalence:
         batch_y = rng.uniform(0.2, 0.8, (16, 2))
         trace = model.forward(batch_x)
         _, grad = net.loss("binary_cross_entropy", trace.outputs, batch_y)
-        bt = model.backward(trace, grad)
+        grads = model.backward(trace, grad)
         cfg = make_config(learning_rate=alpha)
         state = OptimizerState.init(model.params.vector, cfg)
-        sgd_step(model.params.vector, bt.grads.vector, state, cfg)
+        sgd_step(model.params.vector, grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
         ctrace = net.forward_whitened(theta, None, spec, batch_x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, batch_y)
-        cbt = net.backward_whitened(ctrace, theta, spec, cgrad)
+        cgrads = net.backward_whitened(ctrace, theta, spec, cgrad)
         for i in range(spec.depth):
             u = phi.transforms[i]
-            expected = -alpha * cbt.grads.weights[i] @ (u.T @ u)
+            expected = -alpha * cgrads.weights[i] @ (u.T @ u)
             dw = theta_after.weights[i] - theta.weights[i]
             assert np.abs(dw - expected).max() < 1e-10
 
@@ -464,9 +468,10 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
     """The training loop with the per-array list update that preceded the
     flat parameter vector: parameters, gradients and optimizer buffers are
     lists [w0, b0, w1, b1, ..., g0, s0, ...], each stepped on its own, and
-    gradients are computed per layer as fresh arrays. Returns the rows as
-    (step, train_loss, eval_loss, learning_rate, reparam_event), the
-    velocities and the mean squares. Updates ``model`` in place."""
+    weight and bias gradients are formed per layer as fresh arrays from the
+    deltas (batch norm: from the list backward's). Returns the rows as (step, train_loss, eval_loss, learning_rate,
+    reparam_event), the velocities and the mean squares. Updates ``model``
+    in place."""
     from whitenet.data import BatchPlan, next_batch
 
     whitened = optimizer == "prong"
@@ -501,12 +506,17 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
         value, grad = net.loss(loss_kind, trace.outputs, batch.targets)
         loss_sum += value
         loss_count += 1
-        bt = model.backward(trace, grad)
+        if bn:
+            _, deltas = list_backward(model, trace, vjp_inputs(model, trace), grad)
+        else:
+            deltas = net.backpropagate_deltas(trace, model.params, model.spec,
+                                              net.output_delta(trace, model.spec, grad))
         grads = []
         for i in range(model.spec.depth):
-            grads += [bt.deltas[i].T @ trace.signals[i], bt.deltas[i].sum(axis=0)]
+            grads += [deltas[i].T @ trace.signals[i], deltas[i].sum(axis=0)]
         if bn:
-            grads += [g.copy() for pair in zip(bt.grads.gains, bt.grads.shifts) for g in pair]
+            written = model.backward(trace, grad)
+            grads += [g.copy() for pair in zip(written.gains, written.shifts) for g in pair]
         for g in grads:
             assert np.isfinite(g).all()
         if optimizer == "rmsprop":
