@@ -65,7 +65,6 @@ SCHEMA = {
         "max_updates": (int, False, None),
         "eval_interval": (int, False, None),
         "reset_momentum_on_reparam": (bool, False, None),
-        "freeze_whitening": (bool, False, None),
         "anneal": {
             "eval_interval": (int, True, None),
             "patience": (int, False, None),

@@ -160,10 +160,10 @@ class ClassSweep:
 
 def check_enumerable(model: net.Model):
     """Refuse a model whose Fisher blocks cannot be built here: a batch-norm
-    model (the deltas come from ``net.backpropagate_deltas``, which has no
-    gain/std factor) or a head whose classes cannot be enumerated raises
-    ConsistencyError; a softmax head of more than 10 classes raises
-    FisherSizeError."""
+    model (in training mode its batch statistics couple a batch's examples,
+    so a per-example Fisher row is not defined) or a head whose classes
+    cannot be enumerated raises ConsistencyError; a softmax head of more
+    than 10 classes raises FisherSizeError."""
     if model.params.gains:
         raise ConsistencyError("Fisher blocks are not defined for batch-norm models")
     head, c = model.spec.layers[-1].nonlinearity, model.spec.output_dim

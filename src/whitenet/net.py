@@ -6,8 +6,9 @@ One forward/backward pair evaluates the whitened parametrization
 
 and the canonical one, h_i = f_i(W_i h_{i-1} + b_i), is the same run with
 no whitening coefficients (``phi=None``): the U/c step is skipped, which is
-the whitened net at U = I, c = 0. Batch normalization has its own
-forward/backward pair beside it.
+the whitened net at U = I, c = 0. Batch normalization is one more step of
+the same run: with gains in the parameters, each pre-activation z_i is
+standardized and scaled, y_i = g_i zhat_i + s_i, and h_i = f_i(y_i).
 
 The whitening coefficients (U, c) are indexed by the *input slot* they
 transform: slot i holds the pair applied to the input of layer i (slot 0
@@ -176,7 +177,8 @@ class BatchNormState:
 
 @dataclass
 class ForwardTrace:
-    """What a backward reads of its forward; every vjp reads h_i = f(z_i)."""
+    """What a backward reads of its forward; every vjp reads h_i = f_i(y_i)
+    (y_i = z_i without batch norm)."""
 
     inputs: np.ndarray  # (B, N_0)
     activations: list  # h_i, (B, N_i)
@@ -284,74 +286,65 @@ def _check_finite(z, i, what):
         raise NumericError(f"non-finite {what} at layer {i}")
 
 
-def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h):
-    """Layer i of the whitened forward: (s, h_i) from h_{i-1}, a float64
-    batch. The one place its arithmetic lives, for ``forward_whitened``,
-    ``Model.predict`` and the layer-by-layer reparametrization."""
+def _batch_norm(params: Params, i, z, state, training):
+    """Layer i's y = gain * zhat + shift, and the stash its backward reads.
+    zhat is z standardized by the batch mean/std in training mode (which
+    moves ``state``'s running averages when given), by ``state``'s running
+    averages at inference."""
+    if training:
+        if z.shape[0] < 2:
+            raise InsufficientBatchError("batch normalization needs batch_size >= 2")
+        mean = z.mean(axis=0)
+        var = z.var(axis=0)
+        if state is not None:
+            state.running_mean[i] = BN_DECAY * state.running_mean[i] + (1 - BN_DECAY) * mean
+            state.running_var[i] = BN_DECAY * state.running_var[i] + (1 - BN_DECAY) * var
+    else:
+        if state is None:
+            raise ConsistencyError("inference-mode BN forward needs running state")
+        mean = state.running_mean[i]
+        var = state.running_var[i]
+    std = np.sqrt(var)
+    floored = std < BN_STD_FLOOR
+    std = np.maximum(std, BN_STD_FLOOR)
+    zhat = (z - mean) / std
+    y = params.gains[i] * zhat + params.shifts[i]
+    return y, {"zhat": zhat, "std": std, "floored": floored, "training": training}
+
+
+def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h,
+                  state=None, training=False):
+    """Layer i of the forward: (s, h_i, BN stash or None) from h_{i-1}, a
+    float64 batch. The one place its arithmetic lives, for
+    ``forward_whitened``, ``Model.predict`` and the layer-by-layer
+    reparametrization."""
     s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
     z = s @ omega.weights[i].T + omega.biases[i]
     _check_finite(z, i, "pre-activation")
-    return s, _activate(spec.layers[i].nonlinearity, z)
+    kind = spec.layers[i].nonlinearity
+    if not omega.gains:
+        return s, _activate(kind, z), None
+    y, stash = _batch_norm(omega, i, z, state, training)
+    h = _activate(kind, y)
+    _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
+    return s, h, stash
 
 
-def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x) -> ForwardTrace:
-    """Forward pass; ``phi=None`` is the canonical net, with no U/c step."""
+def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x,
+                     state: BatchNormState | None = None, *, training=False) -> ForwardTrace:
+    """Forward pass; ``phi=None`` is the canonical net, with no U/c step.
+    With batch norm (``omega.gains`` non-empty) ``training`` selects the
+    batch statistics over ``state``'s running averages, and ``trace.bn``
+    holds each layer's stash."""
     h = as_batch(x, spec.input_dim)
-    inputs = h
-    hs, signals = [], []
+    trace = ForwardTrace(h, [], [], phi, [] if omega.gains else None)
     for i in range(spec.depth):
-        s, h = layer_forward(omega, phi, spec, i, h)
-        signals.append(s)
-        hs.append(h)
-    return ForwardTrace(inputs, hs, signals, phi)
-
-
-def forward_bn(
-    params: Params,
-    spec: NetSpec,
-    x,
-    state: BatchNormState | None = None,
-    *,
-    training: bool = True,
-) -> ForwardTrace:
-    """Canonical forward with each pre-activation batch-standardized, then
-    affinely transformed by the learned ``params.gains``/``params.shifts``
-    before the nonlinearity.
-
-    In training mode the batch mean/std are used (and ``state`` running
-    averages updated in place when given); at inference the running
-    averages are used instead.
-    """
-    h = as_batch(x, spec.input_dim)
-    if training and h.shape[0] < 2:
-        raise InsufficientBatchError("batch normalization needs batch_size >= 2")
-    inputs = h
-    hs, signals, stash = [], [], []
-    for i, layer in enumerate(spec.layers):
-        signals.append(h)
-        z = h @ params.weights[i].T + params.biases[i]
-        _check_finite(z, i, "pre-activation")
-        if training:
-            mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            if state is not None:
-                state.running_mean[i] = BN_DECAY * state.running_mean[i] + (1 - BN_DECAY) * mean
-                state.running_var[i] = BN_DECAY * state.running_var[i] + (1 - BN_DECAY) * var
-        else:
-            if state is None:
-                raise ConsistencyError("inference-mode BN forward needs running state")
-            mean = state.running_mean[i]
-            var = state.running_var[i]
-        std = np.sqrt(var)
-        floored = std < BN_STD_FLOOR
-        std = np.maximum(std, BN_STD_FLOOR)
-        zhat = (z - mean) / std
-        y = params.gains[i] * zhat + params.shifts[i]
-        h = _activate(layer.nonlinearity, y)
-        _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
-        hs.append(h)
-        stash.append({"zhat": zhat, "std": std, "floored": floored, "training": training})
-    return ForwardTrace(inputs, hs, signals, bn=stash)
+        s, h, stash = layer_forward(omega, phi, spec, i, h, state, training)
+        trace.signals.append(s)
+        trace.activations.append(h)
+        if stash is not None:
+            trace.bn.append(stash)
+    return trace
 
 
 def loss(kind: str, output, target):
@@ -389,26 +382,53 @@ def loss(kind: str, output, target):
     return value, grad
 
 
-def _deltas(trace, weights, spec, delta):
-    """Yield (i, dLoss/dz_i) from the last layer down, ``delta`` being the
-    last layer's. ``weights`` is the list of layer weight matrices (W or V);
-    a whitened trace's U factor is crossed when stepping from a layer's
-    whitened input back to the previous activation. delta_{i-1} is formed
-    only when the consumer asks for it, after it has used delta_i, so no
-    list of deltas is built."""
+def _batch_norm_vjp(dy, gain, stash):
+    """dLoss/dz from dLoss/dy through y = gain * zhat + shift. With batch
+    statistics, for u = gain * dy, a column's dz is
+    (u - mean(u) - zhat * mean(u * zhat)) / std, and a column whose std hit
+    the floor treats it as a constant: (u - mean(u)) / std. Written in place
+    on u, in the operand order of those expressions."""
+    u = dy * gain
+    std = stash["std"]
+    if stash["training"]:
+        zhat, floored = stash["zhat"], stash["floored"]
+        mean_u = u.mean(axis=0)
+        mean_uz = (u * zhat).mean(axis=0)
+        u -= mean_u
+        flat = u[:, floored] / std[floored]
+        u -= zhat * mean_uz
+        u /= std
+        u[:, floored] = flat
+    else:
+        u /= std
+    return u
+
+
+def _deltas(trace, params, spec, dy):
+    """Yield (i, dLoss/dy_i, dLoss/dz_i) from the last layer down, ``dy``
+    being the last layer's; y_i is what f_i reads, z_i = s_i W_i^T + b_i
+    (V and d when whitened), and the two are one array without batch norm.
+    A whitened trace's U factor is crossed when stepping from a layer's
+    whitened input back to the previous activation. The next layer's pair
+    is formed only when the consumer asks for it, after it has used this
+    one, so no list of deltas is built."""
+    if (trace.bn is None) == bool(params.gains):
+        raise ConsistencyError("trace and parameters disagree on batch normalization")
     phi = trace.phi
-    for i in range(spec.depth - 1, 0, -1):
-        yield i, delta
-        upstream = delta @ weights[i]
+    for i in range(spec.depth - 1, -1, -1):
+        dz = _batch_norm_vjp(dy, params.gains[i], trace.bn[i]) if params.gains else dy
+        yield i, dy, dz
+        if i == 0:
+            return
+        upstream = dz @ params.weights[i]
         if phi is not None:
             upstream = upstream @ phi.transforms[i]
-        delta = _activation_vjp(spec.layers[i - 1].nonlinearity, trace.activations[i - 1],
-                                upstream)
-    yield 0, delta
+        dy = _activation_vjp(spec.layers[i - 1].nonlinearity, trace.activations[i - 1],
+                             upstream)
 
 
 def output_delta(trace, spec, loss_grad):
-    """dLoss/dz at the final layer from dLoss/dh_L."""
+    """dLoss/dy at the final layer from dLoss/dh_L."""
     g = as_batch(loss_grad, spec.output_dim, "loss gradient")
     if g.shape[0] != trace.outputs.shape[0]:
         raise ConsistencyError("loss gradient batch size does not match trace")
@@ -416,71 +436,31 @@ def output_delta(trace, spec, loss_grad):
 
 
 def backpropagate_deltas(trace, params, spec, delta_last):
-    """Deltas for every layer, as a list in layer order, given dLoss/dz at
+    """dLoss/dz for every layer, as a list in layer order, given dLoss/dy at
     the output layer.
 
     Exposed for Fisher computations, which enumerate output distributions
     and therefore construct the final delta analytically.
     """
-    return [delta for _, delta in _deltas(trace, params.weights, spec, delta_last)][::-1]
+    return [dz for _, _, dz in _deltas(trace, params, spec, delta_last)][::-1]
 
 
 def backward_whitened(
     trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad, out=None
 ) -> Params:
-    """Gradients of a ``forward_whitened`` trace, canonical or whitened,
-    written into ``out``, a ``flat_layout(spec)`` (a new one when None),
-    and returned. Each layer's gradient is written as its delta arrives."""
-    if trace.bn is not None:
-        raise ConsistencyError("trace was produced by forward_bn; use backward_bn")
-    out = flat_layout(spec) if out is None else out
-    # at most delta_i, its upstream product and delta_{i-1} are alive at once
-    for i, delta in _deltas(trace, omega.weights, spec, output_delta(trace, spec, loss_grad)):
-        np.matmul(delta.T, trace.signals[i], out=out.weights[i])
-        np.add.reduce(delta, axis=0, out=out.biases[i])
-    return out
-
-
-def backward_bn(
-    trace: ForwardTrace,
-    params: Params,
-    spec: NetSpec,
-    loss_grad,
-    out=None,
-) -> Params:
-    """Backward pass through batch normalization, into ``out``, a
-    ``flat_layout(spec, bn=True)`` (a new one when None), which is returned.
-
-    Gradients flow through the batch statistics: for a standardized column
-    zhat with gradient u = dL/dzhat, the raw pre-activation gradient is
-    (u - mean(u) - zhat * mean(u * zhat)) / std; columns whose std hit the
-    floor treat the floor as a constant.
-    """
-    if trace.bn is None:
-        raise ConsistencyError("trace was not produced by forward_bn")
-    g = as_batch(loss_grad, spec.output_dim, "loss gradient")
-    out = flat_layout(spec, bn=True) if out is None else out
-    wg, bg, gg, sg = out.weights, out.biases, out.gains, out.shifts
-    upstream = g
-    for i in range(spec.depth - 1, -1, -1):
-        stash = trace.bn[i]
-        layer = spec.layers[i]
-        dy = _activation_vjp(layer.nonlinearity, trace.activations[i], upstream)
-        np.add.reduce(dy * stash["zhat"], axis=0, out=gg[i])
-        np.add.reduce(dy, axis=0, out=sg[i])
-        u = dy * params.gains[i]
-        if stash["training"]:
-            coupled = (
-                u - u.mean(axis=0) - stash["zhat"] * (u * stash["zhat"]).mean(axis=0)
-            ) / stash["std"]
-            flat = (u - u.mean(axis=0)) / stash["std"]
-            dz = np.where(stash["floored"], flat, coupled)
-        else:
-            dz = u / stash["std"]
-        np.matmul(dz.T, trace.signals[i], out=wg[i])
-        np.add.reduce(dz, axis=0, out=bg[i])
-        if i > 0:
-            upstream = dz @ params.weights[i]
+    """Gradients of a ``forward_whitened`` trace, canonical, whitened or
+    batch-normalized, written into ``out``, a ``flat_layout`` of ``omega``'s
+    kind (a new one when None), and returned. Each layer's gradient is
+    written as its deltas arrive."""
+    out = flat_layout(spec, bn=bool(omega.gains)) if out is None else out
+    # at most this layer's dy and dz, their upstream product and the next
+    # layer's dy are alive at once
+    for i, dy, dz in _deltas(trace, omega, spec, output_delta(trace, spec, loss_grad)):
+        np.matmul(dz.T, trace.signals[i], out=out.weights[i])
+        np.add.reduce(dz, axis=0, out=out.biases[i])
+        if omega.gains:
+            np.add.reduce(dy * trace.bn[i]["zhat"], axis=0, out=out.gains[i])
+            np.add.reduce(dy, axis=0, out=out.shifts[i])
     return out
 
 
@@ -539,9 +519,10 @@ class Model:
 
     A whitened model carries its coefficients ``phi``; a BN model has
     gains and shifts in its ``params`` and carries running statistics; a
-    model with neither is canonical. The model owns its parameter vector:
-    construction checks the given ``params`` against the spec and copies
-    their vector, and the optimizers step ``params.vector`` as one array.
+    model with neither is canonical, and one with both is refused. The
+    model owns its parameter vector: construction checks the given
+    ``params`` against the spec and copies their vector, and the optimizers
+    step ``params.vector`` as one array.
     """
 
     spec: NetSpec
@@ -557,6 +538,8 @@ class Model:
         if [np.shape(a) for a in arrays] != [v.shape for v in views]:
             raise DimensionError(f"parameter shapes {[np.shape(a) for a in arrays]} do not "
                                  f"match the network's {[v.shape for v in views]}")
+        if flat.gains and self.phi is not None:
+            raise ConsistencyError("a batch-norm model takes no whitening coefficients")
         flat.vector[...] = given.vector
         self.params = flat
         if flat.gains and self.bn_state is None:
@@ -577,15 +560,14 @@ class Model:
         return cls(spec, Params.of(params.weights, params.biases, ones, zeros))
 
     def forward(self, x, training=False) -> ForwardTrace:
-        if self.params.gains:
-            return forward_bn(self.params, self.spec, x, state=self.bn_state, training=training)
-        return forward_whitened(self.params, self.phi, self.spec, x)
+        return forward_whitened(self.params, self.phi, self.spec, x, self.bn_state,
+                                training=training)
 
     def predict(self, x) -> np.ndarray:
         """The outputs of ``forward(x)`` (inference mode for BN), without the
-        trace. The rows go through ``layer_forward`` (BN: ``forward``) in
-        blocks of ``PREDICT_ROWS`` into one output array, so one block's s,
-        z and h exist at a time. The last block takes the remainder, from
+        trace. The rows go through ``layer_forward`` in blocks of
+        ``PREDICT_ROWS`` into one output array, so one block's s, z and h
+        exist at a time. The last block takes the remainder, from
         ``PREDICT_ROWS`` to twice that: a short block can take another BLAS
         kernel than the whole batch. The outputs equal ``forward(x)``'s bit
         for bit wherever BLAS rounds a row the same in a block as in the
@@ -596,11 +578,8 @@ class Model:
         starts = range(0, max(len(x) - PREDICT_ROWS, 0) + 1, PREDICT_ROWS)
         for start, stop in zip(starts, [*starts[1:], len(x)]):
             h = x[start:stop]
-            if self.params.gains:
-                h = self.forward(h).outputs
-            else:
-                for i in range(self.spec.depth):
-                    h = layer_forward(self.params, self.phi, self.spec, i, h)[1]
+            for i in range(self.spec.depth):
+                h = layer_forward(self.params, self.phi, self.spec, i, h, self.bn_state)[1]
             out[start:stop] = h
         return out
 
@@ -611,8 +590,6 @@ class Model:
     def backward(self, trace, loss_grad, out=None) -> Params:
         """Gradients, written into ``out`` (a ``layout()``) when given, else
         into a new one, and returned."""
-        if self.params.gains:
-            return backward_bn(trace, self.params, self.spec, loss_grad, out)
         return backward_whitened(trace, self.params, self.spec, loss_grad, out)
 
     def copy(self):

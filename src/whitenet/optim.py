@@ -65,7 +65,6 @@ class TrainConfig:
     max_updates: int = 1000
     eval_interval: int = 100
     reset_momentum_on_reparam: bool = True
-    freeze_whitening: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -282,7 +281,7 @@ def train(
             f"optimizer 'bn' needs batches of at least 2 rows; n={train_data.n} training rows "
             f"with batch_size={config.batch_size} leave a one-row batch"
         )
-    if whitened and not config.freeze_whitening and train_data.n < 2:
+    if whitened and train_data.n < 2:
         # the reparametrization estimates moments from min(stat_samples, n) rows
         raise ConfigError(
             f"optimizer 'prong' needs at least 2 training rows, got n={train_data.n}")
@@ -327,7 +326,7 @@ def train(
         )
 
     for t in range(config.max_updates):
-        if whitened and not config.freeze_whitening and t % config.reparam_period == 0:
+        if whitened and t % config.reparam_period == 0:
             before = model.predict(probe_inputs) if probe_inputs is not None else None
             take = min(config.stat_samples, train_data.n)
             idx = stats_rng.choice(train_data.n, size=take, replace=False)

@@ -70,13 +70,13 @@ def test_forward_units_count_the_traced_rows(child):
     model, x = whitened_model()
     spec, params = model.spec, init_fan_in(model.spec, 6)
     bn = Model.batch_norm(spec, params).params
-    for name, args in [
-        ("forward_whitened", (params, None, spec, x)),
-        ("forward_whitened", (model.params, model.phi, spec, x)),
-        ("forward_bn", (bn, spec, x)),
+    for args, training in [
+        ((params, None, spec, x), False),
+        ((model.params, model.phi, spec, x), False),
+        ((bn, None, spec, x), True),
     ]:
-        result = getattr(net, name)(*args)
-        assert child.UNITS[f"net.{name}"](args, result) == x.shape[0]
+        result = net.forward_whitened(*args, training=training)
+        assert child.UNITS["net.forward_whitened"](args, result) == x.shape[0]
 
 
 @pytest.mark.parametrize("span", ["net.forward", "net.backward"])

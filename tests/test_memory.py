@@ -327,8 +327,8 @@ def test_train_holds_one_batch_trace():
     model = whitened(spec, 1, x[:100])
     full = trace_bytes(model.forward(x[:64]))
     config = optim.TrainConfig(learning_rate=1e-3, momentum=0.9, batch_size=64, max_updates=20,
-                               eval_interval=1000, freeze_whitening=True)
-    peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="prong",
+                               eval_interval=1000)
+    peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="momentum",
                        loss_kind="squared_error")
     assert peak < 2 * model.params.vector.nbytes + 1.9 * full, (peak, full)
 
@@ -347,6 +347,20 @@ def test_backward_holds_less_than_one_set_of_deltas(kind):
     deltas_bytes = x.shape[0] * sum(layer.out_dim for layer in model.spec.layers) * 8
     peak = traced_peak(model.backward, trace, grad, out=model.layout())
     assert peak < deltas_bytes, peak / deltas_bytes
+
+
+def test_batch_norm_backward_holds_less_than_one_and_a_half_sets_of_deltas():
+    # a batch-norm layer's dy and dz are two arrays, and the vjp through
+    # the batch statistics works in place on gain * dy; with its coupled
+    # and floored forms and their np.where choice beside u and dy, it held
+    # about 1.87 sets of the deltas of every layer
+    x = np.random.default_rng(17).uniform(0.0, 1.0, size=(64, 100))
+    model = desk_model("bn", x)
+    trace = model.forward(x, training=True)
+    _, grad = net.loss("squared_error", trace.outputs, x)
+    deltas_bytes = x.shape[0] * sum(layer.out_dim for layer in model.spec.layers) * 8
+    peak = traced_peak(model.backward, trace, grad, out=model.layout())
+    assert peak < 1.5 * deltas_bytes, peak / deltas_bytes
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])

@@ -14,7 +14,6 @@ from whitenet.net import (
     NetSpec,
     Params,
     WhiteningCoeffs,
-    forward_bn,
     forward_whitened,
     init_fan_in,
     loss,
@@ -420,11 +419,14 @@ class TestBackward:
         check_model_gradients(model, x, y, "categorical_cross_entropy")
 
     def test_mismatched_trace_rejected(self):
+        # a BN trace with canonical parameters, and a canonical trace with BN ones
         spec, params = seeded_canonical([3, 2], seed=19)
         bn = Model.batch_norm(spec, params).params
-        trace = forward_bn(bn, spec, np.zeros((4, 3)))
-        with pytest.raises(ConsistencyError, match="forward_bn"):
-            net.backward_whitened(trace, params, spec, np.zeros((4, 2)))
+        x = np.zeros((4, 3))
+        for traced, given in [(bn, params), (params, bn)]:
+            trace = forward_whitened(traced, None, spec, x, training=True)
+            with pytest.raises(ConsistencyError, match="disagree on batch normalization"):
+                net.backward_whitened(trace, given, spec, np.zeros((4, 2)))
 
 
 def bits(a):
@@ -435,7 +437,7 @@ class TestStreamedBackward:
     """The backward that writes each layer's gradient as its delta arrives
     and reads h where it read z gives the list backward's bits."""
 
-    KINDS = ["canonical", "whitened", "bn", "bn-inference"]
+    KINDS = ["canonical", "whitened", "bn", "bn-inference", "bn-floored"]
 
     def model(self, kind, hidden, head):
         spec, params = seeded_canonical([6, 5, 4, 3], seed=70, hidden=hidden, head=head)
@@ -449,6 +451,10 @@ class TestStreamedBackward:
         for g, sh in zip(model.params.gains, model.params.shifts):
             g[:] = rng.uniform(0.5, 2.0, g.shape)
             sh[:] = rng.uniform(-0.5, 0.5, sh.shape)
+        if kind == "bn-floored":
+            # a zero weight row holds the unit's pre-activation constant, so
+            # its batch std is floored
+            model.params.weights[1][0] = 0.0
         return model
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -461,6 +467,8 @@ class TestStreamedBackward:
         if kind == "bn-inference":
             model.forward(x, training=True)  # moves the running statistics
         trace = model.forward(x, training=kind != "bn-inference")
+        if kind == "bn-floored":
+            assert trace.bn[1]["floored"].tolist() == [True, False, False, False]
         zs = vjp_inputs(model, trace)
         if hidden == "relu":
             # rows on the kink: h = max(z, 0) is 0 for z = +0.0 and -0.0 alike
@@ -612,7 +620,7 @@ class TestBatchNorm:
         bn = Model.batch_norm(spec, params).params
         bn.shifts[0][:] = [0.25, -0.5]
         x = np.tile([1.0, 2.0, 3.0], (4, 1))
-        trace = forward_bn(bn, spec, x)
+        trace = forward_whitened(bn, None, spec, x, training=True)
         np.testing.assert_allclose(trace.bn[0]["zhat"], 0.0, atol=1e-12)
         np.testing.assert_allclose(trace.outputs, np.tile([0.25, -0.5], (4, 1)))
 
@@ -623,7 +631,7 @@ class TestBatchNorm:
         bn = Model.batch_norm(spec, params).params
         bn.gains[0][:] = np.maximum(z.std(axis=0), net.BN_STD_FLOOR)
         bn.shifts[0][:] = z.mean(axis=0)
-        trace = forward_bn(bn, spec, x)
+        trace = forward_whitened(bn, None, spec, x, training=True)
         assert np.abs(trace.outputs - z).max() < 1e-9
 
     def test_finite_differences_through_bn(self):
@@ -640,12 +648,12 @@ class TestBatchNorm:
         bn.shifts[0][:] = np.finfo(float).max
         x = np.random.default_rng(48).standard_normal((8, 3))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 0"):
-            forward_bn(bn, spec, x)
+            forward_whitened(bn, None, spec, x, training=True)
 
     def test_batch_of_one_rejected(self):
         spec, params = seeded_canonical([3, 2], seed=44)
         with pytest.raises(net.InsufficientBatchError):
-            forward_bn(Model.batch_norm(spec, params).params, spec, np.zeros((1, 3)))
+            Model.batch_norm(spec, params).forward(np.zeros((1, 3)), training=True)
 
     def test_inference_uses_running_averages(self):
         spec, params = seeded_canonical([3, 2], seed=45)
@@ -653,9 +661,17 @@ class TestBatchNorm:
         state = BatchNormState.init(spec)
         rng = np.random.default_rng(46)
         for _ in range(50):
-            forward_bn(bn, spec, rng.standard_normal((32, 3)), state=state)
+            forward_whitened(bn, None, spec, rng.standard_normal((32, 3)), state, training=True)
         x = rng.standard_normal((8, 3))
-        out1 = forward_bn(bn, spec, x, state=state, training=False).outputs
-        out2 = forward_bn(bn, spec, x[:4], state=state, training=False).outputs
+        out1 = forward_whitened(bn, None, spec, x, state).outputs
+        out2 = forward_whitened(bn, None, spec, x[:4], state).outputs
         # inference output per example independent of the rest of the batch
         np.testing.assert_allclose(out1[:4], out2)
+
+    def test_whitening_coefficients_refused(self):
+        # a batch-norm model's forward would whiten with them, and its
+        # checkpoint would drop them
+        spec, params = seeded_canonical([3, 2], seed=49)
+        bn = Model.batch_norm(spec, params).params
+        with pytest.raises(ConsistencyError, match="no whitening coefficients"):
+            Model(spec, bn, phi=WhiteningCoeffs.identity(spec))
