@@ -37,7 +37,6 @@ from .config import (
 from .errors import (
     ConfigError,
     ConsistencyError,
-    DivergenceError,
     FisherSizeError,
     IdxFormatError,
     MetricsParseError,
@@ -146,7 +145,6 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
     model = build_model(cfg)
     tcfg = build_train_config(cfg)
     loss_kind = cfg["model"].get("loss", "squared_error")
-    status, result = "completed", None
     try:
         result = run_train(
             model,
@@ -157,14 +155,12 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
             val_data=val_ds,
             row_callback=row_callback,
         )
-    except DivergenceError as exc:
-        status = "diverged"
-        result = exc.result
     except (ConfigError, SingularMatrixError) as exc:
         _write_manifest(out, cfg, seed=tcfg.seed,
                         status="refused" if isinstance(exc, ConfigError) else "failed",
                         extra={"dataset": ds_name, "error": str(exc)})
         raise
+    status = "completed" if result.divergence is None else "diverged"
     write_metrics(out / "metrics.csv", result.rows)
     # the updates applied: max_updates for a completed run, fewer for a diverged one
     save_checkpoint(out / "checkpoint.bin", model, seed=tcfg.seed, step=result.state.step)

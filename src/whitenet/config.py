@@ -64,9 +64,7 @@ SCHEMA = {
         "seed": (int, False, None),
         "max_updates": (int, False, None),
         "eval_interval": (int, False, None),
-        "reset_momentum_on_reparam": (bool, False, None),
         "anneal": {
-            "eval_interval": (int, True, None),
             "patience": (int, False, None),
             "min_relative_improvement": (float, False, None),
             "divisor": (float, False, None),
@@ -147,7 +145,7 @@ def validate_config(raw: dict) -> dict:
 def build_train_config(cfg: dict) -> TrainConfig:
     section = dict(cfg["train"])
     anneal = section.pop("anneal", None)
-    policy = AnnealPolicy(**anneal) if anneal else None
+    policy = AnnealPolicy(**anneal) if anneal is not None else None
     return TrainConfig(anneal=policy, **section)
 
 

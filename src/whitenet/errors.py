@@ -29,14 +29,6 @@ class ConsistencyError(ValueError):
     """A trace or state object does not match the operation applied to it."""
 
 
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite; carries a diagnostic record."""
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record or {}
-
-
 class FisherSizeError(ValueError):
     """A Fisher block would exceed the tractability cap."""
 

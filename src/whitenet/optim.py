@@ -8,10 +8,9 @@ as rank-aware ZCA from the range of the centered covariance with
 ``eigen_epsilon`` damping (``linalg``), and re-projects its parameters,
 through the closed-form inverse of the new whitening matrix, so that the
 canonical ones, and the network function, are unchanged. Plain
-momentum-SGD runs on the whitened parameters in between; momentum buffers
-are reset at each reparametrization by default (disable for ablation).
-Evaluation losses and probe outputs come from ``Model.predict``, a row
-block at a time.
+momentum-SGD runs on the whitened parameters in between; the velocity is
+zeroed at each reparametrization. Evaluation losses and probe outputs come
+from ``Model.predict``, a row block at a time.
 """
 
 from __future__ import annotations
@@ -23,22 +22,17 @@ import numpy as np
 
 from . import linalg, net
 from .data import BatchPlan, Dataset, next_batch
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    NumericError,
-    SingularMatrixError,
-)
+from .errors import ConfigError, NumericError, SingularMatrixError
 
 OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
 
 
 @dataclass
 class AnnealPolicy:
-    """Waterfall learning-rate schedule: divide when the recent best
-    validation metric stops improving on the prior best."""
+    """Waterfall learning-rate schedule, read at every interval row:
+    divide when the recent best eval loss stops improving on the prior
+    best."""
 
-    eval_interval: int
     patience: int = 4
     min_relative_improvement: float = 0.01
     divisor: float = 10.0
@@ -46,8 +40,8 @@ class AnnealPolicy:
     def __post_init__(self):
         if self.divisor <= 1.0:
             raise ConfigError(f"anneal divisor must exceed 1, got {self.divisor}")
-        if self.patience < 1 or self.eval_interval < 1:
-            raise ConfigError("anneal patience and eval_interval must be >= 1")
+        if self.patience < 1:
+            raise ConfigError(f"anneal patience must be >= 1, got {self.patience}")
 
 
 @dataclass
@@ -64,7 +58,6 @@ class TrainConfig:
     seed: int = 0
     max_updates: int = 1000
     eval_interval: int = 100
-    reset_momentum_on_reparam: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -221,8 +214,7 @@ class TrainResult:
     rows: list
     model: net.Model
     state: OptimizerState
-    diverged: bool = False
-    divergence: dict | None = None
+    divergence: dict | None = None  # None for a run of all max_updates updates
     timing: dict = field(default_factory=dict)
     probe_deltas: list = field(default_factory=list)
     reparam_steps: list = field(default_factory=list)
@@ -247,12 +239,19 @@ def train(
     """Run ``config.max_updates`` updates of the requested optimizer.
 
     Emits one MetricsRow per ``eval_interval`` updates plus one row at every
-    reparametrization step (flagged). ``probe_inputs``, when given, is
-    evaluated before and after every function-preserving event and the
-    max-abs output changes are recorded. ``row_callback(model, step)`` may
-    return a dict with extra row fields (e.g. a conditioning ratio).
-    Non-finite training loss aborts with DivergenceError carrying a
-    diagnostic record.
+    reparametrization step (flagged). With ``config.anneal`` set, each
+    interval row's eval loss feeds the waterfall schedule before the row is
+    written, so the row logs the rate the next update uses.
+    ``probe_inputs``, when given, is evaluated before and after every
+    function-preserving event and the max-abs output changes are recorded.
+    ``row_callback(model, step)`` may return a dict with extra row fields
+    (e.g. a conditioning ratio).
+
+    A run ends early, and still returns, on a non-finite training loss or
+    on a ``NumericError`` from the forward, loss, step, reparametrization
+    or evaluation: ``divergence`` then records the updates applied
+    (``step``), the batch's training loss (NaN where none was computed),
+    the learning rate, the optimizer and the reason.
     """
     from .metrics import MetricsRow
 
@@ -297,14 +296,8 @@ def train(
     start = time.perf_counter()
     reparam_seconds = 0.0
     loss_sum, loss_count = 0.0, 0
-    eval_cache: dict[int, float] = {}
     anneal_history: list[float] = []
     eval_set = val_data if val_data is not None else train_data
-
-    def evaluate(step):
-        if step not in eval_cache:
-            eval_cache[step] = _eval_loss(model, eval_set, loss_kind)
-        return eval_cache[step]
 
     def emit(step, train_loss, reparam_event):
         if reparam_event and rows and rows[-1].step == step:
@@ -312,13 +305,20 @@ def train(
             # preserves the function, so just flag it
             rows[-1].reparam_event = True
             return
+        eval_loss = _eval_loss(model, eval_set, loss_kind)
+        if config.anneal is not None and not reparam_event:
+            anneal_history.append(eval_loss)
+            alpha = waterfall_anneal(anneal_history, config.anneal, state.alpha)
+            if alpha != state.alpha:  # the next division waits a full window at the new rate
+                anneal_history[:] = [min(anneal_history)]
+                state.alpha = alpha
         extra = row_callback(model, step) if row_callback else {}
         rows.append(
             MetricsRow(
                 step=step,
                 wallclock_seconds=time.perf_counter() - start,
                 train_loss=train_loss,
-                eval_loss=evaluate(step),
+                eval_loss=eval_loss,
                 learning_rate=state.alpha,
                 cond_ratio=extra.get("cond_ratio") if extra else None,
                 reparam_event=reparam_event,
@@ -326,74 +326,53 @@ def train(
         )
 
     for t in range(config.max_updates):
-        if whitened and t % config.reparam_period == 0:
-            before = model.predict(probe_inputs) if probe_inputs is not None else None
-            take = min(config.stat_samples, train_data.n)
-            idx = stats_rng.choice(train_data.n, size=take, replace=False)
-            info = prong_reparametrize(
-                model.params, model.phi, model.spec, train_data.inputs[idx], config.eigen_epsilon
-            )
-            reparam_seconds += info.seconds
-            if config.reset_momentum_on_reparam:
-                state.reset_momentum()
-            if before is not None:
-                after = model.predict(probe_inputs)
-                result.probe_deltas.append(float(np.abs(after - before).max()))
-            result.reparam_steps.append(t)
-            stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
-            del info  # not kept alive through the next reparametrization
-            emit(t, stats_loss, reparam_event=True)
-
-        batch = next_batch(train_data, plan)
+        value = float("nan")
         try:
+            if whitened and t % config.reparam_period == 0:
+                before = model.predict(probe_inputs) if probe_inputs is not None else None
+                take = min(config.stat_samples, train_data.n)
+                idx = stats_rng.choice(train_data.n, size=take, replace=False)
+                info = prong_reparametrize(
+                    model.params, model.phi, model.spec, train_data.inputs[idx],
+                    config.eigen_epsilon
+                )
+                reparam_seconds += info.seconds
+                state.reset_momentum()
+                if before is not None:
+                    after = model.predict(probe_inputs)
+                    result.probe_deltas.append(float(np.abs(after - before).max()))
+                result.reparam_steps.append(t)
+                stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
+                del info  # not kept alive through the next reparametrization
+                emit(t, stats_loss, reparam_event=True)
+
+            batch = next_batch(train_data, plan)
             trace = model.forward(batch.inputs, training=True)
             value, grad = net.loss(loss_kind, trace.outputs, batch.targets)
+            if not np.isfinite(value):
+                raise NumericError("non-finite training loss")
+            loss_sum += value
+            loss_count += 1
+            model.backward(trace, grad, out=gradient)
+            del trace, grad  # no old trace is alive through the next forward
+            step_fn(model.params.vector, gradient.vector, state, config)
+            if state.step % config.eval_interval == 0:
+                emit(state.step, loss_sum / loss_count, reparam_event=False)
+                loss_sum, loss_count = 0.0, 0
         except NumericError as exc:
-            value = float("nan")
-            numeric_reason = str(exc)
-        else:
-            numeric_reason = None
-        if not np.isfinite(value):
-            result.diverged = True
             result.divergence = {
-                "step": t,
+                "step": state.step,
                 "train_loss": value,
                 "learning_rate": state.alpha,
                 "optimizer": optimizer,
+                "reason": str(exc),
             }
-            if numeric_reason:
-                result.divergence["reason"] = numeric_reason
-            result.timing = _timing(start, reparam_seconds)
-            error = DivergenceError(
-                f"training loss became non-finite at step {t}", result.divergence
-            )
-            error.result = result
-            raise error
-        loss_sum += value
-        loss_count += 1
-        model.backward(trace, grad, out=gradient)
-        del trace, grad  # no old trace is alive through the next forward
-        step_fn(model.params.vector, gradient.vector, state, config)
+            break
 
-        done = t + 1
-        if config.anneal is not None and done % config.anneal.eval_interval == 0:
-            anneal_history.append(evaluate(done))
-            alpha = waterfall_anneal(anneal_history, config.anneal, state.alpha)
-            if alpha != state.alpha:  # the next division waits a full window at the new rate
-                anneal_history[:] = [min(anneal_history)]
-                state.alpha = alpha
-        if done % config.eval_interval == 0:
-            emit(done, loss_sum / max(loss_count, 1), reparam_event=False)
-            loss_sum, loss_count = 0.0, 0
-
-    result.timing = _timing(start, reparam_seconds)
-    return result
-
-
-def _timing(start, reparam_seconds):
     total = time.perf_counter() - start
-    return {
+    result.timing = {
         "total_seconds": total,
         "reparam_seconds": reparam_seconds,
         "reparam_fraction": reparam_seconds / total if total > 0 else 0.0,
     }
+    return result

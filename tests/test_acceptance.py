@@ -12,7 +12,6 @@ import pytest
 from whitenet import net
 from whitenet.config import PRESETS, validate_config
 from whitenet.data import Dataset, synthetic_classification, synthetic_images
-from whitenet.errors import DivergenceError
 from whitenet.fisher import factorized_fisher_block
 from whitenet.linalg import condition_number
 from whitenet.net import (
@@ -196,10 +195,9 @@ class TestAcceptance:
                 max_updates=steps,
                 eval_interval=50,
             )
-            try:
-                result = train(model, ds, cfg, optimizer=optimizer,
-                               loss_kind="squared_error", val_data=probe)
-            except DivergenceError:
+            result = train(model, ds, cfg, optimizer=optimizer,
+                           loss_kind="squared_error", val_data=probe)
+            if result.divergence is not None:
                 return None
             return {r.step: r.eval_loss for r in result.rows if not r.reparam_event}
 

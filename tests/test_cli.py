@@ -159,10 +159,23 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert code == 2
         assert manifest["status"] == "diverged"
-        assert "divergence" in manifest
+        assert set(manifest["divergence"]) == {
+            "step", "train_loss", "learning_rate", "optimizer", "reason"}
         # the checkpoint records the updates applied before the divergence
         _, meta = load_checkpoint(out / "checkpoint.bin")
         assert meta["step"] == manifest["divergence"]["step"] < cfg["train"]["max_updates"]
+
+    def test_empty_anneal_section_anneals_with_the_defaults(self, tmp_path):
+        # a step too small to move the eval loss: after the first window of
+        # patience 4 the rate is divided by 10 at every fourth row
+        cfg, cfg_path = small_train_config(tmp_path, learning_rate=1e-9, momentum=0.0,
+                                           eval_interval=10, anneal={})
+        cfg["optimizer"] = "sgd"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rates = [r.learning_rate for r in read_metrics(out / "metrics.csv")]
+        np.testing.assert_allclose(rates, [1e-9] * 4 + [1e-10] * 4 + [1e-11] * 2, rtol=1e-12)
 
     def test_cond_preset_prong_ends_below_chance(self, tmp_path):
         # the preset's whitened run must learn, not saturate: its final
@@ -503,6 +516,23 @@ class TestTypedErrors:
     def test_removed_prong_plus_names_refused_by_key(self, tmp_path, capsys, monkeypatch,
                                                      change, key):
         # the row-rescaled whitened optimizer and its two settings are gone
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg_path.write_text(json.dumps(deep_merge(cfg, change)))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert key in self.one_line(capsys, "config error: invalid config keys: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"train": {"reset_momentum_on_reparam": False}}, "train.reset_momentum_on_reparam"),
+        ({"train": {"anneal": {"eval_interval": 100}}}, "train.anneal.eval_interval"),
+    ])
+    def test_removed_train_keys_refused_by_key(self, tmp_path, capsys, monkeypatch,
+                                               change, key):
+        # the velocity resets at every reparametrization, and the anneal
+        # reads the interval rows: neither has a setting any more
         monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
         cfg, cfg_path = small_train_config(tmp_path)
         cfg_path.write_text(json.dumps(deep_merge(cfg, change)))

@@ -3,12 +3,7 @@ import pytest
 
 from whitenet import net, optim
 from whitenet.data import Dataset, synthetic_gaussian, synthetic_images
-from whitenet.errors import (
-    ConfigError,
-    DivergenceError,
-    NumericError,
-    SingularMatrixError,
-)
+from whitenet.errors import ConfigError, NumericError, SingularMatrixError
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 from whitenet.optim import (
     AnnealPolicy,
@@ -115,7 +110,7 @@ class TestRmspropStep:
 
 
 class TestWaterfallAnneal:
-    POLICY = AnnealPolicy(eval_interval=1, patience=4, min_relative_improvement=0.01)
+    POLICY = AnnealPolicy(patience=4, min_relative_improvement=0.01)
 
     def test_strictly_improving_unchanged(self):
         history = [1.0, 0.8, 0.6, 0.4, 0.2]
@@ -291,23 +286,22 @@ class TestTrainLoop:
         result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
         assert all(not r.reparam_event for r in result.rows)
 
-    def test_momentum_reset_on_reparam_matters(self):
+    def test_every_reparametrization_zeroes_the_velocity(self):
+        # at reparam_period 1 the velocity is zeroed before every step, so
+        # v = 0.9 * 0 + g = g and momentum 0.9 runs bit for bit as momentum 0
         ds = self._dataset(seed=3)
 
-        def run(reset):
+        def run(momentum):
             model = whitened_model([6, 5, 2], seed=8)
-            cfg = make_config(learning_rate=0.05, momentum=0.9, max_updates=40,
-                              eval_interval=40, reparam_period=20, stat_samples=64,
-                              eigen_epsilon=1e-2, reset_momentum_on_reparam=reset)
+            cfg = make_config(learning_rate=0.05, momentum=momentum, max_updates=40,
+                              eval_interval=40, reparam_period=1, stat_samples=64,
+                              eigen_epsilon=1e-2)
             return train(model, ds, cfg, optimizer="prong", loss_kind="binary_cross_entropy")
 
-        with_reset = run(True)
-        without = run(False)
-        same = all(
-            np.array_equal(a, b)
-            for a, b in zip(with_reset.model.params.weights, without.model.params.weights)
-        )
-        assert not same
+        heavy, plain = run(0.9), run(0.0)
+        assert heavy.state.step == plain.state.step == 40
+        assert np.array_equal(heavy.model.params.vector.view(np.int64),
+                              plain.model.params.vector.view(np.int64))
 
     def test_divergence_aborts_with_record(self):
         ds = self._dataset(seed=11)
@@ -315,16 +309,40 @@ class TestTrainLoop:
         model = Model(spec, init_fan_in(spec, 12))
         dsq = Dataset(ds.inputs, ds.inputs[:, :1] * 1e3)
         cfg = make_config(learning_rate=1e6, max_updates=100, eval_interval=10)
-        with pytest.raises(DivergenceError) as exc:
-            train(model, dsq, cfg, optimizer="sgd", loss_kind="squared_error")
-        assert "step" in exc.value.record
+        result = train(model, dsq, cfg, optimizer="sgd", loss_kind="squared_error")
+        record = result.divergence
+        assert record is not None
+        assert record["step"] == result.state.step < cfg.max_updates
+        assert record["optimizer"] == "sgd" and record["learning_rate"] == 1e6
+        assert record["reason"]
+        assert {"total_seconds", "reparam_seconds", "reparam_fraction"} <= set(result.timing)
+
+    def test_overflowing_gradient_ends_the_run_before_the_step(self):
+        # a finite loss whose gradient overflows: the output is
+        # 1e-306 * 5e307 = 50, and the head's weight gradient 50 * 5e307
+        # overflows, so the step is refused and nothing is updated
+        spec = NetSpec.mlp([2, 2, 1], hidden="identity", head="identity")
+        model = Model(spec, net.Params.of(
+            [np.array([[5e150, 0.0], [0.0, 0.0]]), np.array([[1e-306, 0.0]])],
+            [np.zeros(2), np.zeros(1)]))
+        before = model.params.vector.copy()
+        ds = Dataset(np.tile([1e157, 0.0], (4, 1)), np.zeros((4, 1)))
+        cfg = make_config(learning_rate=0.1, max_updates=3, eval_interval=1, batch_size=4)
+        with np.errstate(over="ignore"):
+            result = train(model, ds, cfg, optimizer="sgd", loss_kind="squared_error")
+        assert result.divergence["step"] == 0
+        assert result.divergence["reason"] == "non-finite gradient; step refused"
+        assert np.isfinite(result.divergence["train_loss"])
+        assert result.state.step == 0
+        assert np.array_equal(model.params.vector, before)
+        assert result.rows == []
 
     def test_anneal_reduces_rate_on_plateau(self):
         ds = self._dataset(seed=13)
         spec = NetSpec.mlp([6, 4, 2])
         model = Model(spec, init_fan_in(spec, 14))
-        policy = AnnealPolicy(eval_interval=5, patience=2, min_relative_improvement=0.5)
-        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=10, anneal=policy)
+        policy = AnnealPolicy(patience=2, min_relative_improvement=0.5)
+        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=5, anneal=policy)
         result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
         # with a 50% improvement bar and a microscopic step, evals plateau
         assert result.state.alpha < 1e-9
@@ -332,16 +350,19 @@ class TestTrainLoop:
 
     def test_anneal_divides_once_per_window_on_a_plateau(self):
         # 8 flat evaluations, patience 2: the first division needs 3 of them,
-        # and each later one a fresh window of 2 at the new rate
+        # and each later one a fresh window of 2 at the new rate; each row
+        # logs the rate after its own evaluation
         ds = self._dataset(seed=13)
         spec = NetSpec.mlp([6, 4, 2])
         model = Model(spec, init_fan_in(spec, 14))
-        policy = AnnealPolicy(eval_interval=5, patience=2, min_relative_improvement=0.5)
-        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=10, anneal=policy)
+        policy = AnnealPolicy(patience=2, min_relative_improvement=0.5)
+        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=5, anneal=policy)
         result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
-        # divisions after the evaluations at steps 15, 25 and 35
+        # divisions at the rows of steps 15, 25 and 35
+        assert [r.step for r in result.rows] == [5, 10, 15, 20, 25, 30, 35, 40]
         rates = [r.learning_rate for r in result.rows]
-        np.testing.assert_allclose(rates, [1e-9, 1e-10, 1e-11, 1e-12], rtol=1e-12)
+        np.testing.assert_allclose(
+            rates, [1e-9, 1e-9, 1e-10, 1e-10, 1e-11, 1e-11, 1e-12, 1e-12], rtol=1e-12)
         assert result.state.alpha == pytest.approx(1e-12, rel=1e-12)
 
     @pytest.mark.parametrize("key, value, rule", [
