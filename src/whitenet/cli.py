@@ -10,7 +10,6 @@ Commands:
                    streamed to disk a row of tiles at a time, and the dense
                    block is never held
   grid             Cartesian product over the config's "grid" axes
-  replay           merge metrics files into plot-ready LOCF tables
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +37,9 @@ from .errors import (
     ConsistencyError,
     FisherSizeError,
     IdxFormatError,
-    MetricsParseError,
     SingularMatrixError,
 )
-from .metrics import read_metrics, replay, write_metrics, write_table
+from .metrics import write_metrics, write_table
 from .optim import train as run_train
 
 
@@ -295,16 +292,6 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_replay(paths, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    runs = [(Path(p).parent.name or Path(p).stem, read_metrics(p)) for p in paths]
-    by_step, by_time = replay(runs)
-    write_table(out / "replay_by_step.csv", by_step[0], by_step[1])
-    write_table(out / "replay_by_wallclock.csv", by_time[0], by_time[1])
-    print(f"merged {len(runs)} runs -> {out}/replay_by_step.csv, replay_by_wallclock.csv")
-    return 0
-
-
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="whitenet",
@@ -314,27 +301,21 @@ def make_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file (merged over --preset)")
-            p.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
-            p.add_argument("--seed", type=int, help="override train.seed")
+    def common(p):
+        p.add_argument("--config", help="JSON config file (merged over --preset)")
+        p.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
+        p.add_argument("--seed", type=int, help="override train.seed")
         p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("train", help="run one training configuration"))
     common(sub.add_parser("diagnose-fisher", help="conditioning experiment"))
     common(sub.add_parser("grid", help="grid search over config['grid'] axes"))
-    rp = sub.add_parser("replay", help="merge metrics.csv files")
-    rp.add_argument("inputs", nargs="+", help="metrics.csv paths")
-    common(rp, config=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "replay":
-            return cmd_replay(args.inputs, Path(args.out))
         overrides = {}
         if args.seed is not None:
             overrides["train.seed"] = args.seed
@@ -352,9 +333,6 @@ def main(argv=None) -> int:
         return 2
     except IdxFormatError as exc:
         print(f"IDX format error: {exc}", file=sys.stderr)
-        return 2
-    except MetricsParseError as exc:
-        print(f"metrics error: {exc}", file=sys.stderr)
         return 2
     except SingularMatrixError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

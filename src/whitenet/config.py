@@ -14,12 +14,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .net import LOSS_KINDS, NONLINEARITIES
-from .optim import OPTIMIZERS, AnnealPolicy, TrainConfig
+from .optim import OPTIMIZERS, TrainConfig
 
 DATASET_KINDS = (
     "synthetic_gaussian",
@@ -64,11 +63,6 @@ SCHEMA = {
         "seed": (int, False, None),
         "max_updates": (int, False, None),
         "eval_interval": (int, False, None),
-        "anneal": {
-            "patience": (int, False, None),
-            "min_relative_improvement": (float, False, None),
-            "divisor": (float, False, None),
-        },
     },
     "long_running": (bool, False, None),
     "grid": (dict, False, None),
@@ -143,10 +137,7 @@ def validate_config(raw: dict) -> dict:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    section = dict(cfg["train"])
-    anneal = section.pop("anneal", None)
-    policy = AnnealPolicy(**anneal) if anneal is not None else None
-    return TrainConfig(anneal=policy, **section)
+    return TrainConfig(**cfg["train"])
 
 
 def config_hash(cfg: dict) -> str:

@@ -14,9 +14,9 @@ two-class head, built at the output and backpropagated once.
 An ``ExactBlock`` keeps the weighted deltas and the layer's signal, builds
 its dense ``matrix`` when first read, and ``save`` streams that matrix to
 disk without building it. A ``FactorizedBlock`` assumes delta and s
-independent and keeps only the two covariance factors; its Kronecker
-product uses the row-major vec convention, so
-F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Off-block-diagonal
+independent and keeps only the two covariance factors; the block they
+stand for, never built, is their Kronecker product in the row-major vec
+convention, F[km, ln] = delta_cov[k, l] * act_cov[m, n]. Off-block-diagonal
 (cross-layer) terms are never materialized. A conditioning report forwards
 its inputs once and backprops each Fisher row once, and every layer's
 factorized block reads its deltas from that one sweep.
@@ -43,13 +43,6 @@ class FactorizedBlock:
 
     delta_cov: np.ndarray  # E[delta delta^T], (N_i, N_i)
     act_cov: np.ndarray  # E[s s^T] uncentered, (N_{i-1}, N_{i-1})
-
-    @cached_property
-    def matrix(self) -> np.ndarray | None:
-        """The Kronecker product, built on first read; None above ``MAX_BLOCK``."""
-        if self.delta_cov.shape[0] * self.act_cov.shape[0] > MAX_BLOCK:
-            return None
-        return np.kron(self.delta_cov, self.act_cov)
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum (descending): the sorted outer product of the factor

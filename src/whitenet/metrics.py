@@ -1,5 +1,5 @@
-"""Training metrics: the per-interval log row, its CSV serialization, and
-replay aggregation across runs."""
+"""Training metrics: the per-interval log row, its CSV serialization and
+parsing, and the CSV tables the commands write beside it."""
 
 from __future__ import annotations
 
@@ -93,36 +93,6 @@ def _parse_metrics(reader):
         last_step = row.step
         rows.append(row)
     return rows
-
-
-def _locf_table(runs, key, value):
-    """Merge runs onto the union grid of ``key`` with last-observation-
-    carried-forward values of ``value``; header + rows, blanks before a
-    run's first observation."""
-    names = [name for name, _ in runs]
-    grids = sorted({getattr(r, key) for _, rows in runs for r in rows})
-    table = []
-    for g in grids:
-        rec = [g]
-        for _, rows in runs:
-            last = None
-            for r in rows:
-                if getattr(r, key) <= g:
-                    last = getattr(r, value)
-                else:
-                    break
-            rec.append(last)
-        table.append(rec)
-    return [key] + names, table
-
-
-def replay(named_runs):
-    """Plot-ready aggregates from (name, rows) pairs: a loss-vs-step table
-    and a loss-vs-wallclock table, both LOCF-aligned on the union grid."""
-    runs = list(named_runs)
-    by_step = _locf_table(runs, "step", "train_loss")
-    by_time = _locf_table(runs, "wallclock_seconds", "train_loss")
-    return by_step, by_time
 
 
 def write_table(path, header, rows):

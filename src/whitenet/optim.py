@@ -28,23 +28,6 @@ OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
 
 
 @dataclass
-class AnnealPolicy:
-    """Waterfall learning-rate schedule, read at every interval row:
-    divide when the recent best eval loss stops improving on the prior
-    best."""
-
-    patience: int = 4
-    min_relative_improvement: float = 0.01
-    divisor: float = 10.0
-
-    def __post_init__(self):
-        if self.divisor <= 1.0:
-            raise ConfigError(f"anneal divisor must exceed 1, got {self.divisor}")
-        if self.patience < 1:
-            raise ConfigError(f"anneal patience must be >= 1, got {self.patience}")
-
-
-@dataclass
 class TrainConfig:
     learning_rate: float
     momentum: float = 0.0
@@ -54,7 +37,6 @@ class TrainConfig:
     eigen_epsilon: float = 1e-2
     rmsprop_decay: float = 0.99
     rmsprop_damping: float = 0.01
-    anneal: AnnealPolicy | None = None
     seed: int = 0
     max_updates: int = 1000
     eval_interval: int = 100
@@ -84,17 +66,16 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Step count, learning rate and the optimizer's buffers. ``velocity``
-    and ``mean_square`` are flat vectors laid out as ``Model.params.vector``."""
+    """Step count and the optimizer's buffers. ``velocity`` and
+    ``mean_square`` are flat vectors laid out as ``Model.params.vector``."""
 
-    alpha: float
     velocity: np.ndarray
     step: int = 0
     mean_square: np.ndarray | None = None
 
     @classmethod
     def init(cls, vector, config: TrainConfig, *, rmsprop=False):
-        state = cls(alpha=config.learning_rate, velocity=np.zeros_like(vector))
+        state = cls(velocity=np.zeros_like(vector))
         if rmsprop:
             state.mean_square = np.zeros_like(vector)
         return state
@@ -104,7 +85,8 @@ class OptimizerState:
 
 
 def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
-    """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0).
+    """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0),
+    with alpha the config's ``learning_rate``.
 
     ``vector`` and ``grad`` are flat; the step is refused, with nothing
     changed, when ``grad`` holds a non-finite entry. The step consumes
@@ -116,7 +98,7 @@ def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
     if m != 0.0:
         state.velocity *= m
         state.velocity += grad
-    np.multiply(state.velocity if m != 0.0 else grad, state.alpha, out=grad)
+    np.multiply(state.velocity if m != 0.0 else grad, config.learning_rate, out=grad)
     vector -= grad
     state.step += 1
 
@@ -132,7 +114,7 @@ def rmsprop_step(vector, grad, state: OptimizerState, config: TrainConfig):
     s = state.mean_square
     s *= rho
     s += (1.0 - rho) * grad * grad
-    vector -= state.alpha * grad / (np.sqrt(s) + config.rmsprop_damping)
+    vector -= config.learning_rate * grad / (np.sqrt(s) + config.rmsprop_damping)
     state.step += 1
 
 
@@ -192,23 +174,6 @@ def prong_reparametrize(
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
 
-def waterfall_anneal(history, policy: AnnealPolicy, alpha: float) -> float:
-    """Divide alpha when the best metric over the last ``patience``
-    evaluations fails to improve on the best of all earlier evaluations by
-    at least ``min_relative_improvement`` (strict; at most one division per
-    call). ``history`` is ordered, most recent last, lower is better; it
-    needs an evaluation before the window."""
-    if len(history) <= policy.patience:
-        return alpha
-    window_best = min(history[-policy.patience :])
-    prior_best = min(history[: -policy.patience])
-    denom = max(abs(prior_best), np.finfo(float).tiny)
-    improvement = (prior_best - window_best) / denom
-    if improvement < policy.min_relative_improvement:
-        return alpha / policy.divisor
-    return alpha
-
-
 @dataclass
 class TrainResult:
     rows: list
@@ -239,9 +204,8 @@ def train(
     """Run ``config.max_updates`` updates of the requested optimizer.
 
     Emits one MetricsRow per ``eval_interval`` updates plus one row at every
-    reparametrization step (flagged). With ``config.anneal`` set, each
-    interval row's eval loss feeds the waterfall schedule before the row is
-    written, so the row logs the rate the next update uses.
+    reparametrization step (flagged); every update uses the one
+    ``learning_rate``, which each row logs.
     ``probe_inputs``, when given, is evaluated before and after every
     function-preserving event and the max-abs output changes are recorded.
     ``row_callback(model, step)`` may return a dict with extra row fields
@@ -296,7 +260,6 @@ def train(
     start = time.perf_counter()
     reparam_seconds = 0.0
     loss_sum, loss_count = 0.0, 0
-    anneal_history: list[float] = []
     eval_set = val_data if val_data is not None else train_data
 
     def emit(step, train_loss, reparam_event):
@@ -306,12 +269,6 @@ def train(
             rows[-1].reparam_event = True
             return
         eval_loss = _eval_loss(model, eval_set, loss_kind)
-        if config.anneal is not None and not reparam_event:
-            anneal_history.append(eval_loss)
-            alpha = waterfall_anneal(anneal_history, config.anneal, state.alpha)
-            if alpha != state.alpha:  # the next division waits a full window at the new rate
-                anneal_history[:] = [min(anneal_history)]
-                state.alpha = alpha
         extra = row_callback(model, step) if row_callback else {}
         rows.append(
             MetricsRow(
@@ -319,7 +276,7 @@ def train(
                 wallclock_seconds=time.perf_counter() - start,
                 train_loss=train_loss,
                 eval_loss=eval_loss,
-                learning_rate=state.alpha,
+                learning_rate=config.learning_rate,
                 cond_ratio=extra.get("cond_ratio") if extra else None,
                 reparam_event=reparam_event,
             )
@@ -363,7 +320,7 @@ def train(
             result.divergence = {
                 "step": state.step,
                 "train_loss": value,
-                "learning_rate": state.alpha,
+                "learning_rate": config.learning_rate,
                 "optimizer": optimizer,
                 "reason": str(exc),
             }

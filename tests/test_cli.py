@@ -10,14 +10,15 @@ from whitenet.checkpoint import load_checkpoint
 from whitenet.cli import main
 from whitenet.config import (
     PRESETS,
+    build_train_config,
     config_hash,
     deep_merge,
     resolve_config,
     validate_config,
 )
 from whitenet.errors import ConfigError
-from whitenet.metrics import read_metrics
-from whitenet.optim import prong_reparametrize
+from whitenet.metrics import read_metrics, write_metrics
+from whitenet.optim import TrainConfig, prong_reparametrize
 
 
 def small_train_config(tmp_path, **train_overrides):
@@ -106,6 +107,15 @@ class TestSchema:
         assert config_hash(a) == config_hash(b)
         assert len(config_hash(a)) == 40
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_train_config_is_the_train_section(self, name):
+        # every key of train is a TrainConfig field; no preset sets a schedule
+        cfg = validate_config(PRESETS[name])
+        assert "anneal" not in cfg["train"]
+        built = build_train_config(cfg)
+        assert built == TrainConfig(**cfg["train"])
+        assert built.learning_rate == PRESETS[name]["train"]["learning_rate"]
+
     def test_resolve_merges_preset_and_overrides(self, tmp_path):
         override = {"train": {"max_updates": 7}}
         path = tmp_path / "o.json"
@@ -165,17 +175,16 @@ class TestTrainCommand:
         _, meta = load_checkpoint(out / "checkpoint.bin")
         assert meta["step"] == manifest["divergence"]["step"] < cfg["train"]["max_updates"]
 
-    def test_empty_anneal_section_anneals_with_the_defaults(self, tmp_path):
-        # a step too small to move the eval loss: after the first window of
-        # patience 4 the rate is divided by 10 at every fourth row
-        cfg, cfg_path = small_train_config(tmp_path, learning_rate=1e-9, momentum=0.0,
-                                           eval_interval=10, anneal={})
-        cfg["optimizer"] = "sgd"
+    @pytest.mark.parametrize("optimizer", ["prong", "momentum"])
+    def test_every_row_logs_the_configured_learning_rate(self, tmp_path, optimizer):
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg["optimizer"] = optimizer
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-        rates = [r.learning_rate for r in read_metrics(out / "metrics.csv")]
-        np.testing.assert_allclose(rates, [1e-9] * 4 + [1e-10] * 4 + [1e-11] * 2, rtol=1e-12)
+        rows = read_metrics(out / "metrics.csv")
+        assert rows[-1].step == cfg["train"]["max_updates"]
+        assert [r.learning_rate for r in rows] == [cfg["train"]["learning_rate"]] * len(rows)
 
     def test_cond_preset_prong_ends_below_chance(self, tmp_path):
         # the preset's whitened run must learn, not saturate: its final
@@ -221,25 +230,6 @@ class TestGridCommand:
         by_eps = {float(line.split(",")[eps_i]): float(line.split(",")[loss_i])
                   for line in summary[1:]}
         assert by_eps[1e-2] <= by_eps[1.0] + 1e-12
-
-
-class TestReplayCommand:
-    def test_merge_two_runs(self, tmp_path):
-        _, cfg_path = small_train_config(tmp_path)
-        for tag in ("a", "b"):
-            main(["train", "--config", str(cfg_path), "--out", str(tmp_path / tag)])
-        out = tmp_path / "replay"
-        code = main([
-            "replay",
-            str(tmp_path / "a" / "metrics.csv"),
-            str(tmp_path / "b" / "metrics.csv"),
-            "--out", str(out),
-        ])
-        assert code == 0
-        lines = (out / "replay_by_step.csv").read_text().splitlines()
-        assert lines[0] == "step,a,b"
-        assert len(lines) > 1
-        assert (out / "replay_by_wallclock.csv").exists()
 
 
 class TestDiagnoseFisher:
@@ -527,12 +517,15 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("change, key", [
         ({"train": {"reset_momentum_on_reparam": False}}, "train.reset_momentum_on_reparam"),
-        ({"train": {"anneal": {"eval_interval": 100}}}, "train.anneal.eval_interval"),
+        ({"train": {"anneal": {}}}, "train.anneal"),
+        ({"train": {"anneal": {"eval_interval": 100}}}, "train.anneal"),
+        ({"train": {"anneal": {"patience": 4, "min_relative_improvement": 0.01,
+                               "divisor": 10.0}}}, "train.anneal"),
     ])
     def test_removed_train_keys_refused_by_key(self, tmp_path, capsys, monkeypatch,
                                                change, key):
-        # the velocity resets at every reparametrization, and the anneal
-        # reads the interval rows: neither has a setting any more
+        # the velocity resets at every reparametrization, and every update
+        # uses the one learning_rate: neither has a schedule any more
         monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
         cfg, cfg_path = small_train_config(tmp_path)
         cfg_path.write_text(json.dumps(deep_merge(cfg, change)))
@@ -566,18 +559,24 @@ class TestTypedErrors:
         assert "train.learning_rate" in err and "train.eigen_epsilon" not in err
         assert not (tmp_path / "grid").exists()
 
-    def test_missing_metrics_csv_in_replay(self, tmp_path, capsys):
-        missing = tmp_path / "nowhere" / "metrics.csv"
-        code = main(["replay", str(missing), "--out", str(tmp_path / "replay")])
-        assert code == 2
-        assert str(missing) in self.one_line(capsys, "metrics error: cannot read ")
+    def test_replay_command_is_gone(self, tmp_path, capsys):
+        # argparse refuses the command name before any file is read
+        metrics = tmp_path / "run" / "metrics.csv"
+        metrics.parent.mkdir()
+        write_metrics(metrics, [])
+        out = tmp_path / "replay"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(metrics), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'replay'" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_bad_metrics_csv_in_replay(self, tmp_path, capsys):
-        bad = tmp_path / "metrics.csv"
-        bad.write_text("step,loss\n1,2\n")
-        code = main(["replay", str(bad), "--out", str(tmp_path / "replay")])
-        assert code == 2
-        assert "line 1" in self.one_line(capsys, "metrics error: ")
+    def test_help_lists_no_replay(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "train" in out and "replay" not in out
 
 
 def test_idx_autoencoder_targets_are_the_inputs(tmp_path):

@@ -108,12 +108,13 @@ class TestFactorizedBlock:
         model = canonical_model([3, 2, 1], seed=8)
         x = np.random.default_rng(9).standard_normal((8, 3))
         block = factorized_fisher_block(model, x, 1)
+        f = np.kron(block.delta_cov, block.act_cov)
         n_in = 2
         for k in range(1):
             for m in range(n_in):
                 for l in range(1):
                     for n_ in range(n_in):
-                        assert block.matrix[k * n_in + m, l * n_in + n_] == pytest.approx(
+                        assert f[k * n_in + m, l * n_in + n_] == pytest.approx(
                             block.delta_cov[k, l] * block.act_cov[m, n_]
                         )
 
@@ -123,7 +124,7 @@ class TestFactorizedBlock:
         block = factorized_fisher_block(model, x, 1)
         from whitenet.linalg import sym_eig
 
-        direct = sym_eig(block.matrix)[0]
+        direct = sym_eig(np.kron(block.delta_cov, block.act_cov))[0]
         np.testing.assert_allclose(block.eigenvalues(), direct, atol=1e-10)
 
     def test_rank_one_data_factorized_equals_exact(self):
@@ -135,14 +136,15 @@ class TestFactorizedBlock:
         x = np.array([[1.0, 2.0, -0.5]])
         exact = exact_fisher_block(model, x, 0).matrix
         fact = factorized_fisher_block(model, x, 0)
-        np.testing.assert_allclose(fact.matrix, exact, atol=1e-12)
+        np.testing.assert_allclose(np.kron(fact.delta_cov, fact.act_cov), exact, atol=1e-12)
 
     def test_general_factorized_differs_from_exact(self):
         model = canonical_model([6, 5, 1], seed=12)
         x = np.random.default_rng(13).standard_normal((64, 6))
         exact = exact_fisher_block(model, x, 1).matrix
         fact = factorized_fisher_block(model, x, 1)
-        gap = np.linalg.norm(fact.matrix - exact) / np.linalg.norm(exact)
+        kron = np.kron(fact.delta_cov, fact.act_cov)
+        gap = np.linalg.norm(kron - exact) / np.linalg.norm(exact)
         assert gap > 0.0  # the independence assumption is an approximation
 
     def test_whitened_act_factor_is_identity_after_reparam(self):
@@ -155,7 +157,7 @@ class TestFactorizedBlock:
         block = factorized_fisher_block(model, stats, 1)
         assert np.abs(block.act_cov - np.eye(4)).max() < 1e-6
         expected = np.kron(block.delta_cov, np.eye(4))
-        assert np.abs(block.matrix - expected).max() < 1e-6 * max(
+        assert np.abs(np.kron(block.delta_cov, block.act_cov) - expected).max() < 1e-6 * max(
             np.abs(block.delta_cov).max(), 1e-12
         )
 
@@ -291,17 +293,11 @@ class TestSharedSweep:
         with pytest.raises(ConsistencyError, match="batch-norm"):
             factorized_fisher_block(model, x, 1)
 
-    def test_factorized_matrix_is_kron_of_factors(self):
-        model = canonical_model([6, 5, 1], seed=47)
-        block = factorized_fisher_block(model, self.X, 0)
-        assert np.array_equal(block.matrix, np.kron(block.delta_cov, block.act_cov))
-        assert block.matrix is block.matrix  # built once, on first read
-
-    def test_factorized_matrix_absent_above_cap(self):
+    def test_factorized_eigenvalues_above_cap(self):
+        # the spectrum comes from the factors: no cap applies
         model = canonical_model([60, 40, 1], seed=48)
         x = np.random.default_rng(49).standard_normal((16, 60))
         block = factorized_fisher_block(model, x, 0)  # 40*60 > MAX_BLOCK
-        assert block.matrix is None
         assert block.eigenvalues().shape == (2400,)
 
 
@@ -381,7 +377,8 @@ class TestFisherRows:
             reference = enumerated_factor(model, sweep, layer)
             assert np.array_equal(block.delta_cov, block.delta_cov.T)
             assert np.abs(block.delta_cov - reference).max() <= 1e-12 * np.abs(reference).max()
-            assert np.array_equal(block.matrix, block.matrix.T)
+            kron = np.kron(block.delta_cov, block.act_cov)
+            assert np.array_equal(kron, kron.T)
 
     @pytest.mark.parametrize("classes", [3, 4])
     def test_multiclass_blocks_are_enumerated_bit_for_bit(self, classes):

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from whitenet.errors import MetricsParseError
-from whitenet.metrics import MetricsRow, read_metrics, replay, write_metrics
+from whitenet.metrics import MetricsRow, read_metrics, write_metrics
 
 
 def rows_fixture():
@@ -41,6 +40,13 @@ class TestParseErrors:
             read_metrics(path)
         assert exc.value.line == 1
 
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("step,loss\n1,2\n")
+        with pytest.raises(MetricsParseError, match="unexpected header") as exc:
+            read_metrics(path)
+        assert exc.value.line == 1
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_metrics(path, rows_fixture())
@@ -68,34 +74,3 @@ class TestParseErrors:
         with pytest.raises(MetricsParseError, match="metrics.csv") as exc:
             read_metrics(path)
         assert exc.value.line is None
-
-
-class TestReplay:
-    def test_single_run_unchanged(self):
-        rows = rows_fixture()
-        (header, table), _ = replay([("a", rows)])
-        assert header == ["step", "a"]
-        assert [r[0] for r in table] == [0, 50, 100]
-        assert [r[1] for r in table] == [2.0, 1.0, 0.5]
-
-    def test_two_runs_locf_hand_checked(self):
-        # hand-checked 3-row fixture: run b is observed at steps 0 and 75;
-        # at step 50 its last observation (step 0) carries forward, and at
-        # step 100 the step-75 value carries forward
-        a = [MetricsRow(0, 0.0, 2.0, 2.0, 0.1), MetricsRow(50, 1.0, 1.5, 1.5, 0.1),
-             MetricsRow(100, 2.0, 1.0, 1.0, 0.1)]
-        b = [MetricsRow(0, 0.0, 3.0, 3.0, 0.1), MetricsRow(75, 1.2, 2.5, 2.5, 0.1)]
-        (header, table), _ = replay([("a", a), ("b", b)])
-        assert header == ["step", "a", "b"]
-        assert table == [
-            [0, 2.0, 3.0],
-            [50, 1.5, 3.0],
-            [75, 1.5, 2.5],
-            [100, 1.0, 2.5],
-        ]
-
-    def test_blank_before_first_observation(self):
-        a = [MetricsRow(10, 0.0, 2.0, 2.0, 0.1)]
-        b = [MetricsRow(0, 0.0, 3.0, 3.0, 0.1)]
-        (_, table), _ = replay([("a", a), ("b", b)])
-        assert table[0] == [0, None, 3.0]

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from whitenet import net, optim
-from whitenet.data import Dataset, synthetic_gaussian, synthetic_images
+from whitenet.data import Dataset, synthetic_gaussian
 from whitenet.errors import ConfigError, NumericError, SingularMatrixError
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
 from whitenet.optim import (
-    AnnealPolicy,
     OptimizerState,
     TrainConfig,
     prong_reparametrize,
     rmsprop_step,
     sgd_step,
     train,
-    waterfall_anneal,
 )
 
 from backward_reference import list_backward, vjp_inputs
@@ -62,6 +60,21 @@ class TestSgdStep:
         sgd_step(p, np.array([1.0]), st, cfg)  # v=1.5, p=-2.5
         np.testing.assert_allclose(p, [-2.5])
 
+    def test_step_scales_with_the_config_learning_rate(self):
+        # the step reads config.learning_rate at every call: no rate is kept
+        # in the state
+        g = np.array([1.0, -2.0])
+        moves = []
+        for rate in (0.1, 0.4):
+            cfg = make_config(learning_rate=rate, momentum=0.5)
+            p = np.zeros(2)
+            st = fresh_state(p, cfg)
+            sgd_step(p, g.copy(), st, cfg)
+            sgd_step(p, g.copy(), st, cfg)
+            moves.append(p)
+        np.testing.assert_allclose(moves[1], 4.0 * moves[0], rtol=1e-15)
+        np.testing.assert_allclose(moves[0], -0.1 * 2.5 * g, rtol=1e-15)
+
     def test_nonfinite_gradient_refused(self):
         cfg = make_config()
         p = np.array([1.0])
@@ -90,6 +103,18 @@ class TestRmspropStep:
         step = before - p
         np.testing.assert_allclose(step, 0.01 / (1.0 + 0.1), rtol=1e-3)
 
+    def test_step_scales_with_the_config_learning_rate(self):
+        g = np.array([0.3, -1.0, 2.0])
+        moves = []
+        for rate in (0.01, 0.03):
+            cfg = make_config(learning_rate=rate)
+            p = np.zeros(3)
+            st = fresh_state(p, cfg, rmsprop=True)
+            for _ in range(3):
+                rmsprop_step(p, g.copy(), st, cfg)
+            moves.append(p)
+        np.testing.assert_allclose(moves[1], 3.0 * moves[0], rtol=1e-14)
+
     def test_scale_invariance_once_warm(self):
         def first_direction(scale):
             cfg = make_config(learning_rate=0.01, rmsprop_decay=0.99, rmsprop_damping=1e-8)
@@ -107,44 +132,6 @@ class TestRmspropStep:
         d1 = first_direction(1.0)
         d10 = first_direction(10.0)
         assert np.abs(d1 - d10).max() < 0.01
-
-
-class TestWaterfallAnneal:
-    POLICY = AnnealPolicy(patience=4, min_relative_improvement=0.01)
-
-    def test_strictly_improving_unchanged(self):
-        history = [1.0, 0.8, 0.6, 0.4, 0.2]
-        assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
-
-    def test_flat_history_divides_once(self):
-        history = [1.0] * 5  # the window and one evaluation before it
-        assert waterfall_anneal(history, self.POLICY, 0.1) == pytest.approx(0.01)
-        assert waterfall_anneal(history[1:], self.POLICY, 0.1) == 0.1
-
-    def test_window_improving_on_earlier_evaluations_unchanged(self):
-        # the window's best, 0.5, is 50% below the one evaluation before it
-        history = [1.0, 0.5, 0.6, 0.7, 0.8]
-        assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
-
-    def test_short_history_untouched(self):
-        assert waterfall_anneal([1.0, 1.0], self.POLICY, 0.1) == 0.1
-
-    def test_boundary_improvement_no_division(self):
-        # improvement of exactly 1% does not trigger (strict inequality)
-        history = [1.0, 1.0, 1.0, 1.0, 0.99]
-        assert waterfall_anneal(history, self.POLICY, 0.1) == 0.1
-        history = [1.0, 1.0, 1.0, 1.0, 0.99 + 1e-9]
-        assert waterfall_anneal(history, self.POLICY, 0.1) == pytest.approx(0.01)
-
-    def test_never_increases(self):
-        rng = np.random.default_rng(3)
-        alpha = 1.0
-        history = []
-        for _ in range(50):
-            history.append(float(rng.uniform(0.5, 1.5)))
-            new_alpha = waterfall_anneal(history, self.POLICY, alpha)
-            assert new_alpha <= alpha
-            alpha = new_alpha
 
 
 def whitened_model(sizes, seed, hidden="tanh", head="sigmoid"):
@@ -337,34 +324,6 @@ class TestTrainLoop:
         assert np.array_equal(model.params.vector, before)
         assert result.rows == []
 
-    def test_anneal_reduces_rate_on_plateau(self):
-        ds = self._dataset(seed=13)
-        spec = NetSpec.mlp([6, 4, 2])
-        model = Model(spec, init_fan_in(spec, 14))
-        policy = AnnealPolicy(patience=2, min_relative_improvement=0.5)
-        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=5, anneal=policy)
-        result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
-        # with a 50% improvement bar and a microscopic step, evals plateau
-        assert result.state.alpha < 1e-9
-        assert all(r.learning_rate <= 1e-9 for r in result.rows)
-
-    def test_anneal_divides_once_per_window_on_a_plateau(self):
-        # 8 flat evaluations, patience 2: the first division needs 3 of them,
-        # and each later one a fresh window of 2 at the new rate; each row
-        # logs the rate after its own evaluation
-        ds = self._dataset(seed=13)
-        spec = NetSpec.mlp([6, 4, 2])
-        model = Model(spec, init_fan_in(spec, 14))
-        policy = AnnealPolicy(patience=2, min_relative_improvement=0.5)
-        cfg = make_config(learning_rate=1e-9, max_updates=40, eval_interval=5, anneal=policy)
-        result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
-        # divisions at the rows of steps 15, 25 and 35
-        assert [r.step for r in result.rows] == [5, 10, 15, 20, 25, 30, 35, 40]
-        rates = [r.learning_rate for r in result.rows]
-        np.testing.assert_allclose(
-            rates, [1e-9, 1e-9, 1e-10, 1e-10, 1e-11, 1e-11, 1e-12, 1e-12], rtol=1e-12)
-        assert result.state.alpha == pytest.approx(1e-12, rel=1e-12)
-
     @pytest.mark.parametrize("key, value, rule", [
         ("batch_size", 0, ">= 1"), ("max_updates", -1, ">= 0"), ("eval_interval", 0, ">= 1"),
     ])
@@ -379,6 +338,26 @@ class TestTrainLoop:
         cfg = make_config(learning_rate=0.1, max_updates=60, eval_interval=20)
         result = train(model, ds, cfg, optimizer="bn", loss_kind="binary_cross_entropy")
         assert result.rows[-1].eval_loss < result.rows[0].eval_loss
+
+    @pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
+    def test_plateau_keeps_the_one_learning_rate(self, optimizer):
+        # eight evaluations at a rate too small to make progress: every row
+        # still logs the configured rate, and no schedule lowers it
+        ds = self._dataset(seed=13)
+        spec = NetSpec.mlp([6, 4, 2])
+        if optimizer == "prong":
+            model = whitened_model([6, 4, 2], seed=14)
+        elif optimizer == "bn":
+            model = Model.batch_norm(spec, init_fan_in(spec, 14))
+        else:
+            model = Model(spec, init_fan_in(spec, 14))
+        momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
+        cfg = make_config(learning_rate=1e-9, momentum=momentum, max_updates=40,
+                          eval_interval=5, reparam_period=20, stat_samples=64)
+        result = train(model, ds, cfg, optimizer=optimizer, loss_kind="binary_cross_entropy")
+        assert result.divergence is None and result.state.step == 40
+        assert [r.step for r in result.rows if r.step > 0] == [5, 10, 15, 20, 25, 30, 35, 40]
+        assert all(r.learning_rate == 1e-9 for r in result.rows)
 
     def test_sgd_rejects_nonzero_momentum(self):
         ds = self._dataset()
