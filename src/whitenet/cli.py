@@ -20,8 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, data as data_mod, fisher, net
 from .checkpoint import save_checkpoint
 from .config import (
@@ -44,52 +42,45 @@ from .optim import train as run_train
 
 
 def build_dataset(cfg: dict):
-    """Materialize (train, val, name) from the dataset section. MNIST kinds
-    fall back to the seeded synthetic generators when the IDX files are not
-    configured and ``fallback_synthetic`` is set."""
+    """Materialize (train, val, name) from the dataset section.
+
+    An MNIST kind reads its ``images`` and ``labels`` IDX files; a path
+    that cannot be read is an IdxFormatError, never a fallback. With
+    neither path and ``fallback_synthetic`` set it runs as the synthetic
+    kind of its task: ``synthetic_images``, or ``synthetic_classification``
+    at ``dim = side ** 2``. One path without the other is a ConfigError
+    naming the missing key."""
     d = cfg["dataset"]
     kind = d["kind"]
     autoencode = d.get("autoencode", False)
     seed = d.get("seed", 0)
     n = d.get("n", 4096)
+    dim = d.get("dim", 16)
 
     if kind in ("mnist", "mnist10x10"):
         images, labels = d.get("images"), d.get("labels")
-        if images and labels and Path(images).exists() and Path(labels).exists():
-            ds = data_mod.load_idx(images, labels, side=10 if kind == "mnist10x10" else 28)
-            if not autoencode and d.get("n_classes", 10) == 2:
-                # binary heads: digits 5-9 vs 0-4; load_idx's inputs and
-                # these 0/1 targets need none of Dataset's checks
-                digit = ds.targets.argmax(axis=1)
-                ds = data_mod.Dataset._unchecked(
-                    ds.inputs, (digit >= 5).astype(float)[:, None], ds.name + "-binary"
-                )
-        elif d.get("fallback_synthetic", False):
-            side = d.get("side", 10)
-            if autoencode:
-                ds = data_mod.synthetic_images(n, side, seed)
-            else:
-                ds = data_mod.synthetic_classification(
-                    n,
-                    side * side,
-                    seed,
-                    spectrum_decay=d.get("spectrum_decay", 1.0),
-                    n_classes=d.get("n_classes", 2),
-                )
-        else:
-            raise ConfigError(
-                f"dataset kind {kind!r} needs 'images'/'labels' paths "
-                "(or fallback_synthetic: true)"
+        missing = [f"dataset.{key}" for key in ("images", "labels") if not d.get(key)]
+        if len(missing) == 2 and d.get("fallback_synthetic", False):
+            kind = "synthetic_images" if autoencode else "synthetic_classification"
+            dim = d.get("side", 10) ** 2
+        elif missing:
+            raise ConfigError(f"dataset kind {kind!r} needs both IDX paths "
+                              "(or neither, with fallback_synthetic: true)", missing)
+    if kind in ("mnist", "mnist10x10"):
+        ds = data_mod.load_idx(images, labels, side=10 if kind == "mnist10x10" else 28)
+        if not autoencode and d.get("n_classes", 10) == 2:
+            # binary heads: digits 5-9 vs 0-4; load_idx's inputs and
+            # these 0/1 targets need none of Dataset's checks
+            digit = ds.targets.argmax(axis=1)
+            ds = data_mod.Dataset._unchecked(
+                ds.inputs, (digit >= 5).astype(float)[:, None], ds.name + "-binary"
             )
     elif kind == "synthetic_images":
         ds = data_mod.synthetic_images(n, d.get("side", 10), seed)
-    elif kind == "synthetic_gaussian":
-        dim = d.get("dim", 16)
-        ds = data_mod.synthetic_gaussian(n, dim, 0.0, np.eye(dim), seed)
     else:  # synthetic_classification
         ds = data_mod.synthetic_classification(
             n,
-            d.get("dim", 16),
+            dim,
             seed,
             spectrum_decay=d.get("spectrum_decay", 1.0),
             n_classes=d.get("n_classes", 2),
@@ -202,8 +193,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
         fisher.exact_block_size(baseline_model, middle)
     except (ConsistencyError, FisherSizeError) as exc:
         raise ConfigError(f"diagnose-fisher cannot use this model: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)  # every run varies only the optimizer
+    out.mkdir(parents=True, exist_ok=True)
     train_ds = dataset[0]
     probe = train_ds.inputs[: min(512, train_ds.n)]
     baselines = {r.layer: r.cond for r in fisher.conditioning_report(baseline_model, probe)}
@@ -257,9 +248,7 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     bad = [k for k in keys if not isinstance(axes[k], list) or not axes[k]]
     if bad:  # refused before any cell runs
         raise ConfigError("grid axes must be non-empty lists of values", bad)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    best = None
     for i, values in enumerate(itertools.product(*(axes[k] for k in keys))):
         cell_cfg = {k: v for k, v in cfg.items() if k != "grid"}
         cell_cfg = json.loads(json.dumps(cell_cfg))  # deep copy
@@ -280,15 +269,8 @@ def cmd_grid(cfg: dict, out: Path) -> int:
             "out_dir": str(cell_out),
         }
         rows.append(record)
-        if not record["diverged"] and (best is None or record["best_train_loss"] < best["best_train_loss"]):
-            best = record
     header = list(rows[0].keys())
     write_table(out / "summary.csv", header, [[r[k] for k in header] for r in rows])
-    (out / "best.json").write_text(json.dumps(best, indent=2))
-    if best is not None:
-        axis_desc = ", ".join(f"{k}={best[k]}" for k in keys)
-        print(f"best cell {best['cell']}: {axis_desc} "
-              f"(best train loss {best['best_train_loss']:.6g})")
     return 0
 
 

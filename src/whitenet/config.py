@@ -2,7 +2,9 @@
 below before any compute. Unknown keys are rejected by name.
 
 SCHEMA maps each section to {key: (type, required, allowed-or-None)}.
-Nested sections are dicts of the same shape. The same document drives
+Nested sections are dicts of the same shape. The ``train`` section is read
+off ``TrainConfig``: one key per field, typed by its annotation and required
+only when the field has no default. The same document drives
 ``train``, ``diagnose-fisher`` and ``grid``; the optional top-level
 ``grid`` section maps dotted config paths to value lists. Values the schema's
 types admit but no run can use (an empty layer, a softmax hidden layer, a
@@ -12,8 +14,10 @@ dataset of no rows) are refused by ``_value_errors``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 from .errors import ConfigError
@@ -21,7 +25,6 @@ from .net import LOSS_KINDS, NONLINEARITIES
 from .optim import OPTIMIZERS, TrainConfig
 
 DATASET_KINDS = (
-    "synthetic_gaussian",
     "synthetic_images",
     "synthetic_classification",
     "mnist",
@@ -52,17 +55,8 @@ SCHEMA = {
     },
     "optimizer": (str, True, OPTIMIZERS),
     "train": {
-        "learning_rate": (float, True, None),
-        "momentum": (float, False, None),
-        "batch_size": (int, False, None),
-        "reparam_period": (int, False, None),
-        "stat_samples": (int, False, None),
-        "eigen_epsilon": (float, False, None),
-        "rmsprop_decay": (float, False, None),
-        "rmsprop_damping": (float, False, None),
-        "seed": (int, False, None),
-        "max_updates": (int, False, None),
-        "eval_interval": (int, False, None),
+        f.name: (typing.get_type_hints(TrainConfig)[f.name], f.default is dataclasses.MISSING, None)
+        for f in dataclasses.fields(TrainConfig)
     },
     "long_running": (bool, False, None),
     "grid": (dict, False, None),

@@ -25,14 +25,14 @@ DOWNSAMPLE_BLOCK = 128  # rows per float64 conversion in load_idx, at either sid
 
 @dataclass
 class Dataset:
-    """Rows of inputs and targets. An autoencoder's targets are its inputs
-    array itself (``targets is inputs``): one array, never a copy. Nothing
-    writes into a dataset's arrays."""
+    """Named rows of inputs and targets. An autoencoder's targets are its
+    inputs array itself (``targets is inputs``): one array, never a copy.
+    Nothing writes into a dataset's arrays, and its row subsets (``take``)
+    keep its name."""
 
     inputs: np.ndarray  # (n, features)
     targets: np.ndarray  # (n, target_dim); the inputs array for autoencoding
     name: str = ""
-    split: str = ""
 
     def __post_init__(self):
         shared = self.targets is self.inputs
@@ -54,25 +54,32 @@ class Dataset:
         return self.inputs.shape[0]
 
     @classmethod
-    def _unchecked(cls, inputs, targets, name, split=""):
+    def _unchecked(cls, inputs, targets, name):
         """A dataset of float64 arrays already known to be 2-D, row-matched
         and finite, built without the checks of ``__post_init__``."""
         ds = object.__new__(cls)
-        ds.inputs, ds.targets, ds.name, ds.split = inputs, targets, name, split
+        ds.inputs, ds.targets, ds.name = inputs, targets, name
         return ds
 
-    def take(self, indices, split=None):
+    def take(self, indices):
         """The rows ``indices`` (a 1-D index array, slice or mask) as a new
         dataset, with shared targets kept shared. A row subset of a
         validated dataset is 2-D and finite, so it skips the checks of
         ``__post_init__``."""
         inputs = self.inputs[indices]
         targets = inputs if self.targets is self.inputs else self.targets[indices]
-        return self._unchecked(inputs, targets, self.name, self.split if split is None else split)
+        return self._unchecked(inputs, targets, self.name)
 
 
 def _read_file(path):
-    with open(path, "rb") as fh:
+    """The bytes of an IDX file, gunzipped when they are gzip. A path that
+    cannot be opened is an IdxFormatError at offset 0, as a corrupt gzip
+    stream is."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IdxFormatError(f"cannot read {path}: {exc.strerror}", 0) from None
+    with fh:
         head = fh.read(2)
         fh.seek(0)
         if head == b"\x1f\x8b":
@@ -170,21 +177,15 @@ def downsample(images) -> np.ndarray:
 def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
     """Seeded draws from N(mean, covariance); the targets are the inputs.
 
-    ``covariance`` may be a full PSD matrix, a per-dimension variance
-    vector, or a scalar variance. Rows are mean + S z for the principal
-    square root S = E diag(sqrt(lam)) E^T of the covariance. S is unique, so
-    the draws depend only on (covariance, seed), not on the eigenvector signs
-    or the order of tied eigenvalues a LAPACK build returns; and the first
-    rows of draws with the same seed agree regardless of n.
+    ``covariance`` is a full dim x dim PSD matrix; ``mean`` broadcasts to
+    dim. Rows are mean + S z for the principal square root S = E
+    diag(sqrt(lam)) E^T of the covariance. S is unique, so the draws depend
+    only on (covariance, seed), not on the eigenvector signs or the order of
+    tied eigenvalues a LAPACK build returns; and the first rows of draws
+    with the same seed agree regardless of n.
     """
     mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,))
     cov = np.asarray(covariance, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = np.eye(dim) * float(cov)
-    elif cov.ndim == 1:
-        if cov.shape[0] != dim:
-            raise DimensionError("variance vector length must equal dim")
-        cov = np.diag(cov)
     if cov.shape != (dim, dim):
         raise DimensionError(f"covariance must be {dim}x{dim}, got {cov.shape}")
     lam, e = linalg.sym_eig(cov)
@@ -290,8 +291,5 @@ def split_train_val(dataset: Dataset, val_size: int, seed: int):
         raise ValueError(f"val_size {val_size} out of range for {dataset.n} rows")
     perm = np.random.default_rng(seed).permutation(dataset.n)
     if val_size == 0:
-        return dataset.take(perm, split="train"), None
-    return (
-        dataset.take(perm[:-val_size], split="train"),
-        dataset.take(perm[-val_size:], split="val"),
-    )
+        return dataset.take(perm), None
+    return dataset.take(perm[:-val_size]), dataset.take(perm[-val_size:])

@@ -74,7 +74,7 @@ class OptimizerState:
     mean_square: np.ndarray | None = None
 
     @classmethod
-    def init(cls, vector, config: TrainConfig, *, rmsprop=False):
+    def init(cls, vector, *, rmsprop=False):
         state = cls(velocity=np.zeros_like(vector))
         if rmsprop:
             state.mean_square = np.zeros_like(vector)
@@ -249,7 +249,7 @@ def train(
         raise ConfigError(
             f"optimizer 'prong' needs at least 2 training rows, got n={train_data.n}")
 
-    state = OptimizerState.init(model.params.vector, config, rmsprop=optimizer == "rmsprop")
+    state = OptimizerState.init(model.params.vector, rmsprop=optimizer == "rmsprop")
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step
     gradient = model.layout()  # every backward writes here; the step consumes it
     plan = BatchPlan(seed=config.seed, batch_size=config.batch_size)

@@ -92,7 +92,7 @@ class TestAcceptance:
         grads = model.backward(trace, grad)
         cfg = TrainConfig(learning_rate=alpha, momentum=0.0, seed=0, max_updates=1,
                           stat_samples=48)
-        state = OptimizerState.init(model.params.vector, cfg)
+        state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
         theta1 = project_to_canonical(model.params, model.phi)
 

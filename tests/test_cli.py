@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from whitenet.checkpoint import load_checkpoint
 from whitenet.cli import main
 from whitenet.config import (
     PRESETS,
+    SCHEMA,
     build_train_config,
     config_hash,
     deep_merge,
@@ -116,6 +119,17 @@ class TestSchema:
         assert built == TrainConfig(**cfg["train"])
         assert built.learning_rate == PRESETS[name]["train"]["learning_rate"]
 
+    def test_train_schema_is_read_off_train_config(self):
+        # one key per field, typed by its annotation, required without a default
+        fields = dataclasses.fields(TrainConfig)
+        hints = typing.get_type_hints(TrainConfig)
+        assert list(SCHEMA["train"]) == [f.name for f in fields]
+        for f in fields:
+            typ, required, allowed = SCHEMA["train"][f.name]
+            assert typ is hints[f.name] and typ in (int, float) and allowed is None
+            assert required == (f.default is dataclasses.MISSING)
+            assert required or type(f.default) is typ
+
     def test_resolve_merges_preset_and_overrides(self, tmp_path):
         override = {"train": {"max_updates": 7}}
         path = tmp_path / "o.json"
@@ -210,8 +224,6 @@ class TestGridCommand:
         grid_rows = read_metrics(out_grid / "cell_0" / "metrics.csv")
         single_rows = read_metrics(out_train / "metrics.csv")
         assert [r.train_loss for r in grid_rows] == [r.train_loss for r in single_rows]
-        best = json.loads((out_grid / "best.json").read_text())
-        assert best["cell"] == 0
 
     def test_epsilon_grid_exposed_and_ordered(self, tmp_path):
         """The trust-region grid: at a small step size, a small damping term
@@ -472,6 +484,42 @@ class TestTypedErrors:
         assert code == 2
         assert "byte offset" in self.one_line(capsys, "IDX format error: ")
 
+    @pytest.mark.parametrize("command, preset", [
+        ("train", "ae-mnist-desk"),
+        ("train", "ae-mnist-paper"),
+        ("diagnose-fisher", "cond-mlp-desk"),
+        ("grid", "ae-mnist-desk"),
+    ])
+    def test_missing_idx_file_refused_without_fallback(self, tmp_path, capsys, command, preset):
+        # a configured path is read or the run stops: fallback_synthetic
+        # applies only when neither path is configured
+        images = tmp_path / "absent-images.idx"
+        overlay = {"dataset": {"images": str(images), "labels": str(tmp_path / "absent-labels.idx")}}
+        if command == "grid":
+            overlay["grid"] = {"train.learning_rate": [0.01]}
+        cfg_path = tmp_path / "idx.json"
+        cfg_path.write_text(json.dumps(overlay))
+        out = tmp_path / "run"
+        code = main([command, "--preset", preset, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = self.one_line(capsys, f"IDX format error: cannot read {images}: ")
+        assert "No such file" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, missing", [("images", "labels"), ("labels", "images")])
+    def test_one_idx_path_refused_naming_the_other(self, tmp_path, capsys, given, missing):
+        ip, lp = write_idx_files(tmp_path)
+        path = {"images": ip, "labels": lp}[given]
+        cfg_path = tmp_path / "idx.json"
+        cfg_path.write_text(json.dumps({"dataset": {given: str(path)}}))
+        out = tmp_path / "run"
+        code = main(["train", "--preset", "ae-mnist-desk", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 2
+        err = self.one_line(capsys, "config error: dataset kind 'mnist10x10' needs both IDX paths")
+        assert err.endswith(f": dataset.{missing}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, values, key", [
         ("model", {"sizes": [100, 0, 100]}, "model.sizes"),
         ("model", {"sizes": [100]}, "model.sizes"),
@@ -482,7 +530,7 @@ class TestTypedErrors:
         ("dataset", {"n": 0}, "dataset.n"),
         ("dataset", {"val_size": -5}, "dataset.val_size"),
         ("dataset", {"side": 0}, "dataset.side"),
-        ("dataset", {"kind": "synthetic_gaussian", "dim": 0}, "dataset.dim"),
+        ("dataset", {"kind": "synthetic_classification", "dim": 0}, "dataset.dim"),
         ("dataset", {"kind": "synthetic_classification", "dim": 36, "n_classes": 0},
          "dataset.n_classes (an integer >= 2)"),
     ])
@@ -615,3 +663,20 @@ def test_idx_binary_relabel_runs_no_dataset_checks(tmp_path, monkeypatch):
     for got, want in zip((train, val), expected, strict=True):
         assert np.array_equal(got.inputs, want.inputs)
         assert np.array_equal(got.targets, want.targets)
+
+
+@pytest.mark.parametrize("preset, explicit", [
+    ("ae-mnist-desk", {"kind": "synthetic_images"}),
+    ("cond-mlp-desk", {"kind": "synthetic_classification", "dim": 100}),
+])
+def test_mnist_fallback_is_the_synthetic_kind(preset, explicit):
+    # with neither IDX path, an MNIST kind runs the synthetic kind of its
+    # task: the same arrays, bit for bit, and the same name
+    fallback = cli.build_dataset(resolve_config(preset))
+    direct = cli.build_dataset(resolve_config(preset, overrides={
+        f"dataset.{key}": value for key, value in explicit.items()}))
+    assert fallback[2] == direct[2]
+    for got, want in zip(fallback[:2], direct[:2], strict=True):
+        assert np.array_equal(got.inputs.view(np.int64), want.inputs.view(np.int64))
+        assert np.array_equal(got.targets.view(np.int64), want.targets.view(np.int64))
+        assert (got.targets is got.inputs) == (want.targets is want.inputs)

@@ -370,7 +370,7 @@ def test_sgd_step_makes_no_vector_sized_temporary(momentum):
     rng = np.random.default_rng(15)
     vector, grad = rng.standard_normal(100_000), rng.standard_normal(100_000)
     config = optim.TrainConfig(learning_rate=1e-3, momentum=momentum)
-    state = optim.OptimizerState.init(vector, config)
+    state = optim.OptimizerState.init(vector)
     state.velocity[:] = rng.standard_normal(100_000)
     v = state.velocity * momentum + grad if momentum else grad
     expected = vector - config.learning_rate * v

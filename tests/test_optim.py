@@ -24,22 +24,18 @@ def make_config(**kw):
     return TrainConfig(**base)
 
 
-def fresh_state(vector, config, **kw):
-    return OptimizerState.init(vector, config, **kw)
-
-
 class TestSgdStep:
     def test_zero_gradient_noop(self):
         cfg = make_config()
         p = np.array([1.0, -2.0])
-        st = fresh_state(p, cfg)
+        st = OptimizerState.init(p)
         sgd_step(p, np.zeros(2), st, cfg)
         np.testing.assert_allclose(p, [1.0, -2.0])
 
     def test_single_step(self):
         cfg = make_config(learning_rate=0.1)
         p = np.array([1.0])
-        st = fresh_state(p, cfg)
+        st = OptimizerState.init(p)
         sgd_step(p, np.array([1.0]), st, cfg)
         np.testing.assert_allclose(p, [0.9])
 
@@ -47,7 +43,7 @@ class TestSgdStep:
         # gradient of p^2/2 is p: 50 steps at alpha=0.1 contract by 0.9^50
         cfg = make_config(learning_rate=0.1)
         p = np.array([1.0])
-        st = fresh_state(p, cfg)
+        st = OptimizerState.init(p)
         for _ in range(50):
             sgd_step(p, p.copy(), st, cfg)
         np.testing.assert_allclose(p, [0.9**50], rtol=1e-12)
@@ -55,7 +51,7 @@ class TestSgdStep:
     def test_momentum_accumulates(self):
         cfg = make_config(learning_rate=1.0, momentum=0.5)
         p = np.array([0.0])
-        st = fresh_state(p, cfg)
+        st = OptimizerState.init(p)
         sgd_step(p, np.array([1.0]), st, cfg)  # v=1, p=-1
         sgd_step(p, np.array([1.0]), st, cfg)  # v=1.5, p=-2.5
         np.testing.assert_allclose(p, [-2.5])
@@ -68,7 +64,7 @@ class TestSgdStep:
         for rate in (0.1, 0.4):
             cfg = make_config(learning_rate=rate, momentum=0.5)
             p = np.zeros(2)
-            st = fresh_state(p, cfg)
+            st = OptimizerState.init(p)
             sgd_step(p, g.copy(), st, cfg)
             sgd_step(p, g.copy(), st, cfg)
             moves.append(p)
@@ -78,7 +74,7 @@ class TestSgdStep:
     def test_nonfinite_gradient_refused(self):
         cfg = make_config()
         p = np.array([1.0])
-        st = fresh_state(p, cfg)
+        st = OptimizerState.init(p)
         with pytest.raises(NumericError):
             sgd_step(p, np.array([np.nan]), st, cfg)
         np.testing.assert_allclose(p, [1.0])  # untouched
@@ -88,7 +84,7 @@ class TestRmspropStep:
     def test_zero_gradient_noop(self):
         cfg = make_config()
         p = np.ones(3)
-        st = fresh_state(p, cfg, rmsprop=True)
+        st = OptimizerState.init(p, rmsprop=True)
         rmsprop_step(p, np.zeros(3), st, cfg)
         np.testing.assert_allclose(p, np.ones(3))
 
@@ -96,7 +92,7 @@ class TestRmspropStep:
         # s converges to g^2 = 1, so the step approaches alpha/(1 + damping)
         cfg = make_config(learning_rate=0.01, rmsprop_decay=0.9, rmsprop_damping=0.1)
         p = np.array([0.0])
-        st = fresh_state(p, cfg, rmsprop=True)
+        st = OptimizerState.init(p, rmsprop=True)
         for _ in range(400):
             before = p.copy()
             rmsprop_step(p, np.array([1.0]), st, cfg)
@@ -109,7 +105,7 @@ class TestRmspropStep:
         for rate in (0.01, 0.03):
             cfg = make_config(learning_rate=rate)
             p = np.zeros(3)
-            st = fresh_state(p, cfg, rmsprop=True)
+            st = OptimizerState.init(p, rmsprop=True)
             for _ in range(3):
                 rmsprop_step(p, g.copy(), st, cfg)
             moves.append(p)
@@ -121,7 +117,7 @@ class TestRmspropStep:
             rng = np.random.default_rng(0)
             g = rng.standard_normal(5)
             p = np.zeros(5)
-            st = fresh_state(p, cfg, rmsprop=True)
+            st = OptimizerState.init(p, rmsprop=True)
             for _ in range(2000):  # warm up s on the same gradient
                 rmsprop_step(p, g * scale, st, cfg)
             before = p.copy()
@@ -396,7 +392,7 @@ class TestNaturalGradientEquivalence:
         grads = model.backward(trace, grad)
 
         cfg = make_config(learning_rate=alpha, momentum=0.0)
-        state = OptimizerState.init(model.params.vector, cfg)
+        state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
@@ -450,7 +446,7 @@ class TestNaturalGradientEquivalence:
         _, grad = net.loss("binary_cross_entropy", trace.outputs, batch_y)
         grads = model.backward(trace, grad)
         cfg = make_config(learning_rate=alpha)
-        state = OptimizerState.init(model.params.vector, cfg)
+        state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
         theta_after = net.project_to_canonical(model.params, model.phi)
 
