@@ -1,5 +1,8 @@
 """Model checkpoints: a JSON header followed by raw little-endian float64
-arrays in declaration order. Round trips are bit-exact."""
+arrays in declaration order. Round trips are bit-exact. Every model stores
+its canonical weights and biases; a whitened one adds each slot's center
+and preconditioner, a batch-norm one its gains, shifts and running
+statistics."""
 
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ def _named_arrays(model: Model):
         arrays.append((f"weight_{i}", w))
         arrays.append((f"bias_{i}", b))
     if model.phi is not None:
-        for i, (u, c) in enumerate(zip(model.phi.transforms, model.phi.centers)):
-            arrays.append((f"transform_{i}", u))
+        for i, (c, p) in enumerate(zip(model.phi.centers, model.phi.preconditioners)):
             arrays.append((f"center_{i}", c))
+            arrays.append((f"preconditioner_{i}", p))
     if model.params.gains:
         for i in range(model.spec.depth):
             arrays.append((f"gain_{i}", model.params.gains[i]))
@@ -95,6 +98,9 @@ def load_checkpoint(path):
     if (not isinstance(header, dict) or any(k not in header for k in HEADER_KEYS)
             or not isinstance(header["arrays"], list)):
         raise ConsistencyError(f"{path} header is not an object with keys {HEADER_KEYS}")
+    seed, step = header["seed"], header["step"]
+    if type(seed) is not int or type(step) is not int or step < 0:
+        raise ConsistencyError(f"{path} has a malformed seed {seed!r} or step {step!r}")
     offset = start + hlen
     arrays = {}
     for entry in header["arrays"]:
@@ -121,5 +127,4 @@ def load_checkpoint(path):
                 f"{path} stores {name} as {arrays[name].shape}, the network needs {target.shape}"
             )
         target[...] = arrays[name]
-    meta = {"seed": header["seed"], "step": header["step"]}
-    return model, meta
+    return model, {"seed": seed, "step": step}

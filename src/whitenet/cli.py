@@ -100,8 +100,7 @@ def build_model(cfg: dict) -> net.Model:
     theta = net.init_fan_in(spec, seed)
     optimizer = cfg["optimizer"]
     if optimizer == "prong":
-        phi = net.WhiteningCoeffs.identity(spec)  # each U = I is its own inverse
-        return net.Model(spec, net.project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        return net.Model(spec, theta, phi=net.WhiteningCoeffs.identity(spec))
     if optimizer == "bn":
         return net.Model.batch_norm(spec, theta)
     return net.Model(spec, theta)

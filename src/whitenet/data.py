@@ -73,12 +73,12 @@ class Dataset:
 
 def _read_file(path):
     """The bytes of an IDX file, gunzipped when they are gzip. A path that
-    cannot be opened is an IdxFormatError at offset 0, as a corrupt gzip
-    stream is."""
+    cannot be opened is an IdxFormatError with no offset; a corrupt gzip
+    stream is one at offset 0."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
-        raise IdxFormatError(f"cannot read {path}: {exc.strerror}", 0) from None
+        raise IdxFormatError(f"cannot read {path}: {exc.strerror}") from None
     with fh:
         head = fh.read(2)
         fh.seek(0)

@@ -34,10 +34,11 @@ class FisherSizeError(ValueError):
 
 
 class IdxFormatError(ValueError):
-    """An IDX file is malformed; ``offset`` is the failing byte position."""
+    """An IDX file is malformed or cannot be read; ``offset`` is the failing
+    byte position, None when no byte was read."""
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

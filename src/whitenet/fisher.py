@@ -2,9 +2,9 @@
 
 A layer's Fisher block is E[vec(delta s^T) vec(delta s^T)^T], where delta
 is the loss gradient at the layer's pre-activation, s is the layer's input
-signal as the forward trace's ``signals`` holds it (previous activation in
-the canonical parametrization, the whitened activation in the whitened
-one), and vec flattens by rows. The expectation
+signal in the model's parametrization (``signal``: the previous activation
+of a canonical model, the whitened one of a whitened model), and vec
+flattens by rows. The expectation
 over labels is taken exactly by enumerating the output classes weighted by
 the model's own predictive distribution; the expectation over inputs is the
 empirical mean. Both forms read a layer's per-example output Fisher from a
@@ -200,6 +200,18 @@ def class_sweep(model: net.Model, inputs) -> ClassSweep:
     )
 
 
+def signal(trace: net.ForwardTrace, layer_index):
+    """Layer ``layer_index``'s input in the parametrization of the model
+    that made ``trace``: h_{i-1}, or on a whitened model the whitened
+    (h_{i-1} - c_i) U_i with U_i = P_i^1/2, the ZCA whitening matrix,
+    formed here and not kept."""
+    h, phi = trace.signal(layer_index), trace.phi
+    if phi is None:
+        return h
+    return (h - phi.centers[layer_index]) @ linalg.whitening_root(
+        phi.preconditioners[layer_index])
+
+
 def exact_block_size(model, layer_index):
     """Side of the layer's exact block; FisherSizeError above the cap."""
     layer = model.spec.layers[layer_index]
@@ -219,7 +231,7 @@ def exact_fisher_block(model: net.Model, inputs, layer_index: int,
         sweep = class_sweep(model, inputs)
     scaled = [deltas[layer_index] * np.sqrt(weight)[:, None]
               for weight, deltas in zip(sweep.weights, sweep.deltas)]
-    return ExactBlock(scaled, sweep.trace.signals[layer_index])
+    return ExactBlock(scaled, signal(sweep.trace, layer_index))
 
 
 def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
@@ -229,15 +241,15 @@ def factorized_fisher_block(model: net.Model, inputs, layer_index: int,
     n_out = model.spec.layers[layer_index].out_dim
     if sweep is None:
         sweep = class_sweep(model, inputs)
-    signal = sweep.trace.signals[layer_index]
-    b = signal.shape[0]
+    s = signal(sweep.trace, layer_index)
+    b = s.shape[0]
     delta_cov = np.zeros((n_out, n_out))
     for weight, deltas in zip(sweep.weights, sweep.deltas):
         delta = deltas[layer_index]
         delta_cov += (delta * weight[:, None]).T @ delta
     delta_cov /= b
     delta_cov = (delta_cov + delta_cov.T) / 2.0
-    act_cov = signal.T @ signal / b
+    act_cov = s.T @ s / b
     act_cov = (act_cov + act_cov.T) / 2.0
     return FactorizedBlock(delta_cov, act_cov)
 

@@ -2,15 +2,17 @@
 
 Everything runs in float64 on row-major numpy arrays. Eigendecompositions
 come from LAPACK (``np.linalg.eigh``) in descending order, and spectra that
-need no eigenvectors from ``np.linalg.eigvalsh``. Whitening is rank-aware
-ZCA: from the range (lam_r, E_r) of a sample covariance,
+need no eigenvectors from ``np.linalg.eigvalsh``. Whitening is rank-aware:
+from the range (lam_r, E_r) of a sample covariance Sigma, the
+preconditioner of a whitened slot is
 
-    U = a I + E_r diag((lam_r + eps)^-1/2 - a) E_r^T,
+    P = (Sigma + eps I)^-1 = a I + E_r diag((lam_r + eps)^-1 - a) E_r^T,
 
-with a = eps^-1/2 when E_r spans fewer than all d directions and a = 0 when
-it is complete; U^-1 has the same form with sqrt(lam_r + eps) and eps^1/2.
-A sample of N < d rows takes its range from the N x N Gram matrix, so no
-d x d covariance or eigendecomposition is made.
+with a = 1/eps when E_r spans fewer than all d directions and a = 0 when it
+is complete. P = U^T U for the slot's whitening matrix U, and the ZCA one,
+P^1/2, is formed from P only where whitened coordinates are read. A sample
+of N < d rows takes its range from the N x N Gram matrix, so no d x d
+covariance or eigendecomposition is made.
 """
 
 from __future__ import annotations
@@ -117,9 +119,11 @@ def covariance_range(mom: MomentEstimate, eigenvalues, eigenvectors):
     return np.pad(lam, (0, mom.mean.size - lam.size)), e
 
 
-def _zca(spectrum, e, epsilon, power) -> np.ndarray:
-    """a I + E_r diag((lam_r + eps)^power - a) E_r^T, with a = eps^power
-    when E_r is incomplete and 0 when it is not."""
+def preconditioner(spectrum, e, epsilon: float) -> np.ndarray:
+    """P = (Sigma + eps I)^-1 of a ``covariance_range`` in closed form,
+    a I + E_r diag((lam_r + eps)^-1 - a) E_r^T with a = 1/eps when E_r is
+    incomplete and 0 when it is not; no general inverse is formed. A
+    complete range needs no eps, an incomplete one refuses eps = 0."""
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     dim, r = e.shape
@@ -127,22 +131,18 @@ def _zca(spectrum, e, epsilon, power) -> np.ndarray:
         raise SingularMatrixError(
             "covariance is numerically singular; whitening needs epsilon > 0"
         )
-    a = epsilon**power if r < dim else 0.0
-    out = (e * ((spectrum[:r] + epsilon) ** power - a)) @ e.T
+    a = 1.0 / epsilon if r < dim else 0.0
+    out = (e * (1.0 / (spectrum[:r] + epsilon) - a)) @ e.T
     out.flat[:: dim + 1] += a
     return out
 
 
-def zca_whitening(spectrum, e, epsilon: float) -> np.ndarray:
-    """The whitening matrix U of a ``covariance_range``; U Sigma U^T =
-    Sigma (Sigma + eps I)^-1 on the covariance Sigma it came from."""
-    return _zca(spectrum, e, epsilon, -0.5)
-
-
-def invert_whitening(spectrum, e, epsilon: float) -> np.ndarray:
-    """U^-1 of ``zca_whitening(spectrum, e, epsilon)`` in closed form; no
-    general inverse is needed. Refuses what ``zca_whitening`` refuses."""
-    return _zca(spectrum, e, epsilon, 0.5)
+def whitening_root(p) -> np.ndarray:
+    """U = P^1/2, the symmetric root of a ``preconditioner`` P: the ZCA
+    whitening matrix, with U Sigma U = Sigma (Sigma + eps I)^-1 on the
+    covariance Sigma that P came from, and U^T U = P."""
+    lam, e = sym_eig(p)
+    return (e * np.sqrt(lam)) @ e.T
 
 
 def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:

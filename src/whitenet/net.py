@@ -1,26 +1,22 @@
 """Feedforward network engine.
 
-One forward/backward pair evaluates the whitened parametrization
-
-    h_i = f_i(V_i a_{i-1} + d_i),  a_{i-1} = U_{i-1}(h_{i-1} - c_{i-1})
-
-and the canonical one, h_i = f_i(W_i h_{i-1} + b_i), is the same run with
-no whitening coefficients (``phi=None``): the U/c step is skipped, which is
-the whitened net at U = I, c = 0. Batch normalization is one more step of
-the same run: with gains in the parameters, each pre-activation z_i is
+Every model holds the canonical parameters and runs one forward,
+h_i = f_i(W_i h_{i-1} + b_i). Batch normalization is one more step of the
+same run: with gains in the parameters, each pre-activation z_i is
 standardized and scaled, y_i = g_i zhat_i + s_i, and h_i = f_i(y_i).
 
-The whitening coefficients (U, c) are indexed by the *input slot* they
-transform: slot i holds the pair applied to the input of layer i (slot 0
-acts on the network input). They are constants from the optimizer's point
-of view. The two parametrizations are linked by exact linear projections
-that preserve the network function:
+A whitened model adds coefficients (c, P) per *input slot*: slot i holds
+the center c_i and the preconditioner P_i = U_i^T U_i of the whitening
+matrix U_i applied to the input of layer i (slot 0 acts on the network
+input). They are constants between reparametrizations, and they enter only
+the gradient. Momentum-SGD on the whitened parameters (V, d) of
+V a + d, a = U (h - c), is momentum-SGD on (W, b) = (V U, d - W c) whose
+gradient reads
 
-    W_i = V_i U_{i-1},  b_i = d_i - W_i c_{i-1}        (to canonical)
-    V_i = W_i U_{i-1}^{-1},  d_i = b_i + W_i c_{i-1}   (to whitened)
+    gW_i = delta_i^T (h_{i-1} - c_i) P_i,  gb_i = sum(delta_i) - gW_i c_i,
 
-The projection to whitened takes U^{-1} from its caller; the
-reparametrization has it in closed form from U's spectrum.
+so the backward writes that, the network function never depends on (c, P),
+and no parameter is projected.
 
 Evaluation is batched: inputs are stacked as rows, per-example semantics
 are identical to the single-vector case, and gradients are averaged over
@@ -111,8 +107,8 @@ class NetSpec:
 @dataclass
 class Params:
     """Layer parameters in one flat float64 ``vector``: per-layer views
-    ``weights`` (out_dim, in_dim) and ``biases`` (out_dim,), (W, b) canonical
-    and (V, d) whitened, and with batch norm the per-unit ``gains`` and
+    ``weights`` (out_dim, in_dim) and ``biases`` (out_dim,), the canonical
+    (W, b), and with batch norm the per-unit ``gains`` and
     ``shifts`` (empty lists otherwise). The layout is w0, b0, w1, b1, ...
     and then g0, s0, g1, s1, ...; weights are row-major. Code that changes
     a parameter writes into its view in place and never rebinds it."""
@@ -137,21 +133,21 @@ class Params:
 
 @dataclass
 class WhiteningCoeffs:
-    """Per input slot i: whitening matrix U_i and centering vector c_i."""
+    """Per input slot i: centering vector c_i and preconditioner P_i."""
 
-    transforms: list  # U_i, square (in_dim of layer i)
     centers: list  # c_i
+    preconditioners: list  # P_i = U_i^T U_i, square (in_dim of layer i)
 
     @classmethod
     def identity(cls, spec: NetSpec):
         return cls(
-            [np.eye(layer.in_dim) for layer in spec.layers],
             [np.zeros(layer.in_dim) for layer in spec.layers],
+            [np.eye(layer.in_dim) for layer in spec.layers],
         )
 
     def copy(self):
         return WhiteningCoeffs(
-            [u.copy() for u in self.transforms], [c.copy() for c in self.centers]
+            [c.copy() for c in self.centers], [p.copy() for p in self.preconditioners]
         )
 
 
@@ -182,13 +178,16 @@ class ForwardTrace:
 
     inputs: np.ndarray  # (B, N_0)
     activations: list  # h_i, (B, N_i)
-    signals: list  # what layer i multiplies: a_i when whitened, else h_{i-1}
-    phi: WhiteningCoeffs | None = None  # the coefficients the forward used
+    phi: WhiteningCoeffs | None = None  # the model's coefficients, for the backward
     bn: list | None = None  # per-layer BN stash dicts (BN mode)
 
     @property
     def outputs(self):
         return self.activations[-1]
+
+    def signal(self, i):
+        """h_{i-1}, what layer i multiplies: the inputs for layer 0."""
+        return self.inputs if i == 0 else self.activations[i - 1]
 
 
 def _cut(vector, shapes, depth) -> Params:
@@ -312,35 +311,33 @@ def _batch_norm(params: Params, i, z, state, training):
     return y, {"zhat": zhat, "std": std, "floored": floored, "training": training}
 
 
-def layer_forward(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, i, h,
-                  state=None, training=False):
-    """Layer i of the forward: (s, h_i, BN stash or None) from h_{i-1}, a
+def layer_forward(omega: Params, spec: NetSpec, i, h, state=None, training=False):
+    """Layer i of the forward: (h_i, BN stash or None) from h_{i-1}, a
     float64 batch. The one place its arithmetic lives, for
     ``forward_whitened``, ``Model.predict`` and the layer-by-layer
     reparametrization."""
-    s = h if phi is None else (h - phi.centers[i]) @ phi.transforms[i].T
-    z = s @ omega.weights[i].T + omega.biases[i]
+    z = h @ omega.weights[i].T + omega.biases[i]
     _check_finite(z, i, "pre-activation")
     kind = spec.layers[i].nonlinearity
     if not omega.gains:
-        return s, _activate(kind, z), None
+        return _activate(kind, z), None
     y, stash = _batch_norm(omega, i, z, state, training)
     h = _activate(kind, y)
     _check_finite(h, i, "activation")  # gain * zhat + shift can overflow
-    return s, h, stash
+    return h, stash
 
 
 def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, x,
                      state: BatchNormState | None = None, *, training=False) -> ForwardTrace:
-    """Forward pass; ``phi=None`` is the canonical net, with no U/c step.
-    With batch norm (``omega.gains`` non-empty) ``training`` selects the
-    batch statistics over ``state``'s running averages, and ``trace.bn``
-    holds each layer's stash."""
+    """Forward pass of the canonical parameters ``omega``; ``phi``, a
+    whitened model's coefficients or None, is only recorded in the trace
+    for the backward. With batch norm (``omega.gains`` non-empty)
+    ``training`` selects the batch statistics over ``state``'s running
+    averages, and ``trace.bn`` holds each layer's stash."""
     h = as_batch(x, spec.input_dim)
-    trace = ForwardTrace(h, [], [], phi, [] if omega.gains else None)
+    trace = ForwardTrace(h, [], phi, [] if omega.gains else None)
     for i in range(spec.depth):
-        s, h, stash = layer_forward(omega, phi, spec, i, h, state, training)
-        trace.signals.append(s)
+        h, stash = layer_forward(omega, spec, i, h, state, training)
         trace.activations.append(h)
         if stash is not None:
             trace.bn.append(stash)
@@ -406,25 +403,19 @@ def _batch_norm_vjp(dy, gain, stash):
 
 def _deltas(trace, params, spec, dy):
     """Yield (i, dLoss/dy_i, dLoss/dz_i) from the last layer down, ``dy``
-    being the last layer's; y_i is what f_i reads, z_i = s_i W_i^T + b_i
-    (V and d when whitened), and the two are one array without batch norm.
-    A whitened trace's U factor is crossed when stepping from a layer's
-    whitened input back to the previous activation. The next layer's pair
-    is formed only when the consumer asks for it, after it has used this
-    one, so no list of deltas is built."""
+    being the last layer's; y_i is what f_i reads, z_i = h_{i-1} W_i^T + b_i,
+    and the two are one array without batch norm. The next layer's pair is
+    formed only when the consumer asks for it, after it has used this one,
+    so no list of deltas is built."""
     if (trace.bn is None) == bool(params.gains):
         raise ConsistencyError("trace and parameters disagree on batch normalization")
-    phi = trace.phi
     for i in range(spec.depth - 1, -1, -1):
         dz = _batch_norm_vjp(dy, params.gains[i], trace.bn[i]) if params.gains else dy
         yield i, dy, dz
         if i == 0:
             return
-        upstream = dz @ params.weights[i]
-        if phi is not None:
-            upstream = upstream @ phi.transforms[i]
         dy = _activation_vjp(spec.layers[i - 1].nonlinearity, trace.activations[i - 1],
-                             upstream)
+                             dz @ params.weights[i])
 
 
 def output_delta(trace, spec, loss_grad):
@@ -448,58 +439,29 @@ def backpropagate_deltas(trace, params, spec, delta_last):
 def backward_whitened(
     trace: ForwardTrace, omega: Params, spec: NetSpec, loss_grad, out=None
 ) -> Params:
-    """Gradients of a ``forward_whitened`` trace, canonical, whitened or
+    """Gradients of a ``forward_whitened`` trace, canonical or
     batch-normalized, written into ``out``, a ``flat_layout`` of ``omega``'s
     kind (a new one when None), and returned. Each layer's gradient is
-    written as its deltas arrive."""
+    written as its deltas arrive. A whitened trace gets the whitened
+    gradient mapped to (W, b): delta^T (h - c) P and sum(delta) - gW c,
+    with no branch for an identity slot, whose c = 0 and P = I change no
+    bit of a finite gradient."""
     out = flat_layout(spec, bn=bool(omega.gains)) if out is None else out
+    phi = trace.phi
     # at most this layer's dy and dz, their upstream product and the next
     # layer's dy are alive at once
     for i, dy, dz in _deltas(trace, omega, spec, output_delta(trace, spec, loss_grad)):
-        np.matmul(dz.T, trace.signals[i], out=out.weights[i])
+        # (h - c) P is not bound to a name, so it is freed before the next delta
+        s = trace.signal(i)
+        np.matmul(dz.T, s if phi is None else (s - phi.centers[i]) @ phi.preconditioners[i],
+                  out=out.weights[i])
         np.add.reduce(dz, axis=0, out=out.biases[i])
+        if phi is not None:
+            out.biases[i] -= out.weights[i] @ phi.centers[i]
         if omega.gains:
             np.add.reduce(dy * trace.bn[i]["zhat"], axis=0, out=out.gains[i])
             np.add.reduce(dy, axis=0, out=out.shifts[i])
     return out
-
-
-def project_layer(weight, bias, old=None, new=None):
-    """One layer's (weight, bias) moved from the input coefficients ``old``
-    to ``new``, or None for the canonical U = I, c = 0. ``old`` is a
-    (U, c) pair and ``new`` a (U^-1, c) pair: the caller supplies the
-    inverse. Function-preserving:
-
-        W = V U_old,  b = d - W c_old        (to canonical)
-        V = W U_new^-1,  d = b + W c_new     (to whitened)
-    """
-    if old is not None:
-        u, c = old
-        weight = weight @ u
-        bias = bias - weight @ c
-    if new is not None:
-        u_inv, c = new
-        weight, bias = weight @ u_inv, bias + weight @ c
-    return weight, bias
-
-
-def project_to_canonical(omega: Params, phi: WhiteningCoeffs) -> Params:
-    """Fold the whitening coefficients into canonical weights.
-
-    Function-preserving: W = V U and b = d - W c, so that
-    W h + b = V U (h - c) + d for every input.
-    """
-    layers = [project_layer(v, d, old=(u, c))
-              for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers)]
-    return Params.of([w for w, _ in layers], [b for _, b in layers])
-
-
-def project_to_whitened(theta: Params, phi: WhiteningCoeffs, inverses) -> Params:
-    """Exact inverse of project_to_canonical for the same coefficients;
-    ``inverses[i]`` is U_i^-1 (the identity is its own)."""
-    layers = [project_layer(w, b, new=(u_inv, c))
-              for w, b, u_inv, c in zip(theta.weights, theta.biases, inverses, phi.centers)]
-    return Params.of([v for v, _ in layers], [d for _, d in layers])
 
 
 def init_fan_in(spec: NetSpec, seed: int) -> Params:
@@ -515,7 +477,7 @@ def init_fan_in(spec: NetSpec, seed: int) -> Params:
 
 @dataclass
 class Model:
-    """A network snapshot: spec plus one concrete parametrization.
+    """A network snapshot: spec, canonical parameters and their kind.
 
     A whitened model carries its coefficients ``phi``; a BN model has
     gains and shifts in its ``params`` and carries running statistics; a
@@ -566,7 +528,7 @@ class Model:
     def predict(self, x) -> np.ndarray:
         """The outputs of ``forward(x)`` (inference mode for BN), without the
         trace. The rows go through ``layer_forward`` in blocks of
-        ``PREDICT_ROWS`` into one output array, so one block's s, z and h
+        ``PREDICT_ROWS`` into one output array, so one block's z and h
         exist at a time. The last block takes the remainder, from
         ``PREDICT_ROWS`` to twice that: a short block can take another BLAS
         kernel than the whole batch. The outputs equal ``forward(x)``'s bit
@@ -579,7 +541,7 @@ class Model:
         for start, stop in zip(starts, [*starts[1:], len(x)]):
             h = x[start:stop]
             for i in range(self.spec.depth):
-                h = layer_forward(self.params, self.phi, self.spec, i, h, self.bn_state)[1]
+                h = layer_forward(self.params, self.spec, i, h, self.bn_state)[0]
             out[start:stop] = h
         return out
 

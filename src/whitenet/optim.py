@@ -3,14 +3,16 @@
 The whitened trainer follows one amortized loop: every ``reparam_period``
 updates (including update 0, which makes the first reparametrization act as
 an initialization scheme) one pass over the layers estimates each layer's
-input statistics from ``stat_samples`` points, rebuilds its whitening matrix
-as rank-aware ZCA from the range of the centered covariance with
-``eigen_epsilon`` damping (``linalg``), and re-projects its parameters,
-through the closed-form inverse of the new whitening matrix, so that the
-canonical ones, and the network function, are unchanged. Plain
-momentum-SGD runs on the whitened parameters in between; the velocity is
-zeroed at each reparametrization. Evaluation losses and probe outputs come
-from ``Model.predict``, a row block at a time.
+input statistics from ``stat_samples`` points and rebuilds its slot's
+center and preconditioner P = (Sigma + eps I)^-1, rank-aware from the range
+of the centered covariance with ``eigen_epsilon`` damping (``linalg``). The
+parameters are not touched, so the network function is unchanged by
+construction. In between, plain momentum-SGD steps the canonical
+parameters along the whitened gradient mapped to them, (h - c) P in place
+of h (``net.backward_whitened``): the whitened parametrization's updates,
+in one parameter space. The velocity is zeroed at each
+reparametrization. Evaluation losses and probe outputs come from
+``Model.predict``, a row block at a time.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class OptimizerState:
             state.mean_square = np.zeros_like(vector)
         return state
 
-    def reset_momentum(self):
-        self.velocity.fill(0.0)
-
 
 def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
     """Classical momentum: v <- m v + g; p <- p - alpha v (plain SGD at m=0),
@@ -134,19 +133,16 @@ def prong_reparametrize(
     stats_inputs,
     epsilon: float,
 ) -> ReparamInfo:
-    """Re-estimate whitening coefficients and re-project the parameters.
+    """Re-estimate the whitening coefficients ``phi`` of the canonical
+    parameters ``omega``, which it does not change.
 
     One pass over the layers: layer i's input statistics (the sample mean
     and the range of the centered covariance, from the smaller of the
-    covariance and the Gram matrix) give its new centering vector and its
-    rank-aware ZCA whitening matrix, damped by ``epsilon``; the layer is
-    forwarded under its old coefficients, which yields the next layer's
-    input; then its weights and bias are re-projected, through the new
-    matrix's closed-form inverse from the same range, so that the canonical
-    parameters, and thus the network function, are unchanged. The last
-    layer's outputs are returned with each slot's eigenvalues; no
-    second-moment or eigenvector matrix outlives its layer. Updates
-    ``omega`` and ``phi`` in place; no layer but the current one is copied.
+    covariance and the Gram matrix) give its new center and its
+    preconditioner, damped by ``epsilon``; the layer's forward yields the
+    next layer's input. The last layer's outputs are returned with each
+    slot's eigenvalues; no second-moment or eigenvector matrix outlives its
+    layer. Updates ``phi`` in place.
     """
     t0 = time.perf_counter()
     h = net.as_batch(stats_inputs, spec.input_dim)
@@ -156,20 +152,14 @@ def prong_reparametrize(
         lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
             mom.covariance if mom.gram is None else mom.gram))
         try:
-            u = linalg.zca_whitening(lam, e, epsilon)
+            phi.preconditioners[i] = linalg.preconditioner(lam, e, epsilon)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"layer {i} activation covariance is singular with epsilon=0; "
                 "set eigen_epsilon > 0"
             ) from exc
-        h = net.layer_forward(omega, phi, spec, i, h)[1]
-        # written into the existing arrays: they are views of the model's
-        # flat vector
-        omega.weights[i][:], omega.biases[i][:] = net.project_layer(
-            omega.weights[i], omega.biases[i], old=(phi.transforms[i], phi.centers[i]),
-            new=(linalg.invert_whitening(lam, e, epsilon), mom.mean))
-        phi.transforms[i] = u
         phi.centers[i] = mom.mean
+        h = net.layer_forward(omega, spec, i, h)[0]
         eigenvalues.append(lam)
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
@@ -294,7 +284,7 @@ def train(
                     config.eigen_epsilon
                 )
                 reparam_seconds += info.seconds
-                state.reset_momentum()
+                state.velocity.fill(0.0)
                 if before is not None:
                     after = model.predict(probe_inputs)
                     result.probe_deltas.append(float(np.abs(after - before).max()))

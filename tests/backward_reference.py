@@ -1,6 +1,8 @@
 """The backward as it was before the streamed one: every layer's delta is
 built into a list before any gradient is written, and each vjp reads the
-pre-activation z. Tests compare the library's backward against it."""
+pre-activation z. A whitened trace's weight and bias gradients are the
+preconditioned delta^T (h - c) P and sum(delta) - gW c. Tests compare the
+library's backward against it."""
 
 import numpy as np
 
@@ -35,13 +37,17 @@ def list_backward(model, trace, zs, loss_grad):
         deltas[-1] = list_vjp(spec.layers[-1].nonlinearity, zs[-1], trace.outputs, loss_grad)
         for i in range(spec.depth - 1, 0, -1):
             upstream = deltas[i] @ params.weights[i]
-            if trace.phi is not None:
-                upstream = upstream @ trace.phi.transforms[i]
             deltas[i - 1] = list_vjp(spec.layers[i - 1].nonlinearity, zs[i - 1],
                                      trace.activations[i - 1], upstream)
-        for delta, signal, w, b in zip(deltas, trace.signals, grads.weights, grads.biases):
-            np.matmul(delta.T, signal, out=w)
+        for i, (delta, w, b) in enumerate(zip(deltas, grads.weights, grads.biases)):
+            if trace.phi is None:
+                np.matmul(delta.T, trace.signal(i), out=w)
+                np.add.reduce(delta, axis=0, out=b)
+                continue
+            c = trace.phi.centers[i]
+            np.matmul(delta.T, (trace.signal(i) - c) @ trace.phi.preconditioners[i], out=w)
             np.add.reduce(delta, axis=0, out=b)
+            b -= w @ c
         return grads, deltas
     upstream = loss_grad
     for i in range(spec.depth - 1, -1, -1):
@@ -59,7 +65,7 @@ def list_backward(model, trace, zs, loss_grad):
         else:
             dz = u / stash["std"]
         deltas[i] = dz
-        np.matmul(dz.T, trace.signals[i], out=grads.weights[i])
+        np.matmul(dz.T, trace.signal(i), out=grads.weights[i])
         np.add.reduce(dz, axis=0, out=grads.biases[i])
         if i > 0:
             upstream = dz @ params.weights[i]
@@ -67,9 +73,9 @@ def list_backward(model, trace, zs, loss_grad):
 
 
 def vjp_inputs(model, trace):
-    """Each layer's z = s W^T + b (batch norm: y = gain zhat + shift), the
+    """Each layer's z = h W^T + b (batch norm: y = gain zhat + shift), the
     same operations on the same operands as the forward, so the same bits."""
     p = model.params
     if p.gains:
         return [g * stash["zhat"] + sh for g, sh, stash in zip(p.gains, p.shifts, trace.bn)]
-    return [s @ w.T + b for s, w, b in zip(trace.signals, p.weights, p.biases)]
+    return [trace.signal(i) @ w.T + b for i, (w, b) in enumerate(zip(p.weights, p.biases))]

@@ -14,14 +14,7 @@ from whitenet.config import PRESETS, validate_config
 from whitenet.data import Dataset, synthetic_classification, synthetic_images
 from whitenet.fisher import factorized_fisher_block
 from whitenet.linalg import condition_number
-from whitenet.net import (
-    Model,
-    NetSpec,
-    WhiteningCoeffs,
-    init_fan_in,
-    project_to_canonical,
-    project_to_whitened,
-)
+from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 from whitenet.optim import (
     OptimizerState,
     TrainConfig,
@@ -29,6 +22,8 @@ from whitenet.optim import (
     sgd_step,
     train,
 )
+
+from whitened_reference import whitened_signals
 
 
 def report(criterion, passed, detail):
@@ -39,8 +34,7 @@ def report(criterion, passed, detail):
 def whitened_from_seed(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
     theta = init_fan_in(spec, seed)
-    phi = WhiteningCoeffs.identity(spec)
-    return Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi), theta
+    return Model(spec, theta, phi=WhiteningCoeffs.identity(spec)), theta
 
 
 class TestAcceptance:
@@ -56,8 +50,7 @@ class TestAcceptance:
         canonical = Model(spec, theta.copy())
         before = condition_number(factorized_fisher_block(canonical, ds.inputs, 1).eigenvalues())
 
-        phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        whitened = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         after = condition_number(factorized_fisher_block(whitened, ds.inputs, 1).eigenvalues())
@@ -67,9 +60,9 @@ class TestAcceptance:
                f"middle-layer cond {before:.3e} -> {after:.3e} (ratio {ratio:.3e}, need < 0.1)")
 
     def test_c2_natural_gradient_equivalence(self):
-        """One PRONG step at a reparametrization point (eps=0, momentum 0)
-        projected to canonical space equals the dense Kronecker-preconditioned
-        oracle within 1e-8 max-abs.
+        """One PRONG step at a reparametrization point (eps=0, momentum 0),
+        which steps the canonical parameters, equals the dense
+        Kronecker-preconditioned oracle within 1e-8 max-abs.
 
         The oracle preconditions the homogeneous gradient [G_W G_b] by the
         inverse uncentered second moment of (h, 1) over the statistics
@@ -83,7 +76,7 @@ class TestAcceptance:
         stats = rng.standard_normal((48, 9)) @ np.diag([2.0, 1.6, 1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3])
         alpha = 0.05
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        theta0 = project_to_canonical(model.params, model.phi)
+        theta0 = model.params.copy()
 
         x = rng.standard_normal((12, 9))
         y = rng.uniform(0.2, 0.8, (12, 2))
@@ -94,7 +87,7 @@ class TestAcceptance:
                           stat_samples=48)
         state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
-        theta1 = project_to_canonical(model.params, model.phi)
+        theta1 = model.params
 
         ctrace = net.forward_whitened(theta0, None, model.spec, x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, y)
@@ -113,7 +106,7 @@ class TestAcceptance:
             dw = theta1.weights[i] - theta0.weights[i]
             worst = max(worst, float(np.abs(dw - oracle_dw).max()))
         report("C2", worst < 1e-8,
-               f"projected step vs dense Sigma^-1 oracle: max |diff| {worst:.2e} (need < 1e-8)")
+               f"prong step vs dense Sigma^-1 oracle: max |diff| {worst:.2e} (need < 1e-8)")
 
     def test_c3_function_preservation_50_events(self):
         """Across >= 50 reparametrization events in a desk training run,
@@ -143,7 +136,7 @@ class TestAcceptance:
         model, _ = whitened_from_seed([12, 10, 6, 2], seed=42)
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         trace = model.forward(stats)
-        for a in trace.signals:
+        for a in whitened_signals(model, trace):
             worst_mean = max(worst_mean, float(np.abs(a.mean(axis=0)).max()))
             cov = a.T @ a / a.shape[0]
             worst_cov = max(worst_cov, float(np.abs(cov - np.eye(cov.shape[0])).max()))
@@ -153,7 +146,7 @@ class TestAcceptance:
         prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
         trace2 = model2.forward(stats)
         worst_eps = 0.0
-        for a, h in zip(trace2.signals, [trace2.inputs] + trace2.activations):
+        for a, h in zip(whitened_signals(model2, trace2), [trace2.inputs] + trace2.activations):
             centered = h - h.mean(axis=0)
             sigma = centered.T @ centered / h.shape[0]
             expected = np.linalg.solve(sigma + eps * np.eye(len(sigma)), sigma)
@@ -180,8 +173,7 @@ class TestAcceptance:
             spec = NetSpec.mlp(sizes, hidden="sigmoid", head="sigmoid")
             theta = init_fan_in(spec, preset["train"]["seed"])
             if optimizer == "prong":
-                phi = WhiteningCoeffs.identity(spec)
-                model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+                model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
             else:
                 model = Model(spec, theta)
             cfg = TrainConfig(
@@ -261,7 +253,7 @@ class TestAcceptance:
         """Central finite differences on 10 seeded instances across the
         canonical, whitened and batch-norm layer types: relative error
         < 1e-5 per parameter at step 1e-6."""
-        from test_net import check_model_gradients, inverses, seeded_phi
+        from test_net import check_model_gradients, seeded_phi
 
         worst_cases = 0
         instances = 0
@@ -281,8 +273,7 @@ class TestAcceptance:
                 if kind == "canonical":
                     model = Model(spec, theta)
                 elif kind == "whitened":
-                    phi = seeded_phi(spec, seed + 1)
-                    model = Model(spec, project_to_whitened(theta, phi, inverses(phi)), phi=phi)
+                    model = Model(spec, theta, phi=seeded_phi(spec, seed + 1))
                 else:
                     model = Model.batch_norm(spec, theta)
                 x = rng.standard_normal((6, sizes[0]))

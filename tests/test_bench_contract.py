@@ -18,7 +18,7 @@ import pytest
 from whitenet import cli, data, fisher, net, optim
 from whitenet.config import validate_config
 from whitenet.data import Dataset
-from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
+from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -33,20 +33,29 @@ def child():
 
 def whitened_model(seed=3):
     spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
-    phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
+    model = Model(spec, init_fan_in(spec, seed), phi=WhiteningCoeffs.identity(spec))
     stats = np.random.default_rng(seed).standard_normal((80, 6))
     optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
     return model, stats
 
 
+# spans whose every member is deleted: run.py skips a span with no member
+# left (it reads 0 and is reported absent), so these two are not failures.
+# Their functions projected the whitened parameters, which no longer exist
+EMPTIED_SPANS = ("linalg.invert", "net.project")
+
+
+def present_members(child, span):
+    return [f"{m}.{a}" for m, a in child.SPANS[span]
+            if callable(getattr(importlib.import_module(f"whitenet.{m}"), a, None))]
+
+
 def test_every_span_has_a_member(child):
-    for span, members in child.SPANS.items():
-        present = [
-            f"{m}.{a}" for m, a in members
-            if callable(getattr(importlib.import_module(f"whitenet.{m}"), a, None))
-        ]
-        assert present, f"span {span} has no member left in whitenet"
+    for span in child.SPANS:
+        if span in EMPTIED_SPANS:
+            assert not present_members(child, span), f"emptied span {span} has a member"
+        else:
+            assert present_members(child, span), f"span {span} has no member left in whitenet"
 
 
 def test_reparametrize_leads_with_the_probe_arguments():
@@ -132,8 +141,7 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
     spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
     theta = init_fan_in(spec, 8)
     if optimizer == "prong":
-        phi = WhiteningCoeffs.identity(spec)
-        model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
     elif optimizer == "bn":
         model = Model.batch_norm(spec, theta)
     else:
@@ -184,7 +192,8 @@ def test_mnist10x10_loads_through_the_traced_data_names(child, tmp_path, monkeyp
 
 
 # the spans perfbench/run.py's workloads expect --trace 1 to record calls in;
-# a name that is not a span is one function, as run.py reads it
+# a name that is not a span is one function, as run.py reads it. An emptied
+# span among them must have no member left, as run.py skips it
 AE_DESK_PRONG_EXPECT = ["linalg.eig", "linalg.moments", "linalg.invert", "optim.reparam",
                         "net.project"]
 COND_FISHER_EXPECT = ["fisher.report", "fisher.factorized", "fisher.exact", "linalg.eig",
@@ -218,7 +227,10 @@ def count_span_calls(child, spans, monkeypatch):
 
 def assert_every_span_called(calls, spans):
     for span in spans:
-        assert sum(n for (s, _), n in calls.items() if s == span), (span, calls)
+        if span in EMPTIED_SPANS:
+            assert not any(s == span for s, _ in calls), (span, calls)
+        else:
+            assert sum(n for (s, _), n in calls.items() if s == span), (span, calls)
 
 
 def test_prong_train_calls_every_expected_span(child, tmp_path, monkeypatch):

@@ -94,6 +94,15 @@ class TestLoadIdx:
             load_idx(ip, lp)
         assert exc.value.offset == 0
 
+    def test_unopenable_path_names_no_offset(self, tmp_path):
+        # no byte of any file was read, so the error carries no offset
+        _, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        missing = tmp_path / "absent.idx"
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx(missing, lp)
+        assert exc.value.offset is None
+        assert str(exc.value) == f"cannot read {missing}: No such file or directory"
+
 
 class TestLoadIdxSide10:
     @pytest.mark.parametrize("count, block", [(20, 7), (1, 7), (14, 7), (600, None), (0, 7)])

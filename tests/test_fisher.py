@@ -11,17 +11,13 @@ from whitenet.fisher import (
     conditioning_report,
     exact_fisher_block,
     factorized_fisher_block,
+    signal,
 )
 from whitenet.linalg import condition_number
-from whitenet.net import (
-    Model,
-    NetSpec,
-    Params,
-    WhiteningCoeffs,
-    init_fan_in,
-    project_to_whitened,
-)
+from whitenet.net import Model, NetSpec, Params, WhiteningCoeffs, init_fan_in
 from whitenet.optim import TrainConfig, prong_reparametrize
+
+from whitened_reference import whitened_signals
 
 
 def canonical_model(sizes, seed, hidden="tanh", head="sigmoid"):
@@ -150,8 +146,7 @@ class TestFactorizedBlock:
     def test_whitened_act_factor_is_identity_after_reparam(self):
         spec = NetSpec.mlp([6, 4, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 14)
-        phi = WhiteningCoeffs.identity(spec)
-        model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
         stats = np.random.default_rng(15).standard_normal((200, 6))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         block = factorized_fisher_block(model, stats, 1)
@@ -165,8 +160,7 @@ class TestFactorizedBlock:
 def whitened_model(sizes, seed, stats):
     spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
     theta = init_fan_in(spec, seed)
-    phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+    model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
     prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=1e-3)
     return model
 
@@ -250,7 +244,7 @@ class TestSharedSweep:
 
             for i, w in enumerate(model.params.weights):
                 numeric = central_differences(neg_log_p, w)
-                analytic = deltas[i].T @ sweep.trace.signals[i]
+                analytic = deltas[i].T @ sweep.trace.signal(i)
                 np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("head, out", [("sigmoid", 1), ("softmax", 2)])
@@ -268,13 +262,13 @@ class TestSharedSweep:
         sign = np.array([1.0]) if out == 1 else np.array([-1.0, 1.0])
 
         def head_sum():
-            s = model.forward(x).signals[-1]
+            s = model.forward(x).activations[-2]
             z = s @ model.params.weights[-1].T + model.params.biases[-1]
             return float((z @ sign).sum())
 
         for i, w in enumerate(model.params.weights):
             numeric = central_differences(head_sum, w)
-            analytic = sweep.deltas[0][i].T @ sweep.trace.signals[i]
+            analytic = sweep.deltas[0][i].T @ sweep.trace.signal(i)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_batch_norm_model_refused(self):
@@ -324,10 +318,10 @@ def enumerated_pairs(model, sweep, layer):
 def enumerated_exact(model, sweep, layer):
     """The exact block as one product of G stacked over every class:
     G^T G / B with rows sqrt(p_y) vec(delta_y s^T)."""
-    signal = sweep.trace.signals[layer]
-    b = signal.shape[0]
+    s = signal(sweep.trace, layer)
+    b = s.shape[0]
     g = np.concatenate([
-        np.einsum("bi,bj->bij", d * np.sqrt(w)[:, None], signal).reshape(b, -1)
+        np.einsum("bi,bj->bij", d * np.sqrt(w)[:, None], s).reshape(b, -1)
         for w, d in enumerated_pairs(model, sweep, layer)
     ])
     return g.T @ g / b
@@ -336,7 +330,7 @@ def enumerated_exact(model, sweep, layer):
 def enumerated_factor(model, sweep, layer):
     """The delta factor summed over every class: sum_y (delta_y p_y)^T delta_y / B,
     accumulated and symmetrized as the factorized block does."""
-    b = sweep.trace.signals[layer].shape[0]
+    b = sweep.trace.inputs.shape[0]
     f = sum((d * w[:, None]).T @ d for w, d in enumerated_pairs(model, sweep, layer)) / b
     return (f + f.T) / 2.0
 
@@ -347,8 +341,7 @@ def classifier(sizes, head, seed, stats=None):
     theta = init_fan_in(spec, seed)
     if stats is None:
         return Model(spec, theta)
-    phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+    model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
     prong_reparametrize(model.params, model.phi, spec, stats, epsilon=1e-3)
     return model
 
@@ -472,10 +465,11 @@ class TestConditioningReport:
         model = Model(spec, init_fan_in(spec, 16))
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((128, 4))
-        from whitenet.linalg import covariance_range, estimate_moments, sym_eig, zca_whitening
+        from whitenet.linalg import (covariance_range, estimate_moments, preconditioner,
+                                     sym_eig, whitening_root)
 
         mom = estimate_moments(raw)
-        u = zca_whitening(*covariance_range(mom, *sym_eig(mom.covariance)), 0.0)
+        u = whitening_root(preconditioner(*covariance_range(mom, *sym_eig(mom.covariance)), 0.0))
         white = (raw - mom.mean) @ u.T
         block = factorized_fisher_block(model, white, 0)
         cond = condition_number(sym_eig(block.act_cov)[0])
@@ -523,8 +517,7 @@ class TestConditioningReport:
         theta = init_fan_in(spec, 31)
         canonical = Model(spec, theta.copy())
         before = condition_number(exact_fisher_block(canonical, ds.inputs, 1).eigenvalues())
-        phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        whitened = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
         prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
                             ds.inputs, epsilon=0.0)
         after = condition_number(exact_fisher_block(whitened, ds.inputs, 1).eigenvalues())
@@ -560,8 +553,7 @@ class TestConditioningReport:
             sgd_series.append(middle_cond(canonical) / initial)
         assert all(0.5 < r < 2.0 for r in sgd_series)
 
-        phi = WhiteningCoeffs.identity(spec)
-        whitened = Model(spec, project_to_whitened(theta, phi, phi.transforms), phi=phi)
+        whitened = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
         pcfg = TrainConfig(learning_rate=0.05, seed=24, max_updates=400,
                            eval_interval=400, batch_size=32, reparam_period=500,
                            stat_samples=512, eigen_epsilon=1e-3)
@@ -571,3 +563,24 @@ class TestConditioningReport:
                   loss_kind="categorical_cross_entropy")
             prong_series.append(middle_cond(whitened) / initial)
         assert min(prong_series) < 0.1
+
+
+class TestSignal:
+    def test_canonical_signal_is_the_previous_activation(self):
+        model = canonical_model([5, 4, 1], seed=60)
+        trace = model.forward(np.random.default_rng(61).standard_normal((7, 5)))
+        assert signal(trace, 0) is trace.inputs
+        assert signal(trace, 1) is trace.activations[0]
+
+    def test_whitened_signal_is_the_zca_coordinates(self):
+        # (h - c) U with U = P^1/2 the symmetric root: the whitened signal
+        # of the ZCA parametrization, white on the statistics sample
+        stats = np.random.default_rng(62).standard_normal((200, 6)) * [3.0, 2.0, 1.0, 1.0, 0.5, 0.2]
+        model = whitened_model([6, 4, 1], seed=63, stats=stats)
+        trace = model.forward(stats)
+        for i, a in enumerate(whitened_signals(model, trace)):
+            assert np.abs(signal(trace, i) - a).max() < 1e-10
+        a = signal(trace, 0)
+        cov = a.T @ a / len(a)
+        sigma = np.cov(stats.T, bias=True)
+        np.testing.assert_allclose(cov, np.linalg.solve(sigma + 1e-3 * np.eye(6), sigma), atol=1e-9)

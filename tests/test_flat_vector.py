@@ -8,7 +8,7 @@ import pytest
 from whitenet import net
 from whitenet.checkpoint import load_checkpoint, save_checkpoint
 from whitenet.errors import DimensionError
-from whitenet.net import Model, NetSpec, Params, WhiteningCoeffs, init_fan_in, project_to_whitened
+from whitenet.net import Model, NetSpec, Params, WhiteningCoeffs, init_fan_in
 from whitenet.optim import prong_reparametrize
 
 SPEC = NetSpec.mlp([5, 4, 3], hidden="tanh", head="softmax")
@@ -32,8 +32,7 @@ def assert_views_of_vector(model):
 
 
 def whitened(seed=0):
-    phi = WhiteningCoeffs.identity(SPEC)
-    return Model(SPEC, project_to_whitened(init_fan_in(SPEC, seed), phi, phi.transforms), phi=phi)
+    return Model(SPEC, init_fan_in(SPEC, seed), phi=WhiteningCoeffs.identity(SPEC))
 
 
 @pytest.mark.parametrize("make", [

@@ -15,10 +15,10 @@ from whitenet.linalg import (
     condition_number,
     covariance_range,
     estimate_moments,
-    invert_whitening,
+    preconditioner,
     sym_eig,
     sym_eigvals,
-    zca_whitening,
+    whitening_root,
 )
 
 
@@ -175,6 +175,11 @@ class TestEstimateMoments:
         assert np.array_equal(m.gram, m.gram.T)
 
 
+def zca_whitening(spectrum, e, epsilon):
+    """The ZCA whitening matrix of a range: the root of its preconditioner."""
+    return whitening_root(preconditioner(spectrum, e, epsilon))
+
+
 class TestZcaMatrix:
     def test_identity_covariance(self):
         m = estimate_moments(_seeded_samples(400, 4, seed=1))
@@ -223,19 +228,22 @@ class TestZcaMatrix:
         assert np.abs(cov - expected).max() < 1e-8
 
     @pytest.mark.parametrize("dim, epsilon", [(200, 1e-4), (1000, 1e-2)])
-    def test_gram_range_matches_the_dense_zca(self, dim, epsilon):
-        # 100 statistics rows, as at desk and paper width: U from the Gram
-        # matrix's range against E diag((lam + eps)^-1/2) E^T from the
-        # d x d eigendecomposition
+    def test_gram_range_matches_the_dense_preconditioner(self, dim, epsilon):
+        # 100 statistics rows, as at desk and paper width: P from the Gram
+        # matrix's range against E diag((lam + eps)^-1) E^T from the d x d
+        # eigendecomposition
         x = np.random.default_rng(dim).uniform(0.0, 1.0, size=(100, dim))
         m = estimate_moments(x)
         lam, e = zca_range(m)
-        u = zca_whitening(lam, e, epsilon)
+        p = preconditioner(lam, e, epsilon)
         centered = x - m.mean
-        dense_lam, dense_e = np.linalg.eigh(centered.T @ centered / 100)
-        dense = (dense_e / np.sqrt(np.maximum(dense_lam, 0.0) + epsilon)) @ dense_e.T
-        assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
-        assert np.abs(invert_whitening(lam, e, epsilon) @ u - np.eye(dim)).max() <= 1e-12
+        sigma = centered.T @ centered / 100
+        dense_lam, dense_e = np.linalg.eigh(sigma)
+        dense = (dense_e / (np.maximum(dense_lam, 0.0) + epsilon)) @ dense_e.T
+        assert np.abs(p - dense).max() <= 1e-10 * np.abs(dense).max()
+        # P's range gains cancel against 1/eps (the a + (g - a) form), so
+        # P (Sigma + eps I) reads about 1e-12 off I at desk width
+        assert np.abs(p @ (sigma + epsilon * np.eye(dim)) - np.eye(dim)).max() <= 1e-11
         # the spectrum: the covariance's range, then zeros
         assert lam.shape == (dim,) and e.shape == (dim, 99)
         np.testing.assert_allclose(lam[:99], dense_lam[::-1][:99], rtol=1e-10)
@@ -245,9 +253,8 @@ class TestZcaMatrix:
         # centered, N rows span at most N - 1 directions, so N = d is
         # singular too (N < d: test_epsilon_zero_on_rank_deficient_...)
         m = estimate_moments(np.random.default_rng(40).standard_normal((40, 40)))
-        for fn in (zca_whitening, invert_whitening):
-            with pytest.raises(SingularMatrixError):
-                fn(*zca_range(m), 0.0)
+        with pytest.raises(SingularMatrixError):
+            preconditioner(*zca_range(m), 0.0)
 
 
 class TestConditionNumber:
@@ -272,42 +279,45 @@ class TestConditionNumber:
         assert condition_number(lam * scale) == pytest.approx(condition_number(lam), rel=1e-9)
 
 
-class TestInvertWhitening:
+class TestPreconditioner:
     def test_identity(self):
-        inv = invert_whitening(*zca_range(_moments_with_cov(np.eye(3))), 0.0)
-        np.testing.assert_allclose(inv, np.eye(3))
+        p = preconditioner(*zca_range(_moments_with_cov(np.eye(3))), 0.0)
+        np.testing.assert_allclose(p, np.eye(3))
 
     def test_diagonal(self):
-        # U = diag(0.5, 1) whitens diag(4, 1)
-        inv = invert_whitening(*zca_range(_moments_with_cov(np.diag([4.0, 1.0]))), 0.0)
-        np.testing.assert_allclose(inv, np.diag([2.0, 1.0]))
+        # (Sigma + eps I)^-1 of diag(4, 1) at eps 1: diag(1/5, 1/2)
+        p = preconditioner(*zca_range(_moments_with_cov(np.diag([4.0, 1.0]))), 1.0)
+        np.testing.assert_allclose(p, np.diag([0.2, 0.5]), atol=1e-15)
 
-    def test_round_trip_on_random_zca(self):
+    def test_is_the_square_of_its_root(self):
         lam, e = zca_range(estimate_moments(_seeded_samples(200, 6, seed=21)))
-        u = zca_whitening(lam, e, epsilon=1e-3)
-        uinv = invert_whitening(lam, e, epsilon=1e-3)
-        assert np.abs(u @ uinv - np.eye(6)).max() <= 1e-9
+        p = preconditioner(lam, e, epsilon=1e-3)
+        u = whitening_root(p)
+        assert np.abs(u - u.T).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(u @ u - p).max() <= 1e-12 * np.abs(p).max()
 
     @pytest.mark.parametrize("width", [100, 200, 50, 16])
-    def test_inverts_the_whitening_at_desk_widths(self, width):
+    def test_inverts_the_damped_covariance_at_desk_widths(self, width):
         # the desk autoencoder's input slots, 100 statistics rows: rank
         # deficient above width 99, so eps carries the null space
         x = np.random.default_rng(width).uniform(0.0, 1.0, size=(100, width))
-        lam, e = zca_range(estimate_moments(x))
-        u = zca_whitening(lam, e, 1e-2)
-        assert np.abs(invert_whitening(lam, e, 1e-2) @ u - np.eye(width)).max() <= 1e-12
+        m = estimate_moments(x)
+        p = preconditioner(*zca_range(m), 1e-2)
+        centered = x - m.mean
+        damped = centered.T @ centered / 100 + 1e-2 * np.eye(width)
+        assert np.abs(p @ damped - np.eye(width)).max() <= 1e-12
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            invert_whitening(*zca_range(_moments_with_cov(np.zeros((2, 2)))), 0.0)
+            preconditioner(*zca_range(_moments_with_cov(np.zeros((2, 2)))), 0.0)
 
     def test_epsilon_zero_on_rank_deficient_covariance_refused(self):
         # 20 samples in 40 dimensions: rank 19
         x = np.random.default_rng(3).standard_normal((20, 40))
         lam, e = zca_range(estimate_moments(x))
         with pytest.raises(SingularMatrixError):
-            invert_whitening(lam, e, 0.0)
-        assert np.isfinite(invert_whitening(lam, e, 1e-2)).all()
+            preconditioner(lam, e, 0.0)
+        assert np.isfinite(preconditioner(lam, e, 1e-2)).all()
 
 
 def zca_range(m):

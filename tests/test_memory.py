@@ -6,7 +6,7 @@ and forwards a block of rows at a time;
 of rows at a time; the exact Fisher block is written tile by tile from
 column blocks of G, into the dense matrix when it is read or a row of tiles
 at a time to disk; the reparametrization walks the layers once and copies
-none but the current one; the training loop holds one batch's trace, its
+no parameters; the training loop holds one batch's trace, its
 backward one layer's delta at a time, and its step makes no temporary the
 size of the parameter vector. The memory figures are tracemalloc peaks,
 which count numpy's data buffers."""
@@ -19,7 +19,7 @@ import pytest
 
 from whitenet import cli, fisher, linalg, net, optim
 from whitenet.data import Dataset, load_idx, synthetic_images
-from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
+from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 
 DESK_SIZES = [100, 200, 100, 50, 16, 50, 100, 200, 100]
 
@@ -38,26 +38,24 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def whitened(spec, seed, stats):
-    phi = WhiteningCoeffs.identity(spec)
-    model = Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
+    model = identity_model(spec, seed)
     optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-4)
     return model
 
 
-def trace_bytes(trace):
-    """Bytes of a forward trace's distinct signals and activations, its
-    inputs excepted, plus one pre-activation z_i as large as each h_i: the
-    unit the bounds below were set in, when traces kept z beside h."""
-    arrays = {id(a): a for a in trace.signals + trace.activations}
-    held = sum(a.nbytes for a in arrays.values() if a is not trace.inputs)
-    return held + sum(h.nbytes for h in trace.activations)
+def trace_bytes(spec, rows):
+    """Bytes of a whitened forward trace of ``rows`` rows as traces were
+    held when they kept each layer's whitened signal a_i beside h_i, plus
+    one pre-activation z_i as large as each h_i: the unit the bounds below
+    were set in."""
+    return 8 * rows * sum(layer.in_dim + 2 * layer.out_dim for layer in spec.layers)
 
 
 def test_eval_loss_peaks_below_half_a_trace():
     spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(512, 100))
     model = whitened(spec, 1, x[:100])
-    full = trace_bytes(model.forward(x))
+    full = trace_bytes(spec, len(x))
     dataset = Dataset(x, x)
     peak = traced_peak(optim._eval_loss, model, dataset, "squared_error")
     assert peak < full / 2, (peak, full)
@@ -183,8 +181,8 @@ def test_predict_in_row_blocks_is_forward_outputs_bit_for_bit(kind, rows):
 
 @pytest.mark.parametrize("kind", ["canonical", "whitened"])
 def test_predict_holds_one_row_block_at_a_time(kind):
-    # beside the output: one block's s, z and h (and the centered input of a
-    # whitened layer) at width 200; the whole batch's would be four times that
+    # beside the output: one block's z and h at width 200; the whole
+    # batch's would be four times that
     x = np.random.default_rng(16).uniform(0.0, 1.0, size=(512, 100))
     model = desk_model(kind, x[:100])
     block_bytes = net.PREDICT_ROWS * 200 * 8
@@ -195,7 +193,7 @@ def test_predict_holds_one_row_block_at_a_time(kind):
 def old_exact_block(sweep, layer_index):
     """The accumulation the exact block used before: weighted outer-product
     Gram sums, then (F + F^T) / 2."""
-    signal = sweep.trace.signals[layer_index]
+    signal = fisher.signal(sweep.trace, layer_index)
     b = signal.shape[0]
     size = sweep.deltas[0][layer_index].shape[1] * signal.shape[1]
     f = np.zeros((size, size))
@@ -208,7 +206,7 @@ def old_exact_block(sweep, layer_index):
 
 def one_product_block(sweep, layer_index):
     """The exact block as one product of the whole stacked G: G^T G / B."""
-    signal = sweep.trace.signals[layer_index]
+    signal = fisher.signal(sweep.trace, layer_index)
     b = signal.shape[0]
     g = np.concatenate([
         np.einsum("bi,bj->bij", deltas[layer_index] * np.sqrt(weight)[:, None], signal)
@@ -292,12 +290,11 @@ def test_saved_exact_block_peaks_below_half_a_block(tmp_path):
 
 
 def identity_model(spec, seed):
-    phi = WhiteningCoeffs.identity(spec)
-    return Model(spec, project_to_whitened(init_fan_in(spec, seed), phi, phi.transforms), phi=phi)
+    return Model(spec, init_fan_in(spec, seed), phi=WhiteningCoeffs.identity(spec))
 
 
 def test_reparametrize_peaks_below_5_mb_at_desk_width():
-    # no statistics trace and no whole-model canonical or re-projected copy
+    # no statistics trace and no copy of the parameters
     spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     model = identity_model(spec, 1)
     stats = np.random.default_rng(10).uniform(0.0, 1.0, size=(100, 100))
@@ -325,7 +322,7 @@ def test_train_holds_one_batch_trace():
     spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(1024, 100))
     model = whitened(spec, 1, x[:100])
-    full = trace_bytes(model.forward(x[:64]))
+    full = trace_bytes(spec, 64)
     config = optim.TrainConfig(learning_rate=1e-3, momentum=0.9, batch_size=64, max_updates=20,
                                eval_interval=1000)
     peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="momentum",
@@ -380,28 +377,20 @@ def test_sgd_step_makes_no_vector_sized_temporary(momentum):
 
 
 def old_reparametrize(omega, phi, spec, stats, epsilon):
-    """The three-pass sequence the reparametrization replaces: project the
-    whole model to canonical, forward the statistics through the old
-    parametrization, rebuild every slot's coefficients, project back."""
-    thetas = []
-    for v, d, u, c in zip(omega.weights, omega.biases, phi.transforms, phi.centers):
-        w = v @ u
-        thetas.append((w, d - w @ c))
+    """The two-pass sequence the reparametrization replaces: forward the
+    statistics through the whole model into a trace, then rebuild every
+    slot's coefficients from it."""
     trace = net.forward_whitened(omega, phi, spec, stats)
     new_phi = WhiteningCoeffs([], [])
     spectra = []
     for i in range(spec.depth):
-        mom = linalg.estimate_moments(([trace.inputs] + trace.activations)[i])
+        mom = linalg.estimate_moments(trace.signal(i))
         lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
             mom.covariance if mom.gram is None else mom.gram))
-        new_phi.transforms.append(linalg.zca_whitening(lam, e, epsilon))
         new_phi.centers.append(mom.mean.copy())
-        spectra.append((lam, e))
-    weights, biases = [], []
-    for (w, b), (lam, e), c in zip(thetas, spectra, new_phi.centers):
-        weights.append(w @ linalg.invert_whitening(lam, e, epsilon))
-        biases.append(b + w @ c)
-    return net.Params.of(weights, biases), new_phi, spectra, trace.outputs
+        new_phi.preconditioners.append(linalg.preconditioner(lam, e, epsilon))
+        spectra.append(lam)
+    return new_phi, spectra, trace.outputs
 
 
 def bits(arrays):
@@ -416,12 +405,13 @@ def test_reparametrize_is_the_old_sequence_bit_for_bit(start):
     model = identity_model(spec, 12)
     if start == "whitened":
         optim.prong_reparametrize(model.params, model.phi, spec, rng.uniform(size=(60, 12)), 1e-2)
-    fresh, phi, spectra, outputs = old_reparametrize(model.params, model.phi, spec, stats, 1e-2)
+    vector = model.params.vector.copy()
+    phi, spectra, outputs = old_reparametrize(model.params, model.phi, spec, stats, 1e-2)
     info = optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
     for got, expected in [
-        (model.params.weights + model.params.biases, fresh.weights + fresh.biases),
-        (model.phi.transforms + model.phi.centers, phi.transforms + phi.centers),
-        (info.eigenvalues, [lam for lam, _ in spectra]),
+        ([model.params.vector], [vector]),
+        (model.phi.centers + model.phi.preconditioners, phi.centers + phi.preconditioners),
+        (info.eigenvalues, spectra),
         ([info.outputs], [outputs]),
     ]:
         for a, b in zip(bits(got), bits(expected), strict=True):

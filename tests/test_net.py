@@ -17,12 +17,11 @@ from whitenet.net import (
     forward_whitened,
     init_fan_in,
     loss,
-    project_to_canonical,
-    project_to_whitened,
 )
 from whitenet.optim import TrainConfig, train
 
 from backward_reference import list_backward, vjp_inputs
+from whitened_reference import Whitened
 
 
 def seeded_canonical(sizes, seed, hidden="tanh", head="sigmoid"):
@@ -31,20 +30,16 @@ def seeded_canonical(sizes, seed, hidden="tanh", head="sigmoid"):
 
 
 def seeded_phi(spec, seed, scale=0.5):
-    """Random invertible whitening coefficients (identity + perturbation)."""
+    """Random whitening coefficients: centers, and P = U^T U of a random
+    invertible U (identity + perturbation)."""
     rng = np.random.default_rng(seed)
-    transforms, centers = [], []
+    centers, preconditioners = [], []
     for layer in spec.layers:
         n = layer.in_dim
         u = np.eye(n) + scale * rng.standard_normal((n, n)) / np.sqrt(n)
-        transforms.append(u)
+        preconditioners.append(u.T @ u)
         centers.append(rng.standard_normal(n) * 0.3)
-    return WhiteningCoeffs(transforms, centers)
-
-
-def inverses(phi):
-    """U^-1 of every slot of arbitrary coefficients, by general inverse."""
-    return [np.linalg.inv(u) for u in phi.transforms]
+    return WhiteningCoeffs(centers, preconditioners)
 
 
 def naive_forward(params, spec, x):
@@ -166,8 +161,7 @@ class TestSigmoidBitIdentity:
             if optimizer == "momentum":
                 model = Model(spec, theta)
             else:
-                phi = WhiteningCoeffs.identity(spec)
-                model = Model(spec, project_to_whitened(theta, phi, inverses(phi)), phi=phi)
+                model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
             return train(model, data, cfg, optimizer=optimizer,
                          loss_kind="binary_cross_entropy")
 
@@ -195,7 +189,8 @@ class TestSigmoidBitIdentity:
         assert reference_calls
         arrays = [(shipped.model.params.vector, reference.model.params.vector)]
         if optimizer != "momentum":
-            arrays += list(zip(shipped.model.phi.transforms, reference.model.phi.transforms))
+            arrays += list(zip(shipped.model.phi.preconditioners,
+                               reference.model.phi.preconditioners))
         for a, b in arrays:
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         assert [r.step for r in shipped.rows] == [r.step for r in reference.rows]
@@ -206,8 +201,9 @@ class TestSigmoidBitIdentity:
 
 class TestForwardWhitened:
     def test_identity_coeffs_match_canonical(self):
-        # phi=None skips the U/c step; identity coefficients apply it, and
-        # both give bitwise-equal activations and gradients
+        # phi=None is the plain gradient; identity coefficients multiply by
+        # P = I and subtract gW c = 0, and both give bitwise-equal
+        # activations and gradients
         spec, params = seeded_canonical([5, 4, 2], seed=4)
         phi = WhiteningCoeffs.identity(spec)
         rng = np.random.default_rng(1)
@@ -223,22 +219,17 @@ class TestForwardWhitened:
         for ga, gb in zip(grads_a.weights + grads_a.biases, grads_b.weights + grads_b.biases):
             assert np.array_equal(ga, gb)
 
-    def test_centering_zeroes_batch_mean(self):
-        spec, params = seeded_canonical([4, 3], seed=5)
-        x = np.random.default_rng(2).standard_normal((32, 4))
-        phi = WhiteningCoeffs([np.eye(4)], [x.mean(axis=0)])
-        trace = forward_whitened(params, phi, spec, x)
-        assert np.abs(trace.signals[0].mean(axis=0)).max() < 1e-9
-
-    def test_round_trip_outputs_equal(self):
+    def test_coefficients_do_not_enter_the_forward(self):
+        # the network function is the canonical one whatever the
+        # coefficients: the trace only records them for the backward
         spec, params = seeded_canonical([4, 5, 3], seed=6)
         phi = seeded_phi(spec, seed=7)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        back = project_to_canonical(omega, phi)
         x = np.random.default_rng(3).standard_normal((20, 4))
-        o1 = forward_whitened(params, None, spec, x).outputs
-        o2 = forward_whitened(back, None, spec, x).outputs
-        assert np.abs(o1 - o2).max() < 1e-10
+        plain = forward_whitened(params, None, spec, x)
+        whitened = forward_whitened(params, phi, spec, x)
+        assert whitened.phi is phi and plain.phi is None
+        for a, b in zip(plain.activations, whitened.activations, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestLoss:
@@ -353,7 +344,14 @@ def relative_errors(analytic, numeric):
 
 
 def check_model_gradients(model, x, targets, kind, tol=1e-5):
+    """The backward against central differences of the loss in the model's
+    parameters; for a whitened model, in its whitened parameters (V, d),
+    mapped to the step direction they make in (W, b)."""
+    white = Whitened(model) if model.phi is not None else None
+
     def eval_loss():
+        if white is not None:
+            return loss(kind, white.forward(x)[1][-1], targets)[0]
         trace = model.forward(x, training=True)
         value, _ = loss(kind, trace.outputs, targets)
         return value
@@ -361,7 +359,10 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
     trace = model.forward(x, training=True)
     _, g = loss(kind, trace.outputs, targets)
     analytic = [model.backward(trace, g).vector]
-    numeric = finite_difference_grads(eval_loss, [model.params.vector])
+    numeric = finite_difference_grads(eval_loss, [model.params.vector if white is None
+                                                  else white.vector])
+    if white is not None:
+        numeric = [white.canonical(numeric[0]).vector]
     assert relative_errors(analytic, numeric) < tol
 
 
@@ -404,8 +405,7 @@ class TestBackward:
 
     def test_finite_differences_whitened(self):
         spec, params = seeded_canonical([3, 4, 2], seed=14, hidden="sigmoid", head="identity")
-        phi = seeded_phi(spec, seed=15)
-        model = Model(spec, project_to_whitened(params, phi, inverses(phi)), phi=phi)
+        model = Model(spec, params, phi=seeded_phi(spec, seed=15))
         rng = np.random.default_rng(16)
         check_model_gradients(model, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
                               "squared_error")
@@ -444,8 +444,7 @@ class TestStreamedBackward:
         if kind == "canonical":
             return Model(spec, params)
         if kind == "whitened":
-            phi = seeded_phi(spec, seed=71)
-            return Model(spec, project_to_whitened(params, phi, inverses(phi)), phi=phi)
+            return Model(spec, params, phi=seeded_phi(spec, seed=71))
         model = Model.batch_norm(spec, params)
         rng = np.random.default_rng(72)
         for g, sh in zip(model.params.gains, model.params.shifts):
@@ -489,105 +488,56 @@ class TestStreamedBackward:
                 assert np.array_equal(bits(a), bits(b))
 
 
-class TestProjections:
-    def test_identity_coeffs_are_noop(self):
-        spec, params = seeded_canonical([4, 3], seed=20)
-        phi = WhiteningCoeffs.identity(spec)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        np.testing.assert_allclose(omega.weights[0], params.weights[0])
-        np.testing.assert_allclose(omega.biases[0], params.biases[0])
+class TestWhitenedGradient:
+    """A whitened model's backward is the gradient of its whitened
+    parametrization, V a + d with a = U (h - c), mapped to the canonical
+    parameters: delta^T (h - c) P and sum(delta) - gW c."""
 
     def test_hand_expanded_example(self):
-        # V=I, U=diag(2), c=(1,1), d=0:  W = diag(2), b = -W c = (-2,-2)
+        # W = I, b = 0, c = (1, 1), P = diag(4, 4) (U = diag(2, 2)); one
+        # row x = (3, 1) under squared error against 0: delta = (3, 1),
+        # (x - c) P = (8, 0), gW = delta^T (8, 0), gb = delta - gW c
         spec = NetSpec.mlp([2, 2], head="identity")
-        omega = Params.of([np.eye(2)], [np.zeros(2)])
-        phi = WhiteningCoeffs([np.diag([2.0, 2.0])], [np.ones(2)])
-        theta = project_to_canonical(omega, phi)
-        np.testing.assert_allclose(theta.weights[0], np.diag([2.0, 2.0]))
-        np.testing.assert_allclose(theta.biases[0], [-2.0, -2.0])
+        params = Params.of([np.eye(2)], [np.zeros(2)])
+        model = Model(spec, params, phi=WhiteningCoeffs([np.ones(2)], [np.diag([4.0, 4.0])]))
+        x = np.array([[3.0, 1.0]])
+        trace = model.forward(x)
+        _, g = loss("squared_error", trace.outputs, np.zeros((1, 2)))
+        grads = model.backward(trace, g)
+        np.testing.assert_allclose(grads.weights[0], [[24.0, 0.0], [8.0, 0.0]])
+        np.testing.assert_allclose(grads.biases[0], [-21.0, -7.0])
 
-    def test_round_trip_on_omega(self):
-        spec, params = seeded_canonical([3, 5, 2], seed=21)
-        phi = seeded_phi(spec, seed=22)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        omega2 = project_to_whitened(project_to_canonical(omega, phi), phi, inverses(phi))
-        for a, b in zip(omega.weights + omega.biases, omega2.weights + omega2.biases):
-            assert np.abs(a - b).max() < 1e-10
-
-    def test_function_preserved_under_new_coeffs(self):
-        # the core of the amortized reparametrization: moving to fresh
-        # coefficients must not change the network function
-        spec, params = seeded_canonical([4, 6, 3], seed=23)
-        phi_old = seeded_phi(spec, seed=24)
-        omega = project_to_whitened(params, phi_old, inverses(phi_old))
-        theta = project_to_canonical(omega, phi_old)
-        phi_new = seeded_phi(spec, seed=25)
-        omega_new = project_to_whitened(theta, phi_new, inverses(phi_new))
-        x = np.random.default_rng(26).standard_normal((50, 4))
-        o_old = forward_whitened(omega, phi_old, spec, x).outputs
-        o_new = forward_whitened(omega_new, phi_new, spec, x).outputs
-        assert np.abs(o_old - o_new).max() < 1e-9
-
-    def test_functional_duality_100_inputs(self):
-        spec, params = seeded_canonical([5, 4, 2], seed=27)
-        phi = seeded_phi(spec, seed=28)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        theta = project_to_canonical(omega, phi)
-        x = np.random.default_rng(29).standard_normal((100, 5))
-        ow = forward_whitened(omega, phi, spec, x).outputs
-        oc = forward_whitened(theta, None, spec, x).outputs
-        assert np.abs(ow - oc).max() < 1e-10
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_projection_bijectivity(self, seed):
-        spec, params = seeded_canonical([3, 4, 2], seed=seed)
-        phi = seeded_phi(spec, seed=seed + 1)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        theta2 = project_to_canonical(omega, phi)
-        for a, b in zip(params.weights + params.biases, theta2.weights + theta2.biases):
-            assert np.abs(a - b).max() < 1e-10
-
-    def test_gradient_duality_zero_centering(self):
-        # with c = 0 the plain identity G_V = G_W U^T holds exactly
+    def test_zero_centering_is_the_canonical_gradient_times_p(self):
         spec, params = seeded_canonical([4, 3, 2], seed=30)
         phi = seeded_phi(spec, seed=31)
         for c in phi.centers:
             c[:] = 0.0
-        omega = project_to_whitened(params, phi, inverses(phi))
-        theta = project_to_canonical(omega, phi)
         x = np.random.default_rng(32).standard_normal((10, 4))
         y = np.random.default_rng(33).uniform(0.1, 0.9, (10, 2))
-        tw = forward_whitened(omega, phi, spec, x)
-        tc = forward_whitened(theta, None, spec, x)
-        _, gw = loss("binary_cross_entropy", tc.outputs, y)
-        _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        grad_w = net.backward_whitened(tc, theta, spec, gw)
-        grad_v = net.backward_whitened(tw, omega, spec, gv)
+        plain = Model(spec, params)
+        whitened = Model(spec, params, phi=phi)
+        _, g = loss("binary_cross_entropy", plain.forward(x).outputs, y)
+        grad_w = plain.backward(plain.forward(x), g)
+        grad_p = whitened.backward(whitened.forward(x), g)
         for i in range(spec.depth):
-            expected = grad_w.weights[i] @ phi.transforms[i].T
-            assert np.abs(grad_v.weights[i] - expected).max() < 1e-10
+            assert np.abs(grad_p.weights[i] - grad_w.weights[i] @ phi.preconditioners[i]).max() < 1e-12
+            assert np.array_equal(grad_p.biases[i], grad_w.biases[i])
 
-    def test_gradient_duality_general_centering(self):
-        # with centering, the bias couples in: G_V = (G_W - delta_bar c^T) U^T
-        spec, params = seeded_canonical([4, 3, 2], seed=34)
-        phi = seeded_phi(spec, seed=35)
-        omega = project_to_whitened(params, phi, inverses(phi))
-        theta = project_to_canonical(omega, phi)
-        x = np.random.default_rng(36).standard_normal((10, 4))
-        y = np.random.default_rng(37).uniform(0.1, 0.9, (10, 2))
-        tw = forward_whitened(omega, phi, spec, x)
-        tc = forward_whitened(theta, None, spec, x)
-        _, gw = loss("binary_cross_entropy", tc.outputs, y)
-        _, gv = loss("binary_cross_entropy", tw.outputs, y)
-        deltas = net.backpropagate_deltas(tc, theta, spec, net.output_delta(tc, spec, gw))
-        grad_w = net.backward_whitened(tc, theta, spec, gw)
-        grad_v = net.backward_whitened(tw, omega, spec, gv)
-        for i in range(spec.depth):
-            delta_bar = deltas[i].sum(axis=0)
-            corrected = grad_w.weights[i] - np.outer(delta_bar, phi.centers[i])
-            expected = corrected @ phi.transforms[i].T
-            assert np.abs(grad_v.weights[i] - expected).max() < 1e-10
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_the_whitened_reference(self, seed):
+        spec, params = seeded_canonical([4, 3, 2], seed=seed)
+        model = Model(spec, params, phi=seeded_phi(spec, seed=seed + 1))
+        rng = np.random.default_rng(seed + 2)
+        x = rng.standard_normal((10, 4))
+        y = rng.uniform(0.1, 0.9, (10, 2))
+        white = Whitened(model)
+        # the reference computes the same function in (V, d)
+        assert np.abs(white.forward(x)[1][-1] - model.forward(x).outputs).max() < 1e-10
+        assert np.abs(white.canonical().vector - params.vector).max() < 1e-10
+        _, g = loss("binary_cross_entropy", model.forward(x).outputs, y)
+        expected = white.canonical(white.gradient(x, y, "binary_cross_entropy")[1])
+        assert np.abs(model.backward(model.forward(x), g).vector - expected.vector).max() < 1e-10
 
 
 class TestInitFanIn:

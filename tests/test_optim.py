@@ -4,7 +4,7 @@ import pytest
 from whitenet import net, optim
 from whitenet.data import Dataset, synthetic_gaussian
 from whitenet.errors import ConfigError, NumericError, SingularMatrixError
-from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in, project_to_whitened
+from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 from whitenet.optim import (
     OptimizerState,
     TrainConfig,
@@ -15,6 +15,7 @@ from whitenet.optim import (
 )
 
 from backward_reference import list_backward, vjp_inputs
+from whitened_reference import reference_prong, root, whitened_signals
 
 
 def make_config(**kw):
@@ -132,30 +133,28 @@ class TestRmspropStep:
 
 def whitened_model(sizes, seed, hidden="tanh", head="sigmoid"):
     spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
-    theta = init_fan_in(spec, seed)
-    phi = WhiteningCoeffs.identity(spec)
-    omega = project_to_whitened(theta, phi, phi.transforms)
-    return Model(spec, omega, phi=phi)
+    return Model(spec, init_fan_in(spec, seed), phi=WhiteningCoeffs.identity(spec))
 
 
 class TestReparametrize:
     def test_function_preserved(self):
+        # the parameters are not touched, so the function is kept bit for bit
         model = whitened_model([6, 5, 3], seed=1)
         rng = np.random.default_rng(2)
         stats = rng.standard_normal((64, 6))
         probe = rng.standard_normal((10, 6))
         before = model.forward(probe).outputs
+        vector = model.params.vector.copy()
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        after = model.forward(probe).outputs
-        assert np.abs(after - before).max() < 1e-9
+        assert np.array_equal(model.params.vector, vector)
+        assert np.array_equal(model.forward(probe).outputs, before)
 
     def test_whitening_invariant_eps_zero(self):
         model = whitened_model([6, 5, 3], seed=3)
         stats = np.random.default_rng(4).standard_normal((128, 6))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         trace = model.forward(stats)
-        for i in range(model.spec.depth):
-            a = trace.signals[i]
+        for a in whitened_signals(model, trace):
             assert np.abs(a.mean(axis=0)).max() < 1e-8
             cov = a.T @ a / a.shape[0]
             assert np.abs(cov - np.eye(cov.shape[0])).max() < 1e-6
@@ -166,11 +165,10 @@ class TestReparametrize:
         stats = np.random.default_rng(6).standard_normal((256, 5))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=eps)
         trace = model.forward(stats)
-        for i in range(model.spec.depth):
+        for i, a in enumerate(whitened_signals(model, trace)):
             # Sigma (Sigma + eps I)^-1, Sigma the slot's canonical input
             # covariance on the statistics sample
-            a = trace.signals[i]
-            centered = ([trace.inputs] + trace.activations)[i]
+            centered = trace.signal(i)
             centered = centered - centered.mean(axis=0)
             sigma = centered.T @ centered / centered.shape[0]
             expected = np.linalg.solve(sigma + eps * np.eye(len(sigma)), sigma)
@@ -184,21 +182,23 @@ class TestReparametrize:
         probe = model.forward(stats).outputs
         # second call from already-whitened statistics: still white, function kept
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        trace = model.forward(stats)
-        a = trace.signals[0]
+        a = whitened_signals(model, model.forward(stats))[0]
         assert np.abs(a.T @ a / a.shape[0] - np.eye(4)).max() < 1e-6
         assert np.abs(model.forward(stats).outputs - probe).max() < 1e-9
 
     def test_first_call_equals_whitening_the_canonical_net(self):
         # from the identity initialization, reparametrizing is exactly the
-        # whitening initialization scheme: U from the data covariance
+        # whitening initialization scheme: P = Sigma^-1 from the data
+        # covariance, and its root U whitens it
         model = whitened_model([5, 3], seed=9)
         stats = np.random.default_rng(10).standard_normal((200, 5))
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
         mean = stats.mean(axis=0)
         np.testing.assert_allclose(model.phi.centers[0], mean, atol=1e-12)
         cov = (stats - mean).T @ (stats - mean) / stats.shape[0]
-        u = model.phi.transforms[0]
+        p = model.phi.preconditioners[0]
+        np.testing.assert_allclose(p @ cov, np.eye(5), atol=1e-8)
+        u = root(p)
         np.testing.assert_allclose(u @ cov @ u.T, np.eye(5), atol=1e-8)
 
     def test_singular_statistics_demand_epsilon(self):
@@ -208,8 +208,8 @@ class TestReparametrize:
             prong_reparametrize(model.params, model.phi, model.spec, rank_deficient, 0.0)
 
     def test_epsilon_monotone_trust_region(self):
-        # each eigendirection's squared step multiplier is 1/(lam+eps),
-        # decreasing in eps; realized through U^T U
+        # each eigendirection's step multiplier is 1/(lam+eps), decreasing
+        # in eps; realized through P
         model = whitened_model([5, 2], seed=13)
         stats = np.random.default_rng(14).standard_normal((300, 5))
         multipliers = []
@@ -383,7 +383,7 @@ class TestNaturalGradientEquivalence:
         alpha = 0.05
 
         prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        theta_before = net.project_to_canonical(model.params, model.phi)
+        theta_before = model.params.copy()
 
         batch_x = rng.standard_normal((16, 7))
         batch_y = np.eye(3)[rng.integers(0, 3, size=16)]
@@ -394,7 +394,7 @@ class TestNaturalGradientEquivalence:
         cfg = make_config(learning_rate=alpha, momentum=0.0)
         state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
-        theta_after = net.project_to_canonical(model.params, model.phi)
+        theta_after = model.params
 
         # canonical gradients on the same batch (deltas per layer)
         ctrace = net.forward_whitened(theta_before, None, model.spec, batch_x)
@@ -425,19 +425,20 @@ class TestNaturalGradientEquivalence:
             assert np.abs(dw - dw_centered).max() < 1e-8
 
     def test_plain_identity_with_zero_centering(self):
-        """With centering disabled (c = 0) the projected step is exactly
-        -alpha * G_W * (U^T U)^-1-free form: -alpha G_W (U^T U)."""
+        """With centering disabled (c = 0) the step is exactly
+        -alpha G_W (U^T U) for an arbitrary invertible U."""
         rng = np.random.default_rng(40)
         sizes = [6, 4, 2]
         spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 41)
         phi = WhiteningCoeffs.identity(spec)
         # arbitrary invertible transforms, centers pinned at zero
+        transforms = []
         for i, layer in enumerate(spec.layers):
             n = layer.in_dim
-            phi.transforms[i] = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-        omega = project_to_whitened(theta, phi, [np.linalg.inv(u) for u in phi.transforms])
-        model = Model(spec, omega, phi=phi)
+            transforms.append(np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n))
+            phi.preconditioners[i] = transforms[-1].T @ transforms[-1]
+        model = Model(spec, theta, phi=phi)
         alpha = 0.05
 
         batch_x = rng.standard_normal((16, 6))
@@ -448,13 +449,12 @@ class TestNaturalGradientEquivalence:
         cfg = make_config(learning_rate=alpha)
         state = OptimizerState.init(model.params.vector)
         sgd_step(model.params.vector, grads.vector, state, cfg)
-        theta_after = net.project_to_canonical(model.params, model.phi)
+        theta_after = model.params
 
         ctrace = net.forward_whitened(theta, None, spec, batch_x)
         _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, batch_y)
         cgrads = net.backward_whitened(ctrace, theta, spec, cgrad)
-        for i in range(spec.depth):
-            u = phi.transforms[i]
+        for i, u in enumerate(transforms):
             expected = -alpha * cgrads.weights[i] @ (u.T @ u)
             dw = theta_after.weights[i] - theta.weights[i]
             assert np.abs(dw - expected).max() < 1e-10
@@ -466,8 +466,9 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
     lists [w0, b0, w1, b1, ..., g0, s0, ...], each stepped on its own, and
     weight and bias gradients are formed per layer as fresh arrays from the
     deltas (batch norm: from the list backward's). Returns the rows as (step, train_loss, eval_loss, learning_rate,
-    reparam_event), the velocities and the mean squares. Updates ``model``
-    in place."""
+    reparam_event), the velocities and the mean squares. A whitened
+    model's gradients are delta^T (h - c) P and sum(delta) - gW c. Updates
+    ``model`` in place."""
     from whitenet.data import BatchPlan, next_batch
 
     whitened = optimizer == "prong"
@@ -509,7 +510,12 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
                                               net.output_delta(trace, model.spec, grad))
         grads = []
         for i in range(model.spec.depth):
-            grads += [deltas[i].T @ trace.signals[i], deltas[i].sum(axis=0)]
+            if whitened:
+                c = model.phi.centers[i]
+                gw = deltas[i].T @ ((trace.signal(i) - c) @ model.phi.preconditioners[i])
+                grads += [gw, deltas[i].sum(axis=0) - gw @ c]
+            else:
+                grads += [deltas[i].T @ trace.signal(i), deltas[i].sum(axis=0)]
         if bn:
             written = model.backward(trace, grad)
             grads += [g.copy() for pair in zip(written.gains, written.shifts) for g in pair]
@@ -571,8 +577,34 @@ class TestFlatUpdateOracle:
             flat_ms = np.concatenate([s.ravel() for s in mean_squares])
             assert np.array_equal(bits(result.state.mean_square), bits(flat_ms))
         if model.phi is not None:
-            for a, b in zip(model.phi.transforms, reference.phi.transforms):
+            for a, b in zip(model.phi.centers + model.phi.preconditioners,
+                            reference.phi.centers + reference.phi.preconditioners):
                 assert np.array_equal(bits(a), bits(b))
         assert [(r.step, r.train_loss, r.eval_loss, r.learning_rate, r.reparam_event)
                 for r in result.rows] == rows
         assert result.state.step == 50
+
+
+class TestWhitenedOracle:
+    def test_prong_matches_the_whitened_parametrization(self):
+        """prong through train(), five reparametrizations at momentum 0.9,
+        against the run in the whitened parameter space (whitened forward
+        and backward, a projection at each reparametrization): every row's
+        losses and the final canonical parameters within 1e-9 relative."""
+        rng = np.random.default_rng(90)
+        x = rng.standard_normal((160, 6)) @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.3])
+        ds = Dataset(x, np.eye(3)[rng.integers(0, 3, size=160)])
+        model = whitened_model([6, 5, 4, 3], seed=91, head="softmax")
+        reference = model.copy()
+        cfg = make_config(learning_rate=0.05, momentum=0.9, batch_size=16, max_updates=45,
+                          eval_interval=5, reparam_period=10, stat_samples=64,
+                          eigen_epsilon=1e-2, seed=4)
+        result = train(model, ds, cfg, optimizer="prong", loss_kind="categorical_cross_entropy")
+        rows, theta = reference_prong(reference, ds, cfg, "categorical_cross_entropy")
+        assert result.reparam_steps == [0, 10, 20, 30, 40]
+        assert [(r.step, r.reparam_event) for r in result.rows] == [(r[0], r[3]) for r in rows]
+        for got, expected in zip(result.rows, rows, strict=True):
+            assert got.train_loss == pytest.approx(expected[1], rel=1e-9, abs=0.0)
+            assert got.eval_loss == pytest.approx(expected[2], rel=1e-9, abs=0.0)
+        worst = np.abs(model.params.vector - theta.vector).max()
+        assert worst <= 1e-9 * np.abs(theta.vector).max(), worst
