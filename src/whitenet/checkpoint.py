@@ -71,13 +71,20 @@ def _spec(path, header):
         raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
 
 
-def _blank_model(kind, spec):
-    """A model of ``kind`` whose arrays have the shapes a checkpoint must hold."""
+def _shapes(kind, spec):
+    """Name -> shape of every array a checkpoint of ``kind`` must hold,
+    read off the spec with no array allocated."""
     if kind not in ("canonical", "whitened", "bn"):
         raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
-    params = flat_layout(spec, bn=kind == "bn")
-    phi = WhiteningCoeffs.identity(spec) if kind == "whitened" else None
-    return Model(spec, params, phi=phi)
+    shapes = {}
+    for i, l in enumerate(spec.layers):
+        shapes |= {f"weight_{i}": (l.out_dim, l.in_dim), f"bias_{i}": (l.out_dim,)}
+        if kind == "whitened":
+            shapes |= {f"center_{i}": (l.in_dim,), f"preconditioner_{i}": (l.in_dim, l.in_dim)}
+        if kind == "bn":
+            shapes |= {f"{a}_{i}": (l.out_dim,)
+                       for a in ("gain", "shift", "running_mean", "running_var")}
+    return shapes
 
 
 def load_checkpoint(path):
@@ -118,13 +125,15 @@ def load_checkpoint(path):
     if offset != len(raw):
         raise ConsistencyError(f"{path} has trailing bytes after its last array")
 
-    model = _blank_model(header["kind"], _spec(path, header))
-    for name, target in _named_arrays(model):
+    kind, spec = header["kind"], _spec(path, header)
+    for name, shape in _shapes(kind, spec).items():  # before any model is built
         if name not in arrays:
             raise ConsistencyError(f"{path} lacks array {name}")
-        if arrays[name].shape != target.shape:
+        if arrays[name].shape != shape:
             raise ConsistencyError(
-                f"{path} stores {name} as {arrays[name].shape}, the network needs {target.shape}"
-            )
+                f"{path} stores {name} as {arrays[name].shape}, the network needs {shape}")
+    phi = WhiteningCoeffs.identity(spec) if kind == "whitened" else None
+    model = Model(spec, flat_layout(spec, bn=kind == "bn"), phi=phi)
+    for name, target in _named_arrays(model):
         target[...] = arrays[name]
     return model, {"seed": seed, "step": step}

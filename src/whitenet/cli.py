@@ -22,14 +22,7 @@ from pathlib import Path
 
 from . import __version__, data as data_mod, fisher, net
 from .checkpoint import save_checkpoint
-from .config import (
-    PRESETS,
-    build_train_config,
-    config_hash,
-    resolve_config,
-    set_dotted,
-    validate_config,
-)
+from .config import PRESETS, config_hash, resolve_config, set_dotted, validate_config
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -38,7 +31,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .metrics import write_metrics, write_table
-from .optim import train as run_train
+from .optim import TrainConfig, train as run_train
 
 
 def build_dataset(cfg: dict):
@@ -50,25 +43,19 @@ def build_dataset(cfg: dict):
     kind of its task: ``synthetic_images``, or ``synthetic_classification``
     at ``dim = side ** 2``. One path without the other is a ConfigError
     naming the missing key."""
-    d = cfg["dataset"]
-    kind = d["kind"]
-    autoencode = d.get("autoencode", False)
-    seed = d.get("seed", 0)
-    n = d.get("n", 4096)
-    dim = d.get("dim", 16)
-
-    if kind in ("mnist", "mnist10x10"):
-        images, labels = d.get("images"), d.get("labels")
-        missing = [f"dataset.{key}" for key in ("images", "labels") if not d.get(key)]
-        if len(missing) == 2 and d.get("fallback_synthetic", False):
-            kind = "synthetic_images" if autoencode else "synthetic_classification"
-            dim = d.get("side", 10) ** 2
+    d = data_mod.DatasetConfig(**cfg["dataset"])
+    kind, dim = d.kind, d.dim
+    if kind in data_mod.MNIST_KINDS:
+        missing = [f"dataset.{key}" for key in ("images", "labels") if not getattr(d, key)]
+        if len(missing) == 2 and d.fallback_synthetic:
+            kind = "synthetic_images" if d.autoencode else "synthetic_classification"
+            dim = d.side ** 2
         elif missing:
             raise ConfigError(f"dataset kind {kind!r} needs both IDX paths "
                               "(or neither, with fallback_synthetic: true)", missing)
-    if kind in ("mnist", "mnist10x10"):
-        ds = data_mod.load_idx(images, labels, side=10 if kind == "mnist10x10" else 28)
-        if not autoencode and d.get("n_classes", 10) == 2:
+    if kind in data_mod.MNIST_KINDS:
+        ds = data_mod.load_idx(d.images, d.labels, side=10 if kind == "mnist10x10" else 28)
+        if not d.autoencode and d.n_classes == 2:
             # binary heads: digits 5-9 vs 0-4; load_idx's inputs and
             # these 0/1 targets need none of Dataset's checks
             digit = ds.targets.argmax(axis=1)
@@ -76,28 +63,21 @@ def build_dataset(cfg: dict):
                 ds.inputs, (digit >= 5).astype(float)[:, None], ds.name + "-binary"
             )
     elif kind == "synthetic_images":
-        ds = data_mod.synthetic_images(n, d.get("side", 10), seed)
+        ds = data_mod.synthetic_images(d.n, d.side, d.seed)
     else:  # synthetic_classification
         ds = data_mod.synthetic_classification(
-            n,
-            dim,
-            seed,
-            spectrum_decay=d.get("spectrum_decay", 1.0),
-            n_classes=d.get("n_classes", 2),
-        )
-    if autoencode and ds.targets is not ds.inputs:
+            d.n, dim, d.seed, spectrum_decay=d.spectrum_decay, n_classes=d.n_classes)
+    if d.autoencode and ds.targets is not ds.inputs:
         # the inputs are validated already: no second finiteness check
         ds = data_mod.Dataset._unchecked(ds.inputs, ds.inputs, ds.name)
-    val_size = d.get("val_size", 0)
-    train_ds, val_ds = data_mod.split_train_val(ds, min(val_size, ds.n - 1), seed)
+    train_ds, val_ds = data_mod.split_train_val(ds, min(d.val_size, ds.n - 1), d.seed)
     return train_ds, val_ds, ds.name
 
 
 def build_model(cfg: dict) -> net.Model:
-    m = cfg["model"]
-    spec = net.NetSpec.mlp(m["sizes"], hidden=m.get("hidden", "tanh"), head=m.get("head", "sigmoid"))
-    seed = cfg["train"].get("seed", 0)
-    theta = net.init_fan_in(spec, seed)
+    m = net.ModelConfig(**cfg["model"])
+    spec = net.NetSpec.mlp(m.sizes, hidden=m.hidden, head=m.head)
+    theta = net.init_fan_in(spec, TrainConfig(**cfg["train"]).seed)
     optimizer = cfg["optimizer"]
     if optimizer == "prong":
         return net.Model(spec, theta, phi=net.WhiteningCoeffs.identity(spec))
@@ -130,15 +110,14 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
     train_ds, val_ds, ds_name = dataset
     model = build_model(cfg)
-    tcfg = build_train_config(cfg)
-    loss_kind = cfg["model"].get("loss", "squared_error")
+    tcfg = TrainConfig(**cfg["train"])
     try:
         result = run_train(
             model,
             train_ds,
             tcfg,
             optimizer=cfg["optimizer"],
-            loss_kind=loss_kind,
+            loss_kind=net.ModelConfig(**cfg["model"]).loss,
             val_data=val_ds,
             row_callback=row_callback,
         )
@@ -206,7 +185,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     from .optim import prong_reparametrize
 
     prong_reparametrize(white.params, white.phi, white.spec, probe,
-                        build_train_config(cfg).eigen_epsilon)
+                        TrainConfig(**cfg["train"]).eigen_epsilon)
     fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
 
     summary = {}
@@ -247,14 +226,16 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     bad = [k for k in keys if not isinstance(axes[k], list) or not axes[k]]
     if bad:  # refused before any cell runs
         raise ConfigError("grid axes must be non-empty lists of values", bad)
-    rows = []
+    cells = []
     for i, values in enumerate(itertools.product(*(axes[k] for k in keys))):
         cell_cfg = {k: v for k, v in cfg.items() if k != "grid"}
         cell_cfg = json.loads(json.dumps(cell_cfg))  # deep copy
         for key, value in zip(keys, values):
             set_dotted(cell_cfg, key, value)
         cell_cfg["name"] = f"{cfg['name']}-cell{i}"
-        cell_cfg = validate_config(cell_cfg)
+        cells.append((values, validate_config(cell_cfg)))  # every cell, before any runs
+    rows = []
+    for i, (values, cell_cfg) in enumerate(cells):
         cell_out = out / f"cell_{i}"
         status, result = _run_one(cell_cfg, cell_out, build_dataset(cell_cfg))
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]

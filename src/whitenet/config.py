@@ -1,14 +1,15 @@
-"""Experiment configuration: a JSON document validated against the schema
-below before any compute. Unknown keys are rejected by name.
+"""Experiment configuration: a JSON document validated before any compute.
 
-SCHEMA maps each section to {key: (type, required, allowed-or-None)}.
-Nested sections are dicts of the same shape. The ``train`` section is read
-off ``TrainConfig``: one key per field, typed by its annotation and required
-only when the field has no default. The same document drives
-``train``, ``diagnose-fisher`` and ``grid``; the optional top-level
-``grid`` section maps dotted config paths to value lists. Values the schema's
-types admit but no run can use (an empty layer, a softmax hidden layer, a
-dataset of no rows) are refused by ``_value_errors``.
+Each section is a dataclass that holds its keys' types, defaults and value
+rules: ``dataset`` is ``data.DatasetConfig``, ``model`` is
+``net.ModelConfig`` and ``train`` is ``optim.TrainConfig``. SCHEMA maps each
+top-level key to (type, required, allowed-or-None), and each section to a
+dict of the same shape read off its class: one key per field, typed by its
+annotation and required only when the field has no default. Unknown keys
+and mistyped values are refused by name; then every section is built, and a
+value that breaks its class's rule is refused as ``<section>.<key> (rule)``.
+The same document drives ``train``, ``diagnose-fisher`` and ``grid``; the
+optional top-level ``grid`` section maps dotted config paths to value lists.
 """
 
 from __future__ import annotations
@@ -20,44 +21,26 @@ import json
 import typing
 from pathlib import Path
 
+from .data import DatasetConfig
 from .errors import ConfigError
-from .net import LOSS_KINDS, NONLINEARITIES
+from .net import ModelConfig
 from .optim import OPTIMIZERS, TrainConfig
 
-DATASET_KINDS = (
-    "synthetic_images",
-    "synthetic_classification",
-    "mnist",
-    "mnist10x10",
-)
+SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig, "train": TrainConfig}
+
+
+def _section_schema(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is dataclasses.MISSING, None)
+            for f in dataclasses.fields(cls)}
+
 
 SCHEMA = {
     "name": (str, True, None),
-    "dataset": {
-        "kind": (str, True, DATASET_KINDS),
-        "n": (int, False, None),
-        "dim": (int, False, None),
-        "side": (int, False, None),
-        "n_classes": (int, False, None),
-        "spectrum_decay": (float, False, None),
-        "seed": (int, False, None),
-        "val_size": (int, False, None),
-        "images": (str, False, None),
-        "labels": (str, False, None),
-        "autoencode": (bool, False, None),
-        "fallback_synthetic": (bool, False, None),
-    },
-    "model": {
-        "sizes": (list, True, None),
-        "hidden": (str, False, NONLINEARITIES),
-        "head": (str, False, NONLINEARITIES),
-        "loss": (str, False, LOSS_KINDS),
-    },
+    "dataset": _section_schema(DatasetConfig),
+    "model": _section_schema(ModelConfig),
     "optimizer": (str, True, OPTIMIZERS),
-    "train": {
-        f.name: (typing.get_type_hints(TrainConfig)[f.name], f.default is dataclasses.MISSING, None)
-        for f in dataclasses.fields(TrainConfig)
-    },
+    "train": _section_schema(TrainConfig),
     "long_running": (bool, False, None),
     "grid": (dict, False, None),
 }
@@ -75,7 +58,7 @@ def _validate_section(section, schema, path, bad, missing):
                     bad.append(here)
                 else:
                     _validate_section(section[key], rule, here + ".", bad, missing)
-            elif path == "" and key in ("dataset", "model", "train"):
+            elif path == "":
                 missing.append(here)
             continue
         typ, required, allowed = rule
@@ -93,28 +76,11 @@ def _validate_section(section, schema, path, bad, missing):
             bad.append(here)
 
 
-DATASET_MINIMA = {"n": 1, "side": 1, "dim": 1, "val_size": 0, "n_classes": 2}
-
-
-def _value_errors(cfg: dict) -> dict:
-    """Config key -> the rule its value breaks, for a config whose keys and
-    types have passed the schema."""
-    errors = {}
-    model = cfg["model"]
-    sizes = model["sizes"]
-    if len(sizes) < 2 or not all(type(size) is int and size >= 1 for size in sizes):
-        errors["model.sizes"] = "a list of at least two integers >= 1"
-    if model.get("hidden") == "softmax":
-        errors["model.hidden"] = "softmax is only a head"
-    for key, minimum in DATASET_MINIMA.items():
-        if cfg["dataset"].get(key, minimum) < minimum:
-            errors[f"dataset.{key}"] = f"an integer >= {minimum}"
-    return errors
-
-
 def validate_config(raw: dict) -> dict:
-    """Validate a raw config dict against SCHEMA; returns a deep copy with
-    ints promoted to floats where the schema says float."""
+    """Validate a raw config dict against SCHEMA and build every section,
+    refusing a bad value before any work; returns a deep copy with ints
+    promoted to floats where the schema says float, and no default filled
+    in."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = copy.deepcopy(raw)
@@ -124,14 +90,9 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("invalid config keys", bad)
     if missing:
         raise ConfigError("missing required config keys", missing)
-    errors = _value_errors(cfg)
-    if errors:
-        raise ConfigError("invalid config values", errors)
+    for name, cls in SECTIONS.items():
+        cls(**cfg[name])  # refuses the section's bad values by name
     return cfg
-
-
-def build_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**cfg["train"])
 
 
 def config_hash(cfg: dict) -> str:

@@ -16,11 +16,48 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, IdxFormatError, NumericError
+from .errors import ConfigError, DimensionError, IdxFormatError, NumericError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 DOWNSAMPLE_BLOCK = 128  # rows per float64 conversion in load_idx, at either side
+DATASET_KINDS = ("synthetic_images", "synthetic_classification", "mnist", "mnist10x10")
+MNIST_KINDS = ("mnist", "mnist10x10")
+
+
+@dataclass
+class DatasetConfig:
+    """The ``dataset`` section. An MNIST kind reads the ``images`` and
+    ``labels`` IDX files; ``n``, ``dim`` and ``spectrum_decay`` size the
+    synthetic kinds, ``side`` the synthetic images. ``n_classes`` is 10,
+    MNIST's digits, for every kind; an MNIST kind takes 2 (digits 5-9
+    against 0-4) or 10. A value that breaks its rule is refused by name."""
+
+    kind: str
+    n: int = 4096
+    dim: int = 16
+    side: int = 10
+    n_classes: int = 10
+    spectrum_decay: float = 1.0
+    seed: int = 0
+    val_size: int = 0
+    images: str = ""
+    labels: str = ""
+    autoencode: bool = False
+    fallback_synthetic: bool = False
+
+    def __post_init__(self):
+        mnist = self.kind in MNIST_KINDS
+        ConfigError.check("dataset", {
+            "kind": (self.kind in DATASET_KINDS, f"one of {', '.join(DATASET_KINDS)}"),
+            "n": (self.n >= 1, "an integer >= 1"),
+            "dim": (self.dim >= 1, "an integer >= 1"),
+            "side": (self.side >= 1, "an integer >= 1"),
+            "n_classes": (self.n_classes in (2, 10) if mnist else self.n_classes >= 2,
+                          "2 or 10 for an MNIST kind" if mnist else "an integer >= 2"),
+            "seed": (self.seed >= 0, "an integer >= 0"),
+            "val_size": (self.val_size >= 0, "an integer >= 0"),
+        })
 
 
 @dataclass

@@ -52,8 +52,8 @@ class MetricsParseError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An experiment configuration failed schema validation. ``keys`` names
-    the offending config keys; a dict maps each key to the rule it broke."""
+    """An experiment configuration failed validation. ``keys`` names the
+    offending config keys; a dict maps each key to the rule it broke."""
 
     def __init__(self, message, keys=()):
         rules = keys if isinstance(keys, dict) else dict.fromkeys(keys)
@@ -63,3 +63,12 @@ class ConfigError(ValueError):
             )
         super().__init__(message)
         self.keys = tuple(rules)
+
+    @classmethod
+    def check(cls, section, rules):
+        """Refuse the values of a config ``section``: ``rules`` maps each key
+        to (holds, rule), and one error names ``section.key (rule)`` for
+        every rule that does not hold."""
+        broken = {f"{section}.{key}": rule for key, (holds, rule) in rules.items() if not holds}
+        if broken:
+            raise cls("invalid config values", broken)

@@ -145,14 +145,14 @@ def whitening_root(p) -> np.ndarray:
     return (e * np.sqrt(lam)) @ e.T
 
 
-def condition_number(spectrum, *, floor_ratio: float = COND_FLOOR) -> float:
+def condition_number(spectrum) -> float:
     """lambda_max / lambda_min of an eigenvalue array, with the minimum
-    floored at floor_ratio*lambda_max."""
+    floored at COND_FLOOR * lambda_max."""
     lam = np.asarray(spectrum, dtype=np.float64)
     if lam.size == 0:
         raise DegenerateSpectrumError("empty spectrum")
     lmax = float(lam.max())
     if lmax <= 0.0:
         raise DegenerateSpectrumError("spectrum has no positive eigenvalue")
-    lmin = max(float(lam.min()), floor_ratio * lmax)
+    lmin = max(float(lam.min()), COND_FLOOR * lmax)
     return lmax / lmin

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConsistencyError,
     DimensionError,
     InsufficientBatchError,
@@ -102,6 +103,28 @@ class NetSpec:
     @property
     def sizes(self):
         return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
+
+
+@dataclass
+class ModelConfig:
+    """The ``model`` section: the layer widths [in, h1, ..., out], the
+    hidden layers' and the head's nonlinearity, and the loss. A value that
+    breaks its rule is refused by name."""
+
+    sizes: list
+    hidden: str = "tanh"
+    head: str = "sigmoid"
+    loss: str = "squared_error"
+
+    def __post_init__(self):
+        hidden = [k for k in NONLINEARITIES if k != "softmax"]
+        ConfigError.check("model", {
+            "sizes": (len(self.sizes) >= 2 and all(type(n) is int and n >= 1 for n in self.sizes),
+                      "a list of at least two integers >= 1"),
+            "hidden": (self.hidden in hidden, f"one of {', '.join(hidden)}: softmax is only a head"),
+            "head": (self.head in NONLINEARITIES, f"one of {', '.join(NONLINEARITIES)}"),
+            "loss": (self.loss in LOSS_KINDS, f"one of {', '.join(LOSS_KINDS)}"),
+        })
 
 
 @dataclass
@@ -344,12 +367,15 @@ def forward_whitened(omega: Params, phi: WhiteningCoeffs | None, spec: NetSpec, 
     return trace
 
 
-def loss(kind: str, output, target):
+def loss(kind: str, output, target, *, gradient=True):
     """Batch-mean loss value and its gradient with respect to the output.
 
     The gradient carries the 1/B batch averaging, so downstream backward
     passes sum over the batch without rescaling. Cross-entropy outputs are
-    clamped away from 0/1 at 1e-12.
+    clamped away from 0/1 at 1e-12. With ``gradient`` False no gradient is
+    formed, (value, None) is returned, and the squared error squares its
+    residual in place: the same value bit for bit, with one output-sized
+    array alive instead of two.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -361,20 +387,20 @@ def loss(kind: str, output, target):
     if kind == "squared_error":
         r = o - t
         with np.errstate(over="ignore"):
-            value = 0.5 * float((r * r).sum()) / b
-        grad = r / b
+            value = 0.5 * float(np.multiply(r, r, out=None if gradient else r).sum()) / b
+        grad = r / b if gradient else None
     elif kind == "binary_cross_entropy":
         # minimum(maximum()) is np.clip bit for bit, NaN included, at less
         # call overhead
         p = np.minimum(np.maximum(o, PROB_CLAMP), 1.0 - PROB_CLAMP)
         q = 1.0 - t
         value = -float((t * np.log(p) + q * np.log1p(-p)).sum()) / b
-        grad = (-t / p + q / (1.0 - p)) / b
+        grad = (-t / p + q / (1.0 - p)) / b if gradient else None
     else:  # categorical_cross_entropy
         p = np.minimum(np.maximum(o, PROB_CLAMP), 1.0)
         value = -float((t * np.log(p)).sum()) / b
-        grad = -(t / p) / b
-    if np.asarray(output).ndim == 1:
+        grad = -(t / p) / b if gradient else None
+    if gradient and np.asarray(output).ndim == 1:
         grad = grad[0]
     return value, grad
 

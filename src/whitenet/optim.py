@@ -31,6 +31,9 @@ OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
 
 @dataclass
 class TrainConfig:
+    """The ``train`` section: one key per field, required where the field
+    has no default; a value that breaks its rule is refused by name."""
+
     learning_rate: float
     momentum: float = 0.0
     batch_size: int = 64
@@ -44,26 +47,19 @@ class TrainConfig:
     eval_interval: int = 100
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.reparam_period < 1:
-            raise ConfigError(f"reparam_period must be >= 1, got {self.reparam_period}")
-        if self.stat_samples < 2:
-            raise ConfigError(f"stat_samples must be >= 2, got {self.stat_samples}")
-        if self.eigen_epsilon < 0:
-            raise ConfigError(f"eigen_epsilon must be >= 0, got {self.eigen_epsilon}")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
-        if self.rmsprop_damping <= 0:
-            raise ConfigError(f"rmsprop_damping must be > 0, got {self.rmsprop_damping}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_updates < 0:
-            raise ConfigError(f"max_updates must be >= 0, got {self.max_updates}")
-        if self.eval_interval < 1:
-            raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        ConfigError.check("train", {
+            "learning_rate": (self.learning_rate > 0, "> 0"),
+            "momentum": (0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            "batch_size": (self.batch_size >= 1, "an integer >= 1"),
+            "reparam_period": (self.reparam_period >= 1, "an integer >= 1"),
+            "stat_samples": (self.stat_samples >= 2, "an integer >= 2"),
+            "eigen_epsilon": (self.eigen_epsilon >= 0, ">= 0"),
+            "rmsprop_decay": (0.0 < self.rmsprop_decay < 1.0, "in (0, 1)"),
+            "rmsprop_damping": (self.rmsprop_damping > 0, "> 0"),
+            "seed": (self.seed >= 0, "an integer >= 0"),
+            "max_updates": (self.max_updates >= 0, "an integer >= 0"),
+            "eval_interval": (self.eval_interval >= 1, "an integer >= 1"),
+        })
 
 
 @dataclass
@@ -176,8 +172,8 @@ class TrainResult:
 
 
 def _eval_loss(model, dataset, loss_kind):
-    value, _ = net.loss(loss_kind, model.predict(dataset.inputs), dataset.targets)
-    return value
+    return net.loss(loss_kind, model.predict(dataset.inputs), dataset.targets,
+                    gradient=False)[0]
 
 
 def train(

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,29 @@ def test_malformed_header_rejected(tmp_path, case):
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
     with pytest.raises(ConsistencyError):
         load_checkpoint(path)
+
+
+def test_oversized_header_refused_before_any_model_is_built(tmp_path):
+    # sizes [3000, 3000] name a 72 MB weight the file does not hold: the
+    # stored shapes are checked against the header before anything the
+    # header's size is allocated
+    spec = NetSpec.mlp([3, 2])
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Model(spec, init_fan_in(spec, 8)), seed=8, step=0)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    header["sizes"] = [3000, 3000]
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConsistencyError, match=r"stores weight_0 as \(2, 3\)"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 WRONG_TYPES = st.one_of(

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import struct
 import typing
@@ -13,7 +14,7 @@ from whitenet.cli import main
 from whitenet.config import (
     PRESETS,
     SCHEMA,
-    build_train_config,
+    SECTIONS,
     config_hash,
     deep_merge,
     resolve_config,
@@ -115,18 +116,19 @@ class TestSchema:
         # every key of train is a TrainConfig field; no preset sets a schedule
         cfg = validate_config(PRESETS[name])
         assert "anneal" not in cfg["train"]
-        built = build_train_config(cfg)
-        assert built == TrainConfig(**cfg["train"])
-        assert built.learning_rate == PRESETS[name]["train"]["learning_rate"]
+        assert TrainConfig(**cfg["train"]).learning_rate == PRESETS[name]["train"]["learning_rate"]
 
-    def test_train_schema_is_read_off_train_config(self):
+    @pytest.mark.parametrize("section", ["dataset", "model", "train"])
+    def test_section_schema_is_read_off_its_class(self, section):
         # one key per field, typed by its annotation, required without a default
-        fields = dataclasses.fields(TrainConfig)
-        hints = typing.get_type_hints(TrainConfig)
-        assert list(SCHEMA["train"]) == [f.name for f in fields]
+        cls = SECTIONS[section]
+        fields = dataclasses.fields(cls)
+        hints = typing.get_type_hints(cls)
+        assert list(SCHEMA[section]) == [f.name for f in fields]
         for f in fields:
-            typ, required, allowed = SCHEMA["train"][f.name]
-            assert typ is hints[f.name] and typ in (int, float) and allowed is None
+            typ, required, allowed = SCHEMA[section][f.name]
+            assert typ is hints[f.name] and typ in (int, float, bool, str, list)
+            assert allowed is None
             assert required == (f.default is dataclasses.MISSING)
             assert required or type(f.default) is typ
 
@@ -520,30 +522,50 @@ class TestTypedErrors:
         assert err.endswith(f": dataset.{missing}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, values, key", [
-        ("model", {"sizes": [100, 0, 100]}, "model.sizes"),
-        ("model", {"sizes": [100]}, "model.sizes"),
-        ("model", {"sizes": [100, "a", 100]}, "model.sizes"),
-        ("model", {"sizes": [100, 50.5, 100]}, "model.sizes"),
-        ("model", {"sizes": [100, True, 100]}, "model.sizes"),
-        ("model", {"hidden": "softmax"}, "model.hidden"),
-        ("dataset", {"n": 0}, "dataset.n"),
-        ("dataset", {"val_size": -5}, "dataset.val_size"),
-        ("dataset", {"side": 0}, "dataset.side"),
-        ("dataset", {"kind": "synthetic_classification", "dim": 0}, "dataset.dim"),
-        ("dataset", {"kind": "synthetic_classification", "dim": 36, "n_classes": 0},
+    @pytest.mark.parametrize("command, section, values, key", [
+        ("train", "model", {"sizes": [100, 0, 100]}, "model.sizes"),
+        ("train", "model", {"sizes": [100]}, "model.sizes"),
+        ("train", "model", {"sizes": [100, "a", 100]}, "model.sizes"),
+        ("train", "model", {"sizes": [100, 50.5, 100]}, "model.sizes"),
+        ("train", "model", {"sizes": [100, True, 100]}, "model.sizes"),
+        ("train", "model", {"hidden": "softmax"}, "model.hidden"),
+        ("train", "model", {"head": "swish"}, "model.head"),
+        ("train", "model", {"loss": "hinge"}, "model.loss"),
+        ("train", "dataset", {"n": 0}, "dataset.n"),
+        ("train", "dataset", {"val_size": -5}, "dataset.val_size"),
+        ("train", "dataset", {"side": 0}, "dataset.side"),
+        ("train", "dataset", {"seed": -1}, "dataset.seed (an integer >= 0)"),
+        ("train", "dataset", {"kind": "cifar"}, "dataset.kind"),
+        ("train", "dataset", {"kind": "synthetic_classification", "dim": 0}, "dataset.dim"),
+        ("train", "dataset", {"kind": "synthetic_classification", "dim": 36, "n_classes": 0},
          "dataset.n_classes (an integer >= 2)"),
+        ("train", "dataset", {"kind": "mnist10x10", "n_classes": 3},
+         "dataset.n_classes (2 or 10 for an MNIST kind)"),
+        ("train", "train", {"learning_rate": -1}, "train.learning_rate (> 0)"),
+        ("train", "train", {"seed": -1}, "train.seed (an integer >= 0)"),
+        ("diagnose-fisher", "train", {"stat_samples": 1}, "train.stat_samples (an integer >= 2)"),
     ])
     def test_bad_config_value_refused_by_name(self, tmp_path, capsys, monkeypatch,
-                                              section, values, key):
+                                              command, section, values, key):
         monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
         cfg, cfg_path = small_train_config(tmp_path)
         cfg[section].update(values)
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
-        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert key in self.one_line(capsys, "config error: invalid config values: ")
+        assert not out.exists()
+
+    def test_bad_grid_value_refused_before_any_cell_runs(self, tmp_path, capsys):
+        cfg, cfg_path = small_train_config(tmp_path)
+        cfg["grid"] = {"train.learning_rate": [0.01, -1]}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "grid"
+        code = main(["grid", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = self.one_line(capsys, "config error: invalid config values: ")
+        assert "train.learning_rate (> 0)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("change, key", [
@@ -680,3 +702,44 @@ def test_mnist_fallback_is_the_synthetic_kind(preset, explicit):
         assert np.array_equal(got.inputs.view(np.int64), want.inputs.view(np.int64))
         assert np.array_equal(got.targets.view(np.int64), want.targets.view(np.int64))
         assert (got.targets is got.inputs) == (want.targets is want.inputs)
+
+
+def test_mnist_classifier_targets_keep_their_width_without_the_files(tmp_path):
+    # n_classes defaults to 10 for every kind: the synthetic fallback builds
+    # one-hot rows as wide as the IDX files' digits
+    ip, lp = write_idx_files(tmp_path)
+    cfg, _ = idx_config(tmp_path, ip, lp)
+    cfg["dataset"]["autoencode"] = False
+    with_files = cli.build_dataset(validate_config(cfg))[0]
+    cfg["dataset"] = {k: v for k, v in cfg["dataset"].items() if k not in ("images", "labels")}
+    cfg["dataset"]["fallback_synthetic"] = True
+    without = cli.build_dataset(validate_config(cfg))[0]
+    assert with_files.targets.shape[1] == without.targets.shape[1] == 10
+
+
+# sha256 of each preset's written config.json, and its config_hash: a run's
+# record of its config, which a change to resolution must not move
+PRESET_RECORDS = {
+    "ae-mnist-desk": ("101388e91f3392aab2f1b9349f37f56c24931994fc58c0a2392c02b2f01fb868",
+                      "f6d95a294927743c008ff8ebf8cf62dd4ac1f3c0"),
+    "ae-mnist-paper": ("2b036278b05bc62436c46ed50b251a4d11b6e94ca345bf9feb49c85d33292c15",
+                       "30ee999edc40f8fa59d20acb6383bc33ec3c8a2a"),
+    "cond-mlp-desk": ("6b128577efe6ea01b682cbd62cfb4853ab15c304d2ed555426f5d3fb793e95e2",
+                      "dd45318e3eb0cb72ae7a5056966b89b7edc4de81"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_resolves_to_its_recorded_config(tmp_path, monkeypatch, preset):
+    # the config.json a run writes, caught as the run is refused before training
+    def refuse(*args, **kwargs):
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(cli, "build_dataset", lambda cfg: (None, None, "none"))
+    monkeypatch.setattr(cli, "run_train", refuse)
+    out = tmp_path / "run"
+    assert main(["train", "--preset", preset, "--out", str(out)]) == 2
+    blob = (out / "config.json").read_bytes()
+    cfg = resolve_config(preset)
+    assert (hashlib.sha256(blob).hexdigest(), config_hash(cfg)) == PRESET_RECORDS[preset]
+    assert json.loads(blob) == cfg

@@ -61,6 +61,41 @@ def test_eval_loss_peaks_below_half_a_trace():
     assert peak < full / 2, (peak, full)
 
 
+def test_eval_loss_builds_no_gradient():
+    # the loss with its gradient holds two output-sized arrays (the residual
+    # and its square, then the residual and the gradient); the value alone
+    # holds the residual, squared in place. One eval then peaks no higher
+    # than its predict, which the loss with its gradient topped
+    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(512, 100))
+    model = whitened(spec, 1, x[:100])
+    out = model.predict(x)
+    assert traced_peak(net.loss, "squared_error", out, x) >= 2 * out.nbytes
+    assert traced_peak(net.loss, "squared_error", out, x, gradient=False) < out.nbytes + 4096
+    predict = traced_peak(model.predict, x)
+    assert traced_peak(optim._eval_loss, model, Dataset(x, x), "squared_error") <= predict
+    with_gradient = traced_peak(lambda: net.loss("squared_error", model.predict(x), x)[0])
+    assert with_gradient >= predict + out.nbytes // 4, (with_gradient, predict)
+
+
+@pytest.mark.parametrize("kind, head", [
+    ("squared_error", "sigmoid"),
+    ("binary_cross_entropy", "sigmoid"),
+    ("categorical_cross_entropy", "softmax"),
+])
+def test_value_only_loss_is_the_loss_bit_for_bit(kind, head):
+    spec = NetSpec.mlp([6, 5, 3], hidden="tanh", head=head)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((300, 6))
+    out = Model(spec, init_fan_in(spec, 2)).predict(x)
+    targets = np.eye(3)[rng.integers(0, 3, size=300)]
+    kept = out.copy()
+    value, grad = net.loss(kind, out, targets, gradient=False)
+    assert grad is None and np.array_equal(out, kept)
+    assert np.float64(value).view(np.int64) == np.float64(
+        net.loss(kind, out, targets)[0]).view(np.int64)
+
+
 def write_idx_pair(tmp_path, n):
     """A seeded IDX pair of ``n`` 28x28 images; returns its paths and pixels."""
     pixels = np.random.default_rng(1).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)

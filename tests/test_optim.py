@@ -324,7 +324,8 @@ class TestTrainLoop:
         ("batch_size", 0, ">= 1"), ("max_updates", -1, ">= 0"), ("eval_interval", 0, ">= 1"),
     ])
     def test_out_of_range_setting_refused_by_name(self, key, value, rule):
-        with pytest.raises(ConfigError, match=f"^{key} must be {rule}, got {value}$"):
+        with pytest.raises(ConfigError,
+                           match=rf"^invalid config values: train\.{key} \(an integer {rule}\)$"):
             make_config(**{key: value})
 
     def test_bn_optimizer_trains(self):
