@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .metrics import write_metrics, write_table
-from .optim import TrainConfig, train as run_train
+from .optim import TrainConfig, check_run, prong_reparametrize, train as run_train
 
 
 def build_dataset(cfg: dict):
@@ -40,21 +40,23 @@ def build_dataset(cfg: dict):
     An MNIST kind reads its ``images`` and ``labels`` IDX files; a path
     that cannot be read is an IdxFormatError, never a fallback. With
     neither path and ``fallback_synthetic`` set it runs as the synthetic
-    kind of its task: ``synthetic_images``, or ``synthetic_classification``
+    kind of its task at the kind's image side (28 for ``mnist``, 10 for
+    ``mnist10x10``): ``synthetic_images``, or ``synthetic_classification``
     at ``dim = side ** 2``. One path without the other is a ConfigError
     naming the missing key."""
     d = data_mod.DatasetConfig(**cfg["dataset"])
-    kind, dim = d.kind, d.dim
+    kind, dim, side = d.kind, d.dim, d.side
     if kind in data_mod.MNIST_KINDS:
+        side = 10 if kind == "mnist10x10" else 28
         missing = [f"dataset.{key}" for key in ("images", "labels") if not getattr(d, key)]
         if len(missing) == 2 and d.fallback_synthetic:
             kind = "synthetic_images" if d.autoencode else "synthetic_classification"
-            dim = d.side ** 2
+            dim = side ** 2
         elif missing:
             raise ConfigError(f"dataset kind {kind!r} needs both IDX paths "
                               "(or neither, with fallback_synthetic: true)", missing)
     if kind in data_mod.MNIST_KINDS:
-        ds = data_mod.load_idx(d.images, d.labels, side=10 if kind == "mnist10x10" else 28)
+        ds = data_mod.load_idx(d.images, d.labels, side=side)
         if not d.autoencode and d.n_classes == 2:
             # binary heads: digits 5-9 vs 0-4; load_idx's inputs and
             # these 0/1 targets need none of Dataset's checks
@@ -63,7 +65,7 @@ def build_dataset(cfg: dict):
                 ds.inputs, (digit >= 5).astype(float)[:, None], ds.name + "-binary"
             )
     elif kind == "synthetic_images":
-        ds = data_mod.synthetic_images(d.n, d.side, d.seed)
+        ds = data_mod.synthetic_images(d.n, side, d.seed)
     else:  # synthetic_classification
         ds = data_mod.synthetic_classification(
             d.n, dim, d.seed, spectrum_decay=d.spectrum_decay, n_classes=d.n_classes)
@@ -103,27 +105,28 @@ def _write_manifest(out, cfg, *, seed, status, result=None, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
-    """Train one configuration on ``dataset``, the ``(train, val, name)``
-    that ``build_dataset(cfg)`` returns, and write its run directory."""
+def _checked_model(cfg: dict, dataset) -> net.Model:
+    """The run's model, checked against its ``dataset`` by
+    ``optim.check_run`` before anything is written."""
+    model = build_model(cfg)
+    check_run(model, dataset[0], dataset[1], TrainConfig(**cfg["train"]), cfg["optimizer"])
+    return model
+
+
+def _run_one(cfg: dict, out: Path, dataset, model, *, row_callback=None):
+    """Train ``model``, from ``_checked_model(cfg, dataset)``, on ``dataset``,
+    the ``(train, val, name)`` that ``build_dataset(cfg)`` returns, and
+    write its run directory."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
     train_ds, val_ds, ds_name = dataset
-    model = build_model(cfg)
     tcfg = TrainConfig(**cfg["train"])
     try:
-        result = run_train(
-            model,
-            train_ds,
-            tcfg,
-            optimizer=cfg["optimizer"],
-            loss_kind=net.ModelConfig(**cfg["model"]).loss,
-            val_data=val_ds,
-            row_callback=row_callback,
-        )
-    except (ConfigError, SingularMatrixError) as exc:
-        _write_manifest(out, cfg, seed=tcfg.seed,
-                        status="refused" if isinstance(exc, ConfigError) else "failed",
+        result = run_train(model, train_ds, tcfg, optimizer=cfg["optimizer"],
+                           loss_kind=net.ModelConfig(**cfg["model"]).loss,
+                           val_data=val_ds, row_callback=row_callback)
+    except SingularMatrixError as exc:  # the run started: its manifest says why it stopped
+        _write_manifest(out, cfg, seed=tcfg.seed, status="failed",
                         extra={"dataset": ds_name, "error": str(exc)})
         raise
     status = "completed" if result.divergence is None else "diverged"
@@ -136,7 +139,8 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
 
 
 def cmd_train(cfg: dict, out: Path) -> int:
-    status, result = _run_one(cfg, out, build_dataset(cfg))
+    dataset = build_dataset(cfg)
+    status, result = _run_one(cfg, out, dataset, _checked_model(cfg, dataset))
     last = result.rows[-1] if result.rows else None
     if last is not None:
         print(
@@ -172,9 +176,14 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     except (ConsistencyError, FisherSizeError) as exc:
         raise ConfigError(f"diagnose-fisher cannot use this model: {exc}") from exc
     dataset = build_dataset(cfg)  # every run varies only the optimizer
+    lanes = []
+    for optimizer in ("sgd", "rmsprop", "prong"):
+        train_section = cfg["train"] if optimizer == "prong" else {**cfg["train"], "momentum": 0.0}
+        run_cfg = validate_config({**cfg, "optimizer": optimizer, "train": train_section,
+                                   "name": f"{cfg['name']}-{optimizer}"})
+        lanes.append((optimizer, run_cfg, _checked_model(run_cfg, dataset)))
     out.mkdir(parents=True, exist_ok=True)
-    train_ds = dataset[0]
-    probe = train_ds.inputs[: min(512, train_ds.n)]
+    probe = dataset[0].inputs[:512]
     baselines = {r.layer: r.cond for r in fisher.conditioning_report(baseline_model, probe)}
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
@@ -182,17 +191,12 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     fisher.exact_fisher_block(baseline_model, probe, middle).save(
         out / "fisher_middle_before.npy")
     white = build_model({**cfg, "optimizer": "prong"})
-    from .optim import prong_reparametrize
-
     prong_reparametrize(white.params, white.phi, white.spec, probe,
                         TrainConfig(**cfg["train"]).eigen_epsilon)
     fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
 
     summary = {}
-    for optimizer in ("sgd", "rmsprop", "prong"):
-        run_cfg = validate_config({**cfg, "optimizer": optimizer, "name": f"{cfg['name']}-{optimizer}"})
-        if optimizer != "prong":
-            run_cfg["train"]["momentum"] = 0.0
+    for optimizer, run_cfg, lane_model in lanes:
         series = []
 
         def on_row(model, step, _series=series):
@@ -203,7 +207,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
             # a floored ratio is the floor's, not a measurement: left empty
             return {"cond_ratio": None if mid.flag == "floored" else mid.cond_ratio}
 
-        status, _ = _run_one(run_cfg, out / optimizer, dataset, row_callback=on_row)
+        _run_one(run_cfg, out / optimizer, dataset, lane_model, row_callback=on_row)
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
                   "cond_ratio_to_initial", "flag"]
         table = [
@@ -237,7 +241,8 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     rows = []
     for i, (values, cell_cfg) in enumerate(cells):
         cell_out = out / f"cell_{i}"
-        status, result = _run_one(cell_cfg, cell_out, build_dataset(cell_cfg))
+        dataset = build_dataset(cell_cfg)
+        status, result = _run_one(cell_cfg, cell_out, dataset, _checked_model(cell_cfg, dataset))
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]
         record = {
             "cell": i,

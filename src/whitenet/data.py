@@ -29,7 +29,8 @@ MNIST_KINDS = ("mnist", "mnist10x10")
 class DatasetConfig:
     """The ``dataset`` section. An MNIST kind reads the ``images`` and
     ``labels`` IDX files; ``n``, ``dim`` and ``spectrum_decay`` size the
-    synthetic kinds, ``side`` the synthetic images. ``n_classes`` is 10,
+    synthetic kinds, ``side`` the ``synthetic_images`` kind (an MNIST
+    kind's synthetic fallback takes its kind's side). ``n_classes`` is 10,
     MNIST's digits, for every kind; an MNIST kind takes 2 (digits 5-9
     against 0-4) or 10. A value that breaks its rule is refused by name."""
 

@@ -30,26 +30,12 @@ class MetricsRow:
     reparam_event: bool = False
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def write_metrics(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.step,
-                    _fmt(r.wallclock_seconds),
-                    _fmt(r.train_loss),
-                    _fmt(r.eval_loss),
-                    _fmt(r.learning_rate),
-                    "" if r.cond_ratio is None else _fmt(r.cond_ratio),
-                    int(r.reparam_event),
-                ]
-            )
+    write_table(path, COLUMNS, [
+        [r.step, r.wallclock_seconds, r.train_loss, r.eval_loss, r.learning_rate,
+         r.cond_ratio, int(r.reparam_event)]
+        for r in rows
+    ])
 
 
 def read_metrics(path):
@@ -57,11 +43,14 @@ def read_metrics(path):
     MetricsParseError."""
     try:
         with open(path, newline="") as fh:
-            return _parse_metrics(csv.reader(fh))
+            reader = csv.reader(fh)
+            return _parse_metrics(reader)
     except OSError as exc:
         raise MetricsParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise MetricsParseError(f"{path} is not a text file") from None
+    except csv.Error as exc:  # e.g. a field above csv's size limit
+        raise MetricsParseError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
 def _parse_metrics(reader):
@@ -100,4 +89,5 @@ def write_table(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for rec in rows:
-            w.writerow(["" if v is None else (_fmt(v) if isinstance(v, float) else v) for v in rec])
+            w.writerow(["" if v is None else (f"{v:.17g}" if isinstance(v, float) else v)
+                        for v in rec])

@@ -241,31 +241,33 @@ def flat_layout(spec: NetSpec, vector=None, *, bn=False) -> Params:
 
 
 def _activate(kind, z):
-    """h = f(z). Finite z gives finite h for every kind, so the forwards
-    check z and not h."""
+    """h = f(z), written over ``z``, a fresh pre-activation no caller keeps.
+    Finite z gives finite h for every kind, so the forwards check z and not
+    h."""
     if kind == "sigmoid":
         # Per element this is 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) for z < 0:
         # the overflow-free masked form, evaluated without boolean masks, and
-        # bitwise equal to it. exp(min(z, 0)) / (1 + exp(-|z|)), in place on
-        # its two temporaries
+        # bitwise equal to it. exp(min(z, 0)) / (1 + exp(-|z|)), with one
+        # temporary: the denominator is formed in z
         num = np.minimum(z, 0.0)
         np.exp(num, out=num)
-        den = np.abs(z)
-        np.negative(den, out=den)
-        np.exp(den, out=den)
-        den += 1.0
-        num /= den
-        return num
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(num, z, out=z)
+        return z
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "identity":
-        return z.copy()
+        return z
     if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 

@@ -160,6 +160,40 @@ def prong_reparametrize(
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
 
 
+def check_run(model: net.Model, train_data: Dataset, val_data: Dataset | None,
+              config: TrainConfig, optimizer: str):
+    """Refuse, with a ConfigError, a run that cannot start: the rules that
+    need the model, the data or the optimizer. ``train`` checks them first;
+    the commands check them before they write anything."""
+    if optimizer not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {optimizer!r}")
+    if optimizer == "sgd" and config.momentum != 0.0:
+        raise ConfigError("optimizer 'sgd' requires momentum 0; use 'momentum'")
+    whitened = optimizer == "prong"
+    if whitened and model.phi is None:
+        raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
+    if optimizer == "bn" and not model.params.gains:
+        raise ConfigError("optimizer 'bn' needs a batch-norm model")
+    for data in (d for d in (train_data, val_data) if d is not None):
+        if data.inputs.shape[1] != model.spec.input_dim:
+            raise ConfigError(f"dataset input width {data.inputs.shape[1]} does not match "
+                              f"the model's input width {model.spec.input_dim}")
+        if data.targets.shape[1] != model.spec.output_dim:
+            raise ConfigError(f"dataset target width {data.targets.shape[1]} does not match "
+                              f"the model's output width {model.spec.output_dim}")
+    if optimizer == "bn" and (config.batch_size == 1 or train_data.n % config.batch_size == 1):
+        # BatchPlan's last batch of an epoch holds n % batch_size rows, and
+        # batch statistics need two
+        raise ConfigError(
+            f"optimizer 'bn' needs batches of at least 2 rows; n={train_data.n} training rows "
+            f"with batch_size={config.batch_size} leave a one-row batch"
+        )
+    if whitened and train_data.n < 2:
+        # the reparametrization estimates moments from min(stat_samples, n) rows
+        raise ConfigError(
+            f"optimizer 'prong' needs at least 2 training rows, got n={train_data.n}")
+
+
 @dataclass
 class TrainResult:
     rows: list
@@ -187,7 +221,8 @@ def train(
     probe_inputs=None,
     row_callback=None,
 ) -> TrainResult:
-    """Run ``config.max_updates`` updates of the requested optimizer.
+    """Run ``config.max_updates`` updates of the requested optimizer, once
+    ``check_run`` has passed the run (a ConfigError when it does not).
 
     Emits one MetricsRow per ``eval_interval`` updates plus one row at every
     reparametrization step (flagged); every update uses the one
@@ -205,36 +240,8 @@ def train(
     """
     from .metrics import MetricsRow
 
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
-    if optimizer == "sgd" and config.momentum != 0.0:
-        raise ConfigError("optimizer 'sgd' requires momentum 0; use 'momentum'")
+    check_run(model, train_data, val_data, config, optimizer)
     whitened = optimizer == "prong"
-    if whitened and model.phi is None:
-        raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
-    if optimizer == "bn" and not model.params.gains:
-        raise ConfigError("optimizer 'bn' needs a batch-norm model")
-    for data in (train_data, val_data):
-        if data is None:
-            continue
-        if data.inputs.shape[1] != model.spec.input_dim:
-            raise ConfigError(f"dataset input width {data.inputs.shape[1]} does not match "
-                              f"the model's input width {model.spec.input_dim}")
-        if data.targets.shape[1] != model.spec.output_dim:
-            raise ConfigError(f"dataset target width {data.targets.shape[1]} does not match "
-                              f"the model's output width {model.spec.output_dim}")
-    if optimizer == "bn" and (config.batch_size == 1 or train_data.n % config.batch_size == 1):
-        # BatchPlan's last batch of an epoch holds n % batch_size rows, and
-        # batch statistics need two
-        raise ConfigError(
-            f"optimizer 'bn' needs batches of at least 2 rows; n={train_data.n} training rows "
-            f"with batch_size={config.batch_size} leave a one-row batch"
-        )
-    if whitened and train_data.n < 2:
-        # the reparametrization estimates moments from min(stat_samples, n) rows
-        raise ConfigError(
-            f"optimizer 'prong' needs at least 2 training rows, got n={train_data.n}")
-
     state = OptimizerState.init(model.params.vector, rmsprop=optimizer == "rmsprop")
     step_fn = rmsprop_step if optimizer == "rmsprop" else sgd_step
     gradient = model.layout()  # every backward writes here; the step consumes it

@@ -20,7 +20,7 @@ from whitenet.config import (
     resolve_config,
     validate_config,
 )
-from whitenet.errors import ConfigError
+from whitenet.errors import ConfigError, SingularMatrixError
 from whitenet.metrics import read_metrics, write_metrics
 from whitenet.optim import TrainConfig, prong_reparametrize
 
@@ -400,14 +400,7 @@ class TestTypedErrors:
         assert code == 2
         err = self.one_line(capsys, "config error: ")
         assert f"n={rows}" in err and f"batch_size={batch_size}" in err
-        self.assert_refused(tmp_path / "run", err)
-
-    def assert_refused(self, run_dir, err):
-        """The run directory says the run was refused, and why."""
-        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "manifest.json"]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["status"] == "refused"
-        assert err == f"config error: {manifest['error']}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_prong_one_training_row_refused(self, tmp_path, capsys):
         # the reparametrization's moments need two rows
@@ -418,7 +411,7 @@ class TestTypedErrors:
         assert code == 2
         err = self.one_line(capsys, "config error: ")
         assert "at least 2 training rows" in err and "n=1" in err
-        self.assert_refused(tmp_path / "run", err)
+        assert not (tmp_path / "run").exists()
 
     def test_singular_whitening_leaves_a_failed_manifest(self, tmp_path, capsys):
         # two statistics rows give a rank-one covariance, singular at epsilon 0
@@ -447,7 +440,7 @@ class TestTypedErrors:
         assert code == 2
         err = self.one_line(capsys, "config error: ")
         assert "input width 16" in err and "784" in err
-        self.assert_refused(tmp_path / "run", err)
+        assert not (tmp_path / "run").exists()
 
     def test_target_width_mismatch_refused(self, tmp_path, capsys):
         # a 4-class dataset against a 3-output head
@@ -460,7 +453,41 @@ class TestTypedErrors:
         assert code == 2
         err = self.one_line(capsys, "config error: ")
         assert "target width 4" in err and "output width 3" in err
-        self.assert_refused(tmp_path / "run", err)
+        assert not (tmp_path / "run").exists()
+
+    def test_sgd_with_the_presets_momentum_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_train", None)  # refused before training
+        cfg_path = tmp_path / "sgd.json"
+        cfg_path.write_text(json.dumps({"optimizer": "sgd"}))
+        code = main(["train", "--preset", "ae-mnist-desk", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "'sgd' requires momentum 0" in self.one_line(capsys, "config error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_diagnose_fisher_width_mismatch_refused(self, tmp_path, capsys):
+        # a 64-wide model against the preset's 100-wide inputs
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"sizes": [64, 32, 32, 1]}}))
+        out = tmp_path / "diag"
+        code = main(["diagnose-fisher", "--preset", "cond-mlp-desk", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert "input width 100" in err and "input width 64" in err
+        assert not out.exists()
+
+    def test_grid_cell_refused_before_its_directory_exists(self, tmp_path, capsys):
+        # cell 1's 193 training rows leave a one-row batch-norm batch
+        cfg, cfg_path = small_train_config(tmp_path, momentum=0.0, max_updates=4,
+                                           eval_interval=2)
+        cfg["optimizer"] = "bn"
+        cfg["grid"] = {"dataset.n": [256, 257]}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "n=193" in self.one_line(capsys, "config error: ")
+        assert sorted(p.name for p in out.iterdir()) == ["cell_0"]
 
     @pytest.mark.parametrize("model, words", [
         ({"head": "relu", "loss": "squared_error"}, "'relu'"),
@@ -704,6 +731,19 @@ def test_mnist_fallback_is_the_synthetic_kind(preset, explicit):
         assert (got.targets is got.inputs) == (want.targets is want.inputs)
 
 
+@pytest.mark.parametrize("preset, side, width", [("ae-mnist-paper", 10, 784),
+                                                 ("ae-mnist-desk", 6, 100)])
+def test_mnist_fallback_takes_its_kinds_image_side(preset, side, width):
+    # dataset.side sizes the synthetic_images kind; an MNIST kind's fallback
+    # is as wide as its kind's IDX images, whatever side says
+    cfg = resolve_config(preset, overrides={
+        "dataset.fallback_synthetic": True, "dataset.side": side, "dataset.n": 64,
+        "dataset.val_size": 8})
+    train, val, _ = cli.build_dataset(cfg)
+    assert train.inputs.shape == (56, width) and val.inputs.shape == (8, width)
+    assert width == cfg["model"]["sizes"][0]
+
+
 def test_mnist_classifier_targets_keep_their_width_without_the_files(tmp_path):
     # n_classes defaults to 10 for every kind: the synthetic fallback builds
     # one-hot rows as wide as the IDX files' digits
@@ -731,12 +771,15 @@ PRESET_RECORDS = {
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_resolves_to_its_recorded_config(tmp_path, monkeypatch, preset):
-    # the config.json a run writes, caught as the run is refused before training
-    def refuse(*args, **kwargs):
-        raise ConfigError("stop")
+    # the config.json a run writes, caught as its training fails at once on
+    # two rows of the model's widths
+    def fail(*args, **kwargs):
+        raise SingularMatrixError("stop")
 
-    monkeypatch.setattr(cli, "build_dataset", lambda cfg: (None, None, "none"))
-    monkeypatch.setattr(cli, "run_train", refuse)
+    sizes = PRESETS[preset]["model"]["sizes"]
+    rows = data.Dataset(np.zeros((2, sizes[0])), np.zeros((2, sizes[-1])))
+    monkeypatch.setattr(cli, "build_dataset", lambda cfg: (rows, None, "none"))
+    monkeypatch.setattr(cli, "run_train", fail)
     out = tmp_path / "run"
     assert main(["train", "--preset", preset, "--out", str(out)]) == 2
     blob = (out / "config.json").read_bytes()

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from whitenet import data
 from whitenet.data import (
@@ -334,3 +336,46 @@ def test_classification_labels_deterministic():
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.targets, b.targets)
     assert set(np.unique(a.targets)) <= {0.0, 1.0}
+
+
+# any value of a count or dimension word: small, the MNIST side, and far
+# beyond what any file holds
+HEADER_WORDS = st.one_of(st.integers(0, 40), st.sampled_from([784, 60000, 2**31, 2**32 - 1]))
+
+
+def damaged_idx(draw, blob, words):
+    """``blob``, an IDX file's bytes with ``words`` 4-byte header words,
+    truncated, with flipped bytes, or with a count or dimension word
+    replaced; gzip-compressed or not."""
+    blob = bytearray(blob)
+    damage = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if damage == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[at] ^= draw(st.integers(1, 255))
+    else:
+        struct.pack_into(">I", blob, 4 * draw(st.integers(1, words - 1)), draw(HEADER_WORDS))
+    return gzip.compress(bytes(blob), mtime=0) if draw(st.booleans()) else bytes(blob)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_idx_pair_loads_or_is_refused(tmp_path, data):
+    # every outcome is a finite dataset of one row per label, or an IdxFormatError
+    pixels = np.random.default_rng(4).integers(0, 256, size=(3, 28, 28), dtype=np.uint8)
+    ip, lp = write_idx_pair(tmp_path, pixels, [1, 7, 9])
+    target = data.draw(st.sampled_from(["images", "labels", "both"]))
+    if target != "labels":
+        ip.write_bytes(damaged_idx(data.draw, ip.read_bytes(), 4))
+    if target != "images":
+        lp.write_bytes(damaged_idx(data.draw, lp.read_bytes(), 2))
+    side = data.draw(st.sampled_from([10, 28]))
+    try:
+        ds = load_idx(ip, lp, side=side)
+    except IdxFormatError:
+        return
+    assert ds.inputs.shape[0] == ds.targets.shape[0] and ds.targets.shape[1] == 10
+    assert np.isfinite(ds.inputs).all() and ((0 <= ds.inputs) & (ds.inputs <= 1)).all()
+    assert (ds.targets.sum(axis=1) == 1).all()

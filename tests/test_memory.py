@@ -225,6 +225,19 @@ def test_predict_holds_one_row_block_at_a_time(kind):
     assert peak < x.shape[0] * 100 * 8 + 5 * block_bytes, peak / block_bytes
 
 
+@pytest.mark.parametrize("kind", ["canonical", "whitened"])
+def test_predict_activates_over_the_pre_activation(kind):
+    # _activate writes h over z: a 100->200 sigmoid block holds its input,
+    # z and the one numerator temporary beside the output (987 500 bytes
+    # traced for the desk net's 512 validation rows). Building h in two new
+    # temporaries beside z peaked at 1 127 396
+    x = np.random.default_rng(16).uniform(0.0, 1.0, size=(512, 100))
+    model = desk_model(kind, x[:100])
+    block_bytes = net.PREDICT_ROWS * 200 * 8
+    peak = traced_peak(model.predict, x)
+    assert peak < x.shape[0] * 100 * 8 + 3 * block_bytes < 1_127_396, peak
+
+
 def old_exact_block(sweep, layer_index):
     """The accumulation the exact block used before: weighted outer-product
     Gram sums, then (F + F^T) / 2."""

@@ -1,4 +1,8 @@
+import csv
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from whitenet.errors import MetricsParseError
 from whitenet.metrics import MetricsRow, read_metrics, write_metrics
@@ -24,6 +28,16 @@ class TestRoundTrip:
         assert back[0].cond_ratio == 1.0
         assert back[1].cond_ratio is None
         assert back[0].reparam_event is True
+
+    def test_written_bytes(self, tmp_path):
+        # 17 significant digits, an empty cond_ratio, 0/1 reparam flags
+        path = tmp_path / "metrics.csv"
+        write_metrics(path, rows_fixture())
+        assert path.read_bytes() == (
+            b"step,wallclock_seconds,train_loss,eval_loss,learning_rate,cond_ratio,reparam_event\r\n"
+            b"0,0,2,2.1000000000000001,0.10000000000000001,1,1\r\n"
+            b"50,1.5,1,1.2,0.10000000000000001,,0\r\n"
+            b"100,3,0.5,0.69999999999999996,0.01,0.050000000000000003,0\r\n")
 
     def test_header_mandatory(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -74,3 +88,51 @@ class TestParseErrors:
         with pytest.raises(MetricsParseError, match="metrics.csv") as exc:
             read_metrics(path)
         assert exc.value.line is None
+
+
+# one character above csv's default field size limit
+OVERSIZED_FIELD = "7" * (csv.field_size_limit() + 1)
+
+
+def test_oversized_field_is_a_parse_error(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, rows_fixture())
+    with open(path, "a") as fh:
+        fh.write(f"{OVERSIZED_FIELD},0,0,0,0,,0\n")
+    with pytest.raises(MetricsParseError, match="field larger than field limit") as exc:
+        read_metrics(path)
+    assert exc.value.line == 5
+
+
+def damaged_csv(draw, blob):
+    """``blob``, a metrics file's bytes, truncated, with flipped bytes, or
+    with a run of arbitrary text put in."""
+    blob = bytearray(blob)
+    damage = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if damage == "truncate":
+        return bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    if damage == "flip":
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[at] ^= draw(st.integers(1, 255))
+        return bytes(blob)
+    at = draw(st.integers(0, len(blob)))
+    text = draw(st.one_of(st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+                          st.just(OVERSIZED_FIELD))).encode()
+    return bytes(blob[:at]) + text + bytes(blob[at:])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_metrics_file_loads_or_is_refused(tmp_path, data):
+    # every outcome is rows of strictly increasing steps or a MetricsParseError
+    path = tmp_path / "metrics.csv"
+    write_metrics(path, rows_fixture())
+    path.write_bytes(damaged_csv(data.draw, path.read_bytes()))
+    try:
+        rows = read_metrics(path)
+    except MetricsParseError:
+        return
+    steps = [r.step for r in rows]
+    assert steps == sorted(set(steps))
+    assert all(isinstance(r.reparam_event, bool) for r in rows)

@@ -121,24 +121,38 @@ SIGMOID_EDGES = np.array([
 ])
 
 
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "identity", "softmax"])
+def test_activation_is_written_over_z_with_the_same_bits(kind):
+    # the out-of-place forms _activate used before it wrote h over z
+    z = 5.0 * np.random.default_rng(3).standard_normal((64, 7))
+    shifted = z - z.max(axis=1, keepdims=True)
+    want = {"sigmoid": masked_sigmoid(z), "tanh": np.tanh(z), "relu": np.maximum(z, 0.0),
+            "identity": z.copy(),
+            "softmax": np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)}[kind]
+    got = net._activate(kind, z)
+    assert got is z
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestSigmoidBitIdentity:
     @pytest.mark.parametrize("shape", [(1,), (7,), (64, 200), (3, 5, 11), (200, 64)])
     def test_matches_masked_reference_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))
         for scale in (1e-10, 1e-5, 1e-2, 1.0, 10.0, 40.0, 800.0):
             z = scale * rng.standard_normal(shape)
-            got = net._activate("sigmoid", z)
+            got = net._activate("sigmoid", z.copy())
             assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
         strided = (800.0 * rng.standard_normal((2 * shape[0],) + shape[1:]))[::2]
-        got = net._activate("sigmoid", strided)
-        assert np.array_equal(got.view(np.int64), masked_sigmoid(strided).view(np.int64))
+        want = masked_sigmoid(strided)
+        got = net._activate("sigmoid", strided)  # a strided z, written over
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_edge_values_bitwise(self):
         with np.errstate(over="ignore"):
             near = np.concatenate([np.nextafter(SIGMOID_EDGES, np.inf),
                                    np.nextafter(SIGMOID_EDGES, -np.inf)])
         z = np.concatenate([SIGMOID_EDGES, near[np.isfinite(near)]])
-        got = net._activate("sigmoid", z)
+        got = net._activate("sigmoid", z.copy())
         assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
 
     @pytest.mark.parametrize("optimizer", ["momentum", "prong"])
