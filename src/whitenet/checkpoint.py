@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConfigError, ConsistencyError, DimensionError
 from .net import BN_DECAY, LayerSpec, Model, NetSpec, WhiteningCoeffs, flat_layout
 
 MAGIC = b"WNETCKP1"
@@ -67,7 +67,7 @@ def _spec(path, header):
         raise ConsistencyError(f"{path} has malformed sizes or nonlinearities")
     try:
         return NetSpec(tuple(LayerSpec(a, b, k) for a, b, k in zip(sizes, sizes[1:], kinds)))
-    except ValueError as exc:
+    except (ConfigError, DimensionError) as exc:  # what NetSpec and LayerSpec raise
         raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
 
 

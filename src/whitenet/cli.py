@@ -190,7 +190,9 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     # stored bit for bit and streamed to disk a row of tiles at a time
     fisher.exact_fisher_block(baseline_model, probe, middle).save(
         out / "fisher_middle_before.npy")
-    white = build_model({**cfg, "optimizer": "prong"})
+    # the prong lane's own model: its reparametrization at step 0 replaces
+    # every slot and reads none of these (a lane of 0 updates saves them)
+    white = lanes[2][2]
     prong_reparametrize(white.params, white.phi, white.spec, probe,
                         TrainConfig(**cfg["train"]).eigen_epsilon)
     fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
@@ -205,7 +207,7 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
                 _series.append((step, r))
             mid = [r for r in rows if r.layer == middle][0]
             # a floored ratio is the floor's, not a measurement: left empty
-            return {"cond_ratio": None if mid.flag == "floored" else mid.cond_ratio}
+            return None if mid.flag == "floored" else mid.cond_ratio
 
         _run_one(run_cfg, out / optimizer, dataset, lane_model, row_callback=on_row)
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
@@ -287,14 +289,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["train.seed"] = args.seed
         cfg = resolve_config(args.preset, args.config, overrides)
-        out = Path(args.out)
-        if args.command == "train":
-            return cmd_train(cfg, out)
-        if args.command == "diagnose-fisher":
-            return cmd_diagnose_fisher(cfg, out)
-        if args.command == "grid":
-            return cmd_grid(cfg, out)
-        raise AssertionError(args.command)
+        command = {"train": cmd_train, "diagnose-fisher": cmd_diagnose_fisher,
+                   "grid": cmd_grid}[args.command]  # argparse allows no other
+        return command(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DimensionError, IdxFormatError, NumericError
+from .errors import (ConfigError, DegenerateSpectrumError, DimensionError, IdxFormatError,
+                     NumericError)
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -169,6 +170,8 @@ def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> 
     count = _read_be_u32(img, 4, "image count")
     rows = _read_be_u32(img, 8, "image rows")
     cols = _read_be_u32(img, 12, "image cols")
+    if rows * cols == 0:  # refused before count empty rows are decoded
+        raise IdxFormatError(f"images of {rows}x{cols} hold no pixels", 8)
     payload = count * rows * cols
     if len(img) != 16 + payload:
         raise IdxFormatError(
@@ -228,7 +231,7 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
         raise DimensionError(f"covariance must be {dim}x{dim}, got {cov.shape}")
     lam, e = linalg.sym_eig(cov)
     if lam.min() < -1e-10 * max(lam.max(), 1.0):
-        raise ValueError("covariance spec is not PSD")
+        raise DegenerateSpectrumError("covariance spec is not PSD")
     root = (e * np.sqrt(np.maximum(lam, 0.0))) @ e.T
     z = np.random.default_rng(seed).standard_normal((n, dim))
     inputs = mean + z @ root.T
@@ -303,8 +306,6 @@ class BatchPlan:
     _perm: np.ndarray | None = field(default=None, repr=False)
 
     def next_indices(self, n):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self._perm is None or self._perm.shape[0] != n:
             self._perm = self._permutation(n)
         if self.cursor >= n:
@@ -326,7 +327,7 @@ def next_batch(dataset: Dataset, plan: BatchPlan) -> Dataset:
 def split_train_val(dataset: Dataset, val_size: int, seed: int):
     """Seeded shuffle, then the last ``val_size`` rows become validation."""
     if not 0 <= val_size < dataset.n:
-        raise ValueError(f"val_size {val_size} out of range for {dataset.n} rows")
+        raise ConfigError(f"val_size {val_size} out of range for {dataset.n} rows")
     perm = np.random.default_rng(seed).permutation(dataset.n)
     if val_size == 0:
         return dataset.take(perm), None

@@ -10,7 +10,8 @@ class SingularMatrixError(ValueError):
 
 
 class DegenerateSpectrumError(ValueError):
-    """A spectrum is entirely non-positive, so no condition number exists."""
+    """A spectrum has no meaning for its use: entirely non-positive, so no
+    condition number exists, or negative where a covariance must be PSD."""
 
 
 class InsufficientSamplesError(ValueError):

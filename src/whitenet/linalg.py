@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
+    ConsistencyError,
     DegenerateSpectrumError,
     DimensionError,
     InsufficientSamplesError,
@@ -58,7 +60,7 @@ def _symmetrized(a) -> np.ndarray:
         raise NumericError("matrix contains non-finite entries")
     scale = float(np.abs(s).max()) if s.size else 0.0
     if scale > 0.0 and float(np.abs(s - s.T).max()) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric within 1e-9 of its scale")
+        raise ConsistencyError("matrix is not symmetric within 1e-9 of its scale")
     return (s + s.T) / 2.0
 
 
@@ -125,7 +127,7 @@ def preconditioner(spectrum, e, epsilon: float) -> np.ndarray:
     incomplete and 0 when it is not; no general inverse is formed. A
     complete range needs no eps, an incomplete one refuses eps = 0."""
     if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
     dim, r = e.shape
     if epsilon == 0.0 and r < dim:
         raise SingularMatrixError(

@@ -56,9 +56,9 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ValueError(f"layer dims must be positive, got {self}")
+            raise DimensionError(f"layer dims must be positive, got {self}")
         if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+            raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,17 @@ class NetSpec:
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("network needs at least one layer")
+            raise DimensionError("network needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise DimensionError(f"layer chain mismatch: {a} -> {b}")
         for layer in self.layers[:-1]:
             if layer.nonlinearity == "softmax":
-                raise ValueError("softmax is only allowed as the final layer")
+                raise ConfigError("softmax is only allowed as the final layer")
 
     @classmethod
     def mlp(cls, sizes, hidden="tanh", head="sigmoid"):
         """Chain spec from a size list [in, h1, ..., out]."""
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
         kinds = [hidden] * (len(sizes) - 2) + [head]
         return cls(
             tuple(
@@ -263,12 +261,11 @@ def _activate(kind, z):
         return np.maximum(z, 0.0, out=z)
     if kind == "identity":
         return z
-    if kind == "softmax":
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        return z
-    raise ValueError(f"unknown nonlinearity {kind!r}")
+    # softmax, the one kind left: LayerSpec refuses any other
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _activation_vjp(kind, h, upstream):
@@ -289,10 +286,8 @@ def _activation_vjp(kind, h, upstream):
         return upstream * (h > 0.0)  # h = max(z, 0) > 0 exactly where z > 0
     if kind == "identity":
         return upstream.copy()
-    if kind == "softmax":
-        inner = (upstream * h).sum(axis=1, keepdims=True)
-        return h * (upstream - inner)
-    raise ValueError(f"unknown nonlinearity {kind!r}")
+    inner = (upstream * h).sum(axis=1, keepdims=True)  # softmax
+    return h * (upstream - inner)
 
 
 def as_batch(x, dim, what="input"):
@@ -380,7 +375,7 @@ def loss(kind: str, output, target, *, gradient=True):
     array alive instead of two.
     """
     if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        raise ConfigError(f"unknown loss kind {kind!r}")
     o = np.atleast_2d(np.asarray(output, dtype=np.float64))
     t = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if o.shape != t.shape:

@@ -11,8 +11,8 @@ construction. In between, plain momentum-SGD steps the canonical
 parameters along the whitened gradient mapped to them, (h - c) P in place
 of h (``net.backward_whitened``): the whitened parametrization's updates,
 in one parameter space. The velocity is zeroed at each
-reparametrization. Evaluation losses and probe outputs come from
-``Model.predict``, a row block at a time.
+reparametrization. Evaluation losses come from ``Model.predict``, a row
+block at a time.
 """
 
 from __future__ import annotations
@@ -201,7 +201,6 @@ class TrainResult:
     state: OptimizerState
     divergence: dict | None = None  # None for a run of all max_updates updates
     timing: dict = field(default_factory=dict)
-    probe_deltas: list = field(default_factory=list)
     reparam_steps: list = field(default_factory=list)
 
 
@@ -218,7 +217,6 @@ def train(
     optimizer: str,
     loss_kind: str,
     val_data: Dataset | None = None,
-    probe_inputs=None,
     row_callback=None,
 ) -> TrainResult:
     """Run ``config.max_updates`` updates of the requested optimizer, once
@@ -227,10 +225,8 @@ def train(
     Emits one MetricsRow per ``eval_interval`` updates plus one row at every
     reparametrization step (flagged); every update uses the one
     ``learning_rate``, which each row logs.
-    ``probe_inputs``, when given, is evaluated before and after every
-    function-preserving event and the max-abs output changes are recorded.
-    ``row_callback(model, step)`` may return a dict with extra row fields
-    (e.g. a conditioning ratio).
+    ``row_callback(model, step)``, when given, returns the row's
+    ``cond_ratio`` or None.
 
     A run ends early, and still returns, on a non-finite training loss or
     on a ``NumericError`` from the forward, loss, step, reparametrization
@@ -262,7 +258,7 @@ def train(
             rows[-1].reparam_event = True
             return
         eval_loss = _eval_loss(model, eval_set, loss_kind)
-        extra = row_callback(model, step) if row_callback else {}
+        cond_ratio = row_callback(model, step) if row_callback else None
         rows.append(
             MetricsRow(
                 step=step,
@@ -270,7 +266,7 @@ def train(
                 train_loss=train_loss,
                 eval_loss=eval_loss,
                 learning_rate=config.learning_rate,
-                cond_ratio=extra.get("cond_ratio") if extra else None,
+                cond_ratio=cond_ratio,
                 reparam_event=reparam_event,
             )
         )
@@ -279,7 +275,6 @@ def train(
         value = float("nan")
         try:
             if whitened and t % config.reparam_period == 0:
-                before = model.predict(probe_inputs) if probe_inputs is not None else None
                 take = min(config.stat_samples, train_data.n)
                 idx = stats_rng.choice(train_data.n, size=take, replace=False)
                 info = prong_reparametrize(
@@ -288,9 +283,6 @@ def train(
                 )
                 reparam_seconds += info.seconds
                 state.velocity.fill(0.0)
-                if before is not None:
-                    after = model.predict(probe_inputs)
-                    result.probe_deltas.append(float(np.abs(after - before).max()))
                 result.reparam_steps.append(t)
                 stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
                 del info  # not kept alive through the next reparametrization

@@ -87,6 +87,18 @@ class TestLoadIdx:
             load_idx(ip, lp)
         assert exc.value.offset == 4
 
+    def test_zero_pixel_header_refused_before_decoding(self, tmp_path, monkeypatch):
+        # 2^32 - 1 images of 0x28 pixels: a 16-byte file whose payload check
+        # passes; nothing may be decoded before the refusal
+        def no_decode(*args):
+            raise AssertionError("_decode called before the header was refused")
+
+        monkeypatch.setattr(data, "_decode", no_decode)
+        ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        ip.write_bytes(struct.pack(">IIII", 0x803, 2**32 - 1, 0, 28))
+        with pytest.raises(IdxFormatError, match="0x28") as exc:
+            load_idx(ip, lp)
+        assert exc.value.offset == 8
 
     def test_corrupt_gzip_is_a_format_error(self, tmp_path):
         ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0], gz=True)
