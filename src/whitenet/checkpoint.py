@@ -2,13 +2,16 @@
 arrays in declaration order. Round trips are bit-exact. Every model stores
 its canonical weights and biases; a whitened one adds each slot's center
 and preconditioner, a batch-norm one its gains, shifts and running
-statistics."""
+statistics. ``LAYOUTS`` declares each kind's arrays once: ``_layout`` reads
+it for both the writer and the reader, which checks every stored shape
+against it before any model is built."""
 
 from __future__ import annotations
 
 import json
 import math
 import struct
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +23,32 @@ MAGIC = b"WNETCKP1"
 HEADER_KEYS = ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")
 
 
-def _named_arrays(model: Model):
-    arrays = []
-    for i, (w, b) in enumerate(zip(model.params.weights, model.params.biases)):
-        arrays.append((f"weight_{i}", w))
-        arrays.append((f"bias_{i}", b))
-    if model.phi is not None:
-        for i, (c, p) in enumerate(zip(model.phi.centers, model.phi.preconditioners)):
-            arrays.append((f"center_{i}", c))
-            arrays.append((f"preconditioner_{i}", p))
-    if model.params.gains:
-        for i in range(model.spec.depth):
-            arrays.append((f"gain_{i}", model.params.gains[i]))
-            arrays.append((f"shift_{i}", model.params.shifts[i]))
-            arrays.append((f"running_mean_{i}", model.bn_state.running_mean[i]))
-            arrays.append((f"running_var_{i}", model.bn_state.running_var[i]))
-    return arrays
+# each kind's groups of arrays in file order; a group is written layer by
+# layer, each array as (name, its list on a Model, its shape from the layer)
+_PARAMS = (("weight", "params.weights", lambda l: (l.out_dim, l.in_dim)),
+           ("bias", "params.biases", lambda l: (l.out_dim,)))
+_PHI = (("center", "phi.centers", lambda l: (l.in_dim,)),
+        ("preconditioner", "phi.preconditioners", lambda l: (l.in_dim, l.in_dim)))
+_BN = tuple((name, where, lambda l: (l.out_dim,)) for name, where in (
+    ("gain", "params.gains"), ("shift", "params.shifts"),
+    ("running_mean", "bn_state.running_mean"), ("running_var", "bn_state.running_var")))
+LAYOUTS = {"canonical": (_PARAMS,), "whitened": (_PARAMS, _PHI), "bn": (_PARAMS, _BN)}
+
+
+def _layout(kind, spec: NetSpec):
+    """(name, shape, where, i) of every array a checkpoint of ``kind`` holds
+    for ``spec``, in file order, read off the spec with no array allocated;
+    the array of a model is ``attrgetter(where)(model)[i]``."""
+    if not isinstance(kind, str) or kind not in LAYOUTS:
+        raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
+    return [(f"{name}_{i}", shape(l), where, i)
+            for group in LAYOUTS[kind] for i, l in enumerate(spec.layers)
+            for name, where, shape in group]
 
 
 def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
-    arrays = _named_arrays(model)
+    arrays = [(name, attrgetter(where)(model)[i])
+              for name, _, where, i in _layout(model.kind, model.spec)]
     header = {
         "format": "whitenet-checkpoint",
         "version": 1,
@@ -69,22 +78,6 @@ def _spec(path, header):
         return NetSpec(tuple(LayerSpec(a, b, k) for a, b, k in zip(sizes, sizes[1:], kinds)))
     except (ConfigError, DimensionError) as exc:  # what NetSpec and LayerSpec raise
         raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
-
-
-def _shapes(kind, spec):
-    """Name -> shape of every array a checkpoint of ``kind`` must hold,
-    read off the spec with no array allocated."""
-    if kind not in ("canonical", "whitened", "bn"):
-        raise ConsistencyError(f"unknown checkpoint kind {kind!r}")
-    shapes = {}
-    for i, l in enumerate(spec.layers):
-        shapes |= {f"weight_{i}": (l.out_dim, l.in_dim), f"bias_{i}": (l.out_dim,)}
-        if kind == "whitened":
-            shapes |= {f"center_{i}": (l.in_dim,), f"preconditioner_{i}": (l.in_dim, l.in_dim)}
-        if kind == "bn":
-            shapes |= {f"{a}_{i}": (l.out_dim,)
-                       for a in ("gain", "shift", "running_mean", "running_var")}
-    return shapes
 
 
 def load_checkpoint(path):
@@ -126,7 +119,8 @@ def load_checkpoint(path):
         raise ConsistencyError(f"{path} has trailing bytes after its last array")
 
     kind, spec = header["kind"], _spec(path, header)
-    for name, shape in _shapes(kind, spec).items():  # before any model is built
+    layout = _layout(kind, spec)
+    for name, shape, _, _ in layout:  # before any model is built
         if name not in arrays:
             raise ConsistencyError(f"{path} lacks array {name}")
         if arrays[name].shape != shape:
@@ -134,6 +128,6 @@ def load_checkpoint(path):
                 f"{path} stores {name} as {arrays[name].shape}, the network needs {shape}")
     phi = WhiteningCoeffs.identity(spec) if kind == "whitened" else None
     model = Model(spec, flat_layout(spec, bn=kind == "bn"), phi=phi)
-    for name, target in _named_arrays(model):
-        target[...] = arrays[name]
+    for name, _, where, i in layout:
+        attrgetter(where)(model)[i][...] = arrays[name]
     return model, {"seed": seed, "step": step}

@@ -15,6 +15,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import sys
@@ -88,12 +89,31 @@ def build_model(cfg: dict) -> net.Model:
     return net.Model(spec, theta)
 
 
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded. Where none is found (another BLAS, or no /proc/self/maps), get
+    returns None and set does nothing."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        maps = []
+    # a maps line is: address perms offset device inode path (which may hold spaces)
+    for lib in sorted({line.split(maxsplit=5)[-1] for line in maps if "openblas" in line.lower()}):
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("set")):
+                return getattr(handle, name.format("get")), getattr(handle, name.format("set"))
+    return (lambda: None), (lambda threads: None)
+
+
 def _write_manifest(out, cfg, *, seed, status, result=None, extra=None):
     manifest = {
         "version": __version__,
         "config_hash": config_hash(cfg),
         "seed": seed,
         "status": status,
+        "blas_threads": _openblas()[0](),  # the live count, None without OpenBLAS
     }
     if result is not None:
         manifest["timing"] = result.timing
@@ -284,6 +304,9 @@ def make_parser():
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    get_threads, set_threads = _openblas()
+    threads = get_threads()
+    set_threads(1)  # one BLAS thread: a (config, seed) pair then determines every output
     try:
         overrides = {}
         if args.seed is not None:
@@ -301,6 +324,8 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    finally:  # a Python caller's process keeps its thread count
+        set_threads(threads)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ rules: ``dataset`` is ``data.DatasetConfig``, ``model`` is
 ``net.ModelConfig`` and ``train`` is ``optim.TrainConfig``. SCHEMA maps each
 top-level key to (type, required, allowed-or-None), and each section to a
 dict of the same shape read off its class: one key per field, typed by its
-annotation and required only when the field has no default. Unknown keys
-and mistyped values are refused by name; then every section is built, and a
-value that breaks its class's rule is refused as ``<section>.<key> (rule)``.
+annotation and required only when the field has no default. Unknown keys,
+mistyped values and non-finite floats (JSON's NaN and Infinity) are refused
+by name; then every section is built, and a value that breaks its class's
+rule is refused as ``<section>.<key> (rule)``.
 The same document drives ``train``, ``diagnose-fisher`` and ``grid``; the
 optional top-level ``grid`` section maps dotted config paths to value lists.
 """
@@ -18,6 +19,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from pathlib import Path
 
@@ -49,13 +51,13 @@ SCHEMA = {
 def _validate_section(section, schema, path, bad, missing):
     for key in section:
         if key not in schema:
-            bad.append(f"{path}{key}")
+            bad[f"{path}{key}"] = None
     for key, rule in schema.items():
         here = f"{path}{key}"
         if isinstance(rule, dict):
             if key in section:
                 if not isinstance(section[key], dict):
-                    bad.append(here)
+                    bad[here] = None
                 else:
                     _validate_section(section[key], rule, here + ".", bad, missing)
             elif path == "":
@@ -71,9 +73,11 @@ def _validate_section(section, schema, path, bad, missing):
             value = float(value)
             section[key] = value
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-            bad.append(here)
+            bad[here] = None
+        elif typ is float and not math.isfinite(value):  # json reads NaN and Infinity
+            bad[here] = "a finite number"
         elif allowed is not None and value not in allowed:
-            bad.append(here)
+            bad[here] = None
 
 
 def validate_config(raw: dict) -> dict:
@@ -84,7 +88,7 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = copy.deepcopy(raw)
-    bad, missing = [], []
+    bad, missing = {}, []
     _validate_section(cfg, SCHEMA, "", bad, missing)
     if bad:
         raise ConfigError("invalid config keys", bad)

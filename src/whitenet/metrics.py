@@ -1,22 +1,17 @@
 """Training metrics: the per-interval log row, its CSV serialization and
-parsing, and the CSV tables the commands write beside it."""
+parsing, and the CSV tables the commands write beside it.
+
+``MetricsRow``'s fields are the one declaration of ``metrics.csv``: its
+columns are the field names in order, and each field's type picks the rule
+that writes and reads it. A float is written with 17 significant digits, an
+optional float that is None as an empty field, and a flag as 0/1."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import MetricsParseError
-
-COLUMNS = (
-    "step",
-    "wallclock_seconds",
-    "train_loss",
-    "eval_loss",
-    "learning_rate",
-    "cond_ratio",
-    "reparam_event",
-)
 
 
 @dataclass
@@ -30,12 +25,17 @@ class MetricsRow:
     reparam_event: bool = False
 
 
+COLUMNS = tuple(f.name for f in fields(MetricsRow))
+# text -> value, one rule per field type (annotations are strings here)
+_PARSERS = {"int": int, "float": float, "bool": lambda text: bool(int(text)),
+            "float | None": lambda text: float(text) if text != "" else None}
+_FIELD_PARSERS = [_PARSERS[f.type] for f in fields(MetricsRow)]
+_FLAGS = {f.name for f in fields(MetricsRow) if f.type == "bool"}  # written as 0/1
+
+
 def write_metrics(path, rows):
-    write_table(path, COLUMNS, [
-        [r.step, r.wallclock_seconds, r.train_loss, r.eval_loss, r.learning_rate,
-         r.cond_ratio, int(r.reparam_event)]
-        for r in rows
-    ])
+    write_table(path, COLUMNS, [[int(getattr(r, c)) if c in _FLAGS else getattr(r, c)
+                                 for c in COLUMNS] for r in rows])
 
 
 def read_metrics(path):
@@ -66,15 +66,7 @@ def _parse_metrics(reader):
         if len(rec) != len(COLUMNS):
             raise MetricsParseError(f"expected {len(COLUMNS)} fields, got {len(rec)}", lineno)
         try:
-            row = MetricsRow(
-                step=int(rec[0]),
-                wallclock_seconds=float(rec[1]),
-                train_loss=float(rec[2]),
-                eval_loss=float(rec[3]),
-                learning_rate=float(rec[4]),
-                cond_ratio=float(rec[5]) if rec[5] != "" else None,
-                reparam_event=bool(int(rec[6])),
-            )
+            row = MetricsRow(*(parse(text) for parse, text in zip(_FIELD_PARSERS, rec)))
         except ValueError as exc:
             raise MetricsParseError(f"bad field: {exc}", lineno) from None
         if last_step is not None and row.step <= last_step:

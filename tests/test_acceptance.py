@@ -336,7 +336,7 @@ class TestAcceptance:
         mc /= b
         rel = float(np.linalg.norm(mc - exact) / np.linalg.norm(exact))
         report("C8", rel < 0.02,
-               f"10^4-draw Monte-Carlo vs exact enumeration: relative Frobenius {rel:.4f} (need < 0.02)")
+               f"10^4-draw Monte-Carlo vs exact enumeration: relative Frobenius {rel:.2e} (need < 0.02)")
 
     def test_c9_out_of_scope_declared(self):
         """Full-scale results are explicitly not reproduced at desk scale;

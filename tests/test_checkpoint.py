@@ -160,6 +160,7 @@ MALFORMED = {
     "renamed_array": _set_entry("name", "weights_0"),
     "kind_without_its_arrays": _set("kind", "bn"),
     "unknown_kind": _set("kind", "sparse"),
+    "unhashable_kind": _set("kind", ["bn"]),
     "zero_size": _set("sizes", [3, 0]),
     "non_integer_size": _set("sizes", [3, "2"]),
     "unknown_nonlinearity": _set("nonlinearities", ["swish"]),

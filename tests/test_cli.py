@@ -2,8 +2,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -786,3 +790,51 @@ def test_preset_resolves_to_its_recorded_config(tmp_path, monkeypatch, preset):
     cfg = resolve_config(preset)
     assert (hashlib.sha256(blob).hexdigest(), config_hash(cfg)) == PRESET_RECORDS[preset]
     assert json.loads(blob) == cfg
+
+
+FLOAT_KEYS = [(section, key) for section in ("dataset", "train")
+              for key, (typ, _, _) in SCHEMA[section].items() if typ is float]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_config_float_is_refused_by_name(tmp_path, capsys, section, key, value):
+    # json writes and reads NaN and Infinity; the run refuses them before it
+    # writes anything
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "run"
+    assert main(["train", "--preset", "cond-mlp-desk", "--config", str(overlay),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid config keys: {section}.{key} (a finite number)\n"
+    assert not out.exists()
+
+
+def test_main_pins_blas_to_one_thread_and_restores_it(tmp_path):
+    get_threads, _ = cli._openblas()
+    before = get_threads()
+    _, cfg_path = small_train_config(tmp_path, max_updates=10)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == (None if before is None else 1)
+    assert get_threads() == before
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # an unpinned run and an OPENBLAS_NUM_THREADS=1 run write the same files,
+    # wall-clock measurements aside; without main's pin, multithreaded BLAS
+    # rounds differently (12 of the 18 files differed on a 2-core machine)
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for name, pin in (("unpinned", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "whitenet", "diagnose-fisher", "--preset",
+                        "cond-mlp-desk", "--out", str(tmp_path / name)],
+                       env={**env, **pin}, check=True, capture_output=True)
+    compare = subprocess.run([sys.executable, str(root / "scripts" / "compare_runs.py"),
+                              str(tmp_path / "unpinned"), str(tmp_path / "pinned")],
+                             capture_output=True, text=True)
+    assert compare.returncode == 0, compare.stdout

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from whitenet.errors import MetricsParseError
-from whitenet.metrics import MetricsRow, read_metrics, write_metrics
+from whitenet.metrics import COLUMNS, MetricsRow, read_metrics, write_metrics
 
 
 def rows_fixture():
@@ -38,6 +39,14 @@ class TestRoundTrip:
             b"0,0,2,2.1000000000000001,0.10000000000000001,1,1\r\n"
             b"50,1.5,1,1.2,0.10000000000000001,,0\r\n"
             b"100,3,0.5,0.69999999999999996,0.01,0.050000000000000003,0\r\n")
+
+    def test_columns_are_the_row_fields(self, tmp_path):
+        # the header is MetricsRow's field names in order, and a read row
+        # equals the written one field for field
+        assert COLUMNS == tuple(f.name for f in dataclasses.fields(MetricsRow))
+        path = tmp_path / "metrics.csv"
+        write_metrics(path, rows_fixture())
+        assert read_metrics(path) == rows_fixture()
 
     def test_header_mandatory(self, tmp_path):
         path = tmp_path / "metrics.csv"
