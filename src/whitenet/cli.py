@@ -73,7 +73,7 @@ def build_dataset(cfg: dict):
     if d.autoencode and ds.targets is not ds.inputs:
         # the inputs are validated already: no second finiteness check
         ds = data_mod.Dataset._unchecked(ds.inputs, ds.inputs, ds.name)
-    train_ds, val_ds = data_mod.split_train_val(ds, min(d.val_size, ds.n - 1), d.seed)
+    train_ds, val_ds = data_mod.split_train_val(ds, d.val_size, d.seed)
     return train_ds, val_ds, ds.name
 
 

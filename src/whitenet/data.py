@@ -24,6 +24,8 @@ LABELS_MAGIC = 0x00000801
 DOWNSAMPLE_BLOCK = 128  # rows per float64 conversion in load_idx, at either side
 DATASET_KINDS = ("synthetic_images", "synthetic_classification", "mnist", "mnist10x10")
 MNIST_KINDS = ("mnist", "mnist10x10")
+CLASSES = 10  # MNIST's digits: load_idx's one-hot width
+LATENT_DIM = 14  # synthetic_images' latent directions
 
 
 @dataclass
@@ -149,10 +151,11 @@ def _decode(pixels, side):
     return inputs
 
 
-def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> Dataset:
+def load_idx(images_path, labels_path, *, side: int = 28) -> Dataset:
     """Parse an IDX image/label file pair into a dataset.
 
-    Pixels are scaled to [0, 1]; labels become one-hot rows. ``side=28``
+    Pixels are scaled to [0, 1]; labels become one-hot rows of ``CLASSES``
+    columns. ``side=28``
     keeps the images at the file's own resolution. ``side=10`` needs 28x28
     images and returns them through ``downsample``. Either way the pixels
     are decoded a row block at a time (``_decode``), so no second full-size
@@ -197,9 +200,9 @@ def load_idx(images_path, labels_path, *, classes: int = 10, side: int = 28) -> 
             min(len(lab), 8 + lcount),
         )
     labels = np.frombuffer(lab, dtype=np.uint8, count=lcount, offset=8)
-    if labels.size and labels.max() >= classes:
-        raise IdxFormatError(f"label {labels.max()} out of range for {classes} classes", 8)
-    targets = np.zeros((count, classes))
+    if labels.size and labels.max() >= CLASSES:
+        raise IdxFormatError(f"label {labels.max()} out of range for {CLASSES} classes", 8)
+    targets = np.zeros((count, CLASSES))
     targets[np.arange(count), labels] = 1.0
     return Dataset._unchecked(inputs, targets, "idx" if side == 28 else "idx-10x10")
 
@@ -238,33 +241,32 @@ def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
     return Dataset(inputs, inputs, name="synthetic-gaussian")
 
 
-def synthetic_images(
-    n, side, seed, *, latent_dim=14, decades=2.0, contrast=8.0, noise=0.01
-) -> Dataset:
+def synthetic_images(n, side, seed) -> Dataset:
     """Seeded high-contrast random images in [0, 1] whose content lives on a
     latent space with a geometrically decaying scale spectrum.
 
-    Each latent direction is a smooth centered bump pattern; direction j
-    carries scale contrast * 10^(-decades * j / (latent_dim-1)). Squashing
-    through a sigmoid gives near-binary pixels. The resulting pixel
-    covariance is strongly ill-conditioned, which makes reconstruction a
-    conditioning-limited problem: first-order methods fit the dominant
-    directions quickly and crawl on the tail, the regime where whitening
-    the representation pays off. The targets are the inputs (autoencoding).
+    Each of the ``LATENT_DIM`` latent directions is a smooth centered bump
+    pattern; direction j carries scale 8 * 10^(-2 j / (LATENT_DIM - 1)), two
+    decades from first to last, and every pixel takes Gaussian noise of
+    scale 0.01. Squashing through a sigmoid gives near-binary pixels. The
+    resulting pixel covariance is strongly ill-conditioned, which makes
+    reconstruction a conditioning-limited problem: first-order methods fit
+    the dominant directions quickly and crawl on the tail, the regime where
+    whitening the representation pays off. The targets are the inputs (autoencoding).
     """
     dim = side * side
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:side, 0:side]
-    basis = np.empty((dim, latent_dim))
-    for j in range(latent_dim):
+    basis = np.empty((dim, LATENT_DIM))
+    for j in range(LATENT_DIM):
         cy, cx = rng.uniform(0, side - 1, size=2)
         width = rng.uniform(side / 8.0, side / 2.0)
         bump = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * width**2))).ravel()
         bump -= bump.mean()
         basis[:, j] = bump / np.linalg.norm(bump) * rng.choice([-1.0, 1.0])
-    scales = contrast * (10.0 ** (-decades * np.arange(latent_dim) / max(latent_dim - 1, 1)))
-    coeff = rng.standard_normal((n, latent_dim))
-    fields = coeff @ (basis * scales).T + noise * rng.standard_normal((n, dim))
+    scales = 8.0 * (10.0 ** (-2.0 * np.arange(LATENT_DIM) / (LATENT_DIM - 1)))
+    coeff = rng.standard_normal((n, LATENT_DIM))
+    fields = coeff @ (basis * scales).T + 0.01 * rng.standard_normal((n, dim))
     inputs = 1.0 / (1.0 + np.exp(-fields))
     return Dataset(inputs, inputs, name=f"synthetic-images-{side}x{side}")
 
@@ -327,7 +329,8 @@ def next_batch(dataset: Dataset, plan: BatchPlan) -> Dataset:
 def split_train_val(dataset: Dataset, val_size: int, seed: int):
     """Seeded shuffle, then the last ``val_size`` rows become validation."""
     if not 0 <= val_size < dataset.n:
-        raise ConfigError(f"val_size {val_size} out of range for {dataset.n} rows")
+        raise ConfigError(f"val_size {val_size} out of range for {dataset.n} rows",
+                          {"dataset.val_size": f"in [0, {dataset.n})"})
     perm = np.random.default_rng(seed).permutation(dataset.n)
     if val_size == 0:
         return dataset.take(perm), None

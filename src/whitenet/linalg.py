@@ -3,7 +3,8 @@
 Everything runs in float64 on row-major numpy arrays. Eigendecompositions
 come from LAPACK (``np.linalg.eigh``) in descending order, and spectra that
 need no eigenvectors from ``np.linalg.eigvalsh``. Whitening is rank-aware:
-from the range (lam_r, E_r) of a sample covariance Sigma, the
+from the range (lam_r, E_r) of a sample covariance Sigma, which
+``covariance_range`` takes from the sample in one call, the
 preconditioner of a whitened slot is
 
     P = (Sigma + eps I)^-1 = a I + E_r diag((lam_r + eps)^-1 - a) E_r^T,
@@ -16,8 +17,6 @@ covariance or eigendecomposition is made.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +34,6 @@ from .errors import (
 # condition_number's floor on lambda_min / lambda_max; eigenvalues at or
 # below it times lambda_max are outside a covariance's range
 COND_FLOOR = 1e-12
-
-
-@dataclass
-class MomentEstimate:
-    """Sample mean and the smaller second-moment matrix of the centered
-    sample X (N rows of width d, 1/N normalization): the covariance
-    X^T X / N when d <= N, else the Gram matrix X X^T / N and X itself,
-    which carries the Gram eigenvectors to the covariance's."""
-
-    mean: np.ndarray
-    covariance: np.ndarray | None = None
-    gram: np.ndarray | None = None
-    centered: np.ndarray | None = None
 
 
 def _symmetrized(a) -> np.ndarray:
@@ -85,9 +71,12 @@ def sym_eigvals(a) -> np.ndarray:
     return np.linalg.eigvalsh(_symmetrized(a))[::-1]
 
 
-def estimate_moments(samples) -> MomentEstimate:
-    """Sample mean and the smaller second-moment matrix of the centered
-    rows (see ``MomentEstimate``), exactly symmetric by construction."""
+def estimate_moments(samples):
+    """(mean, M, X) of a sample of N rows of width d, 1/N normalization:
+    M is the smaller second-moment matrix of the centered rows X, the
+    covariance X^T X / N when d <= N (X is then None), else the Gram
+    matrix X X^T / N, with X, which carries the Gram eigenvectors to the
+    covariance's."""
     try:
         x = np.asarray(samples, dtype=np.float64)
     except ValueError as exc:
@@ -102,27 +91,29 @@ def estimate_moments(samples) -> MomentEstimate:
     mean = x.mean(axis=0)
     d = x - mean
     if dim <= n:
-        cov = d.T @ d / n
-        return MomentEstimate(mean, covariance=(cov + cov.T) / 2.0)
-    gram = d @ d.T / n
-    return MomentEstimate(mean, gram=(gram + gram.T) / 2.0, centered=d)
+        return mean, d.T @ d / n, None
+    return mean, d @ d.T / n, d
 
 
-def covariance_range(mom: MomentEstimate, eigenvalues, eigenvectors):
-    """The sample covariance's spectrum from ``sym_eig`` of ``mom``'s
-    second-moment matrix: its d eigenvalues, descending, with those at or
-    below ``COND_FLOOR`` times the largest counted as 0, and E_r, the
-    orthonormal eigenvectors of the r above it. Gram eigenvectors Q_r map
-    to E_r = X^T Q_r / sqrt(N lam_r)."""
+def covariance_range(samples):
+    """(mean, spectrum, E_r) of a sample's covariance Sigma: the spectrum
+    is Sigma's d eigenvalues, descending, with those at or below
+    ``COND_FLOOR`` times the largest counted as 0, and E_r holds the
+    orthonormal eigenvectors of the r above it. Both come from ``sym_eig``
+    of ``estimate_moments``' matrix; Gram eigenvectors Q_r map to
+    E_r = X^T Q_r / sqrt(N lam_r)."""
+    mean, m, centered = estimate_moments(samples)
+    eigenvalues, eigenvectors = sym_eig(m)
     lam = eigenvalues[:np.count_nonzero(eigenvalues > COND_FLOOR * max(eigenvalues[0], 0.0))]
     e = eigenvectors[:, :lam.size]
-    if mom.gram is not None:
-        e = mom.centered.T @ (e / np.sqrt(len(mom.centered) * lam))
-    return np.pad(lam, (0, mom.mean.size - lam.size)), e
+    if centered is not None:
+        e = centered.T @ (e / np.sqrt(len(centered) * lam))
+    return mean, np.pad(lam, (0, mean.size - lam.size)), e
 
 
 def preconditioner(spectrum, e, epsilon: float) -> np.ndarray:
-    """P = (Sigma + eps I)^-1 of a ``covariance_range`` in closed form,
+    """P = (Sigma + eps I)^-1 from the spectrum and E_r of a
+    ``covariance_range``, in closed form:
     a I + E_r diag((lam_r + eps)^-1 - a) E_r^T with a = 1/eps when E_r is
     incomplete and 0 when it is not; no general inverse is formed. A
     complete range needs no eps, an incomplete one refuses eps = 0."""

@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg, net
 from .data import BatchPlan, Dataset, next_batch
 from .errors import ConfigError, NumericError, SingularMatrixError
+from .metrics import MetricsRow
 
 OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
 
@@ -133,8 +134,8 @@ def prong_reparametrize(
     parameters ``omega``, which it does not change.
 
     One pass over the layers: layer i's input statistics (the sample mean
-    and the range of the centered covariance, from the smaller of the
-    covariance and the Gram matrix) give its new center and its
+    and the range of the centered covariance, from one
+    ``linalg.covariance_range`` call) give its new center and its
     preconditioner, damped by ``epsilon``; the layer's forward yields the
     next layer's input. The last layer's outputs are returned with each
     slot's eigenvalues; no second-moment or eigenvector matrix outlives its
@@ -144,9 +145,7 @@ def prong_reparametrize(
     h = net.as_batch(stats_inputs, spec.input_dim)
     eigenvalues = []
     for i in range(spec.depth):
-        mom = linalg.estimate_moments(h)
-        lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
-            mom.covariance if mom.gram is None else mom.gram))
+        mean, lam, e = linalg.covariance_range(h)
         try:
             phi.preconditioners[i] = linalg.preconditioner(lam, e, epsilon)
         except SingularMatrixError as exc:
@@ -154,7 +153,7 @@ def prong_reparametrize(
                 f"layer {i} activation covariance is singular with epsilon=0; "
                 "set eigen_epsilon > 0"
             ) from exc
-        phi.centers[i] = mom.mean
+        phi.centers[i] = mean
         h = net.layer_forward(omega, spec, i, h)[0]
         eigenvalues.append(lam)
     return ReparamInfo(eigenvalues, h, seconds=time.perf_counter() - t0)
@@ -167,8 +166,9 @@ def check_run(model: net.Model, train_data: Dataset, val_data: Dataset | None,
     the commands check them before they write anything."""
     if optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    if optimizer == "sgd" and config.momentum != 0.0:
-        raise ConfigError("optimizer 'sgd' requires momentum 0; use 'momentum'")
+    if optimizer in ("sgd", "rmsprop") and config.momentum != 0.0:
+        raise ConfigError(f"optimizer {optimizer!r} requires momentum 0; its step reads none",
+                          {"train.momentum": f"got {config.momentum}"})
     whitened = optimizer == "prong"
     if whitened and model.phi is None:
         raise ConfigError(f"optimizer {optimizer!r} needs a whitened model")
@@ -234,8 +234,6 @@ def train(
     (``step``), the batch's training loss (NaN where none was computed),
     the learning rate, the optimizer and the reason.
     """
-    from .metrics import MetricsRow
-
     check_run(model, train_data, val_data, config, optimizer)
     whitened = optimizer == "prong"
     state = OptimizerState.init(model.params.vector, rmsprop=optimizer == "rmsprop")
@@ -284,7 +282,8 @@ def train(
                 reparam_seconds += info.seconds
                 state.velocity.fill(0.0)
                 result.reparam_steps.append(t)
-                stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx])
+                stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx],
+                                         gradient=False)
                 del info  # not kept alive through the next reparametrization
                 emit(t, stats_loss, reparam_event=True)
 

@@ -7,23 +7,14 @@ well inside their stated runtime budgets on one CPU core.
 """
 
 import numpy as np
-import pytest
 
-from whitenet import net, optim
+from whitenet import net
 from whitenet.config import PRESETS, validate_config
 from whitenet.data import Dataset, synthetic_classification, synthetic_images
-from whitenet.fisher import factorized_fisher_block
-from whitenet.linalg import condition_number
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
-from whitenet.optim import (
-    OptimizerState,
-    TrainConfig,
-    prong_reparametrize,
-    sgd_step,
-    train,
-)
+from whitenet.optim import TrainConfig, train
 
-from whitened_reference import whitened_signals
+import acceptance_gates as gates
 
 
 def report(criterion, passed, detail):
@@ -31,145 +22,18 @@ def report(criterion, passed, detail):
     assert passed, detail
 
 
-def whitened_from_seed(sizes, seed, hidden="tanh", head="sigmoid"):
-    spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
-    theta = init_fan_in(spec, seed)
-    return Model(spec, theta, phi=WhiteningCoeffs.identity(spec)), theta
-
-
 class TestAcceptance:
     def test_c1_conditioning_reduction(self):
-        """Factorized middle-layer Fisher condition number immediately after
-        the first whitening reparametrization is < 10% of its pre-whitening
-        value (3-layer tanh MLP, 100-32-32-1, 10x10 synthetic fallback)."""
-        ds = synthetic_classification(512, 100, seed=11, spectrum_decay=1.5)
-        sizes = [100, 32, 32, 1]
-        spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
-        theta = init_fan_in(spec, 3)
-
-        canonical = Model(spec, theta.copy())
-        before = condition_number(factorized_fisher_block(canonical, ds.inputs, 1).eigenvalues())
-
-        whitened = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
-        prong_reparametrize(whitened.params, whitened.phi, whitened.spec,
-                            ds.inputs, epsilon=0.0)
-        after = condition_number(factorized_fisher_block(whitened, ds.inputs, 1).eigenvalues())
-
-        ratio = after / before
-        report("C1", ratio < 0.10,
-               f"middle-layer cond {before:.3e} -> {after:.3e} (ratio {ratio:.3e}, need < 0.1)")
+        report("C1", *gates.c1_conditioning_reduction())
 
     def test_c2_natural_gradient_equivalence(self):
-        """One PRONG step at a reparametrization point (eps=0, momentum 0),
-        which steps the canonical parameters, equals the dense
-        Kronecker-preconditioned oracle within 1e-8 max-abs.
-
-        The oracle preconditions the homogeneous gradient [G_W G_b] by the
-        inverse uncentered second moment of (h, 1) over the statistics
-        sample; its weight block equals the centered gradient
-        (G_W - delta_bar mu^T) right-multiplied by the inverse centered
-        covariance, which is the criterion formula read with the centered
-        gradient (the c=0 reading is exercised in the optimizer suite).
-        """
-        rng = np.random.default_rng(21)
-        model, _ = whitened_from_seed([9, 6, 2], seed=22, hidden="tanh", head="sigmoid")
-        stats = rng.standard_normal((48, 9)) @ np.diag([2.0, 1.6, 1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3])
-        alpha = 0.05
-        prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        theta0 = model.params.copy()
-
-        x = rng.standard_normal((12, 9))
-        y = rng.uniform(0.2, 0.8, (12, 2))
-        trace = model.forward(x)
-        _, grad = net.loss("binary_cross_entropy", trace.outputs, y)
-        grads = model.backward(trace, grad)
-        cfg = TrainConfig(learning_rate=alpha, momentum=0.0, seed=0, max_updates=1,
-                          stat_samples=48)
-        state = OptimizerState.init(model.params.vector)
-        sgd_step(model.params.vector, grads.vector, state, cfg)
-        theta1 = model.params
-
-        ctrace = net.forward_whitened(theta0, None, model.spec, x)
-        _, cgrad = net.loss("binary_cross_entropy", ctrace.outputs, y)
-        cgrads = net.backward_whitened(ctrace, theta0, model.spec, cgrad)
-        cdeltas = net.backpropagate_deltas(ctrace, theta0, model.spec,
-                                           net.output_delta(ctrace, model.spec, cgrad))
-        strace = net.forward_whitened(theta0, None, model.spec, stats)
-
-        worst = 0.0
-        for i in range(model.spec.depth):
-            h = ([strace.inputs] + strace.activations)[i]
-            mu = h.mean(axis=0)
-            sigma = (h - mu).T @ (h - mu) / h.shape[0]
-            centered = cgrads.weights[i] - np.outer(cdeltas[i].sum(axis=0), mu)
-            oracle_dw = -alpha * centered @ np.linalg.inv(sigma)
-            dw = theta1.weights[i] - theta0.weights[i]
-            worst = max(worst, float(np.abs(dw - oracle_dw).max()))
-        report("C2", worst < 1e-8,
-               f"prong step vs dense Sigma^-1 oracle: max |diff| {worst:.2e} (need < 1e-8)")
+        report("C2", *gates.c2_natural_gradient_equivalence())
 
     def test_c3_function_preservation_50_events(self, monkeypatch):
-        """Across >= 50 reparametrization events in a desk training run,
-        the parameter vector is bitwise unchanged and probe outputs move
-        < 1e-8 max-abs per event. Each event is observed by wrapping
-        ``optim.prong_reparametrize``, the call ``train`` makes."""
-        ds = synthetic_images(1024, 8, seed=31)
-        model, _ = whitened_from_seed([64, 48, 24, 12, 24, 48, 64], seed=32,
-                                      hidden="sigmoid", head="sigmoid")
-        probe = ds.inputs[:32]
-        cfg = TrainConfig(learning_rate=1e-3, momentum=0.9, batch_size=32,
-                          reparam_period=2, stat_samples=128, eigen_epsilon=1e-4,
-                          seed=33, max_updates=100, eval_interval=100)
-        events = []  # (parameters bitwise unchanged, max-abs probe-output change)
-        reparametrize = optim.prong_reparametrize
-
-        def observed(omega, *args):
-            vector, before = omega.vector.copy(), model.predict(probe)
-            info = reparametrize(omega, *args)
-            events.append((np.array_equal(omega.vector, vector),
-                           float(np.abs(model.predict(probe) - before).max())))
-            return info
-
-        monkeypatch.setattr(optim, "prong_reparametrize", observed)
-        train(model, ds, cfg, optimizer="prong", loss_kind="squared_error")
-        changed = sum(not same for same, _ in events[:50])
-        worst = max(delta for _, delta in events[:50]) if len(events) >= 50 else float("inf")
-        report("C3", len(events) >= 50 and changed == 0 and worst < 1e-8,
-               f"{len(events)} events, {changed} of the first 50 changed a parameter bit, "
-               f"worst probe-output change {worst:.2e} (need 0 and < 1e-8)")
+        report("C3", *gates.c3_function_preservation(monkeypatch))
 
     def test_c4_whitening_invariant(self):
-        """Immediately after reparametrization, whitened activations on the
-        statistics sample have mean < 1e-8 and covariance within 1e-6 of I
-        (eps=0) or of Sigma (Sigma + eps I)^-1 (eps>0), Sigma the covariance
-        of the slot's canonical input on that sample."""
-        rng = np.random.default_rng(41)
-        stats = rng.standard_normal((400, 12)) @ rng.standard_normal((12, 12))
-        worst_mean, worst_cov = 0.0, 0.0
-        model, _ = whitened_from_seed([12, 10, 6, 2], seed=42)
-        prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=0.0)
-        trace = model.forward(stats)
-        for a in whitened_signals(model, trace):
-            worst_mean = max(worst_mean, float(np.abs(a.mean(axis=0)).max()))
-            cov = a.T @ a / a.shape[0]
-            worst_cov = max(worst_cov, float(np.abs(cov - np.eye(cov.shape[0])).max()))
-
-        eps = 0.05
-        model2, _ = whitened_from_seed([12, 10, 6, 2], seed=42)
-        prong_reparametrize(model2.params, model2.phi, model2.spec, stats, epsilon=eps)
-        trace2 = model2.forward(stats)
-        worst_eps = 0.0
-        for a, h in zip(whitened_signals(model2, trace2), [trace2.inputs] + trace2.activations):
-            centered = h - h.mean(axis=0)
-            sigma = centered.T @ centered / h.shape[0]
-            expected = np.linalg.solve(sigma + eps * np.eye(len(sigma)), sigma)
-            cov = a.T @ a / a.shape[0]
-            worst_eps = max(worst_eps, float(np.abs(cov - expected).max()))
-
-        ok = worst_mean < 1e-8 and worst_cov < 1e-6 and worst_eps < 1e-6
-        report("C4", ok,
-               f"mean {worst_mean:.2e} (<1e-8), cov-I {worst_cov:.2e} (<1e-6), "
-               f"shrunk-cov {worst_eps:.2e} (<1e-6)")
+        report("C4", *gates.c4_whitening_invariant())
 
     def test_c5_convergence_speedup(self):
         """Desk autoencoder, both methods tuned over the grid
@@ -243,7 +107,7 @@ class TestAcceptance:
         canonical = Model(spec, init_fan_in(spec, 63))
         r1 = train(canonical, ds, cfg, optimizer="momentum",
                    loss_kind="binary_cross_entropy")
-        frozen, _ = whitened_from_seed(sizes, seed=63)
+        frozen, _ = gates.whitened_from_seed(sizes, seed=63)
         r2 = train(frozen, ds, cfg, optimizer="momentum",
                    loss_kind="binary_cross_entropy")
 

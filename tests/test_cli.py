@@ -438,7 +438,8 @@ class TestTypedErrors:
                        + rng.integers(0, 256, size=640, dtype=np.uint8).tobytes())
         lp.write_bytes(struct.pack(">II", 0x801, 40) + bytes(40))
         cfg_path = tmp_path / "idx.json"
-        cfg_path.write_text(json.dumps({"dataset": {"images": str(ip), "labels": str(lp)}}))
+        cfg_path.write_text(json.dumps({"dataset": {"images": str(ip), "labels": str(lp),
+                                                    "val_size": 8}}))
         code = main(["train", "--preset", "ae-mnist-paper", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")])
         assert code == 2
@@ -459,14 +460,32 @@ class TestTypedErrors:
         assert "target width 4" in err and "output width 3" in err
         assert not (tmp_path / "run").exists()
 
-    def test_sgd_with_the_presets_momentum_refused(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("optimizer", ["sgd", "rmsprop"])
+    def test_the_presets_momentum_refused_where_no_step_reads_it(self, tmp_path, capsys,
+                                                                 monkeypatch, optimizer):
         monkeypatch.setattr(cli, "run_train", None)  # refused before training
-        cfg_path = tmp_path / "sgd.json"
-        cfg_path.write_text(json.dumps({"optimizer": "sgd"}))
+        cfg_path = tmp_path / "opt.json"
+        cfg_path.write_text(json.dumps({"optimizer": optimizer}))
         code = main(["train", "--preset", "ae-mnist-desk", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "'sgd' requires momentum 0" in self.one_line(capsys, "config error: ")
+        err = self.one_line(capsys, "config error: ")
+        assert f"'{optimizer}' requires momentum 0" in err and "train.momentum (got 0.9)" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("optimizer", ["prong", "momentum"])
+    def test_val_size_of_every_row_refused_not_clamped(self, tmp_path, capsys, monkeypatch,
+                                                       optimizer):
+        # the paper preset holds back 10000 rows; the fallback has 4096
+        monkeypatch.setattr(cli, "run_train", None)  # refused before training
+        cfg_path = tmp_path / "paper.json"
+        cfg_path.write_text(json.dumps({"optimizer": optimizer,
+                                        "dataset": {"fallback_synthetic": True}}))
+        code = main(["train", "--preset", "ae-mnist-paper", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = self.one_line(capsys, "config error: ")
+        assert "dataset.val_size" in err and "10000" in err and "4096 rows" in err
         assert not (tmp_path / "run").exists()
 
     def test_diagnose_fisher_width_mismatch_refused(self, tmp_path, capsys):

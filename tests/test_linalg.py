@@ -11,7 +11,7 @@ from whitenet.errors import (
     SingularMatrixError,
 )
 from whitenet.linalg import (
-    MomentEstimate,
+    COND_FLOOR,
     condition_number,
     covariance_range,
     estimate_moments,
@@ -112,36 +112,37 @@ class TestSymEigvals:
 class TestEstimateMoments:
     def test_constant_samples(self):
         c = np.array([2.0, -1.0, 0.5])
-        m = estimate_moments(np.tile(c, (6, 1)))
-        np.testing.assert_allclose(m.mean, c)
-        np.testing.assert_allclose(m.covariance, np.zeros((3, 3)), atol=1e-15)
-        assert m.gram is None and m.centered is None
+        mean, cov, centered = estimate_moments(np.tile(c, (6, 1)))
+        np.testing.assert_allclose(mean, c)
+        np.testing.assert_allclose(cov, np.zeros((3, 3)), atol=1e-15)
+        assert centered is None
 
     def test_hand_computed_pair(self):
         # centered second moment of {(0,0),(2,2)}: mean (1,1),
         # deviations (-1,-1),(1,1) -> cov = [[1,1],[1,1]]
-        m = estimate_moments(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        np.testing.assert_allclose(m.mean, [1.0, 1.0])
-        np.testing.assert_allclose(m.covariance, [[1.0, 1.0], [1.0, 1.0]])
+        mean, cov, _ = estimate_moments(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        np.testing.assert_allclose(mean, [1.0, 1.0])
+        np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(42)
         target = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
         chol = np.linalg.cholesky(target)
         x = rng.standard_normal((10_000, 3)) @ chol.T
-        m = estimate_moments(x)
-        assert np.abs(m.covariance - target).max() < 0.1
+        assert np.abs(estimate_moments(x)[1] - target).max() < 0.1
 
     def test_population_normalization(self):
         x = np.array([[0.0], [1.0]])
-        m = estimate_moments(x)
         # 1/N: var of {0,1} is 0.25, not 0.5
-        np.testing.assert_allclose(m.covariance, [[0.25]])
+        np.testing.assert_allclose(estimate_moments(x)[1], [[0.25]])
 
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(0)
-        m = estimate_moments(rng.standard_normal((50, 8)))
-        assert np.array_equal(m.covariance, m.covariance.T)
+    @pytest.mark.parametrize("n, dim", [(50, 8), (8, 50)])
+    def test_symmetrizing_first_changes_no_eigenpair_bit(self, n, dim):
+        # sym_eig takes (M + M^T)/2, which is exactly symmetric, so a
+        # symmetrization pass before it would be a bitwise no-op
+        m = estimate_moments(np.random.default_rng(n).standard_normal((n, dim)))[1]
+        for a, b in zip(sym_eig(m), sym_eig((m + m.T) / 2.0)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
@@ -160,19 +161,31 @@ class TestEstimateMoments:
 
     @pytest.mark.parametrize("n, dim", [(100, 200), (100, 100), (2, 3)])
     def test_gram_matrix_when_wider_than_the_sample(self, n, dim):
-        # d > N keeps the N x N Gram matrix and the centered sample, d = N
+        # d > N gives the N x N Gram matrix and the centered sample, d = N
         # the d x d covariance alone
         x = np.random.default_rng(dim).standard_normal((n, dim))
-        m = estimate_moments(x)
+        mean, m, kept = estimate_moments(x)
         centered = x - x.mean(axis=0)
         if dim <= n:
-            assert m.gram is None and m.centered is None
-            assert m.covariance.shape == (dim, dim)
+            assert kept is None and m.shape == (dim, dim)
             return
-        assert m.covariance is None
-        assert np.array_equal(m.centered, centered)
-        np.testing.assert_allclose(m.gram, centered @ centered.T / n, atol=1e-14)
-        assert np.array_equal(m.gram, m.gram.T)
+        assert np.array_equal(kept, centered)
+        np.testing.assert_allclose(m, centered @ centered.T / n, atol=1e-14)
+
+
+class TestCovarianceRange:
+    @pytest.mark.parametrize("n, dim", [(100, 8), (20, 40)])
+    def test_mean_spectrum_and_orthonormal_range(self, n, dim):
+        # the covariance branch at full rank, and the Gram branch at rank
+        # N - 1 < d
+        x = np.random.default_rng(dim).standard_normal((n, dim))
+        mean, lam, e = covariance_range(x)
+        assert np.array_equal(mean, estimate_moments(x)[0])
+        r = min(n - 1, dim)
+        assert lam.shape == (dim,) and e.shape == (dim, r) and not lam[r:].any()
+        np.testing.assert_allclose(e.T @ e, np.eye(r), atol=1e-12)
+        sigma = (x - mean).T @ (x - mean) / n
+        np.testing.assert_allclose(sigma @ e, e * lam[:r], atol=1e-12)
 
 
 def zca_whitening(spectrum, e, epsilon):
@@ -182,35 +195,33 @@ def zca_whitening(spectrum, e, epsilon):
 
 class TestZcaMatrix:
     def test_identity_covariance(self):
-        m = estimate_moments(_seeded_samples(400, 4, seed=1))
-        u = zca_whitening(*zca_range(m), epsilon=0.0)
-        np.testing.assert_allclose(u @ m.covariance @ u.T, np.eye(4), atol=1e-8)
+        x = _seeded_samples(400, 4, seed=1)
+        u = zca_whitening(*covariance_range(x)[1:], epsilon=0.0)
+        np.testing.assert_allclose(u @ estimate_moments(x)[1] @ u.T, np.eye(4), atol=1e-8)
 
     def test_diagonal_epsilon_zero(self):
-        m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = zca_whitening(*zca_range(m), epsilon=0.0)
+        u = zca_whitening(*given_range(np.diag([4.0, 1.0])), epsilon=0.0)
         np.testing.assert_allclose(u, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_diagonal_epsilon_one(self):
         # gains are 1/sqrt(lam + eps): 1/sqrt(5), 1/sqrt(2)
-        m = _moments_with_cov(np.diag([4.0, 1.0]))
-        u = zca_whitening(*zca_range(m), epsilon=1.0)
+        u = zca_whitening(*given_range(np.diag([4.0, 1.0])), epsilon=1.0)
         expected = np.diag([1.0 / np.sqrt(5.0), 1.0 / np.sqrt(2.0)])
         np.testing.assert_allclose(u, expected, atol=1e-12)
 
     def test_singular_requires_epsilon(self):
-        m = _moments_with_cov(np.diag([1.0, 0.0]))
+        lam, e = given_range(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
-            zca_whitening(*zca_range(m), epsilon=0.0)
-        u = zca_whitening(*zca_range(m), epsilon=0.5)
+            zca_whitening(lam, e, epsilon=0.0)
+        u = zca_whitening(lam, e, epsilon=0.5)
         # the null direction takes eps^-1/2
         np.testing.assert_allclose(u, np.diag([1.0 / np.sqrt(1.5), np.sqrt(2.0)]), atol=1e-12)
 
     def test_whitened_samples_have_unit_moments(self):
         x = _seeded_samples(300, 5, seed=9)
-        m = estimate_moments(x)
-        u = zca_whitening(*zca_range(m), epsilon=0.0)
-        a = (x - m.mean) @ u.T
+        mean, lam, e = covariance_range(x)
+        u = zca_whitening(lam, e, epsilon=0.0)
+        a = (x - mean) @ u.T
         assert np.abs(a.mean(axis=0)).max() < 1e-9
         cov = a.T @ a / a.shape[0]
         assert np.abs(cov - np.eye(5)).max() < 1e-8
@@ -220,11 +231,12 @@ class TestZcaMatrix:
         # whatever basis the whitening uses
         eps = 0.3
         x = _seeded_samples(500, 4, seed=13)
-        m = estimate_moments(x)
-        u = zca_whitening(*zca_range(m), epsilon=eps)
-        a = (x - m.mean) @ u.T
+        mean, lam, e = covariance_range(x)
+        u = zca_whitening(lam, e, epsilon=eps)
+        a = (x - mean) @ u.T
         cov = a.T @ a / a.shape[0]
-        expected = np.linalg.solve(m.covariance + eps * np.eye(4), m.covariance)
+        sigma = estimate_moments(x)[1]
+        expected = np.linalg.solve(sigma + eps * np.eye(4), sigma)
         assert np.abs(cov - expected).max() < 1e-8
 
     @pytest.mark.parametrize("dim, epsilon", [(200, 1e-4), (1000, 1e-2)])
@@ -233,10 +245,9 @@ class TestZcaMatrix:
         # matrix's range against E diag((lam + eps)^-1) E^T from the d x d
         # eigendecomposition
         x = np.random.default_rng(dim).uniform(0.0, 1.0, size=(100, dim))
-        m = estimate_moments(x)
-        lam, e = zca_range(m)
+        mean, lam, e = covariance_range(x)
         p = preconditioner(lam, e, epsilon)
-        centered = x - m.mean
+        centered = x - mean
         sigma = centered.T @ centered / 100
         dense_lam, dense_e = np.linalg.eigh(sigma)
         dense = (dense_e / (np.maximum(dense_lam, 0.0) + epsilon)) @ dense_e.T
@@ -252,9 +263,9 @@ class TestZcaMatrix:
     def test_epsilon_zero_with_as_many_samples_as_width_refused(self):
         # centered, N rows span at most N - 1 directions, so N = d is
         # singular too (N < d: test_epsilon_zero_on_rank_deficient_...)
-        m = estimate_moments(np.random.default_rng(40).standard_normal((40, 40)))
+        x = np.random.default_rng(40).standard_normal((40, 40))
         with pytest.raises(SingularMatrixError):
-            preconditioner(*zca_range(m), 0.0)
+            preconditioner(*covariance_range(x)[1:], 0.0)
 
 
 class TestConditionNumber:
@@ -281,16 +292,16 @@ class TestConditionNumber:
 
 class TestPreconditioner:
     def test_identity(self):
-        p = preconditioner(*zca_range(_moments_with_cov(np.eye(3))), 0.0)
+        p = preconditioner(*given_range(np.eye(3)), 0.0)
         np.testing.assert_allclose(p, np.eye(3))
 
     def test_diagonal(self):
         # (Sigma + eps I)^-1 of diag(4, 1) at eps 1: diag(1/5, 1/2)
-        p = preconditioner(*zca_range(_moments_with_cov(np.diag([4.0, 1.0]))), 1.0)
+        p = preconditioner(*given_range(np.diag([4.0, 1.0])), 1.0)
         np.testing.assert_allclose(p, np.diag([0.2, 0.5]), atol=1e-15)
 
     def test_is_the_square_of_its_root(self):
-        lam, e = zca_range(estimate_moments(_seeded_samples(200, 6, seed=21)))
+        _, lam, e = covariance_range(_seeded_samples(200, 6, seed=21))
         p = preconditioner(lam, e, epsilon=1e-3)
         u = whitening_root(p)
         assert np.abs(u - u.T).max() <= 1e-12 * np.abs(u).max()
@@ -301,29 +312,23 @@ class TestPreconditioner:
         # the desk autoencoder's input slots, 100 statistics rows: rank
         # deficient above width 99, so eps carries the null space
         x = np.random.default_rng(width).uniform(0.0, 1.0, size=(100, width))
-        m = estimate_moments(x)
-        p = preconditioner(*zca_range(m), 1e-2)
-        centered = x - m.mean
+        mean, lam, e = covariance_range(x)
+        p = preconditioner(lam, e, 1e-2)
+        centered = x - mean
         damped = centered.T @ centered / 100 + 1e-2 * np.eye(width)
         assert np.abs(p @ damped - np.eye(width)).max() <= 1e-12
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            preconditioner(*zca_range(_moments_with_cov(np.zeros((2, 2)))), 0.0)
+            preconditioner(*given_range(np.zeros((2, 2))), 0.0)
 
     def test_epsilon_zero_on_rank_deficient_covariance_refused(self):
         # 20 samples in 40 dimensions: rank 19
         x = np.random.default_rng(3).standard_normal((20, 40))
-        lam, e = zca_range(estimate_moments(x))
+        _, lam, e = covariance_range(x)
         with pytest.raises(SingularMatrixError):
             preconditioner(lam, e, 0.0)
         assert np.isfinite(preconditioner(lam, e, 1e-2)).all()
-
-
-def zca_range(m):
-    """``covariance_range`` of a moment estimate, through ``sym_eig`` of
-    its second-moment matrix."""
-    return covariance_range(m, *sym_eig(m.covariance if m.gram is None else m.gram))
 
 
 def _seeded_samples(n, dim, seed):
@@ -332,6 +337,10 @@ def _seeded_samples(n, dim, seed):
     return rng.standard_normal((n, dim)) @ mix.T + rng.standard_normal(dim)
 
 
-def _moments_with_cov(cov):
-    cov = np.asarray(cov, dtype=float)
-    return MomentEstimate(np.zeros(cov.shape[0]), covariance=cov)
+def given_range(cov):
+    """(spectrum, E_r) of a given covariance, cut as ``covariance_range``
+    cuts a sample's: eigenvalues at or below COND_FLOOR times the largest
+    read 0, and E_r holds the eigenvectors of the others."""
+    lam, e = sym_eig(np.asarray(cov, dtype=float))
+    r = np.count_nonzero(lam > COND_FLOOR * max(lam[0], 0.0))
+    return np.pad(lam[:r], (0, lam.size - r)), e[:, :r]

@@ -425,18 +425,27 @@ def test_sgd_step_makes_no_vector_sized_temporary(momentum):
 
 
 def old_reparametrize(omega, phi, spec, stats, epsilon):
-    """The two-pass sequence the reparametrization replaces: forward the
-    statistics through the whole model into a trace, then rebuild every
-    slot's coefficients from it."""
+    """The two-pass sequence the reparametrization replaces, each slot's
+    range spelled out in numpy: forward the statistics through the whole
+    model into a trace, then per slot take the mean, the covariance
+    (every slot here is narrower than the sample), its LAPACK eigenpairs in
+    descending order and the range above ``COND_FLOOR``, and rebuild the
+    slot's coefficients from them."""
     trace = net.forward_whitened(omega, phi, spec, stats)
     new_phi = WhiteningCoeffs([], [])
     spectra = []
     for i in range(spec.depth):
-        mom = linalg.estimate_moments(trace.signal(i))
-        lam, e = linalg.covariance_range(mom, *linalg.sym_eig(
-            mom.covariance if mom.gram is None else mom.gram))
-        new_phi.centers.append(mom.mean.copy())
-        new_phi.preconditioners.append(linalg.preconditioner(lam, e, epsilon))
+        h = trace.signal(i)
+        mean = h.mean(axis=0)
+        d = h - mean
+        cov = d.T @ d / len(h)
+        lam, v = np.linalg.eigh((cov + cov.T) / 2.0)
+        order = np.argsort(-lam, kind="stable")
+        lam, v = lam[order], v[:, order]
+        r = np.count_nonzero(lam > linalg.COND_FLOOR * max(lam[0], 0.0))
+        lam = np.pad(lam[:r], (0, lam.size - r))
+        new_phi.centers.append(mean)
+        new_phi.preconditioners.append(linalg.preconditioner(lam, v[:, :r], epsilon))
         spectra.append(lam)
     return new_phi, spectra, trace.outputs
 
