@@ -6,10 +6,12 @@ Usage: python scripts/compare_runs.py RUN_A RUN_B
 Both directories must hold the same files, and every file must be
 byte-identical except for what a run measures on the wall clock: the
 ``wallclock_seconds`` column of a ``metrics.csv`` and the ``timing`` object
-of a ``manifest.json``. Metrics, checkpoints, conditioning CSVs, ``.npy``
-heatmaps and ``summary.json`` are compared byte for byte. Prints one line
-per difference and exits 1 if there is any, 0 if there is none and 2 if an
-argument is not a directory.
+of a ``manifest.json``. A grid's ``summary.csv`` names each cell's
+directory under its own ``--out`` in the ``out_dir`` column, so that column
+is compared by its last path component (``cell_<i>``). Metrics,
+checkpoints, conditioning CSVs, ``.npy`` heatmaps and ``summary.json`` are
+compared byte for byte. Prints one line per difference and exits 1 if
+there is any, 0 if there is none and 2 if an argument is not a directory.
 """
 
 import argparse
@@ -17,17 +19,31 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 WALLCLOCK_COLUMN = "wallclock_seconds"
+OUT_DIR_COLUMN = "out_dir"
+
+
+def _csv_rows(raw: bytes):
+    return list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
 
 
 def _metrics_without_wallclock(raw: bytes):
-    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    rows = _csv_rows(raw)
     if not rows or WALLCLOCK_COLUMN not in rows[0]:
         return rows
     col = rows[0].index(WALLCLOCK_COLUMN)
     return [row[:col] + row[col + 1 :] for row in rows]
+
+
+def _summary_with_cell_names(raw: bytes):
+    rows = _csv_rows(raw)
+    if not rows or OUT_DIR_COLUMN not in rows[0]:
+        return rows
+    col = rows[0].index(OUT_DIR_COLUMN)
+    return rows[:1] + [row[:col] + [PurePath(row[col]).name] + row[col + 1 :]
+                       if len(row) > col else row for row in rows[1:]]
 
 
 def _manifest_without_timing(raw: bytes):
@@ -43,6 +59,8 @@ def _comparable(path: Path, raw: bytes):
         return _metrics_without_wallclock(raw)
     if path.name == "manifest.json":
         return _manifest_without_timing(raw)
+    if path.name == "summary.csv":
+        return _summary_with_cell_names(raw)
     return raw
 
 

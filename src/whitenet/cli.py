@@ -10,6 +10,9 @@ Commands:
                    streamed to disk a row of tiles at a time, and the dense
                    block is never held
   grid             Cartesian product over the config's "grid" axes
+
+Every command builds and checks all of its runs (``_prepare``) before it
+writes anything, so a run that cannot start leaves no output directory.
 """
 
 from __future__ import annotations
@@ -125,18 +128,37 @@ def _write_manifest(out, cfg, *, seed, status, result=None, extra=None):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _checked_model(cfg: dict, dataset) -> net.Model:
-    """The run's model, checked against its ``dataset`` by
-    ``optim.check_run`` before anything is written."""
+def _variant(cfg: dict, suffix: str, overrides: dict) -> dict:
+    """A run derived from ``cfg``: a copy without its ``grid`` section, with
+    the dotted ``overrides`` set and ``suffix`` added to its name,
+    validated."""
+    run = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "grid"}))  # deep copy
+    for key, value in overrides.items():
+        set_dotted(run, key, value)
+    run["name"] = cfg["name"] + suffix
+    return validate_config(run)
+
+
+def _prepare(runs):
+    """``[(cfg, out)]`` -> ``[(cfg, out, dataset)]``, every run checked by
+    ``optim.check_run`` before any is written. ``dataset`` is the ``(train,
+    val, name)`` of ``build_dataset``, built once per distinct ``dataset``
+    section; each check builds the run's model and drops it."""
+    datasets, prepared = {}, []
+    for cfg, out in runs:
+        key = json.dumps(cfg["dataset"], sort_keys=True)
+        if key not in datasets:
+            datasets[key] = build_dataset(cfg)
+        train, val, _ = datasets[key]
+        check_run(build_model(cfg), train, val, TrainConfig(**cfg["train"]), cfg["optimizer"])
+        prepared.append((cfg, out, datasets[key]))
+    return prepared
+
+
+def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
+    """Train the run's model, built again by the seeded ``build_model``, on
+    ``dataset`` from ``_prepare`` and write its run directory."""
     model = build_model(cfg)
-    check_run(model, dataset[0], dataset[1], TrainConfig(**cfg["train"]), cfg["optimizer"])
-    return model
-
-
-def _run_one(cfg: dict, out: Path, dataset, model, *, row_callback=None):
-    """Train ``model``, from ``_checked_model(cfg, dataset)``, on ``dataset``,
-    the ``(train, val, name)`` that ``build_dataset(cfg)`` returns, and
-    write its run directory."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
     train_ds, val_ds, ds_name = dataset
@@ -159,8 +181,8 @@ def _run_one(cfg: dict, out: Path, dataset, model, *, row_callback=None):
 
 
 def cmd_train(cfg: dict, out: Path) -> int:
-    dataset = build_dataset(cfg)
-    status, result = _run_one(cfg, out, dataset, _checked_model(cfg, dataset))
+    [(_, _, dataset)] = _prepare([(cfg, out)])
+    status, result = _run_one(cfg, out, dataset)
     last = result.rows[-1] if result.rows else None
     if last is not None:
         print(
@@ -173,14 +195,6 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return 0 if status == "completed" else 2
 
 
-def best_middle_ratio(rows, middle):
-    """The smallest cond ratio of the middle layer's rows, skipping rows
-    without a ratio and floored ones; None when no row is left."""
-    ratios = [r.cond_ratio for r in rows
-              if r.layer == middle and r.cond_ratio is not None and r.flag != "floored"]
-    return min(ratios) if ratios else None
-
-
 def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     """Conditioning experiment across sgd, rmsprop and prong.
 
@@ -188,37 +202,32 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
     measured on a fixed probe subset, relative to the initial (pre-whitening)
     values. Every run's metrics rows carry the middle-layer ratio, left
     empty where that row is floored."""
-    baseline_model = build_model({**cfg, "optimizer": "sgd"})
+    lanes = [(_variant(cfg, f"-{optimizer}", {"optimizer": optimizer} if optimizer == "prong"
+                       else {"optimizer": optimizer, "train.momentum": 0.0}), out / optimizer)
+             for optimizer in ("sgd", "rmsprop", "prong")]
+    baseline_model = build_model(lanes[0][0])
     middle = baseline_model.spec.depth // 2
     try:  # refused before any work: the head, and the middle heatmap's size
         fisher.check_enumerable(baseline_model)
         fisher.exact_block_size(baseline_model, middle)
     except (ConsistencyError, FisherSizeError) as exc:
         raise ConfigError(f"diagnose-fisher cannot use this model: {exc}") from exc
-    dataset = build_dataset(cfg)  # every run varies only the optimizer
-    lanes = []
-    for optimizer in ("sgd", "rmsprop", "prong"):
-        train_section = cfg["train"] if optimizer == "prong" else {**cfg["train"], "momentum": 0.0}
-        run_cfg = validate_config({**cfg, "optimizer": optimizer, "train": train_section,
-                                   "name": f"{cfg['name']}-{optimizer}"})
-        lanes.append((optimizer, run_cfg, _checked_model(run_cfg, dataset)))
+    lanes = _prepare(lanes)  # every lane varies only the optimizer: one dataset
     out.mkdir(parents=True, exist_ok=True)
-    probe = dataset[0].inputs[:512]
+    probe = lanes[0][2][0].inputs[:512]  # the first rows of the lanes' training set
     baselines = {r.layer: r.cond for r in fisher.conditioning_report(baseline_model, probe)}
 
     # Fig-style heatmaps: exact middle-layer block before/after whitening,
     # stored bit for bit and streamed to disk a row of tiles at a time
     fisher.exact_fisher_block(baseline_model, probe, middle).save(
         out / "fisher_middle_before.npy")
-    # the prong lane's own model: its reparametrization at step 0 replaces
-    # every slot and reads none of these (a lane of 0 updates saves them)
-    white = lanes[2][2]
+    white = build_model(lanes[2][0])
     prong_reparametrize(white.params, white.phi, white.spec, probe,
                         TrainConfig(**cfg["train"]).eigen_epsilon)
     fisher.exact_fisher_block(white, probe, middle).save(out / "fisher_middle_after.npy")
 
     summary = {}
-    for optimizer, run_cfg, lane_model in lanes:
+    for run_cfg, run_out, dataset in lanes:
         series = []
 
         def on_row(model, step, _series=series):
@@ -229,7 +238,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
             # a floored ratio is the floor's, not a measurement: left empty
             return None if mid.flag == "floored" else mid.cond_ratio
 
-        _run_one(run_cfg, out / optimizer, dataset, lane_model, row_callback=on_row)
+        _, result = _run_one(run_cfg, run_out, dataset, row_callback=on_row)
+        optimizer = run_cfg["optimizer"]
         header = ["step", "layer", "kind", "lambda_max", "lambda_min", "cond",
                   "cond_ratio_to_initial", "flag"]
         table = [
@@ -237,7 +247,8 @@ def cmd_diagnose_fisher(cfg: dict, out: Path) -> int:
             for step, r in series
         ]
         write_table(out / f"conditioning_{optimizer}.csv", header, table)
-        best = summary[optimizer] = best_middle_ratio([r for _, r in series], middle)
+        ratios = [r.cond_ratio for r in result.rows if r.cond_ratio is not None]
+        best = summary[optimizer] = min(ratios) if ratios else None
         print(f"{optimizer}: best middle-layer cond ratio "
               + ("none (no unfloored row)" if best is None else f"{best:.3e}"))
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -250,23 +261,16 @@ def cmd_grid(cfg: dict, out: Path) -> int:
         raise ConfigError("grid command needs a non-empty 'grid' section")
     keys = sorted(axes)
     bad = [k for k in keys if not isinstance(axes[k], list) or not axes[k]]
-    if bad:  # refused before any cell runs
+    if bad:  # refused before any cell is built
         raise ConfigError("grid axes must be non-empty lists of values", bad)
-    cells = []
-    for i, values in enumerate(itertools.product(*(axes[k] for k in keys))):
-        cell_cfg = {k: v for k, v in cfg.items() if k != "grid"}
-        cell_cfg = json.loads(json.dumps(cell_cfg))  # deep copy
-        for key, value in zip(keys, values):
-            set_dotted(cell_cfg, key, value)
-        cell_cfg["name"] = f"{cfg['name']}-cell{i}"
-        cells.append((values, validate_config(cell_cfg)))  # every cell, before any runs
+    cells = list(itertools.product(*(axes[k] for k in keys)))
+    runs = _prepare([(_variant(cfg, f"-cell{i}", dict(zip(keys, values))), out / f"cell_{i}")
+                     for i, values in enumerate(cells)])
     rows = []
-    for i, (values, cell_cfg) in enumerate(cells):
-        cell_out = out / f"cell_{i}"
-        dataset = build_dataset(cell_cfg)
-        status, result = _run_one(cell_cfg, cell_out, dataset, _checked_model(cell_cfg, dataset))
+    for i, (values, (cell_cfg, cell_out, dataset)) in enumerate(zip(cells, runs)):
+        status, result = _run_one(cell_cfg, cell_out, dataset)
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]
-        record = {
+        rows.append({
             "cell": i,
             **dict(zip(keys, values)),
             "final_train_loss": train_losses[-1],
@@ -274,8 +278,7 @@ def cmd_grid(cfg: dict, out: Path) -> int:
             "final_eval_loss": result.rows[-1].eval_loss if result.rows else float("nan"),
             "diverged": int(status == "diverged"),
             "out_dir": str(cell_out),
-        }
-        rows.append(record)
+        })
     header = list(rows[0].keys())
     write_table(out / "summary.csv", header, [[r[k] for k in header] for r in rows])
     return 0

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (ConfigError, DegenerateSpectrumError, DimensionError, IdxFormatError,
-                     NumericError)
+from .errors import ConfigError, DimensionError, IdxFormatError, NumericError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -218,29 +217,6 @@ def downsample(images) -> np.ndarray:
     return crop.reshape(-1, 10, 2, 10, 2).mean(axis=(2, 4)).reshape(-1, 100)
 
 
-def synthetic_gaussian(n, dim, mean, covariance, seed) -> Dataset:
-    """Seeded draws from N(mean, covariance); the targets are the inputs.
-
-    ``covariance`` is a full dim x dim PSD matrix; ``mean`` broadcasts to
-    dim. Rows are mean + S z for the principal square root S = E
-    diag(sqrt(lam)) E^T of the covariance. S is unique, so the draws depend
-    only on (covariance, seed), not on the eigenvector signs or the order of
-    tied eigenvalues a LAPACK build returns; and the first rows of draws
-    with the same seed agree regardless of n.
-    """
-    mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,))
-    cov = np.asarray(covariance, dtype=np.float64)
-    if cov.shape != (dim, dim):
-        raise DimensionError(f"covariance must be {dim}x{dim}, got {cov.shape}")
-    lam, e = linalg.sym_eig(cov)
-    if lam.min() < -1e-10 * max(lam.max(), 1.0):
-        raise DegenerateSpectrumError("covariance spec is not PSD")
-    root = (e * np.sqrt(np.maximum(lam, 0.0))) @ e.T
-    z = np.random.default_rng(seed).standard_normal((n, dim))
-    inputs = mean + z @ root.T
-    return Dataset(inputs, inputs, name="synthetic-gaussian")
-
-
 def synthetic_images(n, side, seed) -> Dataset:
     """Seeded high-contrast random images in [0, 1] whose content lives on a
     latent space with a geometrically decaying scale spectrum.
@@ -275,25 +251,32 @@ def synthetic_classification(n, dim, seed, *, spectrum_decay=2.0, n_classes=2) -
     """Correlated Gaussian inputs labelled by a seeded linear teacher; the
     input covariance spectrum decays like k^-decay.
 
+    The covariance is Q diag(k^-decay) Q^T for a seeded orthogonal Q. Rows
+    are mean + z S for the principal square root S = E diag(sqrt(lam)) E^T
+    of the covariance, with z drawn from the generator seeded ``seed + 1``.
+    S is unique, so the draws do not depend on the eigenvector signs or the
+    order of tied eigenvalues a LAPACK build returns, and the first rows of
+    draws with the same seed agree regardless of n.
+
     Binary targets are a single {0,1} column (for sigmoid heads); with
     ``n_classes > 2`` targets are one-hot argmax rows of a teacher map."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = (np.arange(1, dim + 1, dtype=np.float64)) ** (-spectrum_decay)
-    cov = (q * lam) @ q.T
-    cov = (cov + cov.T) / 2.0
+    lam, e = linalg.sym_eig((q * lam) @ q.T)  # symmetrized by sym_eig
+    root = (e * np.sqrt(np.maximum(lam, 0.0))) @ e.T
     mean = rng.standard_normal(dim) * 0.5
-    base = synthetic_gaussian(n, dim, mean, cov, seed=seed + 1)
+    inputs = mean + np.random.default_rng(seed + 1).standard_normal((n, dim)) @ root.T
     if n_classes == 2:
         teacher = rng.standard_normal(dim)
-        logits = (base.inputs - mean) @ teacher
+        logits = (inputs - mean) @ teacher
         targets = (logits > 0).astype(np.float64)[:, None]
     else:
         teacher = rng.standard_normal((dim, n_classes))
-        labels = ((base.inputs - mean) @ teacher).argmax(axis=1)
+        labels = ((inputs - mean) @ teacher).argmax(axis=1)
         targets = np.zeros((n, n_classes))
         targets[np.arange(n), labels] = 1.0
-    return Dataset(base.inputs, targets, name="synthetic-classification")
+    return Dataset(inputs, targets, name="synthetic-classification")
 
 
 @dataclass

@@ -10,8 +10,8 @@ class SingularMatrixError(ValueError):
 
 
 class DegenerateSpectrumError(ValueError):
-    """A spectrum has no meaning for its use: entirely non-positive, so no
-    condition number exists, or negative where a covariance must be PSD."""
+    """A spectrum has no meaning for its use: empty or entirely non-positive,
+    so no condition number exists."""
 
 
 class InsufficientSamplesError(ValueError):

@@ -28,6 +28,8 @@ from .errors import ConfigError, NumericError, SingularMatrixError
 from .metrics import MetricsRow
 
 OPTIMIZERS = ("sgd", "momentum", "rmsprop", "bn", "prong")
+RMSPROP_DECAY = 0.99  # rho, the mean square's decay per step
+RMSPROP_DAMPING = 0.01  # added to sqrt(s); bounds the step multiplier at alpha/damping
 
 
 @dataclass
@@ -41,8 +43,6 @@ class TrainConfig:
     reparam_period: int = 1000
     stat_samples: int = 100
     eigen_epsilon: float = 1e-2
-    rmsprop_decay: float = 0.99
-    rmsprop_damping: float = 0.01
     seed: int = 0
     max_updates: int = 1000
     eval_interval: int = 100
@@ -55,8 +55,6 @@ class TrainConfig:
             "reparam_period": (self.reparam_period >= 1, "an integer >= 1"),
             "stat_samples": (self.stat_samples >= 2, "an integer >= 2"),
             "eigen_epsilon": (self.eigen_epsilon >= 0, ">= 0"),
-            "rmsprop_decay": (0.0 < self.rmsprop_decay < 1.0, "in (0, 1)"),
-            "rmsprop_damping": (self.rmsprop_damping > 0, "> 0"),
             "seed": (self.seed >= 0, "an integer >= 0"),
             "max_updates": (self.max_updates >= 0, "an integer >= 0"),
             "eval_interval": (self.eval_interval >= 1, "an integer >= 1"),
@@ -100,17 +98,18 @@ def sgd_step(vector, grad, state: OptimizerState, config: TrainConfig):
 
 
 def rmsprop_step(vector, grad, state: OptimizerState, config: TrainConfig):
-    """s <- rho s + (1-rho) g^2; p <- p - alpha g / (sqrt(s) + damping).
+    """s <- rho s + (1-rho) g^2; p <- p - alpha g / (sqrt(s) + damping), with
+    rho ``RMSPROP_DECAY`` and damping ``RMSPROP_DAMPING``, read at each call.
 
     The damping bounds the per-coordinate multiplier at alpha/damping.
     Flat vectors and the finiteness check as for ``sgd_step``."""
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; step refused")
-    rho = config.rmsprop_decay
+    rho = RMSPROP_DECAY
     s = state.mean_square
     s *= rho
     s += (1.0 - rho) * grad * grad
-    vector -= config.learning_rate * grad / (np.sqrt(s) + config.rmsprop_damping)
+    vector -= config.learning_rate * grad / (np.sqrt(s) + RMSPROP_DAMPING)
     state.step += 1
 
 

@@ -1,5 +1,6 @@
 """The measurements and criteria of acceptance gates C1-C4, the gates that
-read the whitened slots. Each function runs its gate on fixed data and
+read the whitened slots, and of C7 and C8, the gates that read the backward
+pass and the Fisher blocks. Each function runs its gate on fixed data and
 seeds and returns (passed, detail); ``test_acceptance`` reports them and
 ``test_gate_power`` checks that a known fault makes each one fail.
 
@@ -13,6 +14,7 @@ from whitenet.data import synthetic_classification, synthetic_images
 from whitenet.linalg import condition_number
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 
+from test_net import check_model_gradients, seeded_phi
 from whitened_reference import whitened_signals
 
 
@@ -165,3 +167,77 @@ def c4_whitening_invariant():
     return (worst_mean < 1e-8 and worst_cov < 1e-6 and worst_eps < 1e-6,
             f"mean {worst_mean:.2e} (<1e-8), cov-I {worst_cov:.2e} (<1e-6), "
             f"shrunk-cov {worst_eps:.2e} (<1e-6)")
+
+
+def c7_gradient_exactness():
+    """Central finite differences on 10 seeded instances across the
+    canonical, whitened and batch-norm layer types: relative error
+    < 1e-5 per parameter at step 1e-6."""
+    worst_cases = 0
+    instances = 0
+    rng = np.random.default_rng(71)
+    layouts = [
+        ("canonical", [4, 5, 2], "tanh", "sigmoid", "binary_cross_entropy"),
+        ("canonical", [3, 4, 3], "relu", "softmax", "categorical_cross_entropy"),
+        ("whitened", [4, 4, 2], "sigmoid", "identity", "squared_error"),
+        ("whitened", [5, 3, 2], "tanh", "sigmoid", "binary_cross_entropy"),
+        ("bn", [4, 4, 2], "tanh", "sigmoid", "binary_cross_entropy"),
+    ]
+    for rep in range(2):
+        for kind, sizes, hidden, head, loss_kind in layouts:
+            seed = int(rng.integers(0, 10_000))
+            spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
+            theta = init_fan_in(spec, seed)
+            if kind == "canonical":
+                model = Model(spec, theta)
+            elif kind == "whitened":
+                model = Model(spec, theta, phi=seeded_phi(spec, seed + 1))
+            else:
+                model = Model.batch_norm(spec, theta)
+            x = rng.standard_normal((6, sizes[0]))
+            if head == "softmax":
+                t = np.eye(sizes[-1])[rng.integers(0, sizes[-1], 6)]
+            elif head == "identity":
+                t = rng.standard_normal((6, sizes[-1]))
+            else:
+                t = rng.uniform(0.2, 0.8, (6, sizes[-1]))
+            if hidden == "relu":
+                x = x + 0.1
+            try:
+                check_model_gradients(model, x, t, loss_kind)
+            except AssertionError:
+                worst_cases += 1
+            instances += 1
+    return (worst_cases == 0 and instances == 10,
+            f"{instances} seeded instances across canonical/whitened/bn, "
+            f"{worst_cases} finite-difference failures (need 0)")
+
+
+def c8_exact_vs_monte_carlo_fisher():
+    """Exact label-enumerated Fisher block vs a 1e4-draw Monte-Carlo
+    label-sampling estimate: relative Frobenius gap < 2%."""
+    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    model = Model(spec, init_fan_in(spec, 81))
+    ds = synthetic_classification(500, 100, seed=82, spectrum_decay=1.0)
+    x = ds.inputs
+    layer = 1
+    exact = fisher.exact_fisher_block(model, x, layer).matrix
+
+    rng = np.random.default_rng(83)
+    draws = 10_000
+    trace = model.forward(x)
+    p1 = trace.outputs[:, 0]
+    freq1 = rng.binomial(draws, p1) / draws
+    mc = np.zeros_like(exact)
+    signal = ([trace.inputs] + trace.activations)[layer]
+    b = x.shape[0]
+    size = exact.shape[0]
+    for y, freq in ((0.0, 1.0 - freq1), (1.0, freq1)):
+        delta_last = trace.outputs - y
+        deltas = net.backpropagate_deltas(trace, model.params, model.spec, delta_last)
+        g = np.einsum("bi,bj->bij", deltas[layer], signal).reshape(b, size)
+        mc += (g * freq[:, None]).T @ g
+    mc /= b
+    rel = float(np.linalg.norm(mc - exact) / np.linalg.norm(exact))
+    return rel < 0.02, (f"10^4-draw Monte-Carlo vs exact enumeration: relative Frobenius "
+                        f"{rel:.2e} (need < 0.02)")

@@ -231,6 +231,19 @@ class TestGridCommand:
         single_rows = read_metrics(out_train / "metrics.csv")
         assert [r.train_loss for r in grid_rows] == [r.train_loss for r in single_rows]
 
+    def test_cells_of_one_dataset_section_build_it_once(self, tmp_path, monkeypatch):
+        cfg, cfg_path = small_train_config(tmp_path, max_updates=4, eval_interval=2)
+        cfg["grid"] = {"train.learning_rate": [1e-3, 2e-3, 5e-3]}
+        cfg_path.write_text(json.dumps(cfg))
+        builds = []
+        build_dataset = cli.build_dataset
+        monkeypatch.setattr(cli, "build_dataset", lambda c: builds.append(c) or build_dataset(c))
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(builds) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["cell_0", "cell_1", "cell_2",
+                                                          "summary.csv"]
+
     def test_epsilon_grid_exposed_and_ordered(self, tmp_path):
         """The trust-region grid: at a small step size, a small damping term
         must do at least as well as heavy damping (final training loss)."""
@@ -330,6 +343,10 @@ class TestDiagnoseFisher:
                     assert row.cond_ratio is None
                 else:
                     assert row.cond_ratio == float(mid["cond_ratio_to_initial"])
+            # the summary is the least ratio the lane logged: floored rows skipped
+            logged = [r.cond_ratio for r in read_metrics(out / opt / "metrics.csv")
+                      if r.cond_ratio is not None]
+            assert summary[opt] == min(logged)
         assert floored
 
     def test_after_heatmap_whitens_at_the_runs_default_epsilon(self, tmp_path):
@@ -350,14 +367,6 @@ class TestDiagnoseFisher:
         prong_reparametrize(white.params, white.phi, white.spec, probe, 1e-2)
         expected = fisher.exact_fisher_block(white, probe, 1).matrix
         assert np.load(out / "fisher_middle_after.npy").tobytes() == expected.tobytes()
-
-    def test_best_middle_ratio_skips_floored_rows(self):
-        def row(layer, ratio, flag=""):
-            return fisher.ConditioningRow(layer, 1.0, 1e-3, 1e3, ratio, flag)
-
-        rows = [row(1, 0.5), row(1, 1e-3, "floored"), row(0, 1e-4), row(1, None), row(1, 0.2)]
-        assert cli.best_middle_ratio(rows, 1) == 0.2
-        assert cli.best_middle_ratio([row(1, 1e-3, "floored"), row(0, 0.5)], 1) is None
 
     def test_unknown_preset_rejected(self, tmp_path):
         # argparse validates the preset name against the published list
@@ -500,8 +509,9 @@ class TestTypedErrors:
         assert "input width 100" in err and "input width 64" in err
         assert not out.exists()
 
-    def test_grid_cell_refused_before_its_directory_exists(self, tmp_path, capsys):
-        # cell 1's 193 training rows leave a one-row batch-norm batch
+    def test_grid_refused_by_its_last_cell_writes_nothing(self, tmp_path, capsys):
+        # cell 1's 193 training rows leave a one-row batch-norm batch; every
+        # cell is checked before cell 0 runs
         cfg, cfg_path = small_train_config(tmp_path, momentum=0.0, max_updates=4,
                                            eval_interval=2)
         cfg["optimizer"] = "bn"
@@ -510,7 +520,7 @@ class TestTypedErrors:
         out = tmp_path / "grid"
         assert main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "n=193" in self.one_line(capsys, "config error: ")
-        assert sorted(p.name for p in out.iterdir()) == ["cell_0"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, words", [
         ({"head": "relu", "loss": "squared_error"}, "'relu'"),
@@ -641,11 +651,14 @@ class TestTypedErrors:
         ({"train": {"anneal": {"eval_interval": 100}}}, "train.anneal"),
         ({"train": {"anneal": {"patience": 4, "min_relative_improvement": 0.01,
                                "divisor": 10.0}}}, "train.anneal"),
+        ({"train": {"rmsprop_decay": 0.99}}, "train.rmsprop_decay"),
+        ({"train": {"rmsprop_damping": 0.01}}, "train.rmsprop_damping"),
     ])
     def test_removed_train_keys_refused_by_key(self, tmp_path, capsys, monkeypatch,
                                                change, key):
         # the velocity resets at every reparametrization, and every update
-        # uses the one learning_rate: neither has a schedule any more
+        # uses the one learning_rate: neither has a schedule any more;
+        # rmsprop's decay and damping are optim's constants
         monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
         cfg, cfg_path = small_train_config(tmp_path)
         cfg_path.write_text(json.dumps(deep_merge(cfg, change)))

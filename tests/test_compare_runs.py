@@ -70,6 +70,34 @@ def test_any_other_difference_fails(compare_runs, tmp_path, capsys, mutate):
     assert "difference(s)" in capsys.readouterr().out
 
 
+def write_grid_summary(root: Path, cells=("cell_0", "cell_1"), loss="0.5"):
+    root.mkdir(parents=True, exist_ok=True)
+    lines = ["cell,train.learning_rate,final_train_loss,out_dir"]
+    lines += [f"{i},0.01,{loss},{root / name}" for i, name in enumerate(cells)]
+    (root / "summary.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def test_grids_under_two_out_prefixes_match(compare_runs, tmp_path, capsys):
+    # each summary.csv names its cells under its own --out
+    a = write_grid_summary(tmp_path / "a")
+    b = write_grid_summary(tmp_path / "elsewhere" / "b")
+    assert (a / "summary.csv").read_bytes() != (b / "summary.csv").read_bytes()
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert "0 difference(s) in 1 file(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": ("cell_0", "cell_2")},
+    {"loss": "0.6"},
+], ids=["cell-name", "loss"])
+def test_grid_summaries_still_differ_by_cell_and_value(compare_runs, tmp_path, capsys, change):
+    a = write_grid_summary(tmp_path / "a")
+    b = write_grid_summary(tmp_path / "b", **change)
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert "differs: summary.csv" in capsys.readouterr().out
+
+
 def test_not_a_directory(compare_runs, tmp_path):
     a = make_run(tmp_path / "a")
     assert compare_runs.main([str(a), str(tmp_path / "nope")]) == 2

@@ -15,7 +15,6 @@ from whitenet.data import (
     next_batch,
     split_train_val,
     synthetic_classification,
-    synthetic_gaussian,
     synthetic_images,
 )
 from whitenet.errors import DimensionError, IdxFormatError, NumericError
@@ -185,41 +184,6 @@ class TestDownsample:
             downsample(np.zeros((1, 100)))
 
 
-class TestSyntheticGaussian:
-    def test_monte_carlo_identity_covariance(self):
-        ds = synthetic_gaussian(10_000, 4, mean=0.0, covariance=np.eye(4), seed=3)
-        cov = np.cov(ds.inputs.T, bias=True)
-        assert np.abs(cov - np.eye(4)).max() < 0.1
-
-    def test_seed_determinism(self):
-        a = synthetic_gaussian(50, 3, 1.0, np.eye(3), seed=5)
-        b = synthetic_gaussian(50, 3, 1.0, np.eye(3), seed=5)
-        assert np.array_equal(a.inputs, b.inputs)
-
-    def test_first_rows_stable_across_n(self):
-        a = synthetic_gaussian(1, 3, 0.0, np.eye(3), seed=9)
-        b = synthetic_gaussian(6, 3, 0.0, np.eye(3), seed=9)
-        np.testing.assert_array_equal(a.inputs[0], b.inputs[0])
-
-    def test_seeded_draw_keeps_its_bits(self):
-        # a non-diagonal covariance whose LAPACK eigenvectors include one
-        # with a negative leading component; the root E sqrt(lam) E^T does
-        # not depend on the signs, so the draw is the same bit for bit
-        cov = np.array([[2.0, 0.6, 0.0, 0.1], [0.6, 1.0, -0.3, 0.0],
-                        [0.0, -0.3, 0.5, 0.2], [0.1, 0.0, 0.2, 0.8]])
-        ds = synthetic_gaussian(3, 4, [1.0, -2.0, 0.5, 0.0], cov, seed=7)
-        assert ds.inputs.view(np.int64).tolist() == [
-            [4607343372966320222, -4613166099301084470, 4594394871578592888, -4617807000719126348],
-            [4595273705665869648, -4609303211412248283, 4606207437257906048, 4607930423276638159],
-            [4595691442748479040, -4609873037860855898, 4607009597149167863, 4600039670476844248],
-        ]
-
-    def test_non_psd_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ValueError):
-            synthetic_gaussian(10, 2, 0.0, bad, seed=0)
-
-
 class TestSyntheticImages:
     def test_range_and_determinism(self):
         a = synthetic_images(64, 10, seed=21)
@@ -301,9 +265,8 @@ class TestTake:
 
 class TestSharedTargets:
     def test_autoencoder_generators_share_one_array(self):
-        for ds in (synthetic_images(20, 4, seed=1),
-                   synthetic_gaussian(20, 3, 0.0, np.eye(3), seed=2)):
-            assert ds.targets is ds.inputs
+        ds = synthetic_images(20, 4, seed=1)
+        assert ds.targets is ds.inputs
 
     def test_take_and_split_keep_the_sharing(self):
         ds = synthetic_images(40, 4, seed=3)
@@ -323,9 +286,15 @@ class TestSharedTargets:
             Dataset(bad, bad)
 
 
+def normal_rows(n, dim, seed):
+    """Seeded standard normal rows that are their own targets."""
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    return Dataset(x, x)
+
+
 class TestSplit:
     def test_split_sizes_and_disjoint(self):
-        ds = synthetic_gaussian(100, 2, 0.0, np.eye(2), seed=1)
+        ds = normal_rows(100, 2, seed=1)
         train, val = split_train_val(ds, 25, seed=4)
         assert train.n == 75 and val.n == 25
         all_rows = {tuple(r) for r in ds.inputs.tolist()}
@@ -335,7 +304,7 @@ class TestSplit:
         assert got == all_rows
 
     def test_deterministic(self):
-        ds = synthetic_gaussian(50, 2, 0.0, np.eye(2), seed=1)
+        ds = normal_rows(50, 2, seed=1)
         t1, v1 = split_train_val(ds, 10, seed=5)
         t2, v2 = split_train_val(ds, 10, seed=5)
         assert np.array_equal(t1.inputs, t2.inputs)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from whitenet import errors, linalg, net
-from whitenet.data import Dataset, split_train_val, synthetic_gaussian
-from whitenet.errors import ConfigError, ConsistencyError, DegenerateSpectrumError, DimensionError
+from whitenet.data import Dataset, split_train_val
+from whitenet.errors import ConfigError, ConsistencyError, DimensionError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "whitenet"
 BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
@@ -63,8 +63,6 @@ SITES = {
     "val_size_out_of_range": (_val_size_out_of_range, ConfigError),
     "negative_epsilon": (_negative_epsilon, ConfigError),
     "not_symmetric": (_not_symmetric, ConsistencyError),
-    "covariance_not_psd": (lambda: synthetic_gaussian(10, 2, 0.0, np.diag([1.0, -1.0]), seed=0),
-                           DegenerateSpectrumError),
 }
 
 

@@ -9,7 +9,7 @@ gate learns to see the fault, and is then removed."""
 import numpy as np
 import pytest
 
-from whitenet import linalg, optim
+from whitenet import fisher, linalg, net, optim
 
 import acceptance_gates as gates
 
@@ -59,4 +59,42 @@ def test_c3_fails_when_the_reparametrization_moves_one_weight(monkeypatch):
 def test_c4_fails_when_the_whitening_root_is_p_itself(monkeypatch):
     monkeypatch.setattr(linalg, "whitening_root", lambda p: p)
     passed, detail = gates.c4_whitening_invariant()
+    assert not passed, detail
+
+
+def test_c7_fails_when_one_activation_vjp_is_skipped(monkeypatch):
+    def deltas(trace, params, spec, dy):
+        # net._deltas, except that dLoss/dy_0 skips the first layer's activation vjp
+        for i in range(spec.depth - 1, -1, -1):
+            dz = net._batch_norm_vjp(dy, params.gains[i], trace.bn[i]) if params.gains else dy
+            yield i, dy, dz
+            if i == 0:
+                return
+            dy = dz @ params.weights[i]
+            if i > 1:
+                dy = net._activation_vjp(spec.layers[i - 1].nonlinearity,
+                                         trace.activations[i - 1], dy)
+
+    monkeypatch.setattr(net, "_deltas", deltas)
+    passed, detail = gates.c7_gradient_exactness()
+    assert not passed, detail
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "blind spot: at the seed-81 model the head predicts p in [0.44, 0.49] on every row, "
+    "so the weight 1/2 on each class changes the block little: C8 reads a gap of "
+    "9.99e-03 < 0.02"))
+def test_c8_fails_when_class_sweep_weights_both_classes_half(monkeypatch):
+    sweep = fisher.class_sweep
+
+    def halves(model, inputs):
+        # the sigmoid head's two class rows, h - 0 and h - 1, each weighted 1/2
+        trace = sweep(model, inputs).trace
+        half = np.full(trace.outputs.shape[0], 0.5)
+        return fisher.ClassSweep(trace, [half, half], [
+            net.backpropagate_deltas(trace, model.params, model.spec, trace.outputs - y)
+            for y in (0.0, 1.0)])
+
+    monkeypatch.setattr(fisher, "class_sweep", halves)
+    passed, detail = gates.c8_exact_vs_monte_carlo_fisher()
     assert not passed, detail

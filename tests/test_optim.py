@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from whitenet import net, optim
-from whitenet.data import Dataset, synthetic_gaussian
+from whitenet.data import Dataset
 from whitenet.errors import ConfigError, NumericError, SingularMatrixError
 from whitenet.net import Model, NetSpec, WhiteningCoeffs, init_fan_in
 from whitenet.optim import (
@@ -89,9 +89,11 @@ class TestRmspropStep:
         rmsprop_step(p, np.zeros(3), st, cfg)
         np.testing.assert_allclose(p, np.ones(3))
 
-    def test_constant_gradient_fixed_point(self):
+    def test_constant_gradient_fixed_point(self, monkeypatch):
         # s converges to g^2 = 1, so the step approaches alpha/(1 + damping)
-        cfg = make_config(learning_rate=0.01, rmsprop_decay=0.9, rmsprop_damping=0.1)
+        monkeypatch.setattr(optim, "RMSPROP_DECAY", 0.9)
+        monkeypatch.setattr(optim, "RMSPROP_DAMPING", 0.1)
+        cfg = make_config(learning_rate=0.01)
         p = np.array([0.0])
         st = OptimizerState.init(p, rmsprop=True)
         for _ in range(400):
@@ -112,9 +114,11 @@ class TestRmspropStep:
             moves.append(p)
         np.testing.assert_allclose(moves[1], 3.0 * moves[0], rtol=1e-14)
 
-    def test_scale_invariance_once_warm(self):
+    def test_scale_invariance_once_warm(self, monkeypatch):
+        monkeypatch.setattr(optim, "RMSPROP_DAMPING", 1e-8)
+
         def first_direction(scale):
-            cfg = make_config(learning_rate=0.01, rmsprop_decay=0.99, rmsprop_damping=1e-8)
+            cfg = make_config(learning_rate=0.01)
             rng = np.random.default_rng(0)
             g = rng.standard_normal(5)
             p = np.zeros(5)
@@ -224,11 +228,9 @@ class TestReparametrize:
 
 class TestTrainLoop:
     def _dataset(self, n=256, dim=6, seed=0):
-        ds = synthetic_gaussian(n, dim, 0.0, np.eye(dim), seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        w = rng.standard_normal((dim, 2))
-        t = 1.0 / (1.0 + np.exp(-(ds.inputs @ w)))
-        return Dataset(ds.inputs, t)
+        x = np.random.default_rng(seed).standard_normal((n, dim))
+        w = np.random.default_rng(seed + 1).standard_normal((dim, 2))
+        return Dataset(x, 1.0 / (1.0 + np.exp(-(x @ w))))
 
     def test_degenerate_prong_equals_sgd_bitwise(self):
         ds = self._dataset()
@@ -523,11 +525,11 @@ def list_reference_train(model, data, config, optimizer, loss_kind):
         for g in grads:
             assert np.isfinite(g).all()
         if optimizer == "rmsprop":
-            rho = config.rmsprop_decay
+            rho = optim.RMSPROP_DECAY
             for p, g, s in zip(arrays, grads, mean_squares):
                 s *= rho
                 s += (1.0 - rho) * g * g
-                p -= alpha * g / (np.sqrt(s) + config.rmsprop_damping)
+                p -= alpha * g / (np.sqrt(s) + optim.RMSPROP_DAMPING)
         else:
             m = config.momentum
             for p, g, v in zip(arrays, grads, velocities):
