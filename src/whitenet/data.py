@@ -256,7 +256,8 @@ def synthetic_classification(n, dim, seed, *, spectrum_decay=2.0, n_classes=2) -
     of the covariance, with z drawn from the generator seeded ``seed + 1``.
     S is unique, so the draws do not depend on the eigenvector signs or the
     order of tied eigenvalues a LAPACK build returns, and the first rows of
-    draws with the same seed agree regardless of n.
+    draws with the same seed agree regardless of n, up to the product's
+    rounding.
 
     Binary targets are a single {0,1} column (for sigmoid heads); with
     ``n_classes > 2`` targets are one-hot argmax rows of a teacher map."""

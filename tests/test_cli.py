@@ -244,6 +244,20 @@ class TestGridCommand:
         assert sorted(p.name for p in out.iterdir()) == ["cell_0", "cell_1", "cell_2",
                                                           "summary.csv"]
 
+    def test_cells_build_each_distinct_dataset_section_once(self, tmp_path, monkeypatch):
+        cfg, cfg_path = small_train_config(tmp_path, max_updates=2, eval_interval=2)
+        cfg["grid"] = {"dataset.seed": [5, 6], "train.learning_rate": [1e-3, 2e-3]}
+        cfg_path.write_text(json.dumps(cfg))
+        builds = []
+        build_dataset = cli.build_dataset
+        monkeypatch.setattr(cli, "build_dataset", lambda c: builds.append(c) or build_dataset(c))
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert [c["dataset"]["seed"] for c in builds] == [5, 6]
+        for i in range(4):
+            run = json.loads((out / f"cell_{i}" / "config.json").read_text())
+            assert "grid" not in run and run["name"] == f"tiny-cell{i}"
+
     def test_epsilon_grid_exposed_and_ordered(self, tmp_path):
         """The trust-region grid: at a small step size, a small damping term
         must do at least as well as heavy damping (final training loss)."""
@@ -367,6 +381,27 @@ class TestDiagnoseFisher:
         prong_reparametrize(white.params, white.phi, white.spec, probe, 1e-2)
         expected = fisher.exact_fisher_block(white, probe, 1).matrix
         assert np.load(out / "fisher_middle_after.npy").tobytes() == expected.tobytes()
+
+    def test_lanes_vary_only_the_optimizer_and_baseline_momentum(self, tmp_path):
+        cfg, _ = small_train_config(tmp_path, max_updates=2, eval_interval=2)
+        cfg["dataset"].update(kind="synthetic_classification", dim=16, n_classes=2,
+                              autoencode=False)
+        cfg["model"].update(sizes=[16, 8, 8, 1], hidden="tanh", loss="binary_cross_entropy")
+        cfg["grid"] = {"train.learning_rate": [1e-3]}  # read by grid only
+        cfg_path = tmp_path / "diag.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "diag"
+        assert main(["diagnose-fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+        resolved = resolve_config(None, cfg_path)
+        del resolved["grid"]
+        for opt in ("sgd", "rmsprop", "prong"):
+            lane = json.loads((out / opt / "config.json").read_text())
+            assert lane["name"] == f"tiny-{opt}" and lane["optimizer"] == opt
+            assert lane["train"].pop("momentum") == (0.9 if opt == "prong" else 0.0)
+            base = json.loads(json.dumps(resolved))
+            base["train"].pop("momentum")
+            assert {k: v for k, v in lane.items() if k not in ("name", "optimizer")} == \
+                {k: v for k, v in base.items() if k not in ("name", "optimizer")}
 
     def test_unknown_preset_rejected(self, tmp_path):
         # argparse validates the preset name against the published list

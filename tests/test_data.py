@@ -319,6 +319,50 @@ def test_classification_labels_deterministic():
     assert set(np.unique(a.targets)) <= {0.0, 1.0}
 
 
+class TestSyntheticClassification:
+    def test_monte_carlo_spectrum_decays_as_set(self):
+        ds = synthetic_classification(20_000, 4, seed=3, spectrum_decay=1.0)
+        spectrum = np.linalg.eigvalsh(np.cov(ds.inputs.T, bias=True))[::-1]
+        np.testing.assert_allclose(spectrum, [1.0, 1 / 2, 1 / 3, 1 / 4], rtol=0.05)
+
+    def test_first_rows_stable_across_n(self):
+        a = synthetic_classification(1, 5, seed=9, n_classes=3)
+        b = synthetic_classification(6, 5, seed=9, n_classes=3)
+        # the same z row; a BLAS product of 1 and of 6 rows may round apart
+        np.testing.assert_allclose(a.inputs[0], b.inputs[0], rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(a.targets[0], b.targets[0])
+
+    def test_seeded_draw_keeps_its_bits(self):
+        ds = synthetic_classification(3, 4, seed=7, spectrum_decay=1.5)
+        assert ds.inputs.view(np.int64).tolist() == [
+            [-4614648235385284627, -4613667869984200212, -4611159296854616717, -4619596278386341771],
+            [-4613291730693680944, -4619201400794772231, -4612989444032458902, 4590782884700027056],
+            [-4624632773447233440, 4606846441153703560, -4641467516549736512, -4617962769781179354],
+        ]
+        assert ds.targets.tolist() == [[1.0], [1.0], [0.0]]
+
+    def test_draw_does_not_depend_on_eigenvector_signs(self, monkeypatch):
+        # the root E sqrt(lam) E^T is the same for any column signs of E
+        expected = synthetic_classification(50, 6, seed=4, n_classes=3)
+        sym_eig = data.linalg.sym_eig
+
+        def flipped(a):
+            lam, e = sym_eig(a)
+            return lam, e * np.array([-1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+
+        monkeypatch.setattr(data.linalg, "sym_eig", flipped)
+        got = synthetic_classification(50, 6, seed=4, n_classes=3)
+        assert got.inputs.tobytes() == expected.inputs.tobytes()
+        assert np.array_equal(got.targets, expected.targets)
+
+    def test_multiclass_targets_are_one_hot(self):
+        ds = synthetic_classification(300, 8, seed=2, n_classes=5)
+        assert ds.targets.shape == (300, 5)
+        assert set(np.unique(ds.targets)) == {0.0, 1.0}
+        assert (ds.targets.sum(axis=1) == 1.0).all()
+        assert ds.targets.sum(axis=0).min() > 0  # every class is drawn
+
+
 # any value of a count or dimension word: small, the MNIST side, and far
 # beyond what any file holds
 HEADER_WORDS = st.one_of(st.integers(0, 40), st.sampled_from([784, 60000, 2**31, 2**32 - 1]))
