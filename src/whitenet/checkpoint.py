@@ -1,13 +1,17 @@
 """Model checkpoints: a JSON header followed by raw little-endian float64
-arrays in declaration order. Round trips are bit-exact. Every model stores
-its canonical weights and biases; a whitened one adds each slot's center
-and preconditioner, a batch-norm one its gains, shifts and running
-statistics. ``LAYOUTS`` declares each kind's arrays once: ``_layout`` reads
-it for both the writer and the reader, which checks every stored shape
-against it before any model is built."""
+arrays in declaration order. Round trips are bit-exact. The header holds
+the network's ``NetSpec`` fields (``sizes``, ``hidden``, ``head`` and
+``loss``), and the reader checks them by building the spec, so a loaded
+model carries its loss. Every model stores its canonical weights and
+biases; a whitened one adds each slot's center and preconditioner, a
+batch-norm one its gains, shifts and running statistics. ``LAYOUTS``
+declares each kind's arrays once: ``_layout`` reads it for both the writer
+and the reader, which checks every stored shape against it before any
+model is built."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -16,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, DimensionError
-from .net import BN_DECAY, LayerSpec, Model, NetSpec, WhiteningCoeffs, flat_layout
+from .errors import ConfigError, ConsistencyError
+from .net import BN_DECAY, Model, NetSpec, WhiteningCoeffs, flat_layout
 
 MAGIC = b"WNETCKP1"
-HEADER_KEYS = ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")
+SPEC_KEYS = tuple(f.name for f in dataclasses.fields(NetSpec))  # sizes, hidden, head, loss
+HEADER_KEYS = ("kind", *SPEC_KEYS, "seed", "step", "arrays")
 
 
 # each kind's groups of arrays in file order; a group is written layer by
@@ -53,8 +58,7 @@ def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
         "format": "whitenet-checkpoint",
         "version": 1,
         "kind": model.kind,
-        "sizes": model.spec.sizes,
-        "nonlinearities": [l.nonlinearity for l in model.spec.layers],
+        **dataclasses.asdict(model.spec),
         "bn_decay": BN_DECAY,
         "seed": int(seed),
         "step": int(step),
@@ -67,17 +71,6 @@ def save_checkpoint(path, model: Model, *, seed: int, step: int) -> None:
         fh.write(blob)
         for _, a in arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def _spec(path, header):
-    sizes, kinds = header["sizes"], header["nonlinearities"]
-    if not (isinstance(sizes, list) and isinstance(kinds, list)
-            and len(kinds) == len(sizes) - 1 and all(type(n) is int for n in sizes)):
-        raise ConsistencyError(f"{path} has malformed sizes or nonlinearities")
-    try:
-        return NetSpec(tuple(LayerSpec(a, b, k) for a, b, k in zip(sizes, sizes[1:], kinds)))
-    except (ConfigError, DimensionError) as exc:  # what NetSpec and LayerSpec raise
-        raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
 
 
 def load_checkpoint(path):
@@ -118,7 +111,11 @@ def load_checkpoint(path):
     if offset != len(raw):
         raise ConsistencyError(f"{path} has trailing bytes after its last array")
 
-    kind, spec = header["kind"], _spec(path, header)
+    try:  # the model section's rules, applied to the header
+        spec = NetSpec(**{k: header[k] for k in SPEC_KEYS})
+    except ConfigError as exc:
+        raise ConsistencyError(f"{path} describes an invalid network: {exc}") from None
+    kind = header["kind"]
     layout = _layout(kind, spec)
     for name, shape, _, _ in layout:  # before any model is built
         if name not in arrays:

@@ -81,8 +81,7 @@ def build_dataset(cfg: dict):
 
 
 def build_model(cfg: dict) -> net.Model:
-    m = net.ModelConfig(**cfg["model"])
-    spec = net.NetSpec.mlp(m.sizes, hidden=m.hidden, head=m.head)
+    spec = net.NetSpec(**cfg["model"])
     theta = net.init_fan_in(spec, TrainConfig(**cfg["train"]).seed)
     optimizer = cfg["optimizer"]
     if optimizer == "prong":
@@ -143,15 +142,14 @@ def _prepare(runs):
     """``[(cfg, out)]`` -> ``[(cfg, out, dataset)]``, every run checked by
     ``optim.check_run`` before any is written. ``dataset`` is the ``(train,
     val, name)`` of ``build_dataset``, built once per distinct ``dataset``
-    section; each check builds the run's model and drops it."""
+    section and held by the returned list alone; each check builds the
+    run's model and drops it."""
     datasets, prepared = {}, []
     for cfg, out in runs:
         key = json.dumps(cfg["dataset"], sort_keys=True)
-        if key not in datasets:
-            datasets[key] = build_dataset(cfg)
-        train, val, _ = datasets[key]
-        check_run(build_model(cfg), train, val, TrainConfig(**cfg["train"]), cfg["optimizer"])
-        prepared.append((cfg, out, datasets[key]))
+        dataset = datasets[key] = datasets.get(key) or build_dataset(cfg)
+        check_run(build_model(cfg), *dataset[:2], TrainConfig(**cfg["train"]), cfg["optimizer"])
+        prepared.append((cfg, out, dataset))
     return prepared
 
 
@@ -165,7 +163,6 @@ def _run_one(cfg: dict, out: Path, dataset, *, row_callback=None):
     tcfg = TrainConfig(**cfg["train"])
     try:
         result = run_train(model, train_ds, tcfg, optimizer=cfg["optimizer"],
-                           loss_kind=net.ModelConfig(**cfg["model"]).loss,
                            val_data=val_ds, row_callback=row_callback)
     except SingularMatrixError as exc:  # the run started: its manifest says why it stopped
         _write_manifest(out, cfg, seed=tcfg.seed, status="failed",
@@ -267,7 +264,9 @@ def cmd_grid(cfg: dict, out: Path) -> int:
     runs = _prepare([(_variant(cfg, f"-cell{i}", dict(zip(keys, values))), out / f"cell_{i}")
                      for i, values in enumerate(cells)])
     rows = []
-    for i, (values, (cell_cfg, cell_out, dataset)) in enumerate(zip(cells, runs)):
+    for i, values in enumerate(cells):
+        # off the list, a dataset no later cell reads is freed once its last cell ends
+        cell_cfg, cell_out, dataset = runs.pop(0)
         status, result = _run_one(cell_cfg, cell_out, dataset)
         train_losses = [r.train_loss for r in result.rows] or [float("nan")]
         rows.append({

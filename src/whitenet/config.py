@@ -2,7 +2,7 @@
 
 Each section is a dataclass that holds its keys' types, defaults and value
 rules: ``dataset`` is ``data.DatasetConfig``, ``model`` is
-``net.ModelConfig`` and ``train`` is ``optim.TrainConfig``. SCHEMA maps each
+``net.NetSpec`` and ``train`` is ``optim.TrainConfig``. SCHEMA maps each
 top-level key to (type, required, allowed-or-None), and each section to a
 dict of the same shape read off its class: one key per field, typed by its
 annotation and required only when the field has no default. Unknown keys,
@@ -20,15 +20,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import typing
 from pathlib import Path
 
 from .data import DatasetConfig
 from .errors import ConfigError
-from .net import ModelConfig
+from .net import NetSpec
 from .optim import OPTIMIZERS, TrainConfig
 
-SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig, "train": TrainConfig}
+SECTIONS = {"dataset": DatasetConfig, "model": NetSpec, "train": TrainConfig}
 
 
 def _section_schema(cls) -> dict:
@@ -40,7 +41,7 @@ def _section_schema(cls) -> dict:
 SCHEMA = {
     "name": (str, True, None),
     "dataset": _section_schema(DatasetConfig),
-    "model": _section_schema(ModelConfig),
+    "model": _section_schema(NetSpec),
     "optimizer": (str, True, OPTIMIZERS),
     "train": _section_schema(TrainConfig),
     "long_running": (bool, False, None),
@@ -70,7 +71,8 @@ def _validate_section(section, schema, path, bad, missing):
             continue
         value = section[key]
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            # an integer beyond the float range reads as infinite, refused below
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
             section[key] = value
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
             bad[here] = None
@@ -116,18 +118,27 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 def set_dotted(cfg: dict, dotted: str, value):
+    """Set ``cfg[a][b]...[z] = value`` for ``dotted`` "a.b...z", making the
+    missing objects; a path through a value that is not an object is
+    refused by name."""
     node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
+    *parents, last = dotted.split(".")
+    for part in parents:
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError("a dotted key runs through a value that is not an object", [dotted])
+    node[last] = value
 
 
 def load_config_file(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``; anything else is refused."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"config file {path} is not readable UTF-8 JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    return raw
 
 
 PRESETS: dict[str, dict] = {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,66 +49,18 @@ BN_DECAY = 0.9  # running-average decay of the batch-norm statistics
 PREDICT_ROWS = 128  # rows per block of Model.predict
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     in_dim: int
     out_dim: int
     nonlinearity: str
 
-    def __post_init__(self):
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise DimensionError(f"layer dims must be positive, got {self}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
-
 
 @dataclass(frozen=True)
 class NetSpec:
-    layers: tuple[LayerSpec, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise DimensionError("network needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise DimensionError(f"layer chain mismatch: {a} -> {b}")
-        for layer in self.layers[:-1]:
-            if layer.nonlinearity == "softmax":
-                raise ConfigError("softmax is only allowed as the final layer")
-
-    @classmethod
-    def mlp(cls, sizes, hidden="tanh", head="sigmoid"):
-        """Chain spec from a size list [in, h1, ..., out]."""
-        kinds = [hidden] * (len(sizes) - 2) + [head]
-        return cls(
-            tuple(
-                LayerSpec(int(a), int(b), k)
-                for a, b, k in zip(sizes, sizes[1:], kinds)
-            )
-        )
-
-    @property
-    def depth(self):
-        return len(self.layers)
-
-    @property
-    def input_dim(self):
-        return self.layers[0].in_dim
-
-    @property
-    def output_dim(self):
-        return self.layers[-1].out_dim
-
-    @property
-    def sizes(self):
-        return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
-
-
-@dataclass
-class ModelConfig:
-    """The ``model`` section: the layer widths [in, h1, ..., out], the
-    hidden layers' and the head's nonlinearity, and the loss. A value that
-    breaks its rule is refused by name."""
+    """The ``model`` section and the network it describes: the layer widths
+    [in, h1, ..., out], the hidden layers' and the head's nonlinearity, and
+    the loss. A value that breaks its rule is refused by name. ``layers``
+    holds each layer's (in_dim, out_dim, nonlinearity), built once here."""
 
     sizes: list
     hidden: str = "tanh"
@@ -117,12 +70,27 @@ class ModelConfig:
     def __post_init__(self):
         hidden = [k for k in NONLINEARITIES if k != "softmax"]
         ConfigError.check("model", {
-            "sizes": (len(self.sizes) >= 2 and all(type(n) is int and n >= 1 for n in self.sizes),
+            "sizes": (isinstance(self.sizes, list) and len(self.sizes) >= 2
+                      and all(type(n) is int and n >= 1 for n in self.sizes),
                       "a list of at least two integers >= 1"),
             "hidden": (self.hidden in hidden, f"one of {', '.join(hidden)}: softmax is only a head"),
             "head": (self.head in NONLINEARITIES, f"one of {', '.join(NONLINEARITIES)}"),
             "loss": (self.loss in LOSS_KINDS, f"one of {', '.join(LOSS_KINDS)}"),
         })
+        kinds = [self.hidden] * (len(self.sizes) - 2) + [self.head]
+        object.__setattr__(self, "layers", tuple(map(LayerSpec, self.sizes, self.sizes[1:], kinds)))
+
+    @property
+    def depth(self):
+        return len(self.layers)
+
+    @property
+    def input_dim(self):
+        return self.sizes[0]
+
+    @property
+    def output_dim(self):
+        return self.sizes[-1]
 
 
 @dataclass
@@ -261,7 +229,7 @@ def _activate(kind, z):
         return np.maximum(z, 0.0, out=z)
     if kind == "identity":
         return z
-    # softmax, the one kind left: LayerSpec refuses any other
+    # softmax, the one kind left: NetSpec refuses any other
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)

@@ -203,8 +203,8 @@ class TrainResult:
     reparam_steps: list = field(default_factory=list)
 
 
-def _eval_loss(model, dataset, loss_kind):
-    return net.loss(loss_kind, model.predict(dataset.inputs), dataset.targets,
+def _eval_loss(model, dataset):
+    return net.loss(model.spec.loss, model.predict(dataset.inputs), dataset.targets,
                     gradient=False)[0]
 
 
@@ -214,16 +214,16 @@ def train(
     config: TrainConfig,
     *,
     optimizer: str,
-    loss_kind: str,
     val_data: Dataset | None = None,
     row_callback=None,
 ) -> TrainResult:
     """Run ``config.max_updates`` updates of the requested optimizer, once
     ``check_run`` has passed the run (a ConfigError when it does not).
 
-    Emits one MetricsRow per ``eval_interval`` updates plus one row at every
-    reparametrization step (flagged); every update uses the one
-    ``learning_rate``, which each row logs.
+    Every loss is the model's ``spec.loss``. Emits one MetricsRow per
+    ``eval_interval`` updates plus one row at every reparametrization step
+    (flagged); every update uses the one ``learning_rate``, which each row
+    logs.
     ``row_callback(model, step)``, when given, returns the row's
     ``cond_ratio`` or None.
 
@@ -254,7 +254,7 @@ def train(
             # preserves the function, so just flag it
             rows[-1].reparam_event = True
             return
-        eval_loss = _eval_loss(model, eval_set, loss_kind)
+        eval_loss = _eval_loss(model, eval_set)
         cond_ratio = row_callback(model, step) if row_callback else None
         rows.append(
             MetricsRow(
@@ -281,14 +281,14 @@ def train(
                 reparam_seconds += info.seconds
                 state.velocity.fill(0.0)
                 result.reparam_steps.append(t)
-                stats_loss, _ = net.loss(loss_kind, info.outputs, train_data.targets[idx],
+                stats_loss, _ = net.loss(model.spec.loss, info.outputs, train_data.targets[idx],
                                          gradient=False)
                 del info  # not kept alive through the next reparametrization
                 emit(t, stats_loss, reparam_event=True)
 
             batch = next_batch(train_data, plan)
             trace = model.forward(batch.inputs, training=True)
-            value, grad = net.loss(loss_kind, trace.outputs, batch.targets)
+            value, grad = net.loss(model.spec.loss, trace.outputs, batch.targets)
             if not np.isfinite(value):
                 raise NumericError("non-finite training loss")
             loss_sum += value

@@ -46,7 +46,7 @@ class TestAcceptance:
         alphas = (1e-1, 1e-2, 1e-3)
 
         def run(optimizer, lr, steps):
-            spec = NetSpec.mlp(sizes, hidden="sigmoid", head="sigmoid")
+            spec = NetSpec(sizes, hidden="sigmoid", head="sigmoid")
             theta = init_fan_in(spec, preset["train"]["seed"])
             if optimizer == "prong":
                 model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
@@ -63,8 +63,7 @@ class TestAcceptance:
                 max_updates=steps,
                 eval_interval=50,
             )
-            result = train(model, ds, cfg, optimizer=optimizer,
-                           loss_kind="squared_error", val_data=probe)
+            result = train(model, ds, cfg, optimizer=optimizer, val_data=probe)
             if result.divergence is not None:
                 return None
             return {r.step: r.eval_loss for r in result.rows if not r.reparam_event}
@@ -102,13 +101,11 @@ class TestAcceptance:
         cfg = TrainConfig(learning_rate=0.05, momentum=0.9, batch_size=16,
                           seed=62, max_updates=500, eval_interval=100)
 
-        spec = NetSpec.mlp(sizes)
+        spec = NetSpec(sizes, loss="binary_cross_entropy")
         canonical = Model(spec, init_fan_in(spec, 63))
-        r1 = train(canonical, ds, cfg, optimizer="momentum",
-                   loss_kind="binary_cross_entropy")
-        frozen, _ = gates.whitened_from_seed(sizes, seed=63)
-        r2 = train(frozen, ds, cfg, optimizer="momentum",
-                   loss_kind="binary_cross_entropy")
+        r1 = train(canonical, ds, cfg, optimizer="momentum")
+        frozen, _ = gates.whitened_from_seed(sizes, seed=63, loss="binary_cross_entropy")
+        r2 = train(frozen, ds, cfg, optimizer="momentum")
 
         same_params = all(
             np.array_equal(a, b)

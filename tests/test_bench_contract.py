@@ -32,7 +32,7 @@ def child():
 
 
 def whitened_model(seed=3):
-    spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
+    spec = NetSpec([6, 5, 2], hidden="tanh", head="softmax")
     model = Model(spec, init_fan_in(spec, seed), phi=WhiteningCoeffs.identity(spec))
     stats = np.random.default_rng(seed).standard_normal((80, 6))
     optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)
@@ -138,7 +138,7 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
         return original(*args, **kwargs)
 
     monkeypatch.setattr(optim, step_name, counting)
-    spec = NetSpec.mlp([6, 5, 2], hidden="tanh", head="softmax")
+    spec = NetSpec([6, 5, 2], hidden="tanh", head="softmax", loss="categorical_cross_entropy")
     theta = init_fan_in(spec, 8)
     if optimizer == "prong":
         model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
@@ -152,7 +152,7 @@ def test_train_steps_through_the_traced_names(child, optimizer, step_name, monke
     momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
     cfg = optim.TrainConfig(learning_rate=0.05, momentum=momentum, batch_size=8, max_updates=12,
                             eval_interval=6, reparam_period=5, stat_samples=32)
-    optim.train(model, data, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
+    optim.train(model, data, cfg, optimizer=optimizer)
     assert len(calls) == 12
 
 
@@ -281,7 +281,7 @@ def test_conditioning_report_builds_each_factorized_block_through_the_module(chi
     # the fisher.factorized span and the fisher.blocks count see one call per
     # layer only while the report calls the block function by its module name
     calls = count_span_calls(child, ["fisher.factorized", "fisher.exact"], monkeypatch)
-    spec = NetSpec.mlp([6, 5, 4, 1], hidden="tanh", head="sigmoid")
+    spec = NetSpec([6, 5, 4, 1], hidden="tanh", head="sigmoid")
     x = np.random.default_rng(8).standard_normal((32, 6))
     assert len(fisher.conditioning_report(Model(spec, init_fan_in(spec, 9)), x)) == 3
     assert calls == {("fisher.factorized", "factorized_fisher_block"): 3,

@@ -14,13 +14,14 @@ from whitenet.optim import prong_reparametrize
 
 
 def test_canonical_round_trip_bit_exact(tmp_path):
-    spec = NetSpec.mlp([5, 4, 3], hidden="relu", head="softmax")
+    spec = NetSpec([5, 4, 3], hidden="relu", head="softmax", loss="categorical_cross_entropy")
     model = Model(spec, init_fan_in(spec, 9))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=9, step=123)
     back, meta = load_checkpoint(path)
     assert meta == {"seed": 9, "step": 123}
     assert back.kind == "canonical"
+    assert back.spec == spec and back.spec.loss == "categorical_cross_entropy"
     assert [l.nonlinearity for l in back.spec.layers] == ["relu", "softmax"]
     for a, b in zip(model.params.weights, back.params.weights):
         assert np.array_equal(a, b)
@@ -37,7 +38,7 @@ def whitened_model(spec, seed):
 
 
 def test_whitened_round_trip_bit_exact(tmp_path):
-    spec = NetSpec.mlp([4, 3, 2])
+    spec = NetSpec([4, 3, 2])
     model = whitened_model(spec, 1)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=1, step=7)
@@ -55,7 +56,7 @@ def test_whitened_round_trip_bit_exact(tmp_path):
 
 
 def test_whitened_layout_names_each_slots_center_and_preconditioner(tmp_path):
-    spec = NetSpec.mlp([4, 3, 2])
+    spec = NetSpec([4, 3, 2])
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, whitened_model(spec, 2), seed=2, step=0)
     blob = path.read_bytes()
@@ -71,7 +72,7 @@ def test_whitened_layout_names_each_slots_center_and_preconditioner(tmp_path):
 def test_whitened_file_of_the_old_layout_refused(tmp_path):
     # the layout that stored each slot's whitening matrix U as transform_i
     # beside the whitened (V, d) lacks the preconditioners
-    spec = NetSpec.mlp([4, 3, 2])
+    spec = NetSpec([4, 3, 2])
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, whitened_model(spec, 3), seed=3, step=0)
     blob = path.read_bytes()
@@ -85,8 +86,25 @@ def test_whitened_file_of_the_old_layout_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_file_of_the_per_layer_nonlinearities_header_refused(tmp_path):
+    # the header that listed each layer's nonlinearity, and no loss
+    spec = NetSpec([4, 3, 2])
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Model(spec, init_fan_in(spec, 3)), seed=3, step=0)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    header["nonlinearities"] = [l.nonlinearity for l in spec.layers]
+    for key in ("hidden", "head", "loss"):
+        del header[key]
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+    with pytest.raises(ConsistencyError, match="header is not an object with keys"):
+        load_checkpoint(path)
+
+
 def test_bn_round_trip_preserves_running_stats(tmp_path):
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     model = Model.batch_norm(spec, init_fan_in(spec, 4))
     model.forward(np.random.default_rng(5).standard_normal((16, 3)), training=True)
     path = tmp_path / "ckpt.bin"
@@ -107,7 +125,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_file_rejected(tmp_path, cut):
     # a file cut inside the header length, inside the JSON header, or
     # 8 bytes short of its payload fails typed, not with a parser error
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     model = Model(spec, init_fan_in(spec, 6))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=6, step=0)
@@ -119,7 +137,7 @@ def test_truncated_file_rejected(tmp_path, cut):
 
 
 def test_truncated_payload_rejected(tmp_path):
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     model = Model(spec, init_fan_in(spec, 6))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, seed=6, step=0)
@@ -153,7 +171,7 @@ def _set_entry(field, value):
 MALFORMED = {
     "not_an_object": lambda header: [header],
     **{f"missing_{key}": _drop(key)
-       for key in ("kind", "sizes", "nonlinearities", "seed", "step", "arrays")},
+       for key in ("kind", "sizes", "hidden", "head", "loss", "seed", "step", "arrays")},
     "arrays_not_a_list": _set("arrays", {"weight_0": [2, 3]}),
     "entry_without_name": _set_entry("name", None),
     "entry_without_shape": _set_entry("shape", None),
@@ -163,8 +181,11 @@ MALFORMED = {
     "unhashable_kind": _set("kind", ["bn"]),
     "zero_size": _set("sizes", [3, 0]),
     "non_integer_size": _set("sizes", [3, "2"]),
-    "unknown_nonlinearity": _set("nonlinearities", ["swish"]),
-    "nonlinearity_count": _set("sizes", [3, 2, 2]),
+    "sizes_not_a_list": _set("sizes", 5),
+    "unknown_head": _set("head", "swish"),
+    "softmax_hidden": _set("hidden", "softmax"),
+    "unknown_loss": _set("loss", "hinge"),
+    "layer_without_its_arrays": _set("sizes", [3, 2, 2]),
     "transposed_weight": _set_entry("shape", [3, 2]),
     "null_seed": _set("seed", None),
     "float_seed": _set("seed", 8.0),
@@ -179,7 +200,7 @@ MALFORMED = {
 def test_malformed_header_rejected(tmp_path, case):
     # each edit keeps the payload parseable, so only the header's own
     # checks and its agreement with the network it describes can catch it
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, Model(spec, init_fan_in(spec, 8)), seed=8, step=0)
     blob = path.read_bytes()
@@ -196,7 +217,7 @@ def test_oversized_header_refused_before_any_model_is_built(tmp_path):
     # sizes [3000, 3000] name a 72 MB weight the file does not hold: the
     # stored shapes are checked against the header before anything the
     # header's size is allocated
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, Model(spec, init_fan_in(spec, 8)), seed=8, step=0)
     blob = path.read_bytes()
@@ -249,7 +270,7 @@ def damaged(draw, blob):
 @pytest.fixture(scope="module")
 def whitened_blob(tmp_path_factory):
     path = tmp_path_factory.mktemp("whitened") / "ckpt.bin"
-    save_checkpoint(path, whitened_model(NetSpec.mlp([4, 3, 2]), 5), seed=5, step=11)
+    save_checkpoint(path, whitened_model(NetSpec([4, 3, 2]), 5), seed=5, step=11)
     return path.read_bytes()
 
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import typing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,22 @@ class TestGridCommand:
         for i in range(4):
             run = json.loads((out / f"cell_{i}" / "config.json").read_text())
             assert "grid" not in run and run["name"] == f"tiny-cell{i}"
+
+    def test_each_cells_dataset_is_freed_once_the_cell_ends(self, tmp_path, monkeypatch):
+        cfg, cfg_path = small_train_config(tmp_path, max_updates=2, eval_interval=2)
+        cfg["grid"] = {"dataset.seed": [1, 2, 3]}
+        cfg_path.write_text(json.dumps(cfg))
+        refs, alive = [], []  # weakrefs to each cell's (train, val); which live at each start
+        run_one = cli._run_one
+
+        def observed(cell_cfg, out, dataset, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            refs.extend(weakref.ref(d) for d in dataset[:2])
+            return run_one(cell_cfg, out, dataset, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_one", observed)
+        assert main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "grid")]) == 0
+        assert alive == [[], [False] * 2, [False] * 4]
 
     def test_epsilon_grid_exposed_and_ordered(self, tmp_path):
         """The trust-region grid: at a small step size, a small damping term
@@ -727,6 +744,41 @@ class TestTypedErrors:
         assert "train.learning_rate" in err and "train.eigen_epsilon" not in err
         assert not (tmp_path / "grid").exists()
 
+    MALFORMED_INPUTS = {  # case: (command, what the error line says)
+        "absent_file": ("train", "is not readable UTF-8 JSON: [Errno 2]"),
+        "latin1_file": ("train", "is not readable UTF-8 JSON: 'utf-8' codec can't decode"),
+        "json_array": ("train", "does not hold a JSON object"),
+        "grid_axis_through_a_string": ("grid", "not an object: name.x"),
+        "grid_axis_through_a_number": ("grid", "not an object: train.learning_rate.x"),
+        "seed_through_a_number": ("train", "not an object: train.seed"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_is_one_config_error_line(self, tmp_path, capsys, monkeypatch, case):
+        # each raised a traceback and exited 1 before it was refused by name
+        monkeypatch.setattr(cli, "build_dataset", None)  # refused before any work
+        command, message = self.MALFORMED_INPUTS[case]
+        cfg, cfg_path = small_train_config(tmp_path)
+        argv = [command, "--config", str(cfg_path)]
+        if case == "absent_file":
+            argv[2] = str(tmp_path / "absent.json")
+        elif case == "latin1_file":
+            cfg["name"] = "caf\u00e9"
+            cfg_path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("latin-1"))
+        elif case == "json_array":
+            cfg_path.write_text(json.dumps([cfg]))
+        elif case == "seed_through_a_number":
+            cfg["train"] = 5
+            cfg_path.write_text(json.dumps(cfg))
+            argv += ["--seed", "3"]
+        else:
+            cfg["grid"] = {message.rsplit(" ", 1)[1]: [1]}
+            cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in self.one_line(capsys, "config error: ")
+        assert not out.exists()
+
     def test_replay_command_is_gone(self, tmp_path, capsys):
         # argparse refuses the command name before any file is read
         metrics = tmp_path / "run" / "metrics.csv"
@@ -863,12 +915,12 @@ FLOAT_KEYS = [(section, key) for section in ("dataset", "train")
               for key, (typ, _, _) in SCHEMA[section].items() if typ is float]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "integer-1e400"])
 @pytest.mark.parametrize("section, key", FLOAT_KEYS)
 def test_non_finite_config_float_is_refused_by_name(tmp_path, capsys, section, key, value):
-    # json writes and reads NaN and Infinity; the run refuses them before it
-    # writes anything
+    # json writes and reads NaN, Infinity and integers past the float range;
+    # the run refuses them before it writes anything
     overlay = tmp_path / "overlay.json"
     overlay.write_text(json.dumps({section: {key: value}}))
     out = tmp_path / "run"

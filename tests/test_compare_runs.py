@@ -30,7 +30,7 @@ def make_run(root: Path, wallclock=0.5, timing=1.0):
     rows = [MetricsRow(step=s, wallclock_seconds=wallclock * s, train_loss=1.0 / (s + 1),
                        eval_loss=0.5, learning_rate=0.1) for s in range(3)]
     write_metrics(run / "metrics.csv", rows)
-    spec = NetSpec.mlp([3, 2])
+    spec = NetSpec([3, 2])
     save_checkpoint(run / "checkpoint.bin", Model(spec, init_fan_in(spec, 0)), seed=0, step=2)
     manifest = {"seed": 0, "status": "completed", "timing": {"total_seconds": timing}}
     (run / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -9,7 +9,7 @@ import pytest
 
 from whitenet import errors, linalg, net
 from whitenet.data import Dataset, split_train_val
-from whitenet.errors import ConfigError, ConsistencyError, DimensionError
+from whitenet.errors import ConfigError, ConsistencyError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "whitenet"
 BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
@@ -53,12 +53,11 @@ def _val_size_out_of_range():
 
 
 SITES = {
-    "non_positive_dim": (lambda: net.LayerSpec(0, 3, "tanh"), DimensionError),
-    "empty_chain": (lambda: net.NetSpec(()), DimensionError),
-    "no_layer_from_one_size": (lambda: net.NetSpec.mlp([5]), DimensionError),
-    "unknown_nonlinearity": (lambda: net.LayerSpec(2, 3, "swish"), ConfigError),
-    "softmax_not_last": (lambda: net.NetSpec((net.LayerSpec(2, 3, "softmax"),
-                                              net.LayerSpec(3, 1, "sigmoid"))), ConfigError),
+    "non_positive_dim": (lambda: net.NetSpec([0, 3]), ConfigError),
+    "empty_chain": (lambda: net.NetSpec([]), ConfigError),
+    "no_layer_from_one_size": (lambda: net.NetSpec([5]), ConfigError),
+    "unknown_nonlinearity": (lambda: net.NetSpec([2, 3], head="swish"), ConfigError),
+    "softmax_not_last": (lambda: net.NetSpec([2, 3, 1], hidden="softmax"), ConfigError),
     "unknown_loss": (lambda: net.loss("hinge", np.zeros((1, 1)), np.zeros((1, 1))), ConfigError),
     "val_size_out_of_range": (_val_size_out_of_range, ConfigError),
     "negative_epsilon": (_negative_epsilon, ConfigError),

@@ -21,7 +21,7 @@ from whitened_reference import whitened_signals
 
 
 def canonical_model(sizes, seed, hidden="tanh", head="sigmoid"):
-    spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
+    spec = NetSpec(sizes, hidden=hidden, head=head)
     return Model(spec, init_fan_in(spec, seed))
 
 
@@ -35,7 +35,7 @@ class TestExactBlock:
         # one linear->sigmoid unit with p = 0.5 on a single input x:
         # delta is (h - y) with y ~ Bernoulli(0.5), so E[delta^2] = 0.25 and
         # F = 0.25 * vec(x) vec(x)^T
-        spec = NetSpec.mlp([3, 1], head="sigmoid")
+        spec = NetSpec([3, 1], head="sigmoid")
         params = Params.of([np.zeros((1, 3))], [np.zeros(1)])
         model = Model(spec, params)
         x = np.array([[0.5, -1.0, 2.0]])
@@ -126,7 +126,7 @@ class TestFactorizedBlock:
     def test_rank_one_data_factorized_equals_exact(self):
         # with a single input and a linear head the independence assumption
         # holds degenerately, so the factorization is exact
-        spec = NetSpec.mlp([3, 1], head="sigmoid")
+        spec = NetSpec([3, 1], head="sigmoid")
         params = Params.of([np.array([[0.2, -0.4, 0.1]])], [np.zeros(1)])
         model = Model(spec, params)
         x = np.array([[1.0, 2.0, -0.5]])
@@ -144,7 +144,7 @@ class TestFactorizedBlock:
         assert gap > 0.0  # the independence assumption is an approximation
 
     def test_whitened_act_factor_is_identity_after_reparam(self):
-        spec = NetSpec.mlp([6, 4, 1], hidden="tanh", head="sigmoid")
+        spec = NetSpec([6, 4, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 14)
         model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
         stats = np.random.default_rng(15).standard_normal((200, 6))
@@ -158,7 +158,7 @@ class TestFactorizedBlock:
 
 
 def whitened_model(sizes, seed, stats):
-    spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
+    spec = NetSpec(sizes, hidden="tanh", head="sigmoid")
     theta = init_fan_in(spec, seed)
     model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
     prong_reparametrize(model.params, model.phi, model.spec, stats, epsilon=1e-3)
@@ -274,7 +274,7 @@ class TestSharedSweep:
     def test_batch_norm_model_refused(self):
         # the sweep's backprop has no BN gain/std factor, so its gradients
         # would be off by that factor
-        spec = NetSpec.mlp([4, 3, 1], hidden="tanh", head="sigmoid")
+        spec = NetSpec([4, 3, 1], hidden="tanh", head="sigmoid")
         model = Model.batch_norm(spec, init_fan_in(spec, 52))
         model.params.gains[0][:] = 3.0
         x = np.random.default_rng(53).standard_normal((8, 4))
@@ -337,7 +337,7 @@ def enumerated_factor(model, sweep, layer):
 
 def classifier(sizes, head, seed, stats=None):
     """A canonical model, or with ``stats`` a whitened one reparametrized on them."""
-    spec = NetSpec.mlp(sizes, hidden="tanh", head=head)
+    spec = NetSpec(sizes, hidden="tanh", head=head)
     theta = init_fan_in(spec, seed)
     if stats is None:
         return Model(spec, theta)
@@ -461,7 +461,7 @@ class TestConditioningReport:
     def test_identity_covariance_unit_act_condition(self):
         # a linear layer fed exactly-white synthetic data has an activation
         # factor with condition number 1
-        spec = NetSpec.mlp([4, 1], head="sigmoid")
+        spec = NetSpec([4, 1], head="sigmoid")
         model = Model(spec, init_fan_in(spec, 16))
         rng = np.random.default_rng(17)
         raw = rng.standard_normal((128, 4))
@@ -512,7 +512,7 @@ class TestConditioningReport:
         # same story on the exact (non-factorized) middle-layer block, at a
         # size where the full matrix is tractable
         ds = synthetic_classification(300, 16, seed=30, spectrum_decay=1.5)
-        spec = NetSpec.mlp([16, 8, 8, 1], hidden="tanh", head="sigmoid")
+        spec = NetSpec([16, 8, 8, 1], hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 31)
         canonical = Model(spec, theta.copy())
         before = condition_number(exact_fisher_block(canonical, ds.inputs, 1).eigenvalues())
@@ -533,7 +533,7 @@ class TestConditioningReport:
         ds = synthetic_classification(2000, 20, seed=22, n_classes=10, spectrum_decay=1.0)
         dataset = Dataset(ds.inputs, ds.targets)
         sizes = [20, 12, 12, 10]
-        spec = NetSpec.mlp(sizes, hidden="sigmoid", head="softmax")
+        spec = NetSpec(sizes, hidden="sigmoid", head="softmax", loss="categorical_cross_entropy")
         theta = init_fan_in(spec, 23)
         probe = ds.inputs[:400]
 
@@ -547,8 +547,7 @@ class TestConditioningReport:
                           eval_interval=400, batch_size=32)
         sgd_series = []
         for _ in range(5):  # 5 x 400 = 2000 steps
-            train(canonical, dataset, cfg, optimizer="sgd",
-                  loss_kind="categorical_cross_entropy")
+            train(canonical, dataset, cfg, optimizer="sgd")
             sgd_series.append(middle_cond(canonical) / initial)
         assert all(0.5 < r < 2.0 for r in sgd_series)
 
@@ -558,8 +557,7 @@ class TestConditioningReport:
                            stat_samples=512, eigen_epsilon=1e-3)
         prong_series = []
         for _ in range(5):
-            train(whitened, dataset, pcfg, optimizer="prong",
-                  loss_kind="categorical_cross_entropy")
+            train(whitened, dataset, pcfg, optimizer="prong")
             prong_series.append(middle_cond(whitened) / initial)
         assert min(prong_series) < 0.1
 

@@ -11,7 +11,7 @@ from whitenet.errors import DimensionError
 from whitenet.net import Model, NetSpec, Params, WhiteningCoeffs, init_fan_in
 from whitenet.optim import prong_reparametrize
 
-SPEC = NetSpec.mlp([5, 4, 3], hidden="tanh", head="softmax")
+SPEC = NetSpec([5, 4, 3], hidden="tanh", head="softmax")
 
 
 def layout_order(model):

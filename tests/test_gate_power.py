@@ -80,11 +80,8 @@ def test_c7_fails_when_one_activation_vjp_is_skipped(monkeypatch):
     assert not passed, detail
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "blind spot: at the seed-81 model the head predicts p in [0.44, 0.49] on every row, "
-    "so the weight 1/2 on each class changes the block little: C8 reads a gap of "
-    "9.99e-03 < 0.02"))
 def test_c8_fails_when_class_sweep_weights_both_classes_half(monkeypatch):
+    # at the trained model the predictions sit far from 1/2, so the gap reads 0.95
     sweep = fisher.class_sweep
 
     def halves(model, inputs):

@@ -10,7 +10,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "line_count.py"
 SRC = SCRIPT.parents[1] / "src" / "whitenet"
 # the committed ceiling on src/whitenet's code lines: lower it when the
 # count falls, and never raise it
-CEILING = 1678
+CEILING = 1650
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

@@ -52,12 +52,12 @@ def trace_bytes(spec, rows):
 
 
 def test_eval_loss_peaks_below_half_a_trace():
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(512, 100))
     model = whitened(spec, 1, x[:100])
     full = trace_bytes(spec, len(x))
     dataset = Dataset(x, x)
-    peak = traced_peak(optim._eval_loss, model, dataset, "squared_error")
+    peak = traced_peak(optim._eval_loss, model, dataset)
     assert peak < full / 2, (peak, full)
 
 
@@ -66,14 +66,14 @@ def test_eval_loss_builds_no_gradient():
     # and its square, then the residual and the gradient); the value alone
     # holds the residual, squared in place. One eval then peaks no higher
     # than its predict, which the loss with its gradient topped
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(512, 100))
     model = whitened(spec, 1, x[:100])
     out = model.predict(x)
     assert traced_peak(net.loss, "squared_error", out, x) >= 2 * out.nbytes
     assert traced_peak(net.loss, "squared_error", out, x, gradient=False) < out.nbytes + 4096
     predict = traced_peak(model.predict, x)
-    assert traced_peak(optim._eval_loss, model, Dataset(x, x), "squared_error") <= predict
+    assert traced_peak(optim._eval_loss, model, Dataset(x, x)) <= predict
     with_gradient = traced_peak(lambda: net.loss("squared_error", model.predict(x), x)[0])
     assert with_gradient >= predict + out.nbytes // 4, (with_gradient, predict)
 
@@ -84,7 +84,7 @@ def test_eval_loss_builds_no_gradient():
     ("categorical_cross_entropy", "softmax"),
 ])
 def test_value_only_loss_is_the_loss_bit_for_bit(kind, head):
-    spec = NetSpec.mlp([6, 5, 3], hidden="tanh", head=head)
+    spec = NetSpec([6, 5, 3], hidden="tanh", head=head)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((300, 6))
     out = Model(spec, init_fan_in(spec, 2)).predict(x)
@@ -165,7 +165,7 @@ def test_autoencoder_build_holds_no_payload_sized_mask(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", net.NONLINEARITIES)
 def test_predict_is_forward_outputs_bit_for_bit(kind):
-    spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh" if kind == "softmax" else kind, head=kind)
+    spec = NetSpec([6, 5, 4, 3], hidden="tanh" if kind == "softmax" else kind, head=kind)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((40, 6))
     x_bits = x.copy()
@@ -178,7 +178,7 @@ def test_predict_is_forward_outputs_bit_for_bit(kind):
 
 
 def test_predict_on_batch_norm_model_is_inference_forward():
-    spec = NetSpec.mlp([6, 5, 3], hidden="relu", head="softmax")
+    spec = NetSpec([6, 5, 3], hidden="relu", head="softmax")
     model = Model.batch_norm(spec, init_fan_in(spec, 4))
     x = np.random.default_rng(5).standard_normal((30, 6))
     model.forward(x, training=True)  # moves the running statistics
@@ -190,7 +190,7 @@ def desk_model(kind, stats):
     """The desk autoencoder net, canonical, whitened by one reparametrization
     on ``stats``, or batch-normalized with running statistics moved by one
     training forward of ``stats``."""
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     if kind == "whitened":
         return whitened(spec, 15, stats)
     theta = init_fan_in(spec, 15)
@@ -270,7 +270,7 @@ def one_product_block(sweep, layer_index):
     ("sigmoid", [30, 20, 24, 1]), ("softmax", [20, 30, 17, 4]),
 ])
 def test_exact_block_matches_old_formula_and_is_symmetric(head, sizes):
-    spec = NetSpec.mlp(sizes, hidden="tanh", head=head)
+    spec = NetSpec(sizes, hidden="tanh", head=head)
     x = np.random.default_rng(6).standard_normal((300, sizes[0]))
     for model in (Model(spec, init_fan_in(spec, 7)), whitened(spec, 7, x)):
         sweep = fisher.class_sweep(model, x)
@@ -289,7 +289,7 @@ def dense_exact_block(*args):
 def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
     # one (C B, size) G and the size x size block: no accumulator beside a
     # per-class product, no weighted copy of G, no (F + F^T) / 2 pass
-    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    spec = NetSpec([100, 32, 32, 1], hidden="tanh", head="sigmoid")
     model = Model(spec, init_fan_in(spec, 8))
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
@@ -300,7 +300,7 @@ def test_exact_block_holds_the_block_and_the_stacked_g_at_most():
 
 def test_exact_block_peaks_below_one_and_a_half_blocks():
     # G is never whole: beside the block only two column blocks of it live
-    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    spec = NetSpec([100, 32, 32, 1], hidden="tanh", head="sigmoid")
     model = Model(spec, init_fan_in(spec, 8))
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
@@ -312,7 +312,7 @@ def test_exact_block_peaks_below_one_and_a_half_blocks():
 def test_binary_exact_block_peaks_below_1_2_blocks():
     # a sigmoid head's column blocks hold one row per example, not one per
     # class, so they are half as tall
-    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    spec = NetSpec([100, 32, 32, 1], hidden="tanh", head="sigmoid")
     model = Model(spec, init_fan_in(spec, 8))
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
@@ -324,7 +324,7 @@ def test_binary_exact_block_peaks_below_1_2_blocks():
 def test_saved_exact_block_peaks_below_half_a_block(tmp_path):
     # the streamed .npy holds one row of tiles and two column blocks of G,
     # never the block
-    spec = NetSpec.mlp([100, 32, 32, 1], hidden="tanh", head="sigmoid")
+    spec = NetSpec([100, 32, 32, 1], hidden="tanh", head="sigmoid")
     model = Model(spec, init_fan_in(spec, 8))
     x = np.random.default_rng(9).standard_normal((512, 100))
     sweep = fisher.class_sweep(model, x)
@@ -343,7 +343,7 @@ def identity_model(spec, seed):
 
 def test_reparametrize_peaks_below_5_mb_at_desk_width():
     # no statistics trace and no copy of the parameters
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     model = identity_model(spec, 1)
     stats = np.random.default_rng(10).uniform(0.0, 1.0, size=(100, 100))
     peak = traced_peak(optim.prong_reparametrize, model.params, model.phi, spec, stats, 1e-2)
@@ -355,7 +355,7 @@ def test_paper_width_reparametrize_peaks_below_55_mb():
     # slots take their range from the 100 x 100 Gram matrix, with no
     # 1000 x 1000 covariance or eigenvector matrix (the dense PCA form
     # peaked at 63 MB)
-    spec = NetSpec.mlp([784, 1000, 500, 250, 30, 250, 500, 1000, 784],
+    spec = NetSpec([784, 1000, 500, 250, 30, 250, 500, 1000, 784],
                        hidden="sigmoid", head="sigmoid")
     model = identity_model(spec, 1)
     stats = synthetic_images(100, 28, 3).inputs
@@ -367,14 +367,13 @@ def test_train_holds_one_batch_trace():
     # beside the velocity and the gradient buffer: one batch's trace and
     # its backward's live delta and temporaries. The last step's trace kept
     # alive through the next forward reads about 2.25 traces
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     x = np.random.default_rng(0).uniform(0.0, 1.0, size=(1024, 100))
     model = whitened(spec, 1, x[:100])
     full = trace_bytes(spec, 64)
     config = optim.TrainConfig(learning_rate=1e-3, momentum=0.9, batch_size=64, max_updates=20,
                                eval_interval=1000)
-    peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="momentum",
-                       loss_kind="squared_error")
+    peak = traced_peak(optim.train, model, Dataset(x, x), config, optimizer="momentum")
     assert peak < 2 * model.params.vector.nbytes + 1.9 * full, (peak, full)
 
 
@@ -456,7 +455,7 @@ def bits(arrays):
 
 @pytest.mark.parametrize("start", ["identity", "whitened"])
 def test_reparametrize_is_the_old_sequence_bit_for_bit(start):
-    spec = NetSpec.mlp([12, 10, 6, 10, 12], hidden="sigmoid", head="sigmoid")
+    spec = NetSpec([12, 10, 6, 10, 12], hidden="sigmoid", head="sigmoid")
     rng = np.random.default_rng(11)
     stats = rng.uniform(0.0, 1.0, size=(60, 12))
     model = identity_model(spec, 12)
@@ -490,7 +489,7 @@ def float_count(value):
 def test_reparam_info_holds_no_square_matrices():
     # per-slot eigenvalues and the outputs: O(sum d) floats, where
     # covariances or eigenvectors would be O(sum d^2)
-    spec = NetSpec.mlp(DESK_SIZES, hidden="sigmoid", head="sigmoid")
+    spec = NetSpec(DESK_SIZES, hidden="sigmoid", head="sigmoid")
     model = identity_model(spec, 13)
     stats = np.random.default_rng(14).uniform(0.0, 1.0, size=(100, 100))
     info = optim.prong_reparametrize(model.params, model.phi, spec, stats, 1e-2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitenet import net
+from whitenet.config import PRESETS, SECTIONS
 from whitenet.data import Dataset
 from whitenet.errors import ConsistencyError, DimensionError, NumericError
 from whitenet.net import (
@@ -25,7 +26,7 @@ from whitened_reference import Whitened
 
 
 def seeded_canonical(sizes, seed, hidden="tanh", head="sigmoid"):
-    spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
+    spec = NetSpec(sizes, hidden=hidden, head=head)
     return spec, init_fan_in(spec, seed)
 
 
@@ -63,15 +64,25 @@ def naive_forward(params, spec, x):
     return np.array(h)
 
 
+def test_the_model_section_is_the_spec():
+    # one dataclass holds the config section's rules and the layer chain
+    assert SECTIONS["model"] is NetSpec and not hasattr(net, "ModelConfig")
+    spec = NetSpec(**PRESETS["cond-mlp-desk"]["model"])
+    assert spec.layers == ((100, 32, "tanh"), (32, 32, "tanh"), (32, 1, "sigmoid"))
+    assert spec.layers[-1].nonlinearity == "sigmoid"
+    assert (spec.depth, spec.input_dim, spec.output_dim) == (3, 100, 1)
+    assert spec.loss == "binary_cross_entropy"
+
+
 class TestForwardCanonical:
     def test_identity_layer(self):
-        spec = NetSpec.mlp([2, 2], head="identity")
+        spec = NetSpec([2, 2], head="identity")
         params = Params.of([np.eye(2)], [np.zeros(2)])
         trace = forward_whitened(params, None, spec, np.array([1.0, 2.0]))
         np.testing.assert_allclose(trace.outputs[0], [1.0, 2.0])
 
     def test_zero_weight_sigmoid(self):
-        spec = NetSpec.mlp([3, 4], head="sigmoid")
+        spec = NetSpec([3, 4], head="sigmoid")
         params = Params.of([np.zeros((4, 3))], [np.zeros(4)])
         trace = forward_whitened(params, None, spec, np.array([5.0, -2.0, 0.1]))
         np.testing.assert_allclose(trace.outputs[0], 0.5 * np.ones(4))
@@ -95,7 +106,7 @@ class TestForwardCanonical:
             forward_whitened(params, None, spec, np.zeros(3))
 
     def test_numeric_error_names_layer(self):
-        spec = NetSpec.mlp([2, 2, 2], hidden="identity", head="identity")
+        spec = NetSpec([2, 2, 2], hidden="identity", head="identity")
         params = Params.of(
             [np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])],
             [np.zeros(2), np.zeros(2)],
@@ -156,12 +167,10 @@ class TestSigmoidBitIdentity:
         assert np.array_equal(got.view(np.int64), masked_sigmoid(z).view(np.int64))
 
     @pytest.mark.parametrize("optimizer", ["momentum", "prong"])
-    def test_training_bitwise_equal_to_reference(self, optimizer, monkeypatch):
-        spec = NetSpec((
-            net.LayerSpec(6, 8, "sigmoid"),
-            net.LayerSpec(8, 5, "tanh"),
-            net.LayerSpec(5, 2, "sigmoid"),
-        ))
+    @pytest.mark.parametrize("hidden", ["sigmoid", "tanh"])
+    def test_training_bitwise_equal_to_reference(self, hidden, optimizer, monkeypatch):
+        # the sigmoid head takes the sigmoid reference path at either hidden kind
+        spec = NetSpec([6, 8, 5, 2], hidden=hidden, head="sigmoid", loss="binary_cross_entropy")
         rng = np.random.default_rng(20)
         x = 3.0 * rng.standard_normal((256, 6))
         targets = masked_sigmoid(x @ rng.standard_normal((6, 2)))
@@ -176,8 +185,7 @@ class TestSigmoidBitIdentity:
                 model = Model(spec, theta)
             else:
                 model = Model(spec, theta, phi=WhiteningCoeffs.identity(spec))
-            return train(model, data, cfg, optimizer=optimizer,
-                         loss_kind="binary_cross_entropy")
+            return train(model, data, cfg, optimizer=optimizer)
 
         shipped = run()
         activate, vjp = net._activate, net._activation_vjp
@@ -382,7 +390,7 @@ def check_model_gradients(model, x, targets, kind, tol=1e-5):
 
 class TestBackward:
     def test_identity_net_zero_gradient_at_target(self):
-        spec = NetSpec.mlp([3, 3], head="identity")
+        spec = NetSpec([3, 3], head="identity")
         params = Params.of([np.eye(3)], [np.zeros(3)])
         x = np.array([0.3, -0.2, 0.9])
         trace = forward_whitened(params, None, spec, x)
@@ -511,7 +519,7 @@ class TestWhitenedGradient:
         # W = I, b = 0, c = (1, 1), P = diag(4, 4) (U = diag(2, 2)); one
         # row x = (3, 1) under squared error against 0: delta = (3, 1),
         # (x - c) P = (8, 0), gW = delta^T (8, 0), gb = delta - gW c
-        spec = NetSpec.mlp([2, 2], head="identity")
+        spec = NetSpec([2, 2], head="identity")
         params = Params.of([np.eye(2)], [np.zeros(2)])
         model = Model(spec, params, phi=WhiteningCoeffs([np.ones(2)], [np.diag([4.0, 4.0])]))
         x = np.array([[3.0, 1.0]])
@@ -556,13 +564,13 @@ class TestWhitenedGradient:
 
 class TestInitFanIn:
     def test_bound(self):
-        spec = NetSpec.mlp([100, 20], head="sigmoid")
+        spec = NetSpec([100, 20], head="sigmoid")
         params = init_fan_in(spec, seed=0)
         assert np.abs(params.weights[0]).max() <= 0.1
         np.testing.assert_allclose(params.biases[0], 0.0)
 
     def test_deterministic(self):
-        spec = NetSpec.mlp([10, 8, 2], head="sigmoid")
+        spec = NetSpec([10, 8, 2], head="sigmoid")
         a = init_fan_in(spec, seed=77)
         b = init_fan_in(spec, seed=77)
         for wa, wb in zip(a.weights, b.weights):
@@ -570,7 +578,7 @@ class TestInitFanIn:
 
     def test_empirical_std(self):
         # uniform on [-r, r] has std r/sqrt(3)
-        spec = NetSpec.mlp([100, 100], head="sigmoid")
+        spec = NetSpec([100, 100], head="sigmoid")
         params = init_fan_in(spec, seed=5)
         r = 1.0 / np.sqrt(100)
         expected = r / np.sqrt(3.0)
@@ -579,7 +587,7 @@ class TestInitFanIn:
 
 class TestBatchNorm:
     def test_constant_batch_outputs_shift(self):
-        spec = NetSpec.mlp([3, 2], head="identity")
+        spec = NetSpec([3, 2], head="identity")
         params = Params.of([np.ones((2, 3))], [np.zeros(2)])
         bn = Model.batch_norm(spec, params).params
         bn.shifts[0][:] = [0.25, -0.5]

@@ -135,8 +135,8 @@ class TestRmspropStep:
         assert np.abs(d1 - d10).max() < 0.01
 
 
-def whitened_model(sizes, seed, hidden="tanh", head="sigmoid"):
-    spec = NetSpec.mlp(sizes, hidden=hidden, head=head)
+def whitened_model(sizes, seed, hidden="tanh", head="sigmoid", loss="squared_error"):
+    spec = NetSpec(sizes, hidden=hidden, head=head, loss=loss)
     return Model(spec, init_fan_in(spec, seed), phi=WhiteningCoeffs.identity(spec))
 
 
@@ -238,11 +238,12 @@ class TestTrainLoop:
         cfg = make_config(learning_rate=0.05, momentum=0.9, max_updates=120,
                           eval_interval=40, batch_size=16)
 
-        canonical = Model(NetSpec.mlp(spec_sizes), init_fan_in(NetSpec.mlp(spec_sizes), 5))
-        r1 = train(canonical, ds, cfg, optimizer="momentum", loss_kind="binary_cross_entropy")
+        spec = NetSpec(spec_sizes, loss="binary_cross_entropy")
+        canonical = Model(spec, init_fan_in(spec, 5))
+        r1 = train(canonical, ds, cfg, optimizer="momentum")
 
-        frozen = whitened_model(spec_sizes, seed=5)
-        r2 = train(frozen, ds, cfg, optimizer="momentum", loss_kind="binary_cross_entropy")
+        frozen = whitened_model(spec_sizes, seed=5, loss="binary_cross_entropy")
+        r2 = train(frozen, ds, cfg, optimizer="momentum")
 
         for a, b in zip(r1.model.params.weights, r2.model.params.weights):
             assert np.array_equal(a, b)
@@ -253,10 +254,10 @@ class TestTrainLoop:
 
     def test_reparam_rows_flagged_at_period(self):
         ds = self._dataset()
-        model = whitened_model([6, 5, 2], seed=6)
+        model = whitened_model([6, 5, 2], seed=6, loss="binary_cross_entropy")
         cfg = make_config(learning_rate=0.05, max_updates=60, eval_interval=20,
                           reparam_period=30, stat_samples=64, eigen_epsilon=1e-2)
-        result = train(model, ds, cfg, optimizer="prong", loss_kind="binary_cross_entropy")
+        result = train(model, ds, cfg, optimizer="prong")
         flagged = [r.step for r in result.rows if r.reparam_event]
         assert flagged == [0, 30]
         assert result.reparam_steps == [0, 30]
@@ -265,10 +266,10 @@ class TestTrainLoop:
 
     def test_sgd_run_has_no_reparam_rows(self):
         ds = self._dataset()
-        spec = NetSpec.mlp([6, 4, 2])
+        spec = NetSpec([6, 4, 2], loss="binary_cross_entropy")
         model = Model(spec, init_fan_in(spec, 7))
         cfg = make_config(learning_rate=0.05, max_updates=40, eval_interval=10)
-        result = train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
+        result = train(model, ds, cfg, optimizer="sgd")
         assert all(not r.reparam_event for r in result.rows)
 
     def test_every_reparametrization_zeroes_the_velocity(self):
@@ -277,11 +278,11 @@ class TestTrainLoop:
         ds = self._dataset(seed=3)
 
         def run(momentum):
-            model = whitened_model([6, 5, 2], seed=8)
+            model = whitened_model([6, 5, 2], seed=8, loss="binary_cross_entropy")
             cfg = make_config(learning_rate=0.05, momentum=momentum, max_updates=40,
                               eval_interval=40, reparam_period=1, stat_samples=64,
                               eigen_epsilon=1e-2)
-            return train(model, ds, cfg, optimizer="prong", loss_kind="binary_cross_entropy")
+            return train(model, ds, cfg, optimizer="prong")
 
         heavy, plain = run(0.9), run(0.0)
         assert heavy.state.step == plain.state.step == 40
@@ -290,11 +291,11 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_record(self):
         ds = self._dataset(seed=11)
-        spec = NetSpec.mlp([6, 4, 1], head="identity")
+        spec = NetSpec([6, 4, 1], head="identity")
         model = Model(spec, init_fan_in(spec, 12))
         dsq = Dataset(ds.inputs, ds.inputs[:, :1] * 1e3)
         cfg = make_config(learning_rate=1e6, max_updates=100, eval_interval=10)
-        result = train(model, dsq, cfg, optimizer="sgd", loss_kind="squared_error")
+        result = train(model, dsq, cfg, optimizer="sgd")
         record = result.divergence
         assert record is not None
         assert record["step"] == result.state.step < cfg.max_updates
@@ -306,7 +307,7 @@ class TestTrainLoop:
         # a finite loss whose gradient overflows: the output is
         # 1e-306 * 5e307 = 50, and the head's weight gradient 50 * 5e307
         # overflows, so the step is refused and nothing is updated
-        spec = NetSpec.mlp([2, 2, 1], hidden="identity", head="identity")
+        spec = NetSpec([2, 2, 1], hidden="identity", head="identity")
         model = Model(spec, net.Params.of(
             [np.array([[5e150, 0.0], [0.0, 0.0]]), np.array([[1e-306, 0.0]])],
             [np.zeros(2), np.zeros(1)]))
@@ -314,7 +315,7 @@ class TestTrainLoop:
         ds = Dataset(np.tile([1e157, 0.0], (4, 1)), np.zeros((4, 1)))
         cfg = make_config(learning_rate=0.1, max_updates=3, eval_interval=1, batch_size=4)
         with np.errstate(over="ignore"):
-            result = train(model, ds, cfg, optimizer="sgd", loss_kind="squared_error")
+            result = train(model, ds, cfg, optimizer="sgd")
         assert result.divergence["step"] == 0
         assert result.divergence["reason"] == "non-finite gradient; step refused"
         assert np.isfinite(result.divergence["train_loss"])
@@ -332,10 +333,10 @@ class TestTrainLoop:
 
     def test_bn_optimizer_trains(self):
         ds = self._dataset(seed=15)
-        spec = NetSpec.mlp([6, 5, 2])
+        spec = NetSpec([6, 5, 2], loss="binary_cross_entropy")
         model = Model.batch_norm(spec, init_fan_in(spec, 16))
         cfg = make_config(learning_rate=0.1, max_updates=60, eval_interval=20)
-        result = train(model, ds, cfg, optimizer="bn", loss_kind="binary_cross_entropy")
+        result = train(model, ds, cfg, optimizer="bn")
         assert result.rows[-1].eval_loss < result.rows[0].eval_loss
 
     @pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
@@ -343,9 +344,9 @@ class TestTrainLoop:
         # eight evaluations at a rate too small to make progress: every row
         # still logs the configured rate, and no schedule lowers it
         ds = self._dataset(seed=13)
-        spec = NetSpec.mlp([6, 4, 2])
+        spec = NetSpec([6, 4, 2], loss="binary_cross_entropy")
         if optimizer == "prong":
-            model = whitened_model([6, 4, 2], seed=14)
+            model = whitened_model([6, 4, 2], seed=14, loss="binary_cross_entropy")
         elif optimizer == "bn":
             model = Model.batch_norm(spec, init_fan_in(spec, 14))
         else:
@@ -353,18 +354,18 @@ class TestTrainLoop:
         momentum = 0.0 if optimizer in ("sgd", "rmsprop") else 0.9
         cfg = make_config(learning_rate=1e-9, momentum=momentum, max_updates=40,
                           eval_interval=5, reparam_period=20, stat_samples=64)
-        result = train(model, ds, cfg, optimizer=optimizer, loss_kind="binary_cross_entropy")
+        result = train(model, ds, cfg, optimizer=optimizer)
         assert result.divergence is None and result.state.step == 40
         assert [r.step for r in result.rows if r.step > 0] == [5, 10, 15, 20, 25, 30, 35, 40]
         assert all(r.learning_rate == 1e-9 for r in result.rows)
 
     def test_sgd_rejects_nonzero_momentum(self):
         ds = self._dataset()
-        spec = NetSpec.mlp([6, 4, 2])
+        spec = NetSpec([6, 4, 2], loss="binary_cross_entropy")
         model = Model(spec, init_fan_in(spec, 17))
         cfg = make_config(momentum=0.9)
         with pytest.raises(ConfigError):
-            train(model, ds, cfg, optimizer="sgd", loss_kind="binary_cross_entropy")
+            train(model, ds, cfg, optimizer="sgd")
 
 
 class TestNaturalGradientEquivalence:
@@ -432,7 +433,7 @@ class TestNaturalGradientEquivalence:
         -alpha G_W (U^T U) for an arbitrary invertible U."""
         rng = np.random.default_rng(40)
         sizes = [6, 4, 2]
-        spec = NetSpec.mlp(sizes, hidden="tanh", head="sigmoid")
+        spec = NetSpec(sizes, hidden="tanh", head="sigmoid")
         theta = init_fan_in(spec, 41)
         phi = WhiteningCoeffs.identity(spec)
         # arbitrary invertible transforms, centers pinned at zero
@@ -554,9 +555,11 @@ class TestFlatUpdateOracle:
         rng = np.random.default_rng(60)
         x = rng.standard_normal((128, 6)) @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.3])
         ds = Dataset(x, np.eye(3)[rng.integers(0, 3, size=128)])
-        spec = NetSpec.mlp([6, 5, 4, 3], hidden="tanh", head="softmax")
+        spec = NetSpec([6, 5, 4, 3], hidden="tanh", head="softmax",
+                       loss="categorical_cross_entropy")
         if optimizer == "prong":
-            model = whitened_model([6, 5, 4, 3], seed=61, head="softmax")
+            model = whitened_model([6, 5, 4, 3], seed=61, head="softmax",
+                                   loss="categorical_cross_entropy")
         elif optimizer == "bn":
             model = Model.batch_norm(spec, init_fan_in(spec, 61))
         else:
@@ -566,7 +569,7 @@ class TestFlatUpdateOracle:
                           eval_interval=10, reparam_period=20, stat_samples=64,
                           eigen_epsilon=1e-2)
         reference = model.copy()
-        result = train(model, ds, cfg, optimizer=optimizer, loss_kind="categorical_cross_entropy")
+        result = train(model, ds, cfg, optimizer=optimizer)
         rows, velocities, mean_squares = list_reference_train(
             reference, ds, cfg, optimizer, "categorical_cross_entropy")
 
@@ -597,12 +600,13 @@ class TestWhitenedOracle:
         rng = np.random.default_rng(90)
         x = rng.standard_normal((160, 6)) @ np.diag([2.0, 1.5, 1.0, 0.7, 0.5, 0.3])
         ds = Dataset(x, np.eye(3)[rng.integers(0, 3, size=160)])
-        model = whitened_model([6, 5, 4, 3], seed=91, head="softmax")
+        model = whitened_model([6, 5, 4, 3], seed=91, head="softmax",
+                               loss="categorical_cross_entropy")
         reference = model.copy()
         cfg = make_config(learning_rate=0.05, momentum=0.9, batch_size=16, max_updates=45,
                           eval_interval=5, reparam_period=10, stat_samples=64,
                           eigen_epsilon=1e-2, seed=4)
-        result = train(model, ds, cfg, optimizer="prong", loss_kind="categorical_cross_entropy")
+        result = train(model, ds, cfg, optimizer="prong")
         rows, theta = reference_prong(reference, ds, cfg, "categorical_cross_entropy")
         assert result.reparam_steps == [0, 10, 20, 30, 40]
         assert [(r.step, r.reparam_event) for r in result.rows] == [(r[0], r[3]) for r in rows]
