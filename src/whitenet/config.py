@@ -132,9 +132,11 @@ def set_dotted(cfg: dict, dotted: str, value):
 
 def load_config_file(path) -> dict:
     """The JSON object in the UTF-8 file ``path``; anything else is refused."""
+    # refused: a file that cannot be read, text that is not UTF-8 or not JSON,
+    # and JSON nested deeper than the decoder recurses
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not readable UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} does not hold a JSON object")

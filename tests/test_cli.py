@@ -748,6 +748,7 @@ class TestTypedErrors:
         "absent_file": ("train", "is not readable UTF-8 JSON: [Errno 2]"),
         "latin1_file": ("train", "is not readable UTF-8 JSON: 'utf-8' codec can't decode"),
         "json_array": ("train", "does not hold a JSON object"),
+        "deeply_nested_file": ("train", "is not readable UTF-8 JSON: maximum recursion depth"),
         "grid_axis_through_a_string": ("grid", "not an object: name.x"),
         "grid_axis_through_a_number": ("grid", "not an object: train.learning_rate.x"),
         "seed_through_a_number": ("train", "not an object: train.seed"),
@@ -767,6 +768,8 @@ class TestTypedErrors:
             cfg_path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("latin-1"))
         elif case == "json_array":
             cfg_path.write_text(json.dumps([cfg]))
+        elif case == "deeply_nested_file":
+            cfg_path.write_text("[" * 100_000)
         elif case == "seed_through_a_number":
             cfg["train"] = 5
             cfg_path.write_text(json.dumps(cfg))
